@@ -75,9 +75,7 @@ def cmd_moments(args) -> int:
 
 def cmd_build(args) -> int:
     model = io.load_mixture(args.mixture)
-    options = tree.BuildOptions(
-        objective=args.objective, seed=args.seed, intervals_per_gap=args.intervals_per_gap
-    )
+    options = tree.BuildOptions(objective=args.objective)
     start = time.perf_counter()
     built = tree.build_mmdt(model, options)
     elapsed = time.perf_counter() - start
@@ -219,7 +217,7 @@ def bench_rows(sizes, k: int, d: int, seed: int, mmdt_repeats: int = 20) -> list
         times = []
         for _ in range(mmdt_repeats):
             start = time.perf_counter()
-            tree.build_mmdt(fitted, tree.BuildOptions(objective="gaussian", seed=seed))
+            tree.build_mmdt(fitted, tree.BuildOptions(objective="gaussian"))
             times.append(time.perf_counter() - start)
         rows.append(("mmdt-build", n, float(np.median(times))))
 
@@ -290,9 +288,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build the axis tree from a mixture")
     p.add_argument("--mixture", required=True)
     p.add_argument("--objective", choices=list(tree.OBJECTIVES), default="chebyshev")
-    p.add_argument("--intervals-per-gap", type=int, default=16)
     p.add_argument("--out", required=True)
-    _add_seed(p)
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("build-kernel", help="build the kernel-similarity tree")

@@ -285,12 +285,10 @@ def thm4_floor(k: int, q: float) -> float:
     return (k - 1) / (4.0 * q)
 
 
-def beta_estimate(model: MixtureModel, n: int = 0, seed: int = 0) -> float:
+def beta_estimate(model: MixtureModel) -> float:
     """Smallest beta with beta * E|x_i - mu_i(x)| >= sqrt(E|x_i - mu_i(x)|^2)
     on every axis.  Both component kinds have closed-form absolute moments,
-    so the value is computed exactly; n and seed are accepted for interface
-    compatibility and unused."""
-    del n, seed
+    so the value is computed exactly."""
     first = np.zeros(model.dim)
     second = np.zeros(model.dim)
     for c, p in zip(model.components, model.weights):

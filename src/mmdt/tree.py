@@ -12,6 +12,15 @@ objective.  Three objectives are supported:
   bounds a probability;
 * ``gaussian`` -- sum of exact Gaussian upper tails at the normalized
   distance from each component mean to the threshold.
+
+The two continuous objectives are minimized exactly.  Between consecutive
+projected means every Gaussian tail term is convex, and so is every Chebyshev
+term once the gap is also split at its clamp breakpoints ``mu_j +- sigma``.
+On each such piece the minimum is an end of the piece or the root of the
+objective's slope; the roots of all pieces of a node are found by one
+bisection on the slope's sign, vectorized over the pieces.  Among all
+candidates, values within a relative ``1e-12`` of the best are tied and the
+lowest threshold wins.
 """
 
 from __future__ import annotations
@@ -27,9 +36,10 @@ from .mixture import DISCRETE, GAUSSIAN, MixtureModel
 
 OBJECTIVES = ("exact-discrete", "chebyshev", "gaussian")
 
-# Ternary-search stopping rule for the continuous objectives.
-_TERNARY_MAX_ITERS = 200
-_TERNARY_WIDTH = 1e-12
+# Slope bisection halves every bracket per step: 64 steps leave 5e-20 of a
+# piece, below one ulp of its ends unless they straddle zero.  It stops
+# earlier once no bracket has a float strictly inside.
+_BISECT_MAX_ITERS = 64
 
 # Mathematically tied scores and objective values (symmetric configurations)
 # differ by rounding noise that need not survive affine rescaling; candidates
@@ -93,34 +103,23 @@ class BuildOptions:
     """Options for build_mmdt.
 
     Ties in axis or threshold choice are broken deterministically (lowest
-    axis index, then lowest theta); the seed is kept for sampling-based paths
-    and recorded in the serialized tree.
+    axis index, then lowest theta), so a build needs no seed.
     """
 
     objective: str = "chebyshev"
-    seed: int = 0
-    intervals_per_gap: int = 16
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValidationError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        if self.intervals_per_gap < 3:
-            raise ValidationError("intervals-per-gap must be >= 3")
 
     def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "seed": int(self.seed),
-            "intervals_per_gap": int(self.intervals_per_gap),
-        }
+        return {"objective": self.objective}
 
     @staticmethod
     def from_dict(d: dict) -> "BuildOptions":
-        return BuildOptions(
-            objective=d["objective"],
-            seed=int(d.get("seed", 0)),
-            intervals_per_gap=int(d.get("intervals_per_gap", 16)),
-        )
+        # Trees written by older versions also carry "seed" and
+        # "intervals_per_gap"; neither affects the tree, so both are ignored.
+        return BuildOptions(objective=d["objective"])
 
 
 @dataclass(frozen=True)
@@ -287,56 +286,37 @@ def _objective_fn(objective: str):
     }[objective]
 
 
-def _ternary_search(f_many, lo: float, hi: float) -> tuple[float, float]:
-    # f_many maps a 1-D array of thresholds to objective values.
-    v_lo, v_hi = f_many(np.array([lo, hi]))
-    best_x, best_v = (lo, v_lo) if v_lo <= v_hi else (hi, v_hi)
-    for _ in range(_TERNARY_MAX_ITERS):
-        if hi - lo <= _TERNARY_WIDTH:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        v1, v2 = f_many(np.array([m1, m2]))
-        if v1 < best_v:
-            best_x, best_v = m1, v1
-        if v2 < best_v:
-            best_x, best_v = m2, v2
-        if v1 < v2:
-            hi = m2
-        else:
-            lo = m1
-    mid = 0.5 * (lo + hi)
-    v_mid = f_many(np.array([mid]))[0]
-    if v_mid < best_v:
-        best_x, best_v = mid, v_mid
-    return best_x, float(best_v)
-
-
 def minimize_threshold(
     model: MixtureModel,
     node_components,
     axis: int,
     objective: str,
-    options: BuildOptions | None = None,
 ) -> tuple[float, float]:
     """Minimize the chosen objective over the open interval between the
     smallest and largest projected mean.
 
     The exact-discrete objective is piecewise constant, so candidate
     thresholds are midpoints between consecutive distinct support (and mean)
-    projections.  The continuous objectives are minimized per gap between
-    consecutive distinct projected means with a coarse bracket grid followed
-    by ternary search.  Value ties resolve to the lowest theta.
+    projections.
+
+    The continuous objectives are convex on every piece of the interval
+    between consecutive distinct projected means, further split (chebyshev)
+    at the clamp breakpoints ``mu_j +- sigma``.  A piece end on a mean is
+    pulled into the open gap by ``1e-12`` of the gap (at least one ulp).  Each
+    piece contributes its two ends and, when its one-sided slopes change sign
+    and its tangent-line lower bound does not already exceed the best end
+    value, the root of its slope, found by one bisection vectorized over all
+    such pieces.  Among these candidates, those within ``_TIE_REL`` of the
+    best value are tied and the lowest theta wins.
     """
-    options = options or BuildOptions(objective=objective)
     comps = list(node_components)
     proj = model.means()[comps, axis]
     m_lo, m_hi = float(proj.min()), float(proj.max())
     if not m_lo < m_hi:
         raise ValidationError("need at least two distinct projected means on the axis")
-    f = _objective_fn(objective)
 
     if objective == "exact-discrete":
+        f = _objective_fn(objective)
         values = [proj]
         for k in comps:
             values.append(model.components[k].support[:, axis])
@@ -349,48 +329,86 @@ def minimize_threshold(
         # is already the lowest-theta tie rule.
         return float(candidates[best]), float(vals[best])
 
-    # Precomputed evaluator: grid points and probes stay strictly inside the
-    # open gaps, so no threshold can collide with a projected mean.
-    w = model.weights[comps]
-    w = w / w.sum()
+    w = _node_weights(model, comps)
+    distinct = np.unique(proj)
+    breaks = distinct
     if objective == "chebyshev":
-        sigma2 = float(model.sigma[axis] ** 2)
+        sigma = float(model.sigma[axis])
+        clamp = np.concatenate([distinct - sigma, distinct + sigma])
+        breaks = np.union1d(distinct, clamp[(clamp > m_lo) & (clamp < m_hi)])
+    start, stop = breaks[:-1], breaks[1:]
+    gap = np.searchsorted(distinct, start, side="right")
+    span = distinct[gap] - distinct[gap - 1]
+    pull = span * 1e-12
+    lo = np.where(np.isin(start, distinct), np.maximum(start + pull, np.nextafter(start, stop)), start)
+    hi = np.where(np.isin(stop, distinct), np.minimum(stop - pull, np.nextafter(stop, start)), stop)
+    # A piece no wider than the pull-in (a breakpoint hugging a mean, or
+    # means one ulp apart) holds no threshold off the means.
+    lo, hi = lo[lo <= hi], hi[lo <= hi]
+    if lo.size == 0:
+        raise ValidationError("no threshold strictly between the projected means")
+    # Which side of each mean a piece lies on, and (chebyshev) which terms
+    # are clamped, is fixed per piece by its midpoint, so the slopes at its
+    # ends are one-sided.
+    mid = 0.5 * (lo + hi)
 
-        def f_many(ts: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore", over="ignore"):
-                terms = np.minimum(1.0, sigma2 / (proj[None, :] - ts[:, None]) ** 2)
-            return terms @ w
+    if objective == "chebyshev":
+        coef = np.where(np.abs(mid[:, None] - proj) > sigma, w, 0.0)
+        log_scale = math.log(2.0 / sigma)
+
+        def values(ts):
+            return np.minimum(1.0, sigma**2 / (proj - ts[:, None]) ** 2) @ w
+
+        def slope(ts, rows=slice(None)):
+            # f' = -(2 / sigma) * sum_j coef_j / u_j^3, u_j = (t - mu_j) / sigma,
+            # returned as (mantissa, log scale) like the gaussian slope
+            u = (ts[:, None] - proj) / sigma
+            return -(coef[rows] / u**3).sum(axis=1), log_scale
     else:
         stds = np.array([model.components[k].stddev[axis] for k in comps])
+        log_ws = np.log(w / stds) - 0.5 * math.log(2.0 * math.pi)
+        sign = np.where(proj > mid[:, None], 1.0, -1.0)
 
-        def f_many(ts: np.ndarray) -> np.ndarray:
-            z = np.abs(proj[None, :] - ts[:, None]) / stds[None, :]
-            return normal_upper_tail(z) @ w
+        def values(ts):
+            return normal_upper_tail(np.abs(proj - ts[:, None]) / stds) @ w
 
-    distinct = np.unique(proj)
-    grid_n = options.intervals_per_gap
-    candidates: list[tuple[float, float]] = []  # (value, theta)
-    for a, b in zip(distinct[:-1], distinct[1:]):
-        span = b - a
-        xs = a + span * np.arange(1, grid_n) / grid_n
-        vals = f_many(xs)
-        vmin = float(vals.min())
-        # Refine every bracket whose grid value ties the gap minimum, so a
-        # symmetric landscape yields both co-minima and the lowest-theta rule
-        # decides, independent of which side rounding favors.
-        tied = np.flatnonzero(vals <= vmin + _TIE_REL * max(1.0, abs(vmin)))
-        for j in map(int, tied):
-            lo = xs[j - 1] if j > 0 else max(a + span * 1e-12, np.nextafter(a, b))
-            hi = xs[j + 1] if j < xs.size - 1 else min(b - span * 1e-12, np.nextafter(b, a))
-            theta_gap, val_gap = _ternary_search(f_many, float(lo), float(hi))
-            if vals[j] < val_gap:
-                theta_gap, val_gap = float(xs[j]), float(vals[j])
-            candidates.append((val_gap, theta_gap))
-    best_val = min(v for v, _ in candidates)
-    tol = _TIE_REL * max(1.0, abs(best_val))
-    best_theta = min(theta for v, theta in candidates if v <= best_val + tol)
-    best_val = next(v for v, theta in candidates if theta == best_theta)
-    return float(best_theta), float(best_val)
+        def slope(ts, rows=slice(None)):
+            # f' = sum_j sign_j * w_j / s_j * phi(z_j) = mantissa * exp(top):
+            # summed in the log domain, shifted by each row's largest term, so
+            # the sign survives where every term underflows (gaps over ~77 s_j).
+            log_terms = log_ws - 0.5 * ((ts[:, None] - proj) / stds) ** 2
+            top = log_terms.max(axis=1)
+            return (sign[rows] * np.exp(log_terms - top[:, None])).sum(axis=1), top
+
+    f_lo, f_hi = values(lo), values(hi)
+    (s_lo, e_lo), (s_hi, e_hi) = slope(lo), slope(hi)
+    best_end = float(min(f_lo.min(), f_hi.min()))
+    tol = _TIE_REL * max(1.0, abs(best_end))
+    # Only a piece whose end slopes have opposite signs holds an interior
+    # minimum.  Its end tangents meet below that minimum; the bound prunes
+    # only where both slopes are representable (neither underflowed).
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g_lo, g_hi = s_lo * np.exp(e_lo), s_hi * np.exp(e_hi)
+        sloped = (g_lo < 0) & (g_hi > 0)
+        reach = np.where(sloped, (f_lo - f_hi + g_hi * (hi - lo)) / (g_hi - g_lo), 0.0)
+        bound = f_lo + g_lo * np.clip(reach, 0.0, hi - lo)
+    rows = np.flatnonzero((s_lo < 0) & (s_hi > 0) & ~(sloped & (bound > best_end + tol)))
+    a, b = lo[rows], hi[rows]
+    for _ in range(_BISECT_MAX_ITERS):
+        probe = 0.5 * (a + b)
+        inside = (probe > a) & (probe < b)
+        if not inside.any():
+            break
+        up = slope(probe, rows)[0] > 0
+        b = np.where(inside & up, probe, b)
+        a = np.where(inside & ~up, probe, a)
+
+    thetas = np.concatenate([lo, hi, a])
+    vals = np.concatenate([f_lo, f_hi, values(a)])
+    best_val = float(vals.min())
+    tied = vals <= best_val + _TIE_REL * max(1.0, abs(best_val))
+    best = int(np.flatnonzero(tied)[np.argmin(thetas[tied])])
+    return float(thetas[best]), float(vals[best])
 
 
 def _check_objective_compatible(model: MixtureModel, objective: str) -> None:
@@ -414,7 +432,7 @@ def build_mmdt(model: MixtureModel, options: BuildOptions | None = None) -> Axis
         if len(comps) == 1:
             return TreeNode(leaf=comps[0])
         axis, _ = select_axis(model, comps)
-        theta, _ = minimize_threshold(model, comps, axis, options.objective, options)
+        theta, _ = minimize_threshold(model, comps, axis, options.objective)
         left = [k for k in comps if means[k, axis] <= theta]
         right = [k for k in comps if means[k, axis] > theta]
         assert left and right, "threshold failed to separate component means"

@@ -95,6 +95,25 @@ def test_cli_build_determinism(tmp_path):
     assert t1.read_bytes() == t2.read_bytes()
 
 
+def test_tree_json_with_retired_options_loads(tmp_path):
+    # trees written before the build seed and the grid size were removed
+    # still carry both under "options"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({
+        "format_version": 1,
+        "kind": "axis",
+        "dim": 1,
+        "n_leaves": 2,
+        "model_fingerprint": "",
+        "root": {"axis": 0, "theta": 0.5, "left": {"leaf": 0}, "right": {"leaf": 1}},
+        "options": {"objective": "gaussian", "seed": 5, "intervals_per_gap": 16},
+    }))
+    tree = load_tree(path)
+    assert tree.options.objective == "gaussian"
+    assert tree.root.cut.theta == 0.5 and tree.leaves() == [0, 1]
+    assert tree.to_dict()["options"] == {"objective": "gaussian"}
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     mix = tmp_path / "m.json"
     tree = tmp_path / "t.json"

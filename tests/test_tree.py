@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmdt import (
@@ -99,7 +99,7 @@ def test_minimize_threshold_symmetric_midpoint():
 
 def brute_force_threshold(model, comps, axis, objective_fn, points_per_gap=10_000):
     # Two-stage grid scan (coarse pass, then a dense pass around the coarse
-    # argmin); independent of the ternary-search implementation under test.
+    # argmin); independent of the minimizer under test.
     proj = np.unique(model.means()[comps, axis])
     best = (np.inf, None)
     for a, b in zip(proj[:-1], proj[1:]):
@@ -157,6 +157,7 @@ def test_minimize_threshold_beats_largest_gap_midpoint(seed):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
+@example(15)  # minimum inside a clamp zone, against a gap end
 def test_ternary_matches_dense_grid(seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 6))
@@ -174,6 +175,41 @@ def test_ternary_matches_dense_grid(seed):
         _, brute = brute_force_threshold(m, list(range(k)), 0, fn)
         assert value <= brute + 1e-9
         assert abs(value - brute) <= 1e-6
+
+
+def test_minimize_threshold_gaussian_underflow_plateau():
+    # 200 sigma apart, every tail term underflows to 0 over most of the gap;
+    # the slope's sign still points at the balance point, the midpoint
+    m = gaussians([[0.0], [200.0]], [1.0])
+    theta, value = minimize_threshold(m, [0, 1], 0, "gaussian")
+    assert theta == pytest.approx(100.0, rel=1e-9)
+    assert value == 0.0
+    a, b = 3.7, -41.0
+    theta2, _ = minimize_threshold(m.scale_shift([a], [b]), [0, 1], 0, "gaussian")
+    assert theta2 == pytest.approx(a * theta + b, rel=1e-9)
+
+
+def test_minimize_threshold_chebyshev_breakpoint():
+    # sigma 1: the minimum lies on the piece between the breakpoints
+    # mu_0 + sigma = 1 and mu_1 - sigma = 2.  At theta = 1 the slope is
+    # negative on that piece and positive inside the clamp zone of mu_0, so
+    # the slope there must be taken one-sided.
+    m = gaussians([[0.0], [3.0]], [1.0], weights=[0.6, 0.4])
+    theta, value = minimize_threshold(m, [0, 1], 0, "chebyshev")
+    root = 3.0 / (1.0 + (0.4 / 0.6) ** (1.0 / 3.0))
+    assert theta == pytest.approx(root, rel=1e-9)
+    assert value == pytest.approx(0.6 / root**2 + 0.4 / (3.0 - root) ** 2, rel=1e-12)
+    _, brute = brute_force_threshold(m, [0, 1], 0, chebyshev_objective)
+    assert value <= brute + 1e-12
+    assert value == pytest.approx(brute, abs=1e-6)
+
+
+def test_minimize_threshold_rejects_means_one_ulp_apart():
+    # no float lies strictly between the means, so no threshold is off them
+    m = gaussians([[1.0], [float(np.nextafter(1.0, 2.0))]], [1.0])
+    for objective in ("chebyshev", "gaussian"):
+        with pytest.raises(ValidationError, match="strictly between"):
+            minimize_threshold(m, [0, 1], 0, objective)
 
 
 def test_build_mmdt_minimal_tree():
@@ -210,8 +246,6 @@ def test_build_rejects_incompatible_objective():
         build_mmdt(m, BuildOptions(objective="exact-discrete"))
     with pytest.raises(ValidationError):
         BuildOptions(objective="nope")
-    with pytest.raises(ValidationError):
-        BuildOptions(intervals_per_gap=2)
 
 
 def test_predict_examples():
@@ -260,8 +294,8 @@ def test_structural_invariants_battery():
 
 def test_build_determinism():
     model = gaussian_battery(7)
-    a = build_mmdt(model, BuildOptions(objective="gaussian", seed=5))
-    b = build_mmdt(model, BuildOptions(objective="gaussian", seed=5))
+    a = build_mmdt(model, BuildOptions(objective="gaussian"))
+    b = build_mmdt(model, BuildOptions(objective="gaussian"))
     import json
 
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
