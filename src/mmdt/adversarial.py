@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .mixture import Component, LabeledDataset, MixtureModel
-from .tree import AxisCut, AxisTree, TreeNode
+from .tree import AxisCut, AxisTree, TreeNode, _midpoint_candidates
 
 CONSTRUCTIONS = ("thm2-logk", "thm4-basis", "b3-constprice")
 
@@ -279,34 +279,19 @@ def enumerate_valid_trees(
     means = model.means()
     fingerprint = model.fingerprint()
 
-    def candidate_cuts(comps: list[int]) -> list[tuple[int, float]]:
-        cuts = []
-        for axis in range(model.dim):
-            proj = means[comps, axis]
-            lo, hi = proj.min(), proj.max()
-            if not lo < hi:
-                continue
-            values = [proj]
-            for k in comps:
-                values.append(model.components[k].support[:, axis])
-            breaks = np.unique(np.concatenate(values))
-            breaks = breaks[(breaks >= lo) & (breaks <= hi)]
-            for theta in 0.5 * (breaks[:-1] + breaks[1:]):
-                cuts.append((axis, float(theta)))
-        return cuts
-
     def grow(comps: list[int]) -> Iterator[TreeNode]:
         if len(comps) == 1:
             yield TreeNode(leaf=comps[0])
             return
-        for axis, theta in candidate_cuts(comps):
-            left = [k for k in comps if means[k, axis] <= theta]
-            right = [k for k in comps if means[k, axis] > theta]
-            for left_node in grow(left):
-                for right_node in grow(right):
-                    yield TreeNode(
-                        cut=AxisCut(axis=axis, theta=theta), left=left_node, right=right_node
-                    )
+        for axis in range(model.dim):
+            for theta in _midpoint_candidates(model, comps, axis).tolist():
+                left = [k for k in comps if means[k, axis] <= theta]
+                right = [k for k in comps if means[k, axis] > theta]
+                for left_node in grow(left):
+                    for right_node in grow(right):
+                        yield TreeNode(
+                            cut=AxisCut(axis=axis, theta=theta), left=left_node, right=right_node
+                        )
 
     for root in grow(list(range(model.k))):
         yield AxisTree(

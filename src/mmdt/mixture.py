@@ -185,10 +185,12 @@ class MixtureModel:
         if np.any(sig <= 0):
             raise ValidationError("sigma must be strictly positive")
         means = np.array([c.mean for c in comps])
-        for a in range(k):
-            for b in range(a + 1, k):
-                if np.array_equal(means[a], means[b]):
-                    raise ValidationError(f"components {a} and {b} share the same mean")
+        _, first, inverse = np.unique(means, axis=0, return_index=True, return_inverse=True)
+        owner = first[inverse.ravel()]  # owner[j]: lowest index with the mean of j
+        dup = np.flatnonzero(owner != np.arange(k))
+        if dup.size:  # the lowest pair: lowest owner, then its next index
+            b = int(dup[np.argmin(owner[dup])])
+            raise ValidationError(f"components {owner[b]} and {b} share the same mean")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "sigma", sig)

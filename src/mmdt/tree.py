@@ -5,22 +5,27 @@ spread among the components remaining at a node, then places a one-sided cut
 ``x_i <= theta`` at the threshold minimizing a separation-probability
 objective.  Three objectives are supported:
 
-* ``exact-discrete`` -- the exact separation probability, enumerated over
-  support points (all components at the node must be finite-discrete);
+* ``exact-discrete`` -- the exact separation probability over the support
+  points (all components at the node must be finite-discrete);
 * ``chebyshev`` -- sum of per-component Chebyshev tail bounds
   ``min(1, sigma_i^2 / (mu_i - theta)^2)``, each clamped at one since it
   bounds a probability;
 * ``gaussian`` -- sum of exact Gaussian upper tails at the normalized
   distance from each component mean to the threshold.
 
+The exact-discrete objective is piecewise constant.  It is scored at the
+midpoint of every piece by one sweep per component: sort the support
+projections once, then read prefix and suffix sums of their masses at each
+threshold's ``searchsorted`` position; O(S log S) time, O(S) memory.
+
 The two continuous objectives are minimized exactly.  Between consecutive
 projected means every Gaussian tail term is convex, and so is every Chebyshev
 term once the gap is also split at its clamp breakpoints ``mu_j +- sigma``.
 On each such piece the minimum is an end of the piece or the root of the
 objective's slope; the roots of all pieces of a node are found by one
-bisection on the slope's sign, vectorized over the pieces.  Among all
-candidates, values within a relative ``1e-12`` of the best are tied and the
-lowest threshold wins.
+bisection on the slope's sign, vectorized over the pieces.  For every
+objective, candidates within a relative ``1e-12`` of the best are tied and
+the lowest threshold wins.
 """
 
 from __future__ import annotations
@@ -88,13 +93,16 @@ class TreeNode:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "TreeNode":
+    def from_dict(d: dict, dim: int) -> "TreeNode":
         if "leaf" in d:
             return TreeNode(leaf=int(d["leaf"]))
+        axis = int(d["axis"])
+        if not 0 <= axis < dim:
+            raise ValidationError(f"cut axis {axis} outside 0..{dim - 1}")
         return TreeNode(
-            cut=AxisCut(axis=int(d["axis"]), theta=float(d["theta"])),
-            left=TreeNode.from_dict(d["left"]),
-            right=TreeNode.from_dict(d["right"]),
+            cut=AxisCut(axis=axis, theta=float(d["theta"])),
+            left=TreeNode.from_dict(d["left"], dim),
+            right=TreeNode.from_dict(d["right"], dim),
         )
 
 
@@ -161,13 +169,17 @@ class AxisTree:
     @staticmethod
     def from_dict(d: dict) -> "AxisTree":
         options = BuildOptions.from_dict(d["options"]) if "options" in d else None
-        return AxisTree(
-            root=TreeNode.from_dict(d["root"]),
+        tree = AxisTree(
+            root=TreeNode.from_dict(d["root"], int(d["dim"])),
             dim=int(d["dim"]),
             n_leaves=int(d["n_leaves"]),
             model_fingerprint=d.get("model_fingerprint", ""),
             options=options,
         )
+        leaves = sorted(tree.leaves())
+        if leaves != list(range(tree.n_leaves)):
+            raise ValidationError(f"leaves {leaves} are not a bijection onto 0..{tree.n_leaves - 1}")
+        return tree
 
 
 def predict(tree: AxisTree, x) -> int:
@@ -256,8 +268,9 @@ def gaussian_objective(model: MixtureModel, node_components, axis: int, theta):
 
 
 def exact_discrete_objective(model: MixtureModel, node_components, axis: int, theta):
-    """Exact separation probability by enumerating support points; requires
-    all node components to be finite-discrete."""
+    """Exact separation probability; requires finite-discrete components.
+    A component's separated mass is its mass on the side of theta away from
+    its mean, read off the prefix and suffix sums of its sorted masses."""
     comps = list(node_components)
     for k in comps:
         if model.components[k].kind != DISCRETE:
@@ -267,23 +280,34 @@ def exact_discrete_objective(model: MixtureModel, node_components, axis: int, th
     _check_theta_off_means(proj, theta_arr)
     w = _node_weights(model, comps)
     terms = []
-    for k in comps:
+    for k, mean in zip(comps, proj):
         comp = model.components[k]
-        pts = comp.support[:, axis]
-        mean_left = comp.mean[axis] <= theta_arr[..., None]
-        point_left = pts <= theta_arr[..., None]
-        separated = mean_left != point_left
-        terms.append(separated @ comp.mass)
+        order = np.argsort(comp.support[:, axis], kind="stable")
+        mass = comp.mass[order]
+        at_or_below = np.concatenate([[0.0], np.cumsum(mass)])
+        above = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
+        n_below = np.searchsorted(comp.support[order, axis], theta_arr, side="right")
+        terms.append(np.where(mean <= theta_arr, above[n_below], at_or_below[n_below]))
     total = np.stack(terms, axis=-1) @ w
     return total if theta_arr.ndim else float(total)
 
 
-def _objective_fn(objective: str):
-    return {
-        "exact-discrete": exact_discrete_objective,
-        "chebyshev": chebyshev_objective,
-        "gaussian": gaussian_objective,
-    }[objective]
+def _midpoint_candidates(model: MixtureModel, comps: list[int], axis: int) -> np.ndarray:
+    """Ascending midpoints of consecutive distinct support and mean projections
+    within the span of the means: one per piece of the exact objective."""
+    proj = model.means()[comps, axis]
+    values = [proj] + [model.components[k].support[:, axis] for k in comps]
+    breaks = np.unique(np.concatenate(values))
+    breaks = breaks[(breaks >= proj.min()) & (breaks <= proj.max())]
+    return 0.5 * (breaks[:-1] + breaks[1:])
+
+
+def _lowest_tied(thetas: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
+    """The lowest theta among values within ``_TIE_REL`` of the minimum."""
+    best_val = float(vals.min())
+    tied = vals <= best_val + _TIE_REL * max(1.0, abs(best_val))
+    best = int(np.flatnonzero(tied)[np.argmin(thetas[tied])])
+    return float(thetas[best]), float(vals[best])
 
 
 def minimize_threshold(
@@ -297,7 +321,8 @@ def minimize_threshold(
 
     The exact-discrete objective is piecewise constant, so candidate
     thresholds are midpoints between consecutive distinct support (and mean)
-    projections.
+    projections, all scored in one sweep of ``exact_discrete_objective``
+    (per component: one sort, then prefix sums), O(S log S) per node.
 
     The continuous objectives are convex on every piece of the interval
     between consecutive distinct projected means, further split (chebyshev)
@@ -306,8 +331,10 @@ def minimize_threshold(
     piece contributes its two ends and, when its one-sided slopes change sign
     and its tangent-line lower bound does not already exceed the best end
     value, the root of its slope, found by one bisection vectorized over all
-    such pieces.  Among these candidates, those within ``_TIE_REL`` of the
-    best value are tied and the lowest theta wins.
+    such pieces.
+
+    For every objective, candidates within ``_TIE_REL`` of the best value are
+    tied and the lowest theta wins.
     """
     comps = list(node_components)
     proj = model.means()[comps, axis]
@@ -316,18 +343,8 @@ def minimize_threshold(
         raise ValidationError("need at least two distinct projected means on the axis")
 
     if objective == "exact-discrete":
-        f = _objective_fn(objective)
-        values = [proj]
-        for k in comps:
-            values.append(model.components[k].support[:, axis])
-        breaks = np.unique(np.concatenate(values))
-        breaks = breaks[(breaks >= m_lo) & (breaks <= m_hi)]
-        candidates = 0.5 * (breaks[:-1] + breaks[1:])
-        vals = f(model, comps, axis, candidates)
-        best = int(np.argmin(vals))
-        # np.argmin returns the first minimum; candidates are sorted, so this
-        # is already the lowest-theta tie rule.
-        return float(candidates[best]), float(vals[best])
+        candidates = _midpoint_candidates(model, comps, axis)
+        return _lowest_tied(candidates, exact_discrete_objective(model, comps, axis, candidates))
 
     w = _node_weights(model, comps)
     distinct = np.unique(proj)
@@ -403,12 +420,7 @@ def minimize_threshold(
         b = np.where(inside & up, probe, b)
         a = np.where(inside & ~up, probe, a)
 
-    thetas = np.concatenate([lo, hi, a])
-    vals = np.concatenate([f_lo, f_hi, values(a)])
-    best_val = float(vals.min())
-    tied = vals <= best_val + _TIE_REL * max(1.0, abs(best_val))
-    best = int(np.flatnonzero(tied)[np.argmin(thetas[tied])])
-    return float(thetas[best]), float(vals[best])
+    return _lowest_tied(np.concatenate([lo, hi, a]), np.concatenate([f_lo, f_hi, values(a)]))
 
 
 def _check_objective_compatible(model: MixtureModel, objective: str) -> None:

@@ -114,6 +114,27 @@ def test_tree_json_with_retired_options_loads(tmp_path):
     assert tree.to_dict()["options"] == {"objective": "gaussian"}
 
 
+@pytest.mark.parametrize(
+    "root, message",
+    [
+        ({"axis": 99, "theta": 0.5, "left": {"leaf": 0}, "right": {"leaf": 1}}, "cut axis 99"),
+        ({"axis": -1, "theta": 0.5, "left": {"leaf": 0}, "right": {"leaf": 1}}, "cut axis -1"),
+        ({"axis": 0, "theta": 0.5, "left": {"leaf": 0}, "right": {"leaf": 7}}, "bijection"),
+        ({"axis": 0, "theta": 0.5, "left": {"leaf": 1}, "right": {"leaf": 1}}, "bijection"),
+    ],
+)
+def test_cli_eval_rejects_invalid_axis_tree(tmp_path, capsys, root, message):
+    mix = tmp_path / "m.json"
+    tree = tmp_path / "t.json"
+    run_cli("gen", "b3", "--d", 2, "--out", mix)
+    payload = {"format_version": 1, "kind": "axis", "dim": 2, "n_leaves": 2, "root": root}
+    tree.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("eval", "--mixture", mix, "--tree", tree) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     mix = tmp_path / "m.json"
     tree = tmp_path / "t.json"

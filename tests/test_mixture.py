@@ -47,6 +47,22 @@ def test_model_invariants():
     assert m.alpha == pytest.approx(1.0)
 
 
+def test_model_rejects_duplicate_means_lowest_pair():
+    a, b = [0.0, 1.0], [2.0, -1.0]
+    with pytest.raises(ValidationError, match="components 0 and 2 share the same mean"):
+        two_comp([a, b, a, b], [1.0, 1.0])
+    # the pair with the lowest first index wins over an earlier-closing pair
+    with pytest.raises(ValidationError, match="components 0 and 3 share the same mean"):
+        two_comp([a, b, b, a], [1.0, 1.0])
+    with pytest.raises(ValidationError, match="components 1 and 2 share the same mean"):
+        two_comp([[5.0, 5.0], a, a, a], [1.0, 1.0])
+    # -0.0 == 0.0, as np.array_equal has it: still one mean
+    with pytest.raises(ValidationError, match="components 1 and 2 share the same mean"):
+        two_comp([b, [0.0, 1.0], [-0.0, 1.0]], [1.0, 1.0])
+    # means differing in one coordinate only are distinct
+    assert two_comp([a, [0.0, np.nextafter(1.0, 2.0)]], [1.0, 1.0]).k == 2
+
+
 def test_enr_examples():
     m = two_comp([[0.0, 0.0], [3.0, 4.0]], [1.0, 2.0])
     assert enr(m) == pytest.approx(9.0)  # max(9/1, 16/4)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,10 +9,12 @@ from mmdt import (
     AxisTree,
     BuildOptions,
     Component,
+    LabeledDataset,
     MixtureModel,
     ValidationError,
     build_mmdt,
     chebyshev_objective,
+    empirical_moments,
     exact_discrete_objective,
     gaussian_objective,
     minimize_threshold,
@@ -18,7 +22,13 @@ from mmdt import (
     select_axis,
 )
 from mmdt.adversarial import gen_b3, gen_thm4
-from mmdt.tree import assign_components, check_structure, export_dot, normal_upper_tail
+from mmdt.tree import (
+    _midpoint_candidates,
+    assign_components,
+    check_structure,
+    export_dot,
+    normal_upper_tail,
+)
 
 from conftest import gaussian_battery, random_discrete_model
 
@@ -88,6 +98,110 @@ def test_exact_discrete_objective_examples():
     gauss = gaussians([[0.0], [1.0]], [1.0])
     with pytest.raises(ValidationError):
         exact_discrete_objective(gauss, [0, 1], 0, 0.5)
+
+
+def dense_exact_discrete(model, comps, axis, thetas):
+    # Reference: the (thetas x support) mask formula the sweep replaced.
+    w = model.weights[comps] / model.weights[comps].sum()
+    terms = []
+    for k in comps:
+        comp = model.components[k]
+        mean_left = comp.mean[axis] <= thetas[:, None]
+        point_left = comp.support[:, axis] <= thetas[:, None]
+        terms.append((mean_left != point_left) @ comp.mass)
+    return np.stack(terms, axis=-1) @ w
+
+
+def node_problems(model):
+    # every (node components, axis) pair with distinct means on the axis,
+    # for the root and for each pair of components
+    means = model.means()
+    comps_sets = [list(range(model.k))] + [[a, b] for a in range(model.k) for b in range(a + 1, model.k)]
+    for comps in comps_sets:
+        for axis in range(model.dim):
+            if np.ptp(means[comps, axis]) > 0:
+                yield comps, axis
+
+
+def test_exact_discrete_sweep_matches_dense():
+    for seed in range(300, 340):
+        check_sweep_against_dense(random_discrete_model(seed), np.random.default_rng(seed))
+
+
+def check_sweep_against_dense(model, rng):
+    for comps, axis in node_problems(model):
+        cands = _midpoint_candidates(model, comps, axis)
+        # also thresholds exactly on support points and outside the means
+        pts = np.concatenate([model.components[k].support[:, axis] for k in comps])
+        extra = np.concatenate([pts, rng.uniform(pts.min() - 1.0, pts.max() + 1.0, 20)])
+        extra = extra[~np.isin(extra, model.means()[comps, axis])]
+        for thetas in (cands, extra):
+            got = exact_discrete_objective(model, comps, axis, thetas)
+            np.testing.assert_allclose(got, dense_exact_discrete(model, comps, axis, thetas), rtol=0, atol=1e-12)
+        # same theta as the dense argmin over the same candidates
+        dense = dense_exact_discrete(model, comps, axis, cands)
+        theta, value = minimize_threshold(model, comps, axis, "exact-discrete")
+        assert theta == cands[int(np.argmin(dense))]
+        assert value == pytest.approx(dense.min(), abs=1e-12)
+
+
+def test_exact_discrete_sweep_ties():
+    # component 0 has two support points tied at 1.0, which is also its
+    # mean; component 1 has a support point on that mean and one tied with
+    # component 0's point at 2.0
+    c0 = Component.discrete([[0.0], [1.0], [1.0], [2.0]], [0.25, 0.25, 0.25, 0.25])
+    c1 = Component.discrete([[1.0], [2.0], [4.0], [6.0]], [0.25, 0.25, 0.25, 0.25])
+    model = MixtureModel.create((c0, c1), [0.4, 0.6])
+    assert model.means()[:, 0].tolist() == [1.0, 3.25]
+    thetas = np.array([-1.0, 0.0, 0.5, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0])
+    got = exact_discrete_objective(model, [0, 1], 0, thetas)
+    np.testing.assert_allclose(got, dense_exact_discrete(model, [0, 1], 0, thetas), rtol=0, atol=1e-12)
+    # at theta = 2 both points at 2.0 lie left: c0 loses nothing, c1 loses
+    # its points at 1.0 and 2.0
+    assert got[4] == pytest.approx(0.6 * 0.5, abs=1e-15)
+    assert exact_discrete_objective(model, [0, 1], 0, 2.0) == got[4]
+    with pytest.raises(ValidationError, match="threshold on a mean"):
+        exact_discrete_objective(model, [0, 1], 0, np.array([0.5, 1.0]))
+    cands = _midpoint_candidates(model, [0, 1], 0)
+    assert cands.tolist() == [1.5, 2.625]
+    theta, value = minimize_threshold(model, [0, 1], 0, "exact-discrete")
+    dense = dense_exact_discrete(model, [0, 1], 0, cands)
+    assert theta == cands[int(np.argmin(dense))] and value == pytest.approx(dense.min(), abs=1e-15)
+
+
+def test_exact_discrete_tie_takes_lowest_theta():
+    # theta 1.55 and 3.35 both separate mass 0.3, summed as 0.5 * 0.3 +
+    # 0.5 * (0.1 + 0.2) and 0.5 * (0.3 + 0.2) + 0.5 * 0.1; the first rounds one
+    # ulp higher (by the dense masks too), so a plain argmin takes 3.35
+    c0 = Component.discrete([[1.0], [2.0], [6.0]], [0.3, 0.2, 0.5])
+    c1 = Component.discrete([[0.0], [3.0], [5.0]], [0.7, 0.2, 0.1])
+    model = MixtureModel.create((c0, c1), [0.5, 0.5])
+    cands = _midpoint_candidates(model, [0, 1], 0)
+    assert cands == pytest.approx([1.55, 2.5, 3.35])
+    theta, value = minimize_threshold(model, [0, 1], 0, "exact-discrete")
+    assert theta == 1.55
+    assert value == pytest.approx(0.3, abs=1e-15)
+
+
+def test_exact_discrete_build_memory_is_linear_in_support():
+    # 60k support points: the dense (candidates x support) masks would need
+    # tens of GB; the sweep keeps a few arrays of the support size
+    rng = np.random.default_rng(11)
+    k, d, n = 3, 4, 60_000
+    means = np.zeros((k, d))
+    means[:, 0] = 3.0 * np.arange(k)
+    labels = rng.integers(0, k, n)
+    points = means[labels] + rng.normal(size=(n, d))
+    model = empirical_moments(LabeledDataset(points=points, labels=labels), k)
+    assert sum(c.support.shape[0] for c in model.components) == n
+    tracemalloc.start()
+    try:
+        tree = build_mmdt(model, BuildOptions(objective="exact-discrete"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    check_structure(tree, model.means())
+    assert peak < 64 * 2**20
 
 
 def test_minimize_threshold_symmetric_midpoint():
