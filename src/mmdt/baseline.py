@@ -17,17 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
+from .mixture import lowest_duplicate_pair
 from .tree import AxisCut, AxisTree, TreeNode, assign_components
 
 
 @dataclass(frozen=True)
 class CenteredDataset:
     """Points plus K reference centers; assignment is nearest center in l2
-    with ties going to the lower index."""
+    with ties going to the lower index, computed when left out and checked
+    when given."""
 
     points: np.ndarray
     centers: np.ndarray
-    assignment: np.ndarray
+    assignment: np.ndarray | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -36,13 +38,11 @@ class CenteredDataset:
             raise ValidationError("points and centers must be 2-D with matching dimension")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(ctr))):
             raise ValidationError("points and centers must be finite")
-        for a in range(ctr.shape[0]):
-            for b in range(a + 1, ctr.shape[0]):
-                if np.array_equal(ctr[a], ctr[b]):
-                    raise ValidationError(f"centers {a} and {b} are duplicates")
-        assign = np.asarray(self.assignment, dtype=int)
-        expected = nearest_center(pts, ctr)
-        if not np.array_equal(assign, expected):
+        dup = lowest_duplicate_pair(ctr)
+        if dup:
+            raise ValidationError(f"centers {dup[0]} and {dup[1]} are duplicates")
+        assign = nearest_center(pts, ctr)
+        if self.assignment is not None and not np.array_equal(self.assignment, assign):
             raise ValidationError("assignment does not follow the nearest-center rule")
         for arr in (pts, ctr, assign):
             arr.setflags(write=False)
@@ -52,11 +52,7 @@ class CenteredDataset:
 
     @staticmethod
     def create(points, centers) -> "CenteredDataset":
-        points = np.asarray(points, dtype=float)
-        centers = np.asarray(centers, dtype=float)
-        return CenteredDataset(
-            points=points, centers=centers, assignment=nearest_center(points, centers)
-        )
+        return CenteredDataset(points=points, centers=centers)
 
     @property
     def k(self) -> int:

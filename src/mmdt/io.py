@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,33 +108,45 @@ def save_dataset(path, data: LabeledDataset) -> None:
 
 
 def load_dataset(path) -> LabeledDataset:
-    text = _read_text(path)
-    reader = csv.reader(_io.StringIO(text))
+    """Read a dataset CSV in one numpy pass.  Blank lines are skipped, there
+    are no comment lines, fields may be double-quoted and labels are integers;
+    a bad row raises FormatError naming its file line (the header is line 1)."""
     try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError(f"{path}: empty CSV") from None
-    header = [h.strip() for h in header]
-    has_label = bool(header) and header[-1] == "label"
-    dim = len(header) - (1 if has_label else 0)
-    if dim < 1 or [h for h in header[:dim]] != [f"x{j + 1}" for j in range(dim)]:
-        raise FormatError(f"{path}: expected header x1..xd[,label], got {header}")
-    points, labels = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise FormatError(f"{path}: line {lineno} has {len(row)} fields, expected {len(header)}")
-        try:
-            points.append([float(v) for v in row[:dim]])
-            if has_label:
-                labels.append(int(row[dim]))
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        with open(path, encoding="utf-8") as fh:
+            header = [h.strip() for h in next(csv.reader([fh.readline()]), [])]
+            has_label = bool(header) and header[-1] == "label"
+            dim = len(header) - (1 if has_label else 0)
+            if dim < 1 or header[:dim] != [f"x{j + 1}" for j in range(dim)]:
+                raise FormatError(f"{path}: expected header x1..xd[,label], got {header}")
+            dtype = [("p", "f8", (dim,))] + ([("l", "i8")] if has_label else [])
+            with warnings.catch_warnings():  # no data rows: LabeledDataset rejects it below
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"{path}: {_first_bad_row(path, len(header), dim) or exc}") from exc
     try:
-        return LabeledDataset(
-            points=np.array(points, dtype=float),
-            labels=np.array(labels, dtype=int) if has_label else None,
-        )
+        return LabeledDataset(points=table["p"], labels=table["l"] if has_label else None)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def _first_bad_row(path, width: int, dim: int) -> str | None:
+    """The first data row with a wrong field count or a field that does not
+    convert, by file line (blank lines counted), or None; builds no arrays."""
+    with open(path, encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                return f"line {lineno} has {len(row)} fields, expected {width}"
+            try:
+                list(map(float, row[:dim])), list(map(int, row[dim:]))
+            except ValueError as exc:
+                return f"line {lineno}: {exc}"
+    return None

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
 from .mixture import MixtureModel
+from .tree import check_leaves, leaves_of, render_dot
 
 PROFILES = ("gaussian", "laplace")
 
@@ -337,17 +338,17 @@ class KernelNode:
         return out
 
     @staticmethod
-    def from_dict(d: dict) -> "KernelNode":
+    def from_dict(d: dict, dim: int) -> "KernelNode":
         if "leaf" in d:
             return KernelNode(leaf=int(d["leaf"]))
-        cut = KernelCut(
-            axis=int(d["axis"]),
-            prototype=d["prototype"],
-            theta=float(d["theta"]),
-            anchor=int(d["anchor"]),
-        )
+        axis, proto = int(d["axis"]), np.asarray(d["prototype"], dtype=float)
+        if not 0 <= axis < dim:
+            raise ValidationError(f"cut axis {axis} outside 0..{dim - 1}")
+        if proto.shape != (dim,):
+            raise ValidationError(f"prototype shape {proto.shape}, expected ({dim},)")
+        cut = KernelCut(axis=axis, prototype=proto, theta=float(d["theta"]), anchor=int(d["anchor"]))
         return KernelNode(
-            cut=cut, left=KernelNode.from_dict(d["left"]), right=KernelNode.from_dict(d["right"])
+            cut=cut, left=KernelNode.from_dict(d["left"], dim), right=KernelNode.from_dict(d["right"], dim)
         )
 
 
@@ -363,17 +364,7 @@ class KernelTree:
     seed: int = 0
 
     def leaves(self) -> list[int]:
-        out: list[int] = []
-
-        def walk(node: KernelNode):
-            if node.is_leaf:
-                out.append(node.leaf)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return out
+        return leaves_of(self.root)
 
     def to_dict(self) -> dict:
         return {
@@ -389,14 +380,17 @@ class KernelTree:
 
     @staticmethod
     def from_dict(d: dict) -> "KernelTree":
-        return KernelTree(
-            root=KernelNode.from_dict(d["root"]),
+        kernel = KernelSpec.from_dict(d["kernel"])
+        tree = KernelTree(
+            root=KernelNode.from_dict(d["root"], kernel.dim),
             dim=int(d["dim"]),
             n_leaves=int(d["n_leaves"]),
-            kernel=KernelSpec.from_dict(d["kernel"]),
+            kernel=kernel,
             model_fingerprint=d.get("model_fingerprint", ""),
             seed=int(d.get("seed", 0)),
         )
+        check_leaves(tree.root, tree.n_leaves)
+        return tree
 
 
 def build_kernel_mmdt(
@@ -705,25 +699,8 @@ def check_structure(tree: KernelTree, stats: KernelStats) -> None:
 
 def export_dot(tree: KernelTree) -> str:
     """DOT rendering with interval labels ``|x_i - p| > r`` on the yes edge."""
-    lines = ["digraph kernel_tree {", "  node [shape=box];"]
-    counter = [0]
 
-    def walk(node: KernelNode) -> int:
-        idx = counter[0]
-        counter[0] += 1
-        if node.is_leaf:
-            lines.append(f'  n{idx} [label="component {node.leaf}", shape=ellipse];')
-            return idx
-        cut = node.cut
-        r = cut_interval(cut, tree.kernel)
-        proto = cut.prototype[cut.axis]
-        lines.append(f'  n{idx} [label="|x{cut.axis + 1} - {proto:.6g}| > {r:.6g}"];')
-        l = walk(node.left)
-        rr = walk(node.right)
-        lines.append(f'  n{idx} -> n{l} [label="yes"];')
-        lines.append(f'  n{idx} -> n{rr} [label="no"];')
-        return idx
+    def label(cut: KernelCut) -> str:
+        return f"|x{cut.axis + 1} - {cut.prototype[cut.axis]:.6g}| > {cut_interval(cut, tree.kernel):.6g}"
 
-    walk(tree.root)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return render_dot(tree.root, "kernel_tree", label)

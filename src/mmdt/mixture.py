@@ -38,6 +38,17 @@ def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def lowest_duplicate_pair(rows: np.ndarray) -> tuple[int, int] | None:
+    """The lowest index pair (a, b), a < b, of equal rows (-0.0 equals 0.0), or None."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    owner = first[inverse.ravel()]  # owner[j]: lowest index with the row of j
+    dup = np.flatnonzero(owner != np.arange(len(rows)))
+    if not dup.size:
+        return None
+    b = int(dup[np.argmin(owner[dup])])  # the lowest owner, then its next index
+    return int(owner[b]), b
+
+
 @dataclass(frozen=True)
 class Component:
     """One mixture component: a diagonal Gaussian or a finite discrete law.
@@ -184,13 +195,9 @@ class MixtureModel:
             raise ValidationError("sigma dimension does not match components")
         if np.any(sig <= 0):
             raise ValidationError("sigma must be strictly positive")
-        means = np.array([c.mean for c in comps])
-        _, first, inverse = np.unique(means, axis=0, return_index=True, return_inverse=True)
-        owner = first[inverse.ravel()]  # owner[j]: lowest index with the mean of j
-        dup = np.flatnonzero(owner != np.arange(k))
-        if dup.size:  # the lowest pair: lowest owner, then its next index
-            b = int(dup[np.argmin(owner[dup])])
-            raise ValidationError(f"components {owner[b]} and {b} share the same mean")
+        dup = lowest_duplicate_pair(np.array([c.mean for c in comps]))
+        if dup:
+            raise ValidationError(f"components {dup[0]} and {dup[1]} share the same mean")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "sigma", sig)

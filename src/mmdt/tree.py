@@ -141,17 +141,7 @@ class AxisTree:
     options: BuildOptions | None = None
 
     def leaves(self) -> list[int]:
-        out: list[int] = []
-
-        def walk(node: TreeNode):
-            if node.is_leaf:
-                out.append(node.leaf)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return out
+        return leaves_of(self.root)
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -176,10 +166,20 @@ class AxisTree:
             model_fingerprint=d.get("model_fingerprint", ""),
             options=options,
         )
-        leaves = sorted(tree.leaves())
-        if leaves != list(range(tree.n_leaves)):
-            raise ValidationError(f"leaves {leaves} are not a bijection onto 0..{tree.n_leaves - 1}")
+        check_leaves(tree.root, tree.n_leaves)
         return tree
+
+
+def leaves_of(node) -> list[int]:
+    """Leaf ids below an axis or kernel tree node, left to right."""
+    return [node.leaf] if node.is_leaf else leaves_of(node.left) + leaves_of(node.right)
+
+
+def check_leaves(root, n_leaves: int) -> None:
+    """Raise ValidationError unless the leaves are a bijection onto 0..n_leaves-1."""
+    leaves = sorted(leaves_of(root))
+    if leaves != list(range(n_leaves)):
+        raise ValidationError(f"leaves {leaves} are not a bijection onto 0..{n_leaves - 1}")
 
 
 def predict(tree: AxisTree, x) -> int:
@@ -498,22 +498,28 @@ def check_structure(tree: AxisTree, means: np.ndarray) -> None:
 
 def export_dot(tree: AxisTree) -> str:
     """Graphviz DOT rendering with cut labels like ``x_2 <= 0.5``."""
-    lines = ["digraph tree {", "  node [shape=box];"]
+    return render_dot(tree.root, "tree", lambda cut: f"x{cut.axis + 1} <= {cut.theta:.6g}")
+
+
+def render_dot(root, name: str, label) -> str:
+    """DOT text of an axis or kernel tree; label(cut) names an internal node,
+    and its left child hangs on the yes edge."""
+    lines = [f"digraph {name} {{", "  node [shape=box];"]
     counter = [0]
 
-    def walk(node: TreeNode) -> int:
+    def walk(node) -> int:
         idx = counter[0]
         counter[0] += 1
         if node.is_leaf:
             lines.append(f'  n{idx} [label="component {node.leaf}", shape=ellipse];')
             return idx
-        lines.append(f'  n{idx} [label="x{node.cut.axis + 1} <= {node.cut.theta:.6g}"];')
+        lines.append(f'  n{idx} [label="{label(node.cut)}"];')
         l = walk(node.left)
         r = walk(node.right)
         lines.append(f'  n{idx} -> n{l} [label="yes"];')
         lines.append(f'  n{idx} -> n{r} [label="no"];')
         return idx
 
-    walk(tree.root)
+    walk(root)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -30,6 +30,33 @@ def test_centered_dataset_validation():
         CenteredDataset(points=pts, centers=centers, assignment=np.array([1, 1]))
 
 
+@pytest.mark.parametrize(
+    "centers, pair",
+    [
+        ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [0.0, 0.0]], "centers 0 and 4"),
+        ([[3.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [2.0, 2.0]], "centers 1 and 3"),
+        ([[5.0, 5.0], [0.0, -0.0], [0.0, 0.0]], "centers 1 and 2"),
+    ],
+)
+def test_centered_dataset_names_lowest_duplicate_pair(centers, pair):
+    with pytest.raises(ValidationError, match=f"{pair} are duplicates"):
+        CenteredDataset.create(np.zeros((3, 2)), np.array(centers))
+
+
+def test_centered_dataset_assigns_once(monkeypatch):
+    calls = []
+
+    def counting(points, centers):
+        calls.append(1)
+        return nearest_center(points, centers)
+
+    monkeypatch.setattr("mmdt.baseline.nearest_center", counting)
+    data = CenteredDataset.create(np.array([[0.0], [4.0], [1.0]]), np.array([[0.0], [5.0]]))
+    assert len(calls) == 1 and data.assignment.tolist() == [0, 1, 0]
+    given = CenteredDataset(points=data.points, centers=data.centers, assignment=[0, 1, 0])
+    assert given.assignment.tolist() == [0, 1, 0]
+
+
 def test_build_imm_separable_zero_mistakes():
     data = make_blobs(seed=1, scale=0.3)
     tree = build_imm(data)

@@ -1,10 +1,17 @@
+import csv
+import io
 import json
+import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mmdt import FormatError, MixtureModel, sample
+from mmdt import FormatError, LabeledDataset, MixtureModel, sample
 from mmdt.adversarial import gen_b3, gen_thm4
 from mmdt.cli import main
 from mmdt.io import (
@@ -40,6 +47,138 @@ def test_dataset_csv_errors(tmp_path):
     p.write_text("x1,label\noops,0\n")
     with pytest.raises(FormatError, match="line 2"):
         load_dataset(p)
+
+
+def reference_load(text: str):
+    """Row-by-row CSV reader with the loader's rules: (points, labels) on
+    success, else ValueError carrying the message the loader gives after
+    the path."""
+    rows = csv.reader(io.StringIO(text))
+    header = [h.strip() for h in next(rows, [])]
+    has_label = bool(header) and header[-1] == "label"
+    dim = len(header) - (1 if has_label else 0)
+    if dim < 1 or header[:dim] != [f"x{j + 1}" for j in range(dim)]:
+        raise ValueError(f"expected header x1..xd[,label], got {header}")
+    points, labels = [], []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"line {lineno} has {len(row)} fields, expected {len(header)}")
+        try:
+            points.append([float(v) for v in row[:dim]])
+            if has_label:
+                labels.append(int(row[dim]))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+    data = LabeledDataset(  # raises ValidationError, a ValueError, on bad values
+        points=np.array(points, dtype=float).reshape(-1, dim),
+        labels=np.array(labels, dtype=int) if has_label else None,
+    )
+    return data.points, data.labels
+
+
+MUTATIONS = ("blank", "quote", "space", "short", "long", "oops", "half")
+
+
+@st.composite
+def csv_texts(draw):
+    """A valid dataset CSV whose rows may carry mutations, some of which make
+    it invalid."""
+    dim = draw(st.integers(1, 3))
+    labeled = draw(st.booleans())
+    lines = [",".join([f"x{j + 1}" for j in range(dim)] + (["label"] if labeled else []))]
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    for _ in range(draw(st.integers(1, 5))):
+        row = [repr(draw(values)) for _ in range(dim)]
+        if labeled:
+            row.append(str(draw(st.integers(0, 9))))
+        for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
+            j = draw(st.integers(0, len(row) - 1)) if row else 0
+            if mutation == "blank":
+                lines.append("")
+            elif mutation == "quote" and row:
+                row[j] = f'"{row[j]}"'
+            elif mutation == "space" and row:
+                row[j] = f" {row[j]}  "
+            elif mutation == "short":
+                row = row[:-1]
+            elif mutation == "long":
+                row.append("0")
+            elif mutation in ("oops", "half") and row:
+                row[-1] = "oops" if mutation == "oops" else "1.5"
+        lines.append(",".join(row))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+def test_load_dataset_matches_row_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            points, labels = reference_load(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            with pytest.raises(FormatError) as err:
+                load_dataset(path)
+            assert str(err.value) == f"{path}: {exc}"
+            return
+        data = load_dataset(path)
+    assert data.points.tobytes() == points.tobytes()
+    assert (data.labels is None) == (labels is None)
+    if labels is not None:
+        assert data.labels.tobytes() == labels.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("x1,x2,label\n", "at least one row"),  # header only
+        ("x1,x2,label\n1,2\n3,4\n", "line 2 has 2 fields, expected 3"),  # every row short
+        ("x1,x2,label\n1,2,0,0\n3,4,1,0\n", "line 2 has 4 fields, expected 3"),  # every row long
+        ("x1,label\n1,0\n\n\n2,oops\n", "line 5: invalid literal"),  # after two blank lines
+        ("x1,label\n1,0\n2,1.5\n", "line 3: invalid literal"),
+        ("x1,label\n1_0,0\n", "could not convert string '1_0'"),  # float() accepts it, numpy not
+    ],
+)
+def test_load_dataset_rejects(tmp_path, capsys, text, match):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match=match):
+            load_dataset(path)
+    assert run_cli("fit-gmm", "--data", path, "--k", 2, "--out", tmp_path / "m.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+def test_load_dataset_single_row_and_unlabeled_d1(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x1,x2,label\n0.5,-2,3\n")
+    data = load_dataset(path)
+    assert data.points.tolist() == [[0.5, -2.0]] and data.labels.tolist() == [3]
+    path.write_text("x1\n5\n\n-2.5")
+    data = load_dataset(path)
+    assert data.points.tolist() == [[5.0], [-2.5]] and data.labels is None
+
+
+def test_load_dataset_memory(tmp_path):
+    rng = np.random.default_rng(0)
+    n = 200_000
+    table = np.column_stack([rng.normal(size=(n, 4)), rng.integers(0, 5, n)])
+    path = tmp_path / "big.csv"
+    np.savetxt(path, table, fmt=["%.17g"] * 4 + ["%d"], delimiter=",", header="x1,x2,x3,x4,label", comments="")
+    tracemalloc.start()
+    try:
+        data = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.points.shape == (n, 4) and data.labels.shape == (n,)
+    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_mixture_json_schema():
@@ -128,6 +267,33 @@ def test_cli_eval_rejects_invalid_axis_tree(tmp_path, capsys, root, message):
     tree = tmp_path / "t.json"
     run_cli("gen", "b3", "--d", 2, "--out", mix)
     payload = {"format_version": 1, "kind": "axis", "dim": 2, "n_leaves": 2, "root": root}
+    tree.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("eval", "--mixture", mix, "--tree", tree) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def first_leaf(node: dict) -> dict:
+    return node if "leaf" in node else first_leaf(node["left"])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda root: first_leaf(root).update(leaf=7), "bijection"),
+        (lambda root: root.update(axis=3), "cut axis 3"),
+        (lambda root: root.update(axis=-1), "cut axis -1"),
+        (lambda root: root.update(prototype=[]), "prototype shape (0,)"),
+    ],
+)
+def test_cli_eval_rejects_invalid_kernel_tree(tmp_path, capsys, edit, message):
+    mix = tmp_path / "m.json"
+    tree = tmp_path / "kt.json"
+    run_cli("gen", "b3", "--d", 3, "--out", mix)
+    assert run_cli("build-kernel", "--mixture", mix, "--kernel", "gaussian", "--out", tree) == 0
+    payload = json.loads(tree.read_text())
+    edit(payload["root"])
     tree.write_text(json.dumps(payload))
     capsys.readouterr()
     assert run_cli("eval", "--mixture", mix, "--tree", tree) == 3
