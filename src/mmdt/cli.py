@@ -146,7 +146,7 @@ def cmd_eval(args) -> int:
     if model.all_discrete():
         report = evaluate.exact_eval_discrete(model, loaded)
     else:
-        report = evaluate.mc_eval(model, loaded, args.samples, args.seed, threads=args.threads)
+        report = evaluate.mc_eval(model, loaded, args.samples, args.seed)
     if model.k >= 2:
         report = evaluate.with_bounds(report, model)
     _print_report(report, args.json)
@@ -305,7 +305,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mixture", required=True)
     p.add_argument("--tree", required=True)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     _add_seed(p)
     p.set_defaults(fn=cmd_eval)

@@ -10,7 +10,6 @@ price with leaf means, and the misassignment rate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,8 +21,8 @@ from .tree import AxisTree, TreeNode, assign_components
 # Constant of the price / error-rate bounds: 4 + 2*pi^2/3.
 BOUND_CONSTANT = 4.0 + 2.0 * math.pi**2 / 3.0
 
-# MC work is always split into this many shards (seed xor shard index) so
-# results are bit-identical for any worker count.
+# MC draws are split into this many shards, shard i drawn with seed ^ i;
+# every MC result depends on this layout.
 _MC_SHARDS = 16
 _MC_SHARD_MIN_N = 1600
 
@@ -176,37 +175,25 @@ def _mc_shard_sizes(n: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(shards)]
 
 
-def _mc_sample(model: MixtureModel, n: int, seed: int, threads: int) -> LabeledDataset:
-    sizes = _mc_shard_sizes(n)
-
-    def draw(i: int) -> LabeledDataset:
-        return sample(model, sizes[i], seed ^ i)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(draw, range(len(sizes))))
-    else:
-        parts = [draw(i) for i in range(len(sizes))]
+def _mc_sample(model: MixtureModel, n: int, seed: int) -> LabeledDataset:
+    parts = [sample(model, size, seed ^ i) for i, size in enumerate(_mc_shard_sizes(n))]
     return LabeledDataset(
         points=np.vstack([p.points for p in parts]),
         labels=np.concatenate([p.labels for p in parts]),
     )
 
 
-def mc_eval(
-    model: MixtureModel, tree: AxisTree, n: int, seed: int, threads: int = 1
-) -> EvalReport:
+def mc_eval(model: MixtureModel, tree: AxisTree, n: int, seed: int) -> EvalReport:
     """Monte-Carlo evaluation with sample leaf medians.
 
     The confidence radius is 3 * std(t_i) / sqrt(n) where t_i are the
     delta-method residuals of the per-point cost ratio terms; acceptance
-    tests use it as a principled tolerance.  Deterministic given the seed
-    and invariant to the thread count.
+    tests use it as a principled tolerance.  Deterministic given the seed.
     """
     if n < 100:
         raise ValidationError("mc_eval needs n >= 100")
     _check_dims(model, tree)
-    data = _mc_sample(model, n, seed, threads)
+    data = _mc_sample(model, n, seed)
     pts, labels = data.points, data.labels
     assigned = assign_components(tree, pts)
     comp_means = model.means()
@@ -242,10 +229,10 @@ def mc_eval(
     )
 
 
-def price_l2sq(model: MixtureModel, tree: AxisTree, n: int, seed: int, threads: int = 1) -> float:
+def price_l2sq(model: MixtureModel, tree: AxisTree, n: int, seed: int) -> float:
     """Monte-Carlo squared-l2 price with leaf sample means as centers and the
     population baseline sum(sigma_j^2)."""
-    return mc_eval(model, tree, n, seed, threads=threads).price_l2sq
+    return mc_eval(model, tree, n, seed).price_l2sq
 
 
 def with_bounds(report: EvalReport, model: MixtureModel, beta: float | None = None) -> EvalReport:

@@ -23,6 +23,10 @@ from .tree import check_leaves, leaves_of, render_dot
 
 PROFILES = ("gaussian", "laplace")
 
+# Entries per Gram block in kernel_price, which bounds its memory in the
+# number of rows and in the support size.
+_GRAM_BLOCK = 2**18
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -222,9 +226,13 @@ def kernel_stats(
     d, K = model.dim, model.k
 
     xi_table = np.empty((d, K, K))
+    sigma2_per = np.empty(K)
     eps2 = 0.0
     for k in range(K):
         for l in range(k, K):
+            # On the self pair the per-axis values multiply into the full
+            # product kernel, whose mean is the self-similarity sigma2_k.
+            full = 1.0
             if mode == "exact":
                 ck, cl = model.components[k], model.components[l]
                 for i in range(d):
@@ -233,16 +241,21 @@ def kernel_stats(
                     mean_sq = float(ck.mass @ gram**2 @ cl.mass)
                     xi_table[i, k, l] = xi_table[i, l, k] = mean
                     eps2 = max(eps2, mean_sq - mean**2)
+                    if k == l:
+                        full = full * gram
+                if k == l:
+                    sigma2_per[k] = float(ck.mass @ full @ cl.mass)
             else:
                 x, y = _pair_samples(model, k, l, n_pairs, seed)
                 for i in range(d):
                     vals = kernel.axis_similarity(i, x[:, i], y[:, i])
                     xi_table[i, k, l] = xi_table[i, l, k] = float(vals.mean())
                     eps2 = max(eps2, float(vals.var()))
+                    if k == l:
+                        full = full * vals
+                if k == l:
+                    sigma2_per[k] = float(np.mean(full))
 
-    sigma2_per = np.array(
-        [_cross_expectation(model, kernel, k, k, mode, n_pairs, seed) for k in range(K)]
-    )
     spread = float(sigma2_per.max() - sigma2_per.min())
     # In MC mode equal values still spread by sampling noise ~ 1/sqrt(pairs).
     spread_tol = 1e-6 if mode == "exact" else max(1e-6, 4.0 / math.sqrt(n_pairs))
@@ -407,7 +420,8 @@ def build_kernel_mmdt(
     _check_kernel_dim(model, kernel)
     if model.k < 2:
         raise ValidationError("need at least two components")
-    if stats.model_fingerprint != model.fingerprint() or stats.kernel_fingerprint != kernel.fingerprint():
+    fingerprint = model.fingerprint()
+    if stats.model_fingerprint != fingerprint or stats.kernel_fingerprint != kernel.fingerprint():
         raise IncompatibilityError("stats were computed for a different model or kernel")
     node_counter = [0]
 
@@ -452,7 +466,7 @@ def build_kernel_mmdt(
         dim=model.dim,
         n_leaves=model.k,
         kernel=kernel,
-        model_fingerprint=model.fingerprint(),
+        model_fingerprint=fingerprint,
         seed=seed,
     )
 
@@ -557,6 +571,8 @@ def kernel_price(
     _check_kernel_dim(model, kernel)
     if tree.dim != model.dim or tree.n_leaves != model.k:
         raise IncompatibilityError("tree does not match the model")
+    if mode not in ("exact", "mc"):
+        raise ValidationError(f"mode must be 'exact' or 'mc', got {mode!r}")
 
     if mode == "exact":
         _require_discrete(model, "kernel_price")
@@ -583,62 +599,65 @@ def kernel_price(
 
     assigned = kernel_assign(tree, pts)
 
-    # Per-component statistics; for mc mode these are empirical per class.
-    if mode == "exact":
-        comp_support = [c.support for c in model.components]
-        comp_mass = [c.mass for c in model.components]
-    else:
-        comp_support, comp_mass = [], []
-        for k in range(model.k):
-            rows = pts[comp == k]
-            if rows.shape[0] == 0:
-                rows = model.components[k].sample(np.random.default_rng(seed ^ (k + 1)), 2)
-            if rows.shape[0] > leaf_subsample:
-                sel = np.random.default_rng(seed ^ (k + 101)).choice(
-                    rows.shape[0], leaf_subsample, replace=False
-                )
-                rows = rows[sel]
-            comp_support.append(rows)
-            comp_mass.append(np.full(rows.shape[0], 1.0 / rows.shape[0]))
+    # Component k's reference points C_k and leaf k's quadrature points Q_k
+    # are row indices into one pool: C_k is the support in exact mode, and in
+    # mc mode the component's draws (subsampled), or two fresh draws if it
+    # got none.
+    pool = [pts]
+    size = pts.shape[0]
+    refs = []
+    for k in range(model.k):
+        idx = np.flatnonzero(comp == k)
+        if mode == "exact":
+            refs.append((idx, model.components[k].mass))
+            continue
+        if idx.size == 0:
+            pool.append(model.components[k].sample(np.random.default_rng(seed ^ (k + 1)), 2))
+            idx = np.arange(size, size + 2)
+            size += 2
+        if idx.size > leaf_subsample:
+            rng = np.random.default_rng(seed ^ (k + 101))
+            idx = idx[rng.choice(idx.size, leaf_subsample, replace=False)]
+        refs.append((idx, np.full(idx.size, 1.0 / idx.size)))
+    pool = np.vstack(pool)
 
-    self_sim = np.array(
-        [comp_mass[k] @ _full_gram(kernel, comp_support[k], comp_support[k]) @ comp_mass[k]
-         for k in range(model.k)]
-    )
-
-    def cross_to_component(points: np.ndarray, k: int) -> np.ndarray:
-        return _full_gram(kernel, points, comp_support[k]) @ comp_mass[k]
-
-    # ||phi(x) - phi_k||^2 = 1 + ||phi_k||^2 - 2 E_y kappa(x, y)
+    # ||phi(x) - phi_k||^2 = 1 + ||phi_k||^2 - 2 E_y kappa(x, y), with phi_k
+    # the component embedding (column 0) or the leaf embedding (column 1).
+    # One pass per k over the rows that need either cross term evaluates
+    # each Gram entry once, in blocks of _GRAM_BLOCK entries.
     cost_own = np.empty(pts.shape[0])
     cost_hat = np.empty(pts.shape[0])
-    for k in range(model.k):
-        mask_own = comp == k
-        if mask_own.any():
-            cost_own[mask_own] = 1.0 + self_sim[k] - 2.0 * cross_to_component(pts[mask_own], k)
-        mask_hat = assigned == k
-        if mask_hat.any():
-            cost_hat[mask_hat] = 1.0 + self_sim[k] - 2.0 * cross_to_component(pts[mask_hat], k)
-
-    # Leaf-conditional embeddings.
     cost_tilde = np.empty(pts.shape[0])
+    cross = np.empty((size, 2))
     fallbacks: list[int] = []
-    for leaf in range(model.k):
-        mask = assigned == leaf
-        if not mask.any():
-            fallbacks.append(leaf)
-            continue
-        rows, rw = pts[mask], w[mask]
-        if rows.shape[0] > leaf_subsample:
-            sel = np.random.default_rng(seed ^ (leaf + 7919)).choice(
-                rows.shape[0], leaf_subsample, replace=False, p=rw / rw.sum()
-            )
-            q_pts, q = rows[sel], np.full(leaf_subsample, 1.0 / leaf_subsample)
+    for k in range(model.k):
+        c_idx, c_mass = refs[k]
+        own = np.flatnonzero(comp == k)
+        leaf = np.flatnonzero(assigned == k)
+        if leaf.size == 0:
+            fallbacks.append(k)
+            q_idx, q = leaf, np.empty(0)
+        elif leaf.size > leaf_subsample:
+            rng, rw = np.random.default_rng(seed ^ (k + 7919)), w[leaf]
+            q_idx = leaf[rng.choice(leaf.size, leaf_subsample, replace=False, p=rw / rw.sum())]
+            q = np.full(leaf_subsample, 1.0 / leaf_subsample)
         else:
-            q_pts, q = rows, rw / rw.sum()
-        leaf_norm = float(q @ _full_gram(kernel, q_pts, q_pts) @ q)
-        cross = _full_gram(kernel, rows, q_pts) @ q
-        cost_tilde[mask] = 1.0 + leaf_norm - 2.0 * cross
+            q_idx, q = leaf, w[leaf] / w[leaf].sum()
+        cols = np.union1d(c_idx, q_idx)
+        mass = np.zeros((cols.size, 2))
+        mass[np.searchsorted(cols, c_idx), 0] = c_mass
+        mass[np.searchsorted(cols, q_idx), 1] = q
+        rows = np.union1d(np.union1d(own, leaf), c_idx)
+        ref_pts = pool[cols]
+        step = max(1, _GRAM_BLOCK // cols.size)
+        for start in range(0, rows.size, step):
+            block = rows[start : start + step]
+            cross[block] = _full_gram(kernel, pool[block], ref_pts) @ mass
+        self_sim = float(c_mass @ cross[c_idx, 0])
+        cost_own[own] = 1.0 + self_sim - 2.0 * cross[own, 0]
+        cost_hat[leaf] = 1.0 + self_sim - 2.0 * cross[leaf, 0]
+        if leaf.size:
+            cost_tilde[leaf] = 1.0 + float(q @ cross[q_idx, 1]) - 2.0 * cross[leaf, 1]
 
     baseline = float(w @ cost_own)
     tree_cost = float(w @ cost_tilde)

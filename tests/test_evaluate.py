@@ -95,8 +95,6 @@ def test_mc_eval_well_separated():
     assert 1.0 - 3 * rep.confidence_radius <= rep.price_l1 <= 1.01
     rep2 = mc_eval(m, tree, 100_000, seed=17)
     assert rep.to_dict() == rep2.to_dict()
-    rep8 = mc_eval(m, tree, 100_000, seed=17, threads=8)
-    assert rep.to_dict() == rep8.to_dict()
 
 
 def test_mc_eval_requires_min_samples():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from mmdt import (
     Component,
     KernelSpec,
+    LabeledDataset,
     MixtureModel,
     ValidationError,
     build_kernel_mmdt,
+    empirical_moments,
     kernel_predict,
     kernel_price,
     kernel_stats,
@@ -18,7 +21,9 @@ from mmdt import (
 )
 from mmdt.errors import IncompatibilityError
 from mmdt.kernel import (
+    KernelPriceReport,
     KernelTree,
+    _full_gram,
     check_structure,
     cut_interval,
     export_dot,
@@ -307,6 +312,172 @@ def test_kernel_price_mc_mode():
     approx = kernel_price(model, ker, tree, n=5000, seed=4, mode="mc", leaf_subsample=512)
     assert approx.price == pytest.approx(exact.price, abs=0.05)
     assert approx.error_rate == pytest.approx(exact.error_rate, abs=0.02)
+
+
+def dense_kernel_price(model, ker, tree, n=0, seed=0, mode="exact", leaf_subsample=2048):
+    # Reference: the five separate Gram products per component and leaf that
+    # the blocked single pass replaced (self-similarity, own rows, assigned
+    # rows, leaf norm, leaf cross term), with the same random streams.
+    if mode == "exact":
+        pts = np.vstack([c.support for c in model.components])
+        w = np.concatenate([model.weights[k] * c.mass for k, c in enumerate(model.components)])
+        comp = np.concatenate([np.full(c.support.shape[0], k) for k, c in enumerate(model.components)])
+        comp_support = [c.support for c in model.components]
+        comp_mass = [c.mass for c in model.components]
+    else:
+        rng = np.random.default_rng(seed)
+        comp = rng.choice(model.k, size=n, p=model.weights)
+        pts = np.empty((n, model.dim))
+        for k, c in enumerate(model.components):
+            if (comp == k).any():
+                pts[comp == k] = c.sample(rng, int((comp == k).sum()))
+        w = np.full(n, 1.0 / n)
+        comp_support, comp_mass = [], []
+        for k in range(model.k):
+            rows = pts[comp == k]
+            if rows.shape[0] == 0:
+                rows = model.components[k].sample(np.random.default_rng(seed ^ (k + 1)), 2)
+            if rows.shape[0] > leaf_subsample:
+                rows = rows[np.random.default_rng(seed ^ (k + 101)).choice(
+                    rows.shape[0], leaf_subsample, replace=False)]
+            comp_support.append(rows)
+            comp_mass.append(np.full(rows.shape[0], 1.0 / rows.shape[0]))
+    assigned = kernel_assign(tree, pts)
+
+    def cross(points, support, mass):
+        return _full_gram(ker, points, support) @ mass
+
+    cost_own, cost_hat, cost_tilde = (np.empty(pts.shape[0]) for _ in range(3))
+    fallbacks = []
+    for k in range(model.k):
+        sup, mass = comp_support[k], comp_mass[k]
+        self_sim = mass @ _full_gram(ker, sup, sup) @ mass
+        own, mine = comp == k, assigned == k
+        cost_own[own] = 1.0 + self_sim - 2.0 * cross(pts[own], sup, mass)
+        cost_hat[mine] = 1.0 + self_sim - 2.0 * cross(pts[mine], sup, mass)
+        if not mine.any():
+            fallbacks.append(k)
+            continue
+        rows, rw = pts[mine], w[mine]
+        if rows.shape[0] > leaf_subsample:
+            sel = np.random.default_rng(seed ^ (k + 7919)).choice(
+                rows.shape[0], leaf_subsample, replace=False, p=rw / rw.sum()
+            )
+            q_pts, q = rows[sel], np.full(leaf_subsample, 1.0 / leaf_subsample)
+        else:
+            q_pts, q = rows, rw / rw.sum()
+        leaf_norm = q @ _full_gram(ker, q_pts, q_pts) @ q
+        cost_tilde[mine] = 1.0 + leaf_norm - 2.0 * cross(rows, q_pts, q)
+    baseline, tree_cost = float(w @ cost_own), float(w @ cost_tilde)
+    return KernelPriceReport(
+        price=tree_cost / baseline,
+        price_hat=float(w @ cost_hat) / baseline,
+        error_rate=float(w @ (assigned != comp)),
+        baseline_cost=baseline,
+        tree_cost=tree_cost,
+        mc_samples=0 if mode == "exact" else n,
+        mc_seed=seed,
+        fallback_leaves=tuple(fallbacks),
+    )
+
+
+def assert_matches_dense(model, ker, tree, **kwargs):
+    got = kernel_price(model, ker, tree, **kwargs)
+    want = dense_kernel_price(model, ker, tree, **kwargs)
+    assert got.error_rate == want.error_rate
+    assert got.fallback_leaves == want.fallback_leaves
+    for field in ("price", "price_hat", "baseline_cost", "tree_cost"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0)
+    return got
+
+
+def test_kernel_price_matches_dense_on_translate_battery():
+    for i in range(30):
+        model, ker = translate_battery(8000 + i)
+        tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=i)
+        assert_matches_dense(model, ker, tree)
+
+
+def mislabeled_moments(seed, n=600, k=3, d=2, flip=0.05):
+    # Clusters on one axis with a share of rows labeled as another cluster:
+    # the empirical law has support rows that the tree routes to another leaf.
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, k, n)
+    points = rng.normal(scale=0.2, size=(n, d))
+    points[:, 0] += 2.0 * labels
+    flipped = rng.uniform(size=n) < flip
+    labels[flipped] = (labels[flipped] + 1) % k
+    return empirical_moments(LabeledDataset(points=points, labels=labels), k)
+
+
+@pytest.mark.filterwarnings("ignore:component self-similarities differ")
+def test_kernel_price_matches_dense_with_misrouted_rows():
+    for seed in range(3):
+        model = mislabeled_moments(seed)
+        ker = KernelSpec.uniform("gaussian", 1.0, model.dim)
+        tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=seed)
+        # exact, and exact with leaves subsampled through their weights
+        assert assert_matches_dense(model, ker, tree).error_rate > 0.0
+        assert_matches_dense(model, ker, tree, leaf_subsample=64)
+
+
+def overlapping_gaussians():
+    comps = tuple(Component.gaussian([2.0 * j, 0.0, 0.0], [0.8, 0.3, 0.3]) for j in range(3))
+    model = MixtureModel.create(comps, [0.3, 0.3, 0.4])
+    ker = KernelSpec(profiles=("gaussian", "laplace", "gaussian"), gamma=[0.5, 1.0, 2.0])
+    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker, mode="mc", n_pairs=2000), seed=1)
+    return model, ker, tree
+
+
+def test_kernel_price_matches_dense_in_mc_mode():
+    # Components and leaves differ, and with 64-point subsamples the
+    # component's and the leaf's reference points are different draws.
+    model, ker, tree = overlapping_gaussians()
+    for seed in (3, 4):
+        rep = assert_matches_dense(model, ker, tree, n=3000, seed=seed, mode="mc", leaf_subsample=64)
+        assert rep.error_rate > 0.0
+    assert_matches_dense(model, ker, tree, n=500, seed=5, mode="mc")
+
+
+def without_draws(model):
+    weights = np.full(model.k, 1.0)
+    weights[0] = 1e-9
+    return MixtureModel.create(model.components, weights / weights.sum())
+
+
+def test_kernel_price_mc_component_without_draws():
+    # A near-zero-weight component gets no draws, so its reference points are
+    # two fresh draws.  Far from the others its leaf stays empty; among
+    # overlapping gaussians other components' rows are routed to its leaf.
+    model, ker = translate_battery(8100)
+    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
+    rep = assert_matches_dense(without_draws(model), ker, tree, n=400, seed=2, mode="mc")
+    assert 0 in rep.fallback_leaves
+    model, ker, tree = overlapping_gaussians()
+    rep = assert_matches_dense(without_draws(model), ker, tree, n=3000, seed=6, mode="mc")
+    assert rep.fallback_leaves == ()
+
+
+def test_kernel_price_rejects_unknown_mode():
+    model, ker = point_pair()
+    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
+    with pytest.raises(ValidationError, match="'Exact'"):
+        kernel_price(model, ker, tree, n=1000, mode="Exact")
+
+
+def test_kernel_price_mc_memory_is_bounded():
+    comps = tuple(Component.gaussian([2.5 * j, 0.0, 0.0, 0.0], [0.1] * 4) for j in range(5))
+    model = MixtureModel.create(comps, np.full(5, 0.2))
+    ker = KernelSpec.uniform("gaussian", 1.0, 4)
+    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker, mode="mc", n_pairs=2000), seed=0)
+    tracemalloc.start()
+    try:
+        rep = kernel_price(model, ker, tree, n=50_000, seed=1, mode="mc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.error_rate == 0.0 and rep.fallback_leaves == ()
+    assert peak < 64 * 2**20
 
 
 def test_thm5_bound_examples():
