@@ -65,8 +65,11 @@ class CenteredDataset:
 
 def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the closest center in l2; argmin takes the lower index."""
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    d2 = np.empty((centers.shape[0], points.shape[0]))
+    diff = np.empty_like(points)
+    for k, c in enumerate(centers):
+        np.square(np.subtract(points, c, out=diff), out=diff).sum(axis=1, out=d2[k])
+    return np.argmin(d2, axis=0)
 
 
 def centers_fingerprint(centers: np.ndarray) -> str:
@@ -79,33 +82,27 @@ def _best_cut(
 ) -> tuple[int, float, int]:
     """Minimal-mistake cut over all candidate (axis, theta); returns
     (axis, theta, mistakes).  Points counted are those whose assigned center
-    is still at the node."""
+    is still at the node.  Such a point is a mistake at theta exactly when
+    lo <= theta < hi, with lo and hi the lesser and greater of its coordinate
+    and its center's, so the count is #{lo <= theta} - #{hi <= theta}."""
     alive = np.isin(assign, center_idx)
+    own = centers[assign[alive]]
     best: tuple[int, float, int] | None = None
     for axis in range(points.shape[1]):
-        c_proj = centers[center_idx, axis]
-        c_lo, c_hi = c_proj.min(), c_proj.max()
-        coords = np.unique(points[:, axis]) if points.size else np.empty(0)
-        cands = 0.5 * (coords[:-1] + coords[1:]) if coords.size > 1 else np.empty(0)
-        c_sorted = np.unique(c_proj)
-        cands = np.union1d(cands, 0.5 * (c_sorted[:-1] + c_sorted[1:]))
-        cands = cands[(cands >= c_lo) & (cands < c_hi)]
+        c_proj = np.unique(centers[center_idx, axis])
+        coords = np.unique(points[:, axis])
+        cands = np.concatenate(
+            (0.5 * (coords[:-1] + coords[1:]), 0.5 * (c_proj[:-1] + c_proj[1:]))
+        )
+        # A cut in [lowest, highest) center leaves a center on each side.
+        cands = cands[(cands >= c_proj[0]) & (cands < c_proj[-1])]
         if cands.size == 0:
             continue
-        # Per candidate: a center on each side, else the cut is not splitting.
-        left_centers = np.searchsorted(np.sort(c_proj), cands, side="right")
-        valid = (left_centers > 0) & (left_centers < len(center_idx))
-        cands = cands[valid]
-        if cands.size == 0:
-            continue
-        mistakes = np.zeros(cands.size, dtype=int)
-        for k in center_idx:
-            rows = np.sort(points[alive & (assign == k), axis])
-            left_count = np.searchsorted(rows, cands, side="right")
-            center_left = centers[k, axis] <= cands
-            mistakes += np.where(center_left, rows.size - left_count, left_count)
-        j = int(np.argmin(mistakes))
-        cand = (axis, float(cands[j]), int(mistakes[j]))
+        x, c = points[alive, axis], own[:, axis]
+        lo, hi = np.sort(np.minimum(x, c)), np.sort(np.maximum(x, c))
+        mistakes = np.searchsorted(lo, cands, "right") - np.searchsorted(hi, cands, "right")
+        fewest = int(mistakes.min())
+        cand = (axis, float(cands[mistakes == fewest].min()), fewest)
         if best is None or (cand[2], cand[0], cand[1]) < (best[2], best[0], best[1]):
             best = cand
     if best is None:

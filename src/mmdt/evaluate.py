@@ -109,13 +109,15 @@ def _support_enumeration(model: MixtureModel) -> tuple[np.ndarray, np.ndarray, n
 
 def _leaf_centers(
     points: np.ndarray,
-    weights: np.ndarray,
+    weights: np.ndarray | None,
     assigned: np.ndarray,
     model: MixtureModel,
     statistic: str,
 ) -> tuple[np.ndarray, list[int]]:
     """Per-leaf coordinate-wise centers (weighted median or mean); empty
-    leaves fall back to the assigned component mean."""
+    leaves fall back to the assigned component mean.  Medians without
+    weights count every point the same: the median of m points is the one
+    of rank ceil(m/2) - 1, the lower median."""
     d = points.shape[1]
     centers = np.empty((model.k, d))
     fallbacks: list[int] = []
@@ -125,11 +127,15 @@ def _leaf_centers(
             centers[leaf] = model.components[leaf].mean
             fallbacks.append(leaf)
             continue
-        pts, w = points[mask], weights[mask]
-        if statistic == "median":
-            centers[leaf] = [weighted_median(pts[:, j], w) for j in range(d)]
-        else:
+        pts = points[mask]
+        w = None if weights is None else weights[mask]
+        if statistic == "mean":
             centers[leaf] = (w[:, None] * pts).sum(axis=0) / w.sum()
+        elif w is None:
+            rank = (pts.shape[0] + 1) // 2 - 1
+            centers[leaf] = np.partition(pts, rank, axis=0)[rank]
+        else:
+            centers[leaf] = [weighted_median(pts[:, j], w) for j in range(d)]
     return centers, fallbacks
 
 
@@ -199,7 +205,7 @@ def mc_eval(model: MixtureModel, tree: AxisTree, n: int, seed: int) -> EvalRepor
     comp_means = model.means()
     w = np.full(n, 1.0 / n)
 
-    medians, fb_med = _leaf_centers(pts, w, assigned, model, "median")
+    medians, fb_med = _leaf_centers(pts, None, assigned, model, "median")
     leaf_means, fb_mean = _leaf_centers(pts, w, assigned, model, "mean")
 
     a = np.abs(pts - medians[assigned]).sum(axis=1)

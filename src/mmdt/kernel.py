@@ -573,6 +573,8 @@ def kernel_price(
         raise IncompatibilityError("tree does not match the model")
     if mode not in ("exact", "mc"):
         raise ValidationError(f"mode must be 'exact' or 'mc', got {mode!r}")
+    if leaf_subsample < 1:
+        raise ValidationError(f"leaf_subsample must be >= 1, got {leaf_subsample}")
 
     if mode == "exact":
         _require_discrete(model, "kernel_price")

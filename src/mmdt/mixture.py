@@ -355,22 +355,55 @@ def sample(model: MixtureModel, n: int, seed: int) -> LabeledDataset:
 
 
 def _log_gaussian_diag(points: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    # (n, K) log densities for diagonal Gaussians.
-    diff = points[:, None, :] - means[None, :, :]
-    mahal = np.sum(diff**2 / variances[None, :, :], axis=2)
-    logdet = np.sum(np.log(variances), axis=1)
-    d = points.shape[1]
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet[None, :] + mahal)
+    # (K, n) log densities for diagonal Gaussians, one BLAS product per row.
+    n, d = points.shape
+    out = np.empty((means.shape[0], n))
+    diff = np.empty_like(points)
+    for k, (mu, var) in enumerate(zip(means, variances)):
+        np.square(np.subtract(points, mu, out=diff), out=diff)
+        np.matmul(diff, 1.0 / var, out=out[k])
+    out += d * np.log(2.0 * np.pi) + np.log(variances).sum(axis=1)[:, None]
+    out *= -0.5
+    return out
+
+
+def _e_step(
+    points: np.ndarray, means: np.ndarray, variances: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point log mixture density (n,) and responsibilities (K, n), both
+    from one max-shifted exp."""
+    resp = _log_gaussian_diag(points, means, variances)
+    resp += np.log(weights)[:, None]
+    shift = resp.max(axis=0)
+    resp -= shift
+    np.exp(resp, out=resp)
+    total = resp.sum(axis=0)
+    resp /= total
+    return shift + np.log(total), resp
+
+
+def _m_step(
+    points: np.ndarray, resp: np.ndarray, nk: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, means and floored variances from responsibilities (K, n) with
+    row sums nk.  Variances use centered squares: the raw second moment
+    minus the squared mean loses precision to cancellation far from 0."""
+    means = (resp @ points) / nk[:, None]
+    variances = np.empty_like(means)
+    diff = np.empty_like(points)
+    for k, mu in enumerate(means):
+        np.square(np.subtract(points, mu, out=diff), out=diff)
+        variances[k] = (resp[k] @ diff) / nk[k]
+    return nk / points.shape[0], means, np.maximum(variances, VARIANCE_FLOOR)
 
 
 def _farthest_point_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    chosen = [int(rng.integers(n))]
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    chosen = [int(rng.integers(points.shape[0]))]
+    d2 = np.full(points.shape[0], np.inf)
     for _ in range(1, k):
-        nxt = int(np.argmax(d2))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, np.sum((points - points[nxt]) ** 2, axis=1))
+        diff = points - points[chosen[-1]]
+        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+        chosen.append(int(np.argmax(d2)))
     return points[chosen].copy()
 
 
@@ -405,8 +438,7 @@ def fit_gmm(
     prev_ll = -np.inf
     check_monotone = False
     for _ in range(max_iters):
-        log_prob = _log_gaussian_diag(X, means, variances) + np.log(weights)[None, :]
-        log_norm = np.logaddexp.reduce(log_prob, axis=1)
+        log_norm, resp = _e_step(X, means, variances, weights)
         ll = float(log_norm.sum())
         if check_monotone:
             assert ll >= prev_ll - 1e-7 * max(1.0, abs(prev_ll)), "EM log-likelihood decreased"
@@ -416,8 +448,7 @@ def fit_gmm(
         prev_ll = ll
         check_monotone = True
 
-        resp = np.exp(log_prob - log_norm[:, None])
-        nk = resp.sum(axis=0)
+        nk = resp.sum(axis=1)
         empty = nk < 1e-10
         if np.any(empty):
             # Reseed dead components at the point the model explains worst.
@@ -432,11 +463,7 @@ def fit_gmm(
             prev_ll = -np.inf
             continue
 
-        weights = nk / n
-        means = (resp.T @ X) / nk[:, None]
-        diff2 = (X[:, None, :] - means[None, :, :]) ** 2
-        variances = np.einsum("nk,nkd->kd", resp, diff2) / nk[:, None]
-        variances = np.maximum(variances, VARIANCE_FLOOR)
+        weights, means, variances = _m_step(X, resp, nk)
 
     comps = tuple(Component.gaussian(means[j], np.sqrt(variances[j])) for j in range(k))
     alpha = max(1.0, k * float(weights.max()))
@@ -450,10 +477,9 @@ def log_likelihood(model: MixtureModel, data: LabeledDataset) -> float:
     """Total log-likelihood of a Gaussian model on a dataset."""
     if not model.all_gaussian():
         raise ValidationError("log_likelihood requires gaussian components")
-    means = model.means()
     variances = np.array([c.stddev**2 for c in model.components])
-    log_prob = _log_gaussian_diag(data.points, means, variances) + np.log(model.weights)[None, :]
-    return float(np.logaddexp.reduce(log_prob, axis=1).sum())
+    log_norm, _ = _e_step(data.points, model.means(), variances, model.weights)
+    return float(log_norm.sum())
 
 
 def empirical_moments(data: LabeledDataset, k: int) -> MixtureModel:

@@ -3,7 +3,7 @@ import pytest
 
 from mmdt import ValidationError, build_imm, empirical_price, sample
 from mmdt.adversarial import gen_b3
-from mmdt.baseline import CenteredDataset, cut_mistakes_on_subset, nearest_center
+from mmdt.baseline import CenteredDataset, _best_cut, cut_mistakes_on_subset, nearest_center
 from mmdt.tree import assign_components, check_structure
 
 
@@ -134,3 +134,99 @@ def test_imm_mistakes_bounded_by_n():
     data = make_blobs(seed=6, scale=2.5)
     tree = build_imm(data)  # internal assert: mistakes <= node size
     check_structure(tree, data.centers)
+
+
+def _dense_nearest_center(points, centers):
+    # Reference on the (n, K, d) difference tensor.
+    return np.argmin(((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
+
+
+def _dense_best_cut(points, assign, centers, center_idx):
+    # Reference: one sort and one searchsorted per live center over the
+    # union1d of point and center midpoints.
+    alive = np.isin(assign, center_idx)
+    best = None
+    for axis in range(points.shape[1]):
+        c_proj = centers[center_idx, axis]
+        coords = np.unique(points[:, axis])
+        cands = 0.5 * (coords[:-1] + coords[1:]) if coords.size > 1 else np.empty(0)
+        c_sorted = np.unique(c_proj)
+        cands = np.union1d(cands, 0.5 * (c_sorted[:-1] + c_sorted[1:]))
+        cands = cands[(cands >= c_proj.min()) & (cands < c_proj.max())]
+        if cands.size == 0:
+            continue
+        mistakes = np.zeros(cands.size, dtype=int)
+        for k in center_idx:
+            rows = np.sort(points[alive & (assign == k), axis])
+            left_count = np.searchsorted(rows, cands, side="right")
+            mistakes += np.where(centers[k, axis] <= cands, rows.size - left_count, left_count)
+        j = int(np.argmin(mistakes))
+        cand = (axis, float(cands[j]), int(mistakes[j]))
+        if best is None or (cand[2], cand[0], cand[1]) < (best[2], best[0], best[1]):
+            best = cand
+    if best is None:
+        raise ValidationError("no candidate cut separates the remaining centers")
+    return best
+
+
+def _cut_case(seed):
+    """Seeded node: points (some rows rounded onto a coarse grid so that
+    coordinates and center projections tie), all centers, the nearest-center
+    assignment and a random subset of at least two live centers, so points
+    of dead centers are present."""
+    rng = np.random.default_rng(seed)
+    k, d, n = int(rng.integers(2, 7)), int(rng.integers(1, 5)), int(rng.integers(0, 80))
+    decimals = int(rng.integers(0, 2))
+    centers = np.round(rng.uniform(-3.0, 3.0, size=(k, d)), decimals)
+    points = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0)
+    coarse = rng.random(n) < 0.7
+    points[coarse] = np.round(points[coarse], decimals)
+    live = sorted(rng.choice(k, size=int(rng.integers(2, k + 1)), replace=False).tolist())
+    return points, nearest_center(points, centers), centers, live
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_best_cut_matches_dense_reference(seed):
+    points, assign, centers, live = _cut_case(seed)
+    try:
+        want = _dense_best_cut(points, assign, centers, live)
+    except ValidationError:  # live centers that coincide on every axis
+        with pytest.raises(ValidationError, match="no candidate cut"):
+            _best_cut(points, assign, centers, live)
+        return
+    got = _best_cut(points, assign, centers, live)
+    assert got == want and type(got[1]) is float and type(got[2]) is int
+
+
+def test_best_cut_without_separating_cut_raises():
+    centers = np.array([[0.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
+    points = np.array([[0.0, 1.0], [1.0, 0.0], [3.0, 3.0]])
+    assign = np.array([0, 2, 1])
+    for cut in (_dense_best_cut, _best_cut):
+        with pytest.raises(ValidationError, match="no candidate cut"):
+            cut(points, assign, centers, [0, 2])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nearest_center_matches_dense_reference(seed):
+    rng = np.random.default_rng(seed)
+    k, d = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+    # Integer grids put many points at equal distance from two centers.
+    points = rng.integers(-4, 5, size=(int(rng.integers(1, 300)), d)).astype(float)
+    centers = rng.integers(-4, 5, size=(k, d)).astype(float)
+    if seed % 2:
+        points, centers = points * 0.1 + 1e3, centers * 0.1 + 1e3
+    want = _dense_nearest_center(points, centers)
+    assert np.array_equal(nearest_center(points, centers), want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_build_imm_matches_dense_cut_tree(seed, monkeypatch):
+    rng = np.random.default_rng(50 + seed)
+    k, d = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    centers = np.round(rng.uniform(-5.0, 5.0, size=(k, d)), 1)
+    points = np.round(centers[rng.integers(0, k, 500)] + rng.normal(size=(500, d)) * 1.5, 1)
+    data = CenteredDataset.create(points, centers)
+    tree = build_imm(data).to_dict()
+    monkeypatch.setattr("mmdt.baseline._best_cut", _dense_best_cut)
+    assert build_imm(data).to_dict() == tree

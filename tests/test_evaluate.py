@@ -26,7 +26,8 @@ from mmdt.adversarial import (
     gen_thm4,
     thm4_canonical_tree,
 )
-from mmdt.evaluate import BOUND_CONSTANT, weighted_median
+from mmdt.evaluate import BOUND_CONSTANT, _mc_sample, weighted_median
+from mmdt.tree import assign_components
 from mmdt.tree import AxisCut, AxisTree, TreeNode
 
 from conftest import random_discrete_model
@@ -137,6 +138,25 @@ def test_mc_eval_empty_leaf_fallback():
     tree = AxisTree(root=root, dim=1, n_leaves=3)
     rep = mc_eval(m, tree, 2000, seed=3)
     assert 1 in rep.fallback_leaves
+
+
+@pytest.mark.parametrize("n", [100, 111, 112, 3001])
+def test_mc_eval_leaf_medians_are_lower_rank_medians(n):
+    # Every MC sample weighs the same: leaf medians are the order statistic
+    # of rank ceil(m/2) - 1.  A float cumulative-sum search over weights 1/n
+    # lands one rank too high at n = 111 and 112 here.
+    m = MixtureModel.create(
+        (Component.gaussian([-1.0, 0.0], [1.0, 2.0]), Component.gaussian([1.5, 1.0], [1.0, 1.0])),
+        [0.5, 0.5],
+    )
+    tree = build_mmdt(m, BuildOptions(objective="gaussian"))
+    rep = mc_eval(m, tree, n, seed=8)
+    pts = _mc_sample(m, n, 8).points
+    leaf = assign_components(tree, pts)
+    medians = np.array([
+        np.sort(pts[leaf == k], axis=0)[((leaf == k).sum() + 1) // 2 - 1] for k in range(2)
+    ])
+    assert rep.tree_cost == float(np.abs(pts - medians[leaf]).sum(axis=1).mean())
 
 
 def test_mc_convergence_doubling():

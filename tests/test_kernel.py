@@ -391,6 +391,14 @@ def assert_matches_dense(model, ker, tree, **kwargs):
     return got
 
 
+@pytest.mark.parametrize("mode, leaf_subsample", [("mc", 0), ("mc", -3), ("exact", 0)])
+def test_kernel_price_rejects_leaf_subsample_below_one(mode, leaf_subsample):
+    model, ker = translate_battery(3)
+    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
+    with pytest.raises(ValidationError, match="leaf_subsample must be >= 1"):
+        kernel_price(model, ker, tree, n=500, seed=1, mode=mode, leaf_subsample=leaf_subsample)
+
+
 def test_kernel_price_matches_dense_on_translate_battery():
     for i in range(30):
         model, ker = translate_battery(8000 + i)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from mmdt import (
     snr,
 )
 from mmdt.adversarial import as_labeled_dataset, gen_b3
-from mmdt.mixture import VARIANCE_FLOOR, log_likelihood
+from mmdt.mixture import VARIANCE_FLOOR, _e_step, _farthest_point_seeds, _m_step, log_likelihood
 
 
 def two_comp(means, sigma):
@@ -230,6 +232,135 @@ def test_log_likelihood_matches_history():
     # history entries are pre-update; the final model can only improve on the
     # last recorded value
     assert log_likelihood(model, data) >= history[-1] - 1e-7 * abs(history[-1])
+
+
+def _dense_e_step(points, means, variances, weights):
+    # Reference E-step on the (n, K, d) difference tensor: logaddexp, then a
+    # second exp.  Returns log_norm (n,) and resp (n, K).
+    d = points.shape[1]
+    diff = points[:, None, :] - means[None, :, :]
+    mahal = np.sum(diff**2 / variances[None, :, :], axis=2)
+    logdet = np.sum(np.log(variances), axis=1)
+    log_prob = -0.5 * (d * np.log(2.0 * np.pi) + logdet[None, :] + mahal) + np.log(weights)
+    log_norm = np.logaddexp.reduce(log_prob, axis=1)
+    return log_norm, np.exp(log_prob - log_norm[:, None])
+
+
+def _dense_m_step(points, resp):
+    nk = resp.sum(axis=0)
+    means = (resp.T @ points) / nk[:, None]
+    diff2 = (points[:, None, :] - means[None, :, :]) ** 2
+    variances = np.einsum("nk,nkd->kd", resp, diff2) / nk[:, None]
+    return nk / points.shape[0], means, np.maximum(variances, VARIANCE_FLOOR)
+
+
+def _dense_fit_gmm(points, k, seed, max_iters=200, tol=1e-6):
+    """Reference EM.  Returns the final (means, variances, weights), the
+    log-likelihood history, the (means, variances, weights) state entering
+    every E-step, and the number of reseeds."""
+    n, d = points.shape
+    means = _farthest_point_seeds(points, k, np.random.default_rng(seed))
+    variances = np.ones((k, d))
+    weights = np.full(k, 1.0 / k)
+    history, states, prev_ll, reseeds = [], [], -np.inf, 0
+    for _ in range(max_iters):
+        states.append((means.copy(), variances.copy(), weights.copy()))
+        log_norm, resp = _dense_e_step(points, means, variances, weights)
+        ll = float(log_norm.sum())
+        history.append(ll)
+        if ll - prev_ll < tol and np.isfinite(prev_ll):
+            break
+        prev_ll = ll
+        empty = resp.sum(axis=0) < 1e-10
+        if np.any(empty):
+            reseeds += 1
+            worst = int(np.argmin(log_norm))
+            for j in np.flatnonzero(empty):
+                means[j] = points[worst]
+                variances[j] = np.maximum(points.var(axis=0), VARIANCE_FLOOR)
+                weights[j] = 1.0 / n
+            weights = weights / weights.sum()
+            prev_ll = -np.inf
+            continue
+        weights, means, variances = _dense_m_step(points, resp)
+    return (means, variances, weights), history, states, reseeds
+
+
+def _em_battery(i):
+    """Seeded EM inputs: blobs at various offsets and scales; i % 4 == 3 adds
+    a constant column."""
+    rng = np.random.default_rng(700 + i)
+    k, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    n = int(rng.integers(k, 400))
+    centers = rng.uniform(-10.0, 10.0, size=(k, d)) * rng.choice([0.3, 3.0])
+    pts = centers[rng.integers(0, k, n)] + rng.normal(size=(n, d)) * rng.uniform(0.2, 2.0, d)
+    pts += rng.choice([0.0, 1e4])
+    if i % 4 == 3:
+        pts[:, int(rng.integers(0, d))] = 2.5
+    return pts, k, i
+
+
+def _reseed_case(seed):
+    """Tiny rounded datasets on which the reference EM reseeds a component
+    that went empty (found by a seeded search)."""
+    rng = np.random.default_rng(seed)
+    n, d, k = int(rng.integers(4, 40)), int(rng.integers(1, 4)), int(rng.integers(2, 6))
+    pts = np.round(rng.normal(size=(n, d)) * rng.choice([1, 5, 50], size=d), int(rng.integers(0, 2)))
+    return pts, k, seed
+
+
+_EM_CASES = [_em_battery(i) for i in range(24)] + [
+    _reseed_case(s) for s in (8760, 8883, 11576, 13820)
+]
+
+
+@pytest.mark.parametrize("points, k, seed", _EM_CASES)
+def test_em_steps_match_dense_reference(points, k, seed):
+    # Every step along the reference trajectory, from the same state: the
+    # per-component BLAS products reorder sums, so agreement is to rounding.
+    _, _, states, reseeds = _dense_fit_gmm(points, k, seed)
+    assert (reseeds > 0) == (seed >= 8760)
+    for means, variances, weights in states:
+        ref_norm, ref_resp = _dense_e_step(points, means, variances, weights)
+        log_norm, resp = _e_step(points, means, variances, weights)
+        assert log_norm.sum() == pytest.approx(ref_norm.sum(), rel=1e-12)
+        np.testing.assert_allclose(log_norm, ref_norm, rtol=1e-12, atol=1e-12 * np.abs(ref_norm).max())
+        np.testing.assert_allclose(resp, ref_resp.T, rtol=0, atol=1e-12)
+        ref_resp = np.ascontiguousarray(ref_resp.T)
+        nk = ref_resp.sum(axis=1)
+        if np.any(nk < 1e-10):
+            continue
+        for got, want in zip(_m_step(points, ref_resp, nk), _dense_m_step(points, ref_resp.T)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("points, k, seed", _EM_CASES)
+def test_fit_gmm_matches_dense_reference(points, k, seed):
+    # Whole runs take the same iterations and reseeds; slow EM runs (up to 200
+    # iterations) amplify the per-step rounding, hence the looser tolerance.
+    (means, variances, weights), history, _, _ = _dense_fit_gmm(points, k, seed)
+    model, got_history = fit_gmm(LabeledDataset(points=points), k, seed=seed, return_history=True)
+    assert len(got_history) == len(history)
+    np.testing.assert_allclose(got_history, history, rtol=1e-9)
+    np.testing.assert_allclose(model.means(), means, rtol=1e-9, atol=1e-9)
+    got_var = np.array([c.stddev**2 for c in model.components])
+    np.testing.assert_allclose(got_var, variances, rtol=1e-9)
+    np.testing.assert_allclose(model.weights, weights, rtol=1e-9)
+
+
+def test_fit_gmm_peak_memory_is_linear():
+    # n=100k, K=5, d=8: the dense (n, K, d) tensors peaked at 137 MB; the
+    # per-component passes hold (K, n) plus one (n, d) buffer.
+    rng = np.random.default_rng(11)
+    centers = rng.uniform(-20.0, 20.0, size=(5, 8))
+    data = LabeledDataset(points=centers[rng.integers(0, 5, 100_000)] + rng.normal(size=(100_000, 8)))
+    tracemalloc.start()
+    try:
+        fit_gmm(data, 5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_mixture_json_round_trip():
