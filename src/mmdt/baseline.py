@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
-from .mixture import lowest_duplicate_pair
+from .mixture import lowest_duplicate_pair, squared_offsets
 from .tree import AxisCut, AxisTree, TreeNode, assign_components
 
 
@@ -66,9 +66,8 @@ class CenteredDataset:
 def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the closest center in l2; argmin takes the lower index."""
     d2 = np.empty((centers.shape[0], points.shape[0]))
-    diff = np.empty_like(points)
-    for k, c in enumerate(centers):
-        np.square(np.subtract(points, c, out=diff), out=diff).sum(axis=1, out=d2[k])
+    for k, sq in enumerate(squared_offsets(points, centers)):
+        sq.sum(axis=1, out=d2[k])
     return np.argmin(d2, axis=0)
 
 

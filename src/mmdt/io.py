@@ -9,6 +9,7 @@ decimals; labels are 0-based component indices.
 from __future__ import annotations
 
 import csv
+import io as _io
 import json
 import warnings
 from pathlib import Path
@@ -87,27 +88,19 @@ def save_centers(path, centers: np.ndarray) -> None:
     save_json(path, {"format_version": 1, "centers": np.asarray(centers, dtype=float).tolist()})
 
 
-# Rows formatted per block of this many: the Python floats of one block stay
-# small next to the text (whole-table formatting peaked at 2.3 times the memory).
-_CSV_BLOCK_ROWS = 4096
-
-
 def dataset_to_csv(data: LabeledDataset) -> str:
-    """The dataset as CSV text; floats in their shortest round-trip form (``repr``)."""
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     header = [f"x{j + 1}" for j in range(data.dim)]
     if data.labels is not None:
         header.append("label")
-    lines = [",".join(header)]
-    for start in range(0, data.n, _CSV_BLOCK_ROWS):
-        rows = slice(start, start + _CSV_BLOCK_ROWS)
-        table = data.points[rows].astype(object)
+    writer.writerow(header)
+    for i in range(data.n):
+        row = [repr(float(v)) for v in data.points[i]]
         if data.labels is not None:
-            table = np.column_stack((table, data.labels[rows].astype(object)))
-        # The repr of a nested list of Python floats and ints is every row in
-        # brackets, fields split by ", ": no field text holds "[", "]" or ",".
-        lines.append(repr(table.tolist())[2:-2].replace("], [", "\n").replace(", ", ","))
-    lines.append("")
-    return "\n".join(lines)
+            row.append(str(int(data.labels[i])))
+        writer.writerow(row)
+    return buf.getvalue()
 
 
 def save_dataset(path, data: LabeledDataset) -> None:

@@ -354,25 +354,25 @@ def sample(model: MixtureModel, n: int, seed: int) -> LabeledDataset:
     return LabeledDataset(points=points, labels=labels)
 
 
-def _log_gaussian_diag(points: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    # (K, n) log densities for diagonal Gaussians, one BLAS product per row.
-    n, d = points.shape
-    out = np.empty((means.shape[0], n))
-    diff = np.empty_like(points)
-    for k, (mu, var) in enumerate(zip(means, variances)):
-        np.square(np.subtract(points, mu, out=diff), out=diff)
-        np.matmul(diff, 1.0 / var, out=out[k])
-    out += d * np.log(2.0 * np.pi) + np.log(variances).sum(axis=1)[:, None]
-    out *= -0.5
-    return out
+def squared_offsets(points: np.ndarray, centers: np.ndarray):
+    """Yield ``(points - c)**2`` for each center c in turn, all in one reused
+    (n, d) buffer: each yielded array is overwritten by the next."""
+    diff = np.empty(points.shape)
+    for c in centers:
+        yield np.square(np.subtract(points, c, out=diff), out=diff)
 
 
 def _e_step(
     points: np.ndarray, means: np.ndarray, variances: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point log mixture density (n,) and responsibilities (K, n), both
-    from one max-shifted exp."""
-    resp = _log_gaussian_diag(points, means, variances)
+    from one max-shifted exp.  Each diagonal-Gaussian log density row is one
+    BLAS product of the squared offsets with the inverse variances."""
+    resp = np.empty((means.shape[0], points.shape[0]))
+    for k, sq in enumerate(squared_offsets(points, means)):
+        np.matmul(sq, 1.0 / variances[k], out=resp[k])
+    resp += points.shape[1] * np.log(2.0 * np.pi) + np.log(variances).sum(axis=1)[:, None]
+    resp *= -0.5
     resp += np.log(weights)[:, None]
     shift = resp.max(axis=0)
     resp -= shift
@@ -390,20 +390,23 @@ def _m_step(
     minus the squared mean loses precision to cancellation far from 0."""
     means = (resp @ points) / nk[:, None]
     variances = np.empty_like(means)
-    diff = np.empty_like(points)
-    for k, mu in enumerate(means):
-        np.square(np.subtract(points, mu, out=diff), out=diff)
-        variances[k] = (resp[k] @ diff) / nk[k]
+    for k, sq in enumerate(squared_offsets(points, means)):
+        variances[k] = (resp[k] @ sq) / nk[k]
     return nk / points.shape[0], means, np.maximum(variances, VARIANCE_FLOOR)
 
 
 def _farthest_point_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    chosen = [int(rng.integers(points.shape[0]))]
-    d2 = np.full(points.shape[0], np.inf)
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    diff = points - points[chosen[0]]
+    d2 = np.square(diff, out=diff).sum(axis=1)
     for _ in range(1, k):
-        diff = points - points[chosen[-1]]
-        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
-        chosen.append(int(np.argmax(d2)))
+        nxt = int(np.argmax(d2))
+        chosen.append(nxt)
+        # Squared in place and summed by rows: an einsum norm sums in another
+        # order, and on a rounding tie that picks another seed.
+        np.subtract(points, points[nxt], out=diff)
+        d2 = np.minimum(d2, np.square(diff, out=diff).sum(axis=1))
     return points[chosen].copy()
 
 

@@ -15,7 +15,6 @@ from mmdt import FormatError, LabeledDataset, MixtureModel, sample
 from mmdt.adversarial import gen_b3, gen_thm4
 from mmdt.cli import main
 from mmdt.io import (
-    dataset_to_csv,
     load_centers,
     load_dataset,
     load_mixture,
@@ -131,53 +130,6 @@ def test_load_dataset_matches_row_reference(text):
     assert (data.labels is None) == (labels is None)
     if labels is not None:
         assert data.labels.tobytes() == labels.tobytes()
-
-
-def reference_csv(data: LabeledDataset) -> str:
-    """Row-by-row writer: csv.writer over repr(float(v)) per field."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = [f"x{j + 1}" for j in range(data.dim)]
-    writer.writerow(header + (["label"] if data.labels is not None else []))
-    for i in range(data.n):
-        row = [repr(float(v)) for v in data.points[i]]
-        if data.labels is not None:
-            row.append(str(int(data.labels[i])))
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-# Negative zero, subnormals, the edges of repr's positional range (exponent
-# -5 and 16) and 1e16-scale values next to arbitrary finite floats.
-_CSV_FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-05, 0.0001,
-                     1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16, 1.5e300]),
-    st.floats(-1e17, 1e17, allow_nan=False),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-
-
-@st.composite
-def csv_datasets(draw):
-    d = draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(_CSV_FLOATS, min_size=d, max_size=d), min_size=1, max_size=12))
-    labels = draw(st.none() | st.lists(st.integers(0, 999), min_size=len(rows), max_size=len(rows)))
-    return LabeledDataset(points=np.array(rows), labels=labels)
-
-
-@settings(max_examples=200, deadline=None)
-@given(csv_datasets())
-def test_dataset_to_csv_matches_row_reference(data):
-    assert dataset_to_csv(data) == reference_csv(data)
-
-
-@pytest.mark.parametrize("labeled", [True, False])
-def test_dataset_to_csv_across_row_blocks(labeled):
-    # 10,001 rows span three blocks of 4096, the last one partial.
-    rng = np.random.default_rng(4)
-    labels = rng.integers(0, 7, 10_001) if labeled else None
-    data = LabeledDataset(points=rng.normal(size=(10_001, 3)) * 1e8, labels=labels)
-    assert dataset_to_csv(data) == reference_csv(data)
 
 
 @pytest.mark.parametrize(

@@ -254,12 +254,23 @@ def _dense_m_step(points, resp):
     return nk / points.shape[0], means, np.maximum(variances, VARIANCE_FLOOR)
 
 
+def _dense_farthest_point_seeds(points, k, rng):
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        nxt = int(np.argmax(d2))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, np.sum((points - points[nxt]) ** 2, axis=1))
+    return points[chosen].copy()
+
+
 def _dense_fit_gmm(points, k, seed, max_iters=200, tol=1e-6):
     """Reference EM.  Returns the final (means, variances, weights), the
     log-likelihood history, the (means, variances, weights) state entering
     every E-step, and the number of reseeds."""
     n, d = points.shape
-    means = _farthest_point_seeds(points, k, np.random.default_rng(seed))
+    means = _dense_farthest_point_seeds(points, k, np.random.default_rng(seed))
     variances = np.ones((k, d))
     weights = np.full(k, 1.0 / k)
     history, states, prev_ll, reseeds = [], [], -np.inf, 0
@@ -312,6 +323,22 @@ def _reseed_case(seed):
 _EM_CASES = [_em_battery(i) for i in range(24)] + [
     _reseed_case(s) for s in (8760, 8883, 11576, 13820)
 ]
+
+
+# The two nonzero points have equal squared norms in exact arithmetic (one
+# permutes the other's coordinates).  Summed by rows, the last one's reads an
+# ulp higher; an einsum reads them equal and so picks the first.  Seeds 11 and
+# 14 start at the origin, seed 0 at the last point.
+_SEED_TIE = np.array([[0.0, 0.0, 0.0, 0.0], [0.1, -2.1, 2.7, 2.7], [-2.1, 2.7, 2.7, 0.1]])
+
+
+@pytest.mark.parametrize(
+    "points, k, seed", _EM_CASES + [(_SEED_TIE, 2, 11), (_SEED_TIE, 3, 14), (_SEED_TIE, 3, 0)]
+)
+def test_farthest_point_seeds_match_dense_reference(points, k, seed):
+    got = _farthest_point_seeds(points, k, np.random.default_rng(seed))
+    want = _dense_farthest_point_seeds(points, k, np.random.default_rng(seed))
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("points, k, seed", _EM_CASES)
