@@ -28,7 +28,6 @@ from .kernel import (
     KernelStats,
     KernelTree,
     build_kernel_mmdt,
-    kernel_predict,
     kernel_price,
     kernel_stats,
     mmd,

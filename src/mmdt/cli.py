@@ -241,11 +241,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    loaded = io.load_tree(args.tree)
-    if isinstance(loaded, kernel.KernelTree):
-        text = kernel.export_dot(loaded)
-    else:
-        text = tree.export_dot(loaded)
+    text = tree.export_dot(io.load_tree(args.tree))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

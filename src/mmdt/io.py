@@ -21,6 +21,8 @@ from .kernel import KernelTree
 from .mixture import LabeledDataset, MixtureModel
 from .tree import AxisTree
 
+_TREE_KINDS = {tree.kind: tree for tree in (AxisTree, KernelTree)}
+
 
 def dumps_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
@@ -44,12 +46,22 @@ def save_json(path, payload: dict) -> None:
     Path(path).write_text(dumps_json(payload), encoding="utf-8")
 
 
-def load_mixture(path) -> MixtureModel:
+def _load_json(path, parse):
+    """parse(JSON of path); a missing or wrong-typed field raises FormatError
+    naming the path, while a ValidationError passes through."""
     data = _parse_json(_read_text(path), path)
     try:
-        return MixtureModel.from_dict(data)
+        return parse(data)
+    except ValidationError:
+        raise
     except KeyError as exc:
         raise FormatError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed field: {exc}") from exc
+
+
+def load_mixture(path) -> MixtureModel:
+    return _load_json(path, MixtureModel.from_dict)
 
 
 def save_mixture(path, model: MixtureModel) -> None:
@@ -57,16 +69,13 @@ def save_mixture(path, model: MixtureModel) -> None:
 
 
 def load_tree(path) -> AxisTree | KernelTree:
-    data = _parse_json(_read_text(path), path)
-    kind = data.get("kind")
-    try:
-        if kind == "axis":
-            return AxisTree.from_dict(data)
-        if kind == "kernel":
-            return KernelTree.from_dict(data)
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing field {exc}") from exc
-    raise FormatError(f"{path}: unknown tree kind {kind!r}")
+    def parse(data: dict) -> AxisTree | KernelTree:
+        kind = data.get("kind")
+        if kind not in _TREE_KINDS:
+            raise FormatError(f"{path}: unknown tree kind {kind!r}")
+        return _TREE_KINDS[kind].from_dict(data)
+
+    return _load_json(path, parse)
 
 
 def save_tree(path, tree: AxisTree | KernelTree) -> None:
@@ -74,11 +83,7 @@ def save_tree(path, tree: AxisTree | KernelTree) -> None:
 
 
 def load_centers(path) -> np.ndarray:
-    data = _parse_json(_read_text(path), path)
-    try:
-        centers = np.asarray(data["centers"], dtype=float)
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing field {exc}") from exc
+    centers = _load_json(path, lambda data: np.asarray(data["centers"], dtype=float))
     if centers.ndim != 2:
         raise FormatError(f"{path}: centers must be a 2-D array")
     return centers

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
-from .mixture import MixtureModel
-from .tree import check_leaves, leaves_of, render_dot
+from .evaluate import BOUND_CONSTANT, _ratio, _support_enumeration
+from .mixture import MixtureModel, sample
+from .tree import ThresholdTree, TreeNode, assign_components
 
 PROFILES = ("gaussian", "laplace")
 
@@ -97,13 +98,6 @@ class KernelSpec:
     def fingerprint(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _ratio(num: float, den: float) -> float:
-    # Zero-noise models have zero baseline cost; a zero-cost tree prices at 1.
-    if den == 0.0:
-        return 1.0 if num == 0.0 else math.inf
-    return num / den
 
 
 def _require_discrete(model: MixtureModel, what: str) -> None:
@@ -308,12 +302,15 @@ def mmd(
 
 @dataclass(frozen=True)
 class KernelCut:
-    """Similarity cut: kappa_axis(x, prototype) < theta goes left."""
+    """Similarity cut: kappa_axis(x, prototype) < theta goes left, equality
+    goes right.  It carries the kernel for its axis profile; the kernel is
+    not part of its JSON."""
 
     axis: int
     prototype: np.ndarray
     theta: float
     anchor: int
+    kernel: KernelSpec
 
     def __post_init__(self):
         proto = np.asarray(self.prototype, dtype=float).copy()
@@ -321,6 +318,10 @@ class KernelCut:
         object.__setattr__(self, "prototype", proto)
         if not 0.0 < self.theta < 1.0:
             raise ValidationError("kernel threshold must lie in (0, 1)")
+
+    def goes_left(self, points: np.ndarray) -> np.ndarray:
+        sims = self.kernel.axis_similarity(self.axis, points[:, self.axis], self.prototype[self.axis])
+        return sims < self.theta
 
     def to_dict(self) -> dict:
         return {
@@ -330,80 +331,41 @@ class KernelCut:
             "anchor": int(self.anchor),
         }
 
-
-@dataclass(frozen=True)
-class KernelNode:
-    cut: KernelCut | None = None
-    left: "KernelNode | None" = None
-    right: "KernelNode | None" = None
-    leaf: int | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf is not None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"leaf": int(self.leaf)}
-        out = self.cut.to_dict()
-        out["left"] = self.left.to_dict()
-        out["right"] = self.right.to_dict()
-        return out
-
-    @staticmethod
-    def from_dict(d: dict, dim: int) -> "KernelNode":
-        if "leaf" in d:
-            return KernelNode(leaf=int(d["leaf"]))
-        axis, proto = int(d["axis"]), np.asarray(d["prototype"], dtype=float)
-        if not 0 <= axis < dim:
-            raise ValidationError(f"cut axis {axis} outside 0..{dim - 1}")
-        if proto.shape != (dim,):
-            raise ValidationError(f"prototype shape {proto.shape}, expected ({dim},)")
-        cut = KernelCut(axis=axis, prototype=proto, theta=float(d["theta"]), anchor=int(d["anchor"]))
-        return KernelNode(
-            cut=cut, left=KernelNode.from_dict(d["left"], dim), right=KernelNode.from_dict(d["right"], dim)
-        )
+    def label(self) -> str:
+        """The interval form ``|x_i - p| > r`` of the cut."""
+        return f"|x{self.axis + 1} - {self.prototype[self.axis]:.6g}| > {cut_interval(self, self.kernel):.6g}"
 
 
-@dataclass(frozen=True)
-class KernelTree:
-    """Binary tree of kernel-similarity cuts with K leaves."""
+@dataclass(frozen=True, kw_only=True)
+class KernelTree(ThresholdTree):
+    """Tree of kernel-similarity cuts with K leaves."""
 
-    root: KernelNode
-    dim: int
-    n_leaves: int
     kernel: KernelSpec
-    model_fingerprint: str = ""
     seed: int = 0
 
-    def leaves(self) -> list[int]:
-        return leaves_of(self.root)
+    kind = "kernel"
+    dot_name = "kernel_tree"
+    json_keys = ("format_version", "kind", "dim", "n_leaves", "kernel", "model_fingerprint", "seed", "root")
 
-    def to_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "kind": "kernel",
-            "dim": int(self.dim),
-            "n_leaves": int(self.n_leaves),
-            "kernel": self.kernel.to_dict(),
-            "model_fingerprint": self.model_fingerprint,
-            "seed": int(self.seed),
-            "root": self.root.to_dict(),
-        }
+    def header(self) -> dict:
+        return {"kernel": self.kernel.to_dict(), "seed": int(self.seed)}
 
-    @staticmethod
-    def from_dict(d: dict) -> "KernelTree":
+    @classmethod
+    def header_from_dict(cls, d: dict, dim: int) -> dict:
         kernel = KernelSpec.from_dict(d["kernel"])
-        tree = KernelTree(
-            root=KernelNode.from_dict(d["root"], kernel.dim),
-            dim=int(d["dim"]),
-            n_leaves=int(d["n_leaves"]),
-            kernel=kernel,
-            model_fingerprint=d.get("model_fingerprint", ""),
-            seed=int(d.get("seed", 0)),
+        if kernel.dim != dim:
+            raise ValidationError(f"tree dim {dim} does not match kernel dimension {kernel.dim}")
+        return {"kernel": kernel, "seed": int(d.get("seed", 0))}
+
+    @classmethod
+    def read_cut(cls, d: dict, axis: int, header: dict) -> KernelCut:
+        kernel = header["kernel"]
+        proto = np.asarray(d["prototype"], dtype=float)
+        if proto.shape != (kernel.dim,):
+            raise ValidationError(f"prototype shape {proto.shape}, expected ({kernel.dim},)")
+        return KernelCut(
+            axis=axis, prototype=proto, theta=float(d["theta"]), anchor=int(d["anchor"]), kernel=kernel
         )
-        check_leaves(tree.root, tree.n_leaves)
-        return tree
 
 
 def build_kernel_mmdt(
@@ -425,11 +387,11 @@ def build_kernel_mmdt(
         raise IncompatibilityError("stats were computed for a different model or kernel")
     node_counter = [0]
 
-    def grow(comps: list[int]) -> KernelNode:
+    def grow(comps: list[int]) -> TreeNode:
         node_index = node_counter[0]
         node_counter[0] += 1
         if len(comps) == 1:
-            return KernelNode(leaf=comps[0])
+            return TreeNode(leaf=comps[0])
 
         best = None  # (xi value, axis, k, l)
         for i in range(model.dim):
@@ -457,8 +419,8 @@ def build_kernel_mmdt(
         left = [m for m, v in zip(comps, values) if v < theta]
         right = [m for m, v in zip(comps, values) if v > theta]
         assert left and right, "kernel threshold failed to separate components"
-        cut = KernelCut(axis=axis, prototype=prototype, theta=theta, anchor=anchor)
-        return KernelNode(cut=cut, left=grow(left), right=grow(right))
+        cut = KernelCut(axis=axis, prototype=prototype, theta=theta, anchor=anchor, kernel=kernel)
+        return TreeNode(cut=cut, left=grow(left), right=grow(right))
 
     root = grow(list(range(model.k)))
     return KernelTree(
@@ -471,42 +433,6 @@ def build_kernel_mmdt(
     )
 
 
-def kernel_predict(tree: KernelTree, x) -> int:
-    """Route a point: kappa_axis(x, prototype) < theta goes left, boundary
-    equality goes right."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (tree.dim,):
-        raise IncompatibilityError(f"point has shape {x.shape}, tree expects ({tree.dim},)")
-    node = tree.root
-    while not node.is_leaf:
-        cut = node.cut
-        sim = float(tree.kernel.axis_similarity(cut.axis, x[cut.axis], cut.prototype[cut.axis]))
-        node = node.left if sim < cut.theta else node.right
-    return int(node.leaf)
-
-
-def kernel_assign(tree: KernelTree, points: np.ndarray) -> np.ndarray:
-    """Vectorized kernel_predict over an (n, d) array."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != tree.dim:
-        raise IncompatibilityError(f"points have shape {points.shape}, tree expects (*, {tree.dim})")
-    out = np.empty(points.shape[0], dtype=int)
-    stack = [(tree.root, np.arange(points.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.leaf
-            continue
-        cut = node.cut
-        sims = tree.kernel.axis_similarity(cut.axis, points[idx, cut.axis], cut.prototype[cut.axis])
-        go_left = sims < cut.theta
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
-    return out
-
-
 def cut_interval(cut: KernelCut, kernel: KernelSpec) -> float:
     """Input-space radius r with: |x_axis - prototype_axis| > r goes left."""
     return kernel.profile_inverse(cut.axis, cut.theta)
@@ -514,8 +440,10 @@ def cut_interval(cut: KernelCut, kernel: KernelSpec) -> float:
 
 def interval_predict(tree: KernelTree, x) -> int:
     """Route via the input-space interval form of every cut; must agree with
-    kernel_predict exactly."""
+    tree.predict exactly."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (tree.dim,):
+        raise IncompatibilityError(f"point has shape {x.shape}, tree expects ({tree.dim},)")
     node = tree.root
     while not node.is_leaf:
         cut = node.cut
@@ -578,28 +506,14 @@ def kernel_price(
 
     if mode == "exact":
         _require_discrete(model, "kernel_price")
-        pts, w, comp = [], [], []
-        for k, c in enumerate(model.components):
-            pts.append(c.support)
-            w.append(model.weights[k] * c.mass)
-            comp.append(np.full(c.support.shape[0], k, dtype=int))
-        pts = np.vstack(pts)
-        w = np.concatenate(w)
-        comp = np.concatenate(comp)
+        pts, w, comp = _support_enumeration(model)
     else:
         if n < 100:
             raise ValidationError("kernel_price in mc mode needs n >= 100")
-        rng = np.random.default_rng(seed)
-        labels = rng.choice(model.k, size=n, p=model.weights)
-        pts = np.empty((n, model.dim))
-        for k, c in enumerate(model.components):
-            mask = labels == k
-            if mask.any():
-                pts[mask] = c.sample(rng, int(mask.sum()))
-        w = np.full(n, 1.0 / n)
-        comp = labels
+        data = sample(model, n, seed)
+        pts, w, comp = data.points, np.full(n, 1.0 / n), data.labels
 
-    assigned = kernel_assign(tree, pts)
+    assigned = assign_components(tree, pts)
 
     # Component k's reference points C_k and leaf k's quadrature points Q_k
     # are row indices into one pool: C_k is the support in exact mode, and in
@@ -678,8 +592,6 @@ def kernel_price(
 def thm5_bound(alpha: float, k: int, sigma2: float, eps2: float, tau: float) -> float:
     """Kernel price upper bound
     1 + ((1 + sigma2) / (1 - sigma2)) * max(1, C * alpha * eps2 * K(K-1) / (sigma2 - tau))."""
-    from .evaluate import BOUND_CONSTANT
-
     if not 0.0 < sigma2 < 1.0:
         raise ValidationError("sigma2 must lie in (0, 1)")
     if tau >= sigma2:
@@ -697,7 +609,7 @@ def check_structure(tree: KernelTree, stats: KernelStats) -> None:
     with its similarity to the anchor)."""
     seen: list[int] = []
 
-    def walk(node: KernelNode, comps: list[int]) -> None:
+    def walk(node: TreeNode, comps: list[int]) -> None:
         if node.is_leaf:
             if comps != [node.leaf]:
                 raise ValidationError(f"leaf {node.leaf} does not match remaining set {comps}")
@@ -717,11 +629,3 @@ def check_structure(tree: KernelTree, stats: KernelStats) -> None:
     if sorted(seen) != list(range(tree.n_leaves)):
         raise ValidationError("leaves are not a bijection onto components")
 
-
-def export_dot(tree: KernelTree) -> str:
-    """DOT rendering with interval labels ``|x_i - p| > r`` on the yes edge."""
-
-    def label(cut: KernelCut) -> str:
-        return f"|x{cut.axis + 1} - {cut.prototype[cut.axis]:.6g}| > {cut_interval(cut, tree.kernel):.6g}"
-
-    return render_dot(tree.root, "kernel_tree", label)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import erfc
@@ -68,12 +69,25 @@ class AxisCut:
         if not math.isfinite(self.theta):
             raise ValidationError("threshold must be finite")
 
+    def goes_left(self, points: np.ndarray) -> np.ndarray:
+        return points[:, self.axis] <= self.theta
+
+    def to_dict(self) -> dict:
+        return {"axis": int(self.axis), "theta": float(self.theta)}
+
+    def label(self) -> str:
+        return f"x{self.axis + 1} <= {self.theta:.6g}"
+
 
 @dataclass(frozen=True)
 class TreeNode:
-    """Internal node (cut plus two children) or leaf (component index)."""
+    """Internal node (cut plus two children) or leaf (component index).
 
-    cut: AxisCut | None = None
+    A cut is an ``AxisCut`` or a ``kernel.KernelCut``; both offer
+    ``goes_left(points)`` over an (n, d) array, ``to_dict()`` and ``label()``.
+    """
+
+    cut: "AxisCut | None" = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     leaf: int | None = None
@@ -85,24 +99,21 @@ class TreeNode:
     def to_dict(self) -> dict:
         if self.is_leaf:
             return {"leaf": int(self.leaf)}
-        return {
-            "axis": int(self.cut.axis),
-            "theta": float(self.cut.theta),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
+        return {**self.cut.to_dict(), "left": self.left.to_dict(), "right": self.right.to_dict()}
 
     @staticmethod
-    def from_dict(d: dict, dim: int) -> "TreeNode":
+    def from_dict(d: dict, dim: int, read_cut) -> "TreeNode":
+        """Parse a node; read_cut(d, axis) makes the cut once its axis is
+        known to lie in 0..dim-1."""
         if "leaf" in d:
             return TreeNode(leaf=int(d["leaf"]))
         axis = int(d["axis"])
         if not 0 <= axis < dim:
             raise ValidationError(f"cut axis {axis} outside 0..{dim - 1}")
         return TreeNode(
-            cut=AxisCut(axis=axis, theta=float(d["theta"])),
-            left=TreeNode.from_dict(d["left"], dim),
-            right=TreeNode.from_dict(d["right"], dim),
+            cut=read_cut(d, axis),
+            left=TreeNode.from_dict(d["left"], dim, read_cut),
+            right=TreeNode.from_dict(d["right"], dim, read_cut),
         )
 
 
@@ -131,70 +142,94 @@ class BuildOptions:
 
 
 @dataclass(frozen=True)
-class AxisTree:
-    """Binary tree with K leaves, one per component index."""
+class ThresholdTree:
+    """Binary tree with K leaves, one per component index.
+
+    A subclass sets ``kind``, ``dot_name`` and the JSON key order
+    ``json_keys``, and defines ``header()`` (its JSON header fields),
+    ``header_from_dict(d, dim)`` (its constructor arguments) and
+    ``read_cut(d, axis, header)`` (a cut from its JSON node).
+    """
 
     root: TreeNode
     dim: int
     n_leaves: int
     model_fingerprint: str = ""
-    options: BuildOptions | None = None
+
+    kind: ClassVar[str]
+    dot_name: ClassVar[str]
+    json_keys: ClassVar[tuple[str, ...]]
 
     def leaves(self) -> list[int]:
-        return leaves_of(self.root)
+        def walk(node: TreeNode) -> list[int]:
+            return [node.leaf] if node.is_leaf else walk(node.left) + walk(node.right)
+
+        return walk(self.root)
 
     def to_dict(self) -> dict:
-        out: dict = {
+        fields = {
             "format_version": 1,
-            "kind": "axis",
+            "kind": self.kind,
             "dim": int(self.dim),
             "n_leaves": int(self.n_leaves),
             "model_fingerprint": self.model_fingerprint,
             "root": self.root.to_dict(),
+            **self.header(),
         }
-        if self.options is not None:
-            out["options"] = self.options.to_dict()
-        return out
+        return {key: fields[key] for key in self.json_keys if key in fields}
 
-    @staticmethod
-    def from_dict(d: dict) -> "AxisTree":
-        options = BuildOptions.from_dict(d["options"]) if "options" in d else None
-        tree = AxisTree(
-            root=TreeNode.from_dict(d["root"], int(d["dim"])),
-            dim=int(d["dim"]),
+    @classmethod
+    def from_dict(cls, d: dict) -> "ThresholdTree":
+        """Parse a tree, raising ValidationError unless every cut axis lies
+        in 0..dim-1 and the leaves are a bijection onto 0..n_leaves-1."""
+        dim = int(d["dim"])
+        header = cls.header_from_dict(d, dim)
+        tree = cls(
+            root=TreeNode.from_dict(d["root"], dim, lambda node, axis: cls.read_cut(node, axis, header)),
+            dim=dim,
             n_leaves=int(d["n_leaves"]),
             model_fingerprint=d.get("model_fingerprint", ""),
-            options=options,
+            **header,
         )
-        check_leaves(tree.root, tree.n_leaves)
+        leaves = sorted(tree.leaves())
+        if leaves != list(range(tree.n_leaves)):
+            raise ValidationError(f"leaves {leaves} are not a bijection onto 0..{tree.n_leaves - 1}")
         return tree
 
 
-def leaves_of(node) -> list[int]:
-    """Leaf ids below an axis or kernel tree node, left to right."""
-    return [node.leaf] if node.is_leaf else leaves_of(node.left) + leaves_of(node.right)
+@dataclass(frozen=True)
+class AxisTree(ThresholdTree):
+    """Tree of axis-aligned cuts ``x_i <= theta``."""
+
+    options: BuildOptions | None = None
+
+    kind = "axis"
+    dot_name = "tree"
+    json_keys = ("format_version", "kind", "dim", "n_leaves", "model_fingerprint", "root", "options")
+
+    def header(self) -> dict:
+        return {} if self.options is None else {"options": self.options.to_dict()}
+
+    @classmethod
+    def header_from_dict(cls, d: dict, dim: int) -> dict:
+        return {"options": BuildOptions.from_dict(d["options"]) if "options" in d else None}
+
+    @classmethod
+    def read_cut(cls, d: dict, axis: int, header: dict) -> AxisCut:
+        return AxisCut(axis=axis, theta=float(d["theta"]))
 
 
-def check_leaves(root, n_leaves: int) -> None:
-    """Raise ValidationError unless the leaves are a bijection onto 0..n_leaves-1."""
-    leaves = sorted(leaves_of(root))
-    if leaves != list(range(n_leaves)):
-        raise ValidationError(f"leaves {leaves} are not a bijection onto 0..{n_leaves - 1}")
-
-
-def predict(tree: AxisTree, x) -> int:
-    """Route a point through the tree; boundary x_i == theta goes left."""
+def predict(tree: ThresholdTree, x) -> int:
+    """Route one point of shape (dim,) through the tree."""
     x = np.asarray(x, dtype=float)
     if x.shape != (tree.dim,):
         raise IncompatibilityError(f"point has shape {x.shape}, tree expects ({tree.dim},)")
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if x[node.cut.axis] <= node.cut.theta else node.right
-    return int(node.leaf)
+    return int(assign_components(tree, x[None, :])[0])
 
 
-def assign_components(tree: AxisTree, points: np.ndarray) -> np.ndarray:
-    """Vectorized predict over an (n, d) array of points."""
+def assign_components(tree: ThresholdTree, points: np.ndarray) -> np.ndarray:
+    """Leaf of every row of an (n, d) array: at each node the rows whose
+    cut ``goes_left`` move to the left child, the rest to the right."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != tree.dim:
         raise IncompatibilityError(f"points have shape {points.shape}, tree expects (*, {tree.dim})")
@@ -207,7 +242,7 @@ def assign_components(tree: AxisTree, points: np.ndarray) -> np.ndarray:
         if node.is_leaf:
             out[idx] = node.leaf
             continue
-        go_left = points[idx, node.cut.axis] <= node.cut.theta
+        go_left = node.cut.goes_left(points.take(idx, axis=0))
         stack.append((node.left, idx[go_left]))
         stack.append((node.right, idx[~go_left]))
     return out
@@ -496,30 +531,25 @@ def check_structure(tree: AxisTree, means: np.ndarray) -> None:
         raise ValidationError(f"leaves {sorted(seen)} are not a bijection onto components")
 
 
-def export_dot(tree: AxisTree) -> str:
-    """Graphviz DOT rendering with cut labels like ``x_2 <= 0.5``."""
-    return render_dot(tree.root, "tree", lambda cut: f"x{cut.axis + 1} <= {cut.theta:.6g}")
-
-
-def render_dot(root, name: str, label) -> str:
-    """DOT text of an axis or kernel tree; label(cut) names an internal node,
-    and its left child hangs on the yes edge."""
-    lines = [f"digraph {name} {{", "  node [shape=box];"]
+def export_dot(tree: ThresholdTree) -> str:
+    """Graphviz DOT text: an internal node is labelled by its cut, and its
+    left child hangs on the yes edge."""
+    lines = [f"digraph {tree.dot_name} {{", "  node [shape=box];"]
     counter = [0]
 
-    def walk(node) -> int:
+    def walk(node: TreeNode) -> int:
         idx = counter[0]
         counter[0] += 1
         if node.is_leaf:
             lines.append(f'  n{idx} [label="component {node.leaf}", shape=ellipse];')
             return idx
-        lines.append(f'  n{idx} [label="{label(node.cut)}"];')
+        lines.append(f'  n{idx} [label="{node.cut.label()}"];')
         l = walk(node.left)
         r = walk(node.right)
         lines.append(f'  n{idx} -> n{l} [label="yes"];')
         lines.append(f'  n{idx} -> n{r} [label="no"];')
         return idx
 
-    walk(root)
+    walk(tree.root)
     lines.append("}")
     return "\n".join(lines) + "\n"

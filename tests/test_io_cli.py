@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import tempfile
@@ -24,7 +25,7 @@ from mmdt.io import (
     save_mixture,
 )
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, gaussian_battery, translate_battery
 
 
 def test_dataset_csv_round_trip(tmp_path):
@@ -301,6 +302,72 @@ def test_cli_eval_rejects_invalid_kernel_tree(tmp_path, capsys, edit, message):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+def _ragged_support(mix: dict) -> dict:
+    mix["components"][0]["support"][0].append(1.0)
+    return mix
+
+
+def _component_as_list(mix: dict) -> dict:
+    mix["components"][0] = list(mix["components"][0].values())
+    return mix
+
+
+def _first_gamma(text: str):
+    def edit(tree: dict) -> dict:
+        tree["kernel"]["gamma"][0] = text
+        return tree
+
+    return edit
+
+
+# artifact, edit of its JSON payload, allowed exit codes
+_MALFORMED = [
+    pytest.param("axis", lambda t: {**t, "root": 5}, {2, 3, 4}, id="tree-root-int"),
+    pytest.param("axis", lambda t: {**t, "root": []}, {2, 3, 4}, id="tree-root-list"),
+    pytest.param("axis", lambda t: {**t, "root": {**t["root"], "theta": "a"}}, {2, 3, 4}, id="tree-theta"),
+    pytest.param("axis", lambda t: {**t, "root": {**t["root"], "axis": None}}, {2, 3, 4}, id="tree-axis"),
+    pytest.param(
+        "axis",
+        lambda t: {**t, "root": {"axis": 0, "theta": 0.0, "left": {"leaf": "x"}, "right": {"leaf": 1}}},
+        {2, 3, 4},
+        id="tree-leaf-str",
+    ),
+    pytest.param("axis", lambda t: {**t, "dim": "a"}, {2, 3, 4}, id="tree-dim-str"),
+    pytest.param("axis", lambda t: [t], {2, 3, 4}, id="tree-toplevel-list"),
+    pytest.param("kernel", _first_gamma("a"), {2, 3, 4}, id="kernel-gamma-str"),
+    pytest.param("kernel", lambda t: {**t, "dim": 5}, {3}, id="kernel-dim-mismatch"),
+    pytest.param("mixture", lambda m: {**m, "weights": "ab"}, {2, 3, 4}, id="mixture-weights-str"),
+    pytest.param("mixture", lambda m: {**m, "components": 5}, {2, 3, 4}, id="mixture-components-int"),
+    pytest.param("mixture", _component_as_list, {2, 3, 4}, id="mixture-component-list"),
+    pytest.param("mixture", lambda m: {**m, "alpha": "z"}, {2, 3, 4}, id="mixture-alpha-str"),
+    pytest.param("mixture", lambda m: {**m, "dim": "z"}, {2, 3, 4}, id="mixture-dim-str"),
+    pytest.param("mixture", lambda m: [m], {2, 3, 4}, id="mixture-toplevel-list"),
+    pytest.param("mixture", _ragged_support, {2, 3, 4}, id="mixture-ragged-support"),
+]
+
+
+@pytest.mark.parametrize("artifact, edit, codes", _MALFORMED)
+def test_cli_malformed_artifacts_exit_cleanly(tmp_path, capsys, artifact, edit, codes):
+    mix, axis_tree, kernel_tree = tmp_path / "m.json", tmp_path / "t.json", tmp_path / "kt.json"
+    run_cli("gen", "b3", "--d", 3, "--out", mix)
+    assert run_cli("build", "--mixture", mix, "--objective", "exact-discrete", "--out", axis_tree) == 0
+    assert run_cli("build-kernel", "--mixture", mix, "--out", kernel_tree) == 0
+    path = {"axis": axis_tree, "kernel": kernel_tree, "mixture": mix}[artifact]
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    if artifact == "mixture":
+        runs = [
+            ("eval", "--mixture", mix, "--tree", axis_tree),
+            ("build", "--mixture", mix, "--out", tmp_path / "o.json"),
+        ]
+    else:
+        runs = [("eval", "--mixture", mix, "--tree", path), ("export-dot", "--tree", path)]
+    for argv in runs:
+        capsys.readouterr()
+        assert run_cli(*argv) in codes
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     mix = tmp_path / "m.json"
     tree = tmp_path / "t.json"
@@ -431,3 +498,74 @@ def test_wine_dataset_vendored():
     assert data.points.shape == (178, 13)
     assert sorted(np.unique(data.labels)) == [0, 1, 2]
     assert np.bincount(data.labels).tolist() == [59, 71, 48]
+
+
+# sha256 of every CLI artifact below, recorded at commit af305c0 with numpy
+# 2.4.6.  Tree JSON (key order included), DOT text and `eval --json` reports
+# of both tree kinds must stay byte-identical.
+_ARTIFACT_SHA256 = {
+    "chebyshev": "6d04530dce576696b1596e1646361b082d9e2c8743a71e1d89432a60ca5133e2",
+    "chebyshev.dot": "3a3a2d033664335356562f19a2024466d6b0925e420918886669d5ef74a7a7ae",
+    "gaussian": "2adcd452ee1e73cccaf199387507a465b539f0ad420e9ce8374dff2f71c67750",
+    "gaussian.dot": "9acb17af4246b48d4593ec6e918ff3321f904a443b3336988c43c940498ed9c0",
+    "exact-discrete": "346bd55a97d7f447b89a4427263f8d6a6c6b98414ac02a2d68195dd5da92535e",
+    "exact-discrete.dot": "807ae624638dc3fbc87bf0aae146f7ee4251823401e3cfb37983731e3bae4fee",
+    "kernel-exact": "e6366c64ea21d4c238faf0279290b0cbb2939e87edd2b9add1445abc53de1c4e",
+    "kernel-exact.dot": "523ad9705eab3cef5c62a8475c7dc16a43761b346cba1ecfcf677ae051a0fb46",
+    "kernel-mc": "7add84139e31ad84a8074aa66011e0bcd8573599904cb031ed4b3866bd69672f",
+    "kernel-mc.dot": "3a50bb21270e0e27610f4f75d52555a79c2101213dbb879f68f9d04c9f52c519",
+    "imm": "eb978b42fd7194df8e647c35b138eaffe1d0d6a3d9e771ea5189d91bae050b22",
+    "imm.dot": "a53dcfb7c5fa2b6a8805066bec7bad13ab166c6beebf304b42a6a774fa877351",
+    "exact-discrete.eval": "08efd63cf8407b8ac77b87cdc5ddcce4a29764a4822a7ef195953522c77df36a",
+    "gaussian.eval": "984943afa97ca8c5410bec8897d0ff2ea1741840580ad78792495706bbb43036",
+    "kernel-exact.eval": "2a628625ae32147ffb745dafc7fde2bc90410c70af0305e540b0d4274ff90264",
+    "kernel-mc.eval": "406b72a0deb534e301ec84eca2919b72fd238a15b48ad6927fe7d0f0cbafd1be",
+}
+
+
+def _cli_artifact_digests(tmp_path, capsys) -> dict:
+    discrete, ker = translate_battery(5)
+    gauss = gaussian_battery(7)
+    disc_path, gauss_path = tmp_path / "discrete.json", tmp_path / "gauss.json"
+    data, centers = tmp_path / "d.csv", tmp_path / "c.json"
+    save_mixture(disc_path, discrete)
+    save_mixture(gauss_path, gauss)
+    save_dataset(data, sample(gauss, 3000, seed=11))
+    save_centers(centers, gauss.means())
+    gamma = ",".join(repr(float(g)) for g in ker.gamma)
+    builds = {
+        "chebyshev": ("build", "--mixture", gauss_path, "--objective", "chebyshev"),
+        "gaussian": ("build", "--mixture", gauss_path, "--objective", "gaussian"),
+        "exact-discrete": ("build", "--mixture", disc_path, "--objective", "exact-discrete"),
+        "kernel-exact": ("build-kernel", "--mixture", disc_path, "--gamma", gamma, "--seed", 3),
+        "kernel-mc": (
+            "build-kernel", "--mixture", gauss_path, "--gamma", "0.001",
+            "--mode", "mc", "--pairs", 2000, "--seed", 3,
+        ),
+        "imm": ("baseline-imm", "--data", data, "--centers", centers),
+    }
+    def sha(text) -> str:
+        return hashlib.sha256(text if isinstance(text, bytes) else text.encode()).hexdigest()
+
+    digests = {}
+    for name, argv in builds.items():
+        out = tmp_path / f"{name}.json"
+        assert run_cli(*argv, "--out", out) == 0
+        digests[name] = sha(out.read_bytes())
+        capsys.readouterr()
+        assert run_cli("export-dot", "--tree", out) == 0
+        digests[f"{name}.dot"] = sha(capsys.readouterr().out)
+    evals = {
+        "exact-discrete": (disc_path,),
+        "gaussian": (gauss_path, "--samples", 20000, "--seed", 5),
+        "kernel-exact": (disc_path,),
+        "kernel-mc": (gauss_path, "--samples", 2000, "--seed", 5),
+    }
+    for name, (mix, *flags) in evals.items():
+        assert run_cli("eval", "--mixture", mix, "--tree", tmp_path / f"{name}.json", "--json", *flags) == 0
+        digests[f"{name}.eval"] = sha(capsys.readouterr().out)
+    return digests
+
+
+def test_cli_artifacts_byte_identical(tmp_path, capsys):
+    assert _cli_artifact_digests(tmp_path, capsys) == _ARTIFACT_SHA256

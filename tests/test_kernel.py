@@ -12,10 +12,10 @@ from mmdt import (
     ValidationError,
     build_kernel_mmdt,
     empirical_moments,
-    kernel_predict,
     kernel_price,
     kernel_stats,
     mmd,
+    predict,
     thm5_bound,
     xi,
 )
@@ -26,10 +26,9 @@ from mmdt.kernel import (
     _full_gram,
     check_structure,
     cut_interval,
-    export_dot,
     interval_predict,
-    kernel_assign,
 )
+from mmdt.tree import assign_components, export_dot
 
 from conftest import translate_battery
 
@@ -151,9 +150,9 @@ def test_build_kernel_tree_two_point():
     assert tree.root.cut.anchor == 0
     # prototype is the anchor's only support point
     np.testing.assert_allclose(tree.root.cut.prototype, [0.0, 0.0])
-    assert kernel_predict(tree, [0.0, 0.0]) == 0  # self-similarity 1 goes right
-    assert kernel_predict(tree, [2.0, 0.0]) == 1
-    assert kernel_predict(tree, [1e9, 0.0]) == 1  # similarity 0 goes left
+    assert predict(tree, [0.0, 0.0]) == 0  # self-similarity 1 goes right
+    assert predict(tree, [2.0, 0.0]) == 1
+    assert predict(tree, [1e9, 0.0]) == 1  # similarity 0 goes left
 
 
 def test_build_kernel_cuts_on_separating_axis():
@@ -206,11 +205,17 @@ def test_kernel_predict_support_enumeration():
     st = kernel_stats(model, ker)
     tree = build_kernel_mmdt(model, ker, st, seed=2)
     for k, comp in enumerate(model.components):
-        routed = kernel_assign(tree, comp.support)
-        singles = [kernel_predict(tree, p) for p in comp.support]
+        routed = assign_components(tree, comp.support)
+        singles = [predict(tree, p) for p in comp.support]
         assert list(routed) == singles
     with pytest.raises(IncompatibilityError):
-        kernel_predict(tree, np.zeros(model.dim + 1))
+        predict(tree, np.zeros(model.dim + 1))
+    # the interval-form reference router checks the point's shape the same way
+    for bad in (np.zeros(model.dim + 1), np.zeros(model.dim - 1)):
+        with pytest.raises(IncompatibilityError, match="tree expects"):
+            interval_predict(tree, bad)
+        with pytest.raises(IncompatibilityError, match="tree expects"):
+            predict(tree, bad)
 
 
 def test_interval_form_matches_kernel_predict():
@@ -223,7 +228,7 @@ def test_interval_form_matches_kernel_predict():
         tree = build_kernel_mmdt(model, ker, st, seed=i)
         pts = rng.normal(scale=4.0, size=(200, model.dim))
         for p in pts:
-            assert interval_predict(tree, p) == kernel_predict(tree, p)
+            assert interval_predict(tree, p) == predict(tree, p)
         # interval radius inverts the profile exactly
         cut = tree.root.cut
         r = cut_interval(cut, ker)
@@ -268,7 +273,7 @@ def test_kernel_price_exact_matches_brute_force():
     pts = np.array(pts)
     w = np.array(w)
     comp = np.array(comp)
-    assigned = kernel_assign(tree, pts)
+    assigned = assign_components(tree, pts)
 
     def emb_dist2(x, rows, masses):
         norm = sum(
@@ -342,7 +347,7 @@ def dense_kernel_price(model, ker, tree, n=0, seed=0, mode="exact", leaf_subsamp
                     rows.shape[0], leaf_subsample, replace=False)]
             comp_support.append(rows)
             comp_mass.append(np.full(rows.shape[0], 1.0 / rows.shape[0]))
-    assigned = kernel_assign(tree, pts)
+    assigned = assign_components(tree, pts)
 
     def cross(points, support, mass):
         return _full_gram(ker, points, support) @ mass
@@ -507,6 +512,6 @@ def test_kernel_tree_json_round_trip_and_dot():
     assert clone.to_dict() == tree.to_dict()
     rng = np.random.default_rng(1)
     pts = rng.normal(scale=3.0, size=(100, model.dim))
-    assert list(kernel_assign(clone, pts)) == list(kernel_assign(tree, pts))
+    assert list(assign_components(clone, pts)) == list(assign_components(tree, pts))
     dot = export_dot(tree)
     assert dot.startswith("digraph") and "|x" in dot
