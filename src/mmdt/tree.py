@@ -1,4 +1,7 @@
-"""Axis-aligned decision trees over mixture components.
+"""Threshold trees over mixture components, and the axis-aligned builder.
+
+Axis and kernel trees share the node type, the tree base, the router and
+the DOT export defined here; they differ only in their cuts.
 
 The builder repeatedly picks the axis with the largest noise-normalized mean
 spread among the components remaining at a node, then places a one-sided cut
@@ -87,7 +90,7 @@ class TreeNode:
     ``goes_left(points)`` over an (n, d) array, ``to_dict()`` and ``label()``.
     """
 
-    cut: "AxisCut | None" = None
+    cut: AxisCut | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     leaf: int | None = None
