@@ -312,12 +312,9 @@ def _component_as_list(mix: dict) -> dict:
     return mix
 
 
-def _first_gamma(text: str):
-    def edit(tree: dict) -> dict:
-        tree["kernel"]["gamma"][0] = text
-        return tree
-
-    return edit
+def _string_gamma(tree: dict) -> dict:
+    tree["kernel"]["gamma"][0] = "a"
+    return tree
 
 
 # artifact, edit of its JSON payload, allowed exit codes
@@ -334,7 +331,7 @@ _MALFORMED = [
     ),
     pytest.param("axis", lambda t: {**t, "dim": "a"}, {2, 3, 4}, id="tree-dim-str"),
     pytest.param("axis", lambda t: [t], {2, 3, 4}, id="tree-toplevel-list"),
-    pytest.param("kernel", _first_gamma("a"), {2, 3, 4}, id="kernel-gamma-str"),
+    pytest.param("kernel", _string_gamma, {2, 3, 4}, id="kernel-gamma-str"),
     pytest.param("kernel", lambda t: {**t, "dim": 5}, {3}, id="kernel-dim-mismatch"),
     pytest.param("mixture", lambda m: {**m, "weights": "ab"}, {2, 3, 4}, id="mixture-weights-str"),
     pytest.param("mixture", lambda m: {**m, "components": 5}, {2, 3, 4}, id="mixture-components-int"),
