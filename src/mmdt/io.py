@@ -47,8 +47,9 @@ def save_json(path, payload: dict) -> None:
 
 
 def _load_json(path, parse):
-    """parse(JSON of path); a missing or wrong-typed field raises FormatError
-    naming the path, while a ValidationError passes through."""
+    """parse(JSON of path); a missing, wrong-typed or out-of-range field
+    raises FormatError naming the path, while a ValidationError passes
+    through."""
     data = _parse_json(_read_text(path), path)
     try:
         return parse(data)
@@ -56,7 +57,7 @@ def _load_json(path, parse):
         raise
     except KeyError as exc:
         raise FormatError(f"{path}: missing field {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed field: {exc}") from exc
 
 

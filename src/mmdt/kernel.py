@@ -319,9 +319,8 @@ class KernelCut:
         if not 0.0 < self.theta < 1.0:
             raise ValidationError("kernel threshold must lie in (0, 1)")
 
-    def goes_left(self, points: np.ndarray) -> np.ndarray:
-        sims = self.kernel.axis_similarity(self.axis, points[:, self.axis], self.prototype[self.axis])
-        return sims < self.theta
+    def goes_left(self, column: np.ndarray) -> np.ndarray:
+        return self.kernel.axis_similarity(self.axis, column, self.prototype[self.axis]) < self.theta
 
     def to_dict(self) -> dict:
         return {
@@ -346,6 +345,19 @@ class KernelTree(ThresholdTree):
     kind = "kernel"
     dot_name = "kernel_tree"
     json_keys = ("format_version", "kind", "dim", "n_leaves", "kernel", "model_fingerprint", "seed", "root")
+
+    def __post_init__(self):
+        # Cuts route and label with their own kernel, the rest of the module
+        # reads the tree's: the two must be one spec.
+        nodes = [self.root]
+        while nodes:
+            node = nodes.pop()
+            if node.is_leaf:
+                continue
+            kernel = node.cut.kernel
+            if kernel is not self.kernel and kernel.fingerprint() != self.kernel.fingerprint():
+                raise ValidationError("a cut's kernel differs from the tree's kernel")
+            nodes += [node.left, node.right]
 
     def header(self) -> dict:
         return {"kernel": self.kernel.to_dict(), "seed": int(self.seed)}

@@ -72,8 +72,8 @@ class AxisCut:
         if not math.isfinite(self.theta):
             raise ValidationError("threshold must be finite")
 
-    def goes_left(self, points: np.ndarray) -> np.ndarray:
-        return points[:, self.axis] <= self.theta
+    def goes_left(self, column: np.ndarray) -> np.ndarray:
+        return column <= self.theta
 
     def to_dict(self) -> dict:
         return {"axis": int(self.axis), "theta": float(self.theta)}
@@ -86,8 +86,9 @@ class AxisCut:
 class TreeNode:
     """Internal node (cut plus two children) or leaf (component index).
 
-    A cut is an ``AxisCut`` or a ``kernel.KernelCut``; both offer
-    ``goes_left(points)`` over an (n, d) array, ``to_dict()`` and ``label()``.
+    A cut is an ``AxisCut`` or a ``kernel.KernelCut``; both offer ``axis``,
+    ``goes_left(column)`` over the points' values on that axis, ``to_dict()``
+    and ``label()``.
     """
 
     cut: AxisCut | None = None
@@ -245,7 +246,7 @@ def assign_components(tree: ThresholdTree, points: np.ndarray) -> np.ndarray:
         if node.is_leaf:
             out[idx] = node.leaf
             continue
-        go_left = node.cut.goes_left(points.take(idx, axis=0))
+        go_left = node.cut.goes_left(points[idx, node.cut.axis])
         stack.append((node.left, idx[go_left]))
         stack.append((node.right, idx[~go_left]))
     return out

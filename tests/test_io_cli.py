@@ -331,6 +331,8 @@ _MALFORMED = [
     ),
     pytest.param("axis", lambda t: {**t, "dim": "a"}, {2, 3, 4}, id="tree-dim-str"),
     pytest.param("axis", lambda t: [t], {2, 3, 4}, id="tree-toplevel-list"),
+    # JSON 1e400 reads as inf, which int() cannot convert
+    pytest.param("axis", lambda t: {**t, "n_leaves": 1e400}, {2, 3, 4}, id="tree-n-leaves-overflow"),
     pytest.param("kernel", _string_gamma, {2, 3, 4}, id="kernel-gamma-str"),
     pytest.param("kernel", lambda t: {**t, "dim": 5}, {3}, id="kernel-dim-mismatch"),
     pytest.param("mixture", lambda m: {**m, "weights": "ab"}, {2, 3, 4}, id="mixture-weights-str"),

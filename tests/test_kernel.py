@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -153,6 +154,23 @@ def test_build_kernel_tree_two_point():
     assert predict(tree, [0.0, 0.0]) == 0  # self-similarity 1 goes right
     assert predict(tree, [2.0, 0.0]) == 1
     assert predict(tree, [1e9, 0.0]) == 1  # similarity 0 goes left
+    # equality goes right in both forms: a point at exactly the cut radius,
+    # and a cut whose theta is exactly a point's axis similarity
+    cut = tree.root.cut
+    assert interval_predict(tree, [cut_interval(cut, ker), 0.0]) == 0
+    on_theta = dataclasses.replace(cut, theta=float(ker.axis_similarity(0, 1.0, 0.0)))
+    edited = dataclasses.replace(tree, root=dataclasses.replace(tree.root, cut=on_theta))
+    assert predict(edited, [1.0, 0.0]) == 0
+    assert interval_predict(edited, [cut_interval(on_theta, ker), 0.0]) == 0
+
+
+def test_kernel_tree_rejects_a_second_kernel():
+    model, ker = point_pair()
+    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
+    same = KernelSpec.uniform("gaussian", 0.5, 2)
+    assert dataclasses.replace(tree, kernel=same).kernel is same
+    with pytest.raises(ValidationError, match="cut's kernel"):
+        dataclasses.replace(tree, kernel=KernelSpec.uniform("laplace", 0.5, 2))
 
 
 def test_build_kernel_cuts_on_separating_axis():
@@ -206,7 +224,7 @@ def test_kernel_predict_support_enumeration():
     tree = build_kernel_mmdt(model, ker, st, seed=2)
     for k, comp in enumerate(model.components):
         routed = assign_components(tree, comp.support)
-        singles = [predict(tree, p) for p in comp.support]
+        singles = [interval_predict(tree, p) for p in comp.support]
         assert list(routed) == singles
     with pytest.raises(IncompatibilityError):
         predict(tree, np.zeros(model.dim + 1))
