@@ -19,19 +19,23 @@ from . import adversarial, baseline, evaluate, io, kernel, mixture, tree
 from .errors import FormatError, IncompatibilityError, MMDTError, ValidationError
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("MMDT_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=_default_seed(), help="RNG seed (default: MMDT_SEED or 0)")
+    # argparse passes a string default through `type`, so a bad MMDT_SEED exits 2
+    default = os.environ.get("MMDT_SEED", "0")
+    parser.add_argument("--seed", type=int, default=default, help="RNG seed (default: MMDT_SEED or 0)")
 
 
-def _parse_gamma(text: str, dim: int) -> np.ndarray:
-    vals = [float(v) for v in text.split(",")]
+def _list_of(convert):
+    """argparse type: a comma list of values read by convert."""
+
+    def parse(text: str) -> list:
+        return [convert(v) for v in text.split(",")]
+
+    parse.__name__ = f"{convert.__name__} list"  # argparse names it in "invalid float list value"
+    return parse
+
+
+def _gamma(vals: list[float], dim: int) -> np.ndarray:
     if len(vals) == 1:
         vals = vals * dim
     if len(vals) != dim:
@@ -87,7 +91,7 @@ def cmd_build(args) -> int:
 def cmd_build_kernel(args) -> int:
     model = io.load_mixture(args.mixture)
     spec = kernel.KernelSpec(
-        profiles=(args.kernel,) * model.dim, gamma=_parse_gamma(args.gamma, model.dim)
+        profiles=(args.kernel,) * model.dim, gamma=_gamma(args.gamma, model.dim)
     )
     stats = kernel.kernel_stats(model, spec, mode=args.mode, n_pairs=args.pairs, seed=args.seed)
     start = time.perf_counter()
@@ -229,13 +233,11 @@ def bench_rows(sizes, k: int, d: int, seed: int, mmdt_repeats: int = 20) -> list
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(v) for v in args.sizes.split(",")]
-    rows = bench_rows(sizes, args.k, args.d, args.seed)
+    rows = bench_rows(args.sizes, args.k, args.d, args.seed)
     lines = ["method,n,seconds"] + [f"{m},{n},{s:.6f}" for m, n, s in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        io.write_text(args.out, text)
     print(text, end="")
     return 0
 
@@ -243,8 +245,7 @@ def cmd_bench(args) -> int:
 def cmd_export_dot(args) -> int:
     text = tree.export_dot(io.load_tree(args.tree))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        io.write_text(args.out, text)
     else:
         print(text, end="")
     return 0
@@ -290,7 +291,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-kernel", help="build the kernel-similarity tree")
     p.add_argument("--mixture", required=True)
     p.add_argument("--kernel", choices=list(kernel.PROFILES), default="gaussian")
-    p.add_argument("--gamma", default="1.0", help="comma list, one value or one per axis")
+    p.add_argument("--gamma", type=_list_of(float), default="1.0", help="comma list, one value or one per axis")
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p.add_argument("--pairs", type=int, default=10_000, help="MC pair samples per xi entry")
     p.add_argument("--out", required=True)
@@ -327,7 +328,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_baseline_imm)
 
     p = sub.add_parser("bench", help="timing sweep over dataset sizes")
-    p.add_argument("--sizes", default="1000,10000,100000")
+    p.add_argument("--sizes", type=_list_of(int), default="1000,10000,100000")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--out")
@@ -342,23 +343,17 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = ((FormatError, 2), (ValidationError, 3), (IncompatibilityError, 4), (MMDTError, 1))
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except IncompatibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except MMDTError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ class MMDTError(Exception):
 
 
 class FormatError(MMDTError):
-    """Malformed or unreadable input artifact (JSON/CSV)."""
+    """Malformed or unreadable input artifact (JSON/CSV), or unwritable output."""
 
 
 class ValidationError(MMDTError, ValueError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
 from .mixture import DISCRETE, LabeledDataset, MixtureModel, enr, sample
-from .tree import AxisTree, TreeNode, assign_components
+from .tree import AxisTree, TreeNode, assign_components, normal_upper_tail
 
 # Constant of the price / error-rate bounds: 4 + 2*pi^2/3.
 BOUND_CONSTANT = 4.0 + 2.0 * math.pi**2 / 3.0
@@ -314,22 +314,18 @@ def _leaf_cells(tree: AxisTree) -> list[tuple[int, np.ndarray, np.ndarray]]:
     return cells
 
 
+@np.errstate(divide="ignore")  # a cell holding none of its component's mass: log1p(-1) = -inf
 def exact_error_rate_gaussian(model: MixtureModel, tree: AxisTree) -> float:
-    """Closed-form error rate for all-Gaussian models: one minus the mass
-    each component places in its own leaf cell (products of 1-D normal
-    interval probabilities)."""
+    """Closed-form error rate for all-Gaussian models: the mass each
+    component places outside its own leaf cell.  Per axis that mass is two
+    normal tails; one minus the product of the inside masses is taken as
+    -expm1(sum log1p(-outside)), which resolves rates far below 1e-16."""
     _check_dims(model, tree)
     if not model.all_gaussian():
         raise ValidationError("exact gaussian error rate requires gaussian components")
-
-    def norm_cdf(z: np.ndarray) -> np.ndarray:
-        # math.erf handles +-inf, so unbounded cell sides need no special case.
-        return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z])
-
-    correct = 0.0
+    error = 0.0
     for leaf, lo, hi in _leaf_cells(tree):
         c = model.components[leaf]
-        z_lo = (lo - c.mean) / c.stddev
-        z_hi = (hi - c.mean) / c.stddev
-        correct += model.weights[leaf] * float(np.prod(norm_cdf(z_hi) - norm_cdf(z_lo)))
-    return max(0.0, 1.0 - correct)
+        outside = normal_upper_tail((hi - c.mean) / c.stddev) + normal_upper_tail((c.mean - lo) / c.stddev)
+        error += model.weights[leaf] * -math.expm1(np.log1p(-outside).sum())
+    return float(error)

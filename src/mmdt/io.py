@@ -42,8 +42,15 @@ def _parse_json(text: str, path) -> dict:
         raise FormatError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
+def write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
 def save_json(path, payload: dict) -> None:
-    Path(path).write_text(dumps_json(payload), encoding="utf-8")
+    write_text(path, dumps_json(payload))
 
 
 def _load_json(path, parse):
@@ -110,7 +117,7 @@ def dataset_to_csv(data: LabeledDataset) -> str:
 
 
 def save_dataset(path, data: LabeledDataset) -> None:
-    Path(path).write_text(dataset_to_csv(data), encoding="utf-8")
+    write_text(path, dataset_to_csv(data))
 
 
 def load_dataset(path) -> LabeledDataset:

@@ -126,6 +126,8 @@ def _full_gram(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _pair_samples(
     model: MixtureModel, k: int, l: int, n_pairs: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    if n_pairs < 1:
+        raise ValidationError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(k, l)))
     x = model.components[k].sample(rng, n_pairs)
     y = model.components[l].sample(rng, n_pairs)
@@ -172,8 +174,8 @@ class KernelStats:
     """Embedding statistics of a (model, kernel) pair.
 
     sigma2 is the smallest component self-similarity E[kappa(x, x')] (the
-    per-component values and their spread are kept since the bounds assume
-    they coincide); eps2 bounds the variance of every per-axis kernel;
+    per-component values are kept since the bounds assume they coincide);
+    eps2 bounds the variance of every per-axis kernel;
     tau is the axis-aligned similarity max_{k != l} min_i xi(i, k, l).
     """
 
@@ -198,10 +200,6 @@ class KernelStats:
         # Entries are positive in exact arithmetic but may underflow to 0.
         if np.any(self.xi_table < 0) or np.any(self.xi_table > 1.0 + 1e-12):
             raise ValidationError("xi entries outside [0, 1]")
-
-    @property
-    def sigma2_spread(self) -> float:
-        return float(self.sigma2_per_component.max() - self.sigma2_per_component.min())
 
 
 def kernel_stats(

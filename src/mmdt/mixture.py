@@ -490,6 +490,8 @@ def empirical_moments(data: LabeledDataset, k: int) -> MixtureModel:
     mass, weights from label frequencies, sigma pooled within components."""
     if data.labels is None:
         raise ValidationError("empirical_moments requires labels")
+    if k < 1:
+        raise ValidationError("k must be >= 1")
     comps = []
     weights = []
     pooled = np.zeros(data.dim)

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import IncompatibilityError, ValidationError
 from .mixture import DISCRETE, GAUSSIAN, MixtureModel
@@ -55,10 +54,12 @@ _BISECT_MAX_ITERS = 64
 # this close are treated as tied and resolved by the deterministic rule.
 _TIE_REL = 1e-12
 
+_ERFC = np.frompyfunc(math.erfc, 1, 1)  # numpy has no erfc
+
 
 def normal_upper_tail(t):
-    """P(Z > t) for standard normal Z, via the complementary error function."""
-    return 0.5 * erfc(np.asarray(t, dtype=float) / math.sqrt(2.0))
+    """P(Z > t) for standard normal Z, elementwise: 0.5 * erfc(t / sqrt 2)."""
+    return 0.5 * np.asarray(_ERFC(np.asarray(t, dtype=float) / math.sqrt(2.0)), dtype=float)
 
 
 @dataclass(frozen=True)

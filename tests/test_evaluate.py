@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,11 +27,11 @@ from mmdt.adversarial import (
     gen_thm4,
     thm4_canonical_tree,
 )
-from mmdt.evaluate import BOUND_CONSTANT, _mc_sample, weighted_median
+from mmdt.evaluate import BOUND_CONSTANT, _leaf_cells, _mc_sample, weighted_median
 from mmdt.tree import assign_components
 from mmdt.tree import AxisCut, AxisTree, TreeNode
 
-from conftest import random_discrete_model
+from conftest import gaussian_battery, random_discrete_model
 
 
 def test_weighted_median():
@@ -282,6 +283,65 @@ def test_exact_error_rate_gaussian_matches_mc():
     rep = mc_eval(m, tree, 200_000, seed=33)
     assert exact == pytest.approx(rep.error_rate, abs=0.01)
     assert 0.0 < exact < 1.0
+
+
+def _cancelling_error_rate(model, tree):
+    """Reference: one minus the in-cell masses, one math.erf call per element."""
+
+    def norm_cdf(z):
+        return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z])
+
+    correct = 0.0
+    for leaf, lo, hi in _leaf_cells(tree):
+        c = model.components[leaf]
+        inside = norm_cdf((hi - c.mean) / c.stddev) - norm_cdf((lo - c.mean) / c.stddev)
+        correct += model.weights[leaf] * float(np.prod(inside))
+    return max(0.0, 1.0 - correct)
+
+
+def test_exact_error_rate_gaussian_resolves_tiny_rates():
+    def tail(z):
+        return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+    m = MixtureModel.create(
+        (Component.gaussian([0.0], [1.0]), Component.gaussian([23.3], [1.5])), [0.3, 0.7]
+    )
+    theta = 9.2
+    tree = AxisTree(
+        root=TreeNode(cut=AxisCut(0, theta), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
+        dim=1,
+        n_leaves=2,
+    )
+    expected = 0.3 * tail(theta / 1.0) + 0.7 * tail((23.3 - theta) / 1.5)
+    assert 1e-21 < expected < 1e-19
+    assert exact_error_rate_gaussian(m, tree) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # a cut far left of component 0 leaves its cell without mass: log1p(-1)
+    far = AxisTree(
+        root=TreeNode(cut=AxisCut(0, -50.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
+        dim=1,
+        n_leaves=2,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exact_error_rate_gaussian(m, far) == 0.3
+
+
+def test_exact_error_rate_gaussian_matches_cancelling_form():
+    rng = np.random.default_rng(5)
+    models = [gaussian_battery(i) for i in range(50)]
+    for _ in range(30):  # overlapping components, rates well above 1e-9
+        k, d = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        means, sd = rng.uniform(-3.0, 3.0, (k, d)), rng.uniform(0.5, 2.0, d)
+        comps = tuple(Component.gaussian(means[j], sd) for j in range(k))
+        models.append(MixtureModel.create(comps, np.full(k, 1.0 / k)))
+    compared = 0
+    for m in models:
+        tree = build_mmdt(m, BuildOptions(objective="gaussian"))
+        reference = _cancelling_error_rate(m, tree)
+        if reference > 1e-9:
+            compared += 1
+            assert exact_error_rate_gaussian(m, tree) == pytest.approx(reference, rel=1e-7, abs=0.0)
+    assert compared >= 30
 
 
 def test_report_json_round_trip():

@@ -2,6 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -365,6 +368,63 @@ def test_cli_malformed_artifacts_exit_cleanly(tmp_path, capsys, artifact, edit, 
         assert run_cli(*argv) in codes
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+# argv ("{bad}" is a path in a missing directory), environment, exit code
+_BAD_INPUTS = [
+    pytest.param(("gen", "b3", "--d", 3, "--out", "{bad}"), {}, 2, id="gen-out"),
+    pytest.param(("gen", "b3", "--d", 3, "--out", "{tmp}/g.json", "--meta", "{bad}"), {}, 2, id="gen-meta"),
+    pytest.param(("fit-gmm", "--data", "{data}", "--k", 2, "--out", "{bad}"), {}, 2, id="fit-gmm-out"),
+    pytest.param(("moments", "--data", "{data}", "--k", 2, "--out", "{bad}"), {}, 2, id="moments-out"),
+    pytest.param(("build", "--mixture", "{mix}", "--out", "{bad}"), {}, 2, id="build-out"),
+    pytest.param(("build-kernel", "--mixture", "{mix}", "--out", "{bad}"), {}, 2, id="build-kernel-out"),
+    pytest.param(
+        ("baseline-imm", "--data", "{data}", "--centers", "{centers}", "--out", "{bad}"), {}, 2, id="imm-out"
+    ),
+    pytest.param(("bench", "--sizes", 50, "--k", 2, "--d", 1, "--out", "{bad}"), {}, 2, id="bench-out"),
+    pytest.param(("export-dot", "--tree", "{tree}", "--out", "{bad}"), {}, 2, id="export-dot-out"),
+    pytest.param(("build-kernel", "--mixture", "{mix}", "--gamma", "abc", "--out", "{tmp}/k.json"), {}, 2, id="gamma"),
+    pytest.param(("bench", "--sizes", "a"), {}, 2, id="sizes"),
+    pytest.param(
+        ("build-kernel", "--mixture", "{mix}", "--mode", "mc", "--pairs", 0, "--out", "{tmp}/k.json"),
+        {},
+        3,
+        id="mc-pairs-zero",
+    ),
+    pytest.param(("moments", "--data", "{data}", "--k", 0, "--out", "{tmp}/mm.json"), {}, 3, id="moments-k-zero"),
+    pytest.param(("gen", "b3", "--d", 2, "--out", "{tmp}/x.json"), {"MMDT_SEED": "abc"}, 2, id="seed-env"),
+]
+
+
+@pytest.mark.parametrize("argv, env, code", _BAD_INPUTS)
+def test_cli_bad_inputs_exit_cleanly(tmp_path, capsys, monkeypatch, argv, env, code):
+    mix, tree, data, centers = (tmp_path / name for name in ("m.json", "t.json", "d.csv", "c.json"))
+    run_cli("gen", "b3", "--d", 3, "--out", mix)
+    run_cli("build", "--mixture", mix, "--objective", "exact-discrete", "--out", tree)
+    save_dataset(data, sample(load_mixture(mix), 200, seed=2))
+    save_centers(centers, load_mixture(mix).means())
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    bad = tmp_path / "missing" / "out.json"
+    paths = {"bad": bad, "tmp": tmp_path, "mix": mix, "tree": tree, "data": data, "centers": centers}
+    capsys.readouterr()
+    try:
+        got = run_cli(*(str(a).format(**paths) for a in argv))
+    except SystemExit as exc:  # argparse rejects a flag value
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert "error: " in err and "Traceback" not in err
+    if "{bad}" in argv:
+        assert err.startswith(f"error: cannot write {bad}")
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "import sys, mmdt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_exit_codes(tmp_path, capsys):

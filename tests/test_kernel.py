@@ -253,6 +253,19 @@ def test_interval_form_matches_kernel_predict():
         assert ker.profile_value(cut.axis, r) == pytest.approx(cut.theta, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_pairs", [0, -3])
+def test_mc_statistics_reject_pairs_below_one(n_pairs):
+    model, ker = translate_battery(3)
+    calls = [
+        lambda: kernel_stats(model, ker, mode="mc", n_pairs=n_pairs),
+        lambda: xi(model, ker, 0, 0, 1, mode="mc", n_pairs=n_pairs),
+        lambda: mmd(model, ker, 0, 1, mode="mc", n_pairs=n_pairs),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="n_pairs must be >= 1"):
+            call()
+
+
 def test_mc_paths_with_gaussian_components():
     comps = (
         Component.gaussian([0.0, 0.0], [0.3, 0.3]),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 from mmdt import (
     AxisTree,
@@ -66,6 +67,22 @@ def test_chebyshev_objective_examples():
 def test_chebyshev_clamps_at_one():
     m = gaussians([[0.0], [1.0]], [50.0])
     assert chebyshev_objective(m, [0, 1], 0, 0.5) == pytest.approx(1.0)
+
+
+def test_normal_upper_tail_matches_scipy_erfc():
+    grid = np.linspace(-40.0, 40.0, 8001)
+    tails = normal_upper_tail(grid)
+    assert tails.dtype == np.float64 and tails.shape == grid.shape
+    reference = 0.5 * erfc(grid / np.sqrt(2.0))
+    # past t ~ 37.5 both sides are subnormal, where scipy flushes to zero sooner
+    normal = reference >= np.finfo(float).tiny
+    np.testing.assert_allclose(tails[normal], reference[normal], rtol=1e-12, atol=0.0)
+    assert np.all(tails[~normal] < np.finfo(float).tiny)
+    np.testing.assert_array_equal(normal_upper_tail([np.inf, -np.inf]), [0.0, 1.0])
+    for scalar in (1.5, np.float64(1.5), np.array(1.5)):
+        tail = normal_upper_tail(scalar)
+        assert np.ndim(tail) == 0
+        assert float(tail) == pytest.approx(0.5 * erfc(1.5 / np.sqrt(2.0)), rel=1e-12)
 
 
 def test_gaussian_objective_examples():
