@@ -10,7 +10,7 @@ price with leaf means, and the misassignment rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -40,8 +40,8 @@ class EvalReport:
     mc_samples: int
     mc_seed: int
     confidence_radius: float
-    bounds: dict | None = None
     fallback_leaves: tuple = ()
+    bounds: dict | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.error_rate <= 1.0:
@@ -50,22 +50,17 @@ class EvalReport:
             raise ValidationError("costs must be non-negative")
 
     def to_dict(self) -> dict:
-        out = {
-            "format_version": 1,
-            "price_l1": self.price_l1,
-            "price_l1_hat": self.price_l1_hat,
-            "price_l2sq": self.price_l2sq,
-            "error_rate": self.error_rate,
-            "baseline_cost": self.baseline_cost,
-            "tree_cost": self.tree_cost,
-            "mc_samples": self.mc_samples,
-            "mc_seed": self.mc_seed,
-            "confidence_radius": self.confidence_radius,
-            "fallback_leaves": list(self.fallback_leaves),
-        }
-        if self.bounds is not None:
-            out["bounds"] = dict(self.bounds)
-        return out
+        return _report_dict(self)
+
+
+def _report_dict(report) -> dict:
+    """``format_version``, then a report's fields in order: tuples as lists,
+    fields that are None left out."""
+    out = {"format_version": 1}
+    for key, value in asdict(report).items():
+        if value is not None:
+            out[key] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def _ratio(num: float, den: float) -> float:

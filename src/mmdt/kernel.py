@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
-from .evaluate import BOUND_CONSTANT, _ratio, _support_enumeration
+from .evaluate import BOUND_CONSTANT, _ratio, _report_dict, _support_enumeration
 from .mixture import MixtureModel, sample
 from .tree import ThresholdTree, TreeNode, assign_components
 
@@ -100,11 +100,6 @@ class KernelSpec:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _require_discrete(model: MixtureModel, what: str) -> None:
-    if not model.all_discrete():
-        raise ValidationError(f"{what} in exact mode requires finite-discrete components")
-
-
 def _check_kernel_dim(model: MixtureModel, kernel: KernelSpec) -> None:
     if kernel.dim != model.dim:
         raise IncompatibilityError(
@@ -123,15 +118,42 @@ def _full_gram(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_samples(
-    model: MixtureModel, k: int, l: int, n_pairs: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _pair_law(
+    model: MixtureModel, kernel: KernelSpec, k: int, l: int, mode: str, n_pairs: int, seed: int
+) -> tuple:
+    """Law of the pair x ~ component k, y ~ component l: ``values(i)`` are
+    the axis similarities kappa_i(x, y) over it, ``mean(v)`` and ``var(v, m)``
+    the expectation and variance of such values or their products, and
+    ``noise`` the sampling allowance between two means.  Exact mode weighs
+    the supports' axis Gram matrix by their masses; mc mode takes
+    ``n_pairs`` paired draws seeded by (seed, k, l)."""
+    if mode not in ("exact", "mc"):
+        raise ValidationError(f"mode must be 'exact' or 'mc', got {mode!r}")
+    if mode == "exact":
+        if not model.all_discrete():
+            raise ValidationError("kernel statistics in exact mode require finite-discrete components")
+        ck, cl = model.components[k], model.components[l]
+
+        def mean(v):
+            return float(ck.mass @ v @ cl.mass)
+
+        return (
+            lambda i: _axis_gram(kernel, i, ck.support[:, i], cl.support[:, i]),
+            mean,
+            lambda v, m: mean(v**2) - m**2,
+            0.0,
+        )
     if n_pairs < 1:
         raise ValidationError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(k, l)))
     x = model.components[k].sample(rng, n_pairs)
     y = model.components[l].sample(rng, n_pairs)
-    return x, y
+    return (
+        lambda i: kernel.axis_similarity(i, x[:, i], y[:, i]),
+        lambda v: float(np.mean(v)),
+        lambda v, m: float(np.mean((v - m) ** 2)),
+        4.0 / math.sqrt(n_pairs),
+    )
 
 
 def xi(
@@ -149,24 +171,8 @@ def xi(
     _check_kernel_dim(model, kernel)
     if not (0 <= i < model.dim and 0 <= k < model.k and 0 <= l < model.k):
         raise ValidationError("xi index out of range")
-    if mode == "exact":
-        _require_discrete(model, "xi")
-        ck, cl = model.components[k], model.components[l]
-        gram = _axis_gram(kernel, i, ck.support[:, i], cl.support[:, i])
-        return float(ck.mass @ gram @ cl.mass)
-    x, y = _pair_samples(model, k, l, n_pairs, seed)
-    return float(np.mean(kernel.axis_similarity(i, x[:, i], y[:, i])))
-
-
-def _cross_expectation(
-    model: MixtureModel, kernel: KernelSpec, k: int, l: int, mode: str, n_pairs: int, seed: int
-) -> float:
-    """E[kappa(x, y)] under the full product kernel."""
-    if mode == "exact":
-        ck, cl = model.components[k], model.components[l]
-        return float(ck.mass @ _full_gram(kernel, ck.support, cl.support) @ cl.mass)
-    x, y = _pair_samples(model, k, l, n_pairs, seed)
-    return float(np.mean(kernel.similarity(x, y)))
+    values, mean, _, _ = _pair_law(model, kernel, k, l, mode, n_pairs, seed)
+    return mean(values(i))
 
 
 @dataclass(frozen=True)
@@ -184,9 +190,6 @@ class KernelStats:
     eps2: float
     tau: float
     xi_table: np.ndarray
-    mode: str
-    n_pairs: int
-    seed: int
     model_fingerprint: str
     kernel_fingerprint: str
 
@@ -211,10 +214,6 @@ def kernel_stats(
 ) -> KernelStats:
     """Fill sigma2, eps2, tau, and the full xi table (axes x K x K)."""
     _check_kernel_dim(model, kernel)
-    if mode not in ("exact", "mc"):
-        raise ValidationError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if mode == "exact":
-        _require_discrete(model, "kernel_stats")
     d, K = model.dim, model.k
 
     xi_table = np.empty((d, K, K))
@@ -222,36 +221,22 @@ def kernel_stats(
     eps2 = 0.0
     for k in range(K):
         for l in range(k, K):
+            values, mean, var, noise = _pair_law(model, kernel, k, l, mode, n_pairs, seed)
             # On the self pair the per-axis values multiply into the full
             # product kernel, whose mean is the self-similarity sigma2_k.
             full = 1.0
-            if mode == "exact":
-                ck, cl = model.components[k], model.components[l]
-                for i in range(d):
-                    gram = _axis_gram(kernel, i, ck.support[:, i], cl.support[:, i])
-                    mean = float(ck.mass @ gram @ cl.mass)
-                    mean_sq = float(ck.mass @ gram**2 @ cl.mass)
-                    xi_table[i, k, l] = xi_table[i, l, k] = mean
-                    eps2 = max(eps2, mean_sq - mean**2)
-                    if k == l:
-                        full = full * gram
+            for i in range(d):
+                v = values(i)
+                m = xi_table[i, k, l] = xi_table[i, l, k] = mean(v)
+                eps2 = max(eps2, var(v, m))
                 if k == l:
-                    sigma2_per[k] = float(ck.mass @ full @ cl.mass)
-            else:
-                x, y = _pair_samples(model, k, l, n_pairs, seed)
-                for i in range(d):
-                    vals = kernel.axis_similarity(i, x[:, i], y[:, i])
-                    xi_table[i, k, l] = xi_table[i, l, k] = float(vals.mean())
-                    eps2 = max(eps2, float(vals.var()))
-                    if k == l:
-                        full = full * vals
-                if k == l:
-                    sigma2_per[k] = float(np.mean(full))
+                    full = full * v
+            if k == l:
+                sigma2_per[k] = mean(full)
 
     spread = float(sigma2_per.max() - sigma2_per.min())
-    # In MC mode equal values still spread by sampling noise ~ 1/sqrt(pairs).
-    spread_tol = 1e-6 if mode == "exact" else max(1e-6, 4.0 / math.sqrt(n_pairs))
-    if spread > spread_tol:
+    # Equal values still spread by the sampling noise of the pair law.
+    if spread > max(1e-6, noise):
         warnings.warn(
             f"component self-similarities differ by {spread:.3g}; "
             "bounds use the minimum",
@@ -270,9 +255,6 @@ def kernel_stats(
         eps2=min(1.0, eps2),
         tau=tau,
         xi_table=xi_table,
-        mode=mode,
-        n_pairs=n_pairs if mode == "mc" else 0,
-        seed=seed,
         model_fingerprint=model.fingerprint(),
         kernel_fingerprint=kernel.fingerprint(),
     )
@@ -288,14 +270,15 @@ def mmd(
     seed: int = 0,
 ) -> float:
     """Maximum mean discrepancy between two components (clamped at zero
-    before the square root to absorb MC noise)."""
+    before the square root to absorb MC noise).  For k == l the three
+    expectations are one and the same, so the result is exactly 0."""
     _check_kernel_dim(model, kernel)
-    if k == l:
-        return 0.0
-    s_k = _cross_expectation(model, kernel, k, k, mode, n_pairs, seed)
-    s_l = _cross_expectation(model, kernel, l, l, mode, n_pairs, seed)
-    c_kl = _cross_expectation(model, kernel, k, l, mode, n_pairs, seed)
-    return math.sqrt(max(0.0, s_k + s_l - 2.0 * c_kl))
+
+    def cross(a: int, b: int) -> float:
+        values, mean, _, _ = _pair_law(model, kernel, a, b, mode, n_pairs, seed)
+        return mean(math.prod(values(i) for i in range(model.dim)))
+
+    return math.sqrt(max(0.0, cross(k, k) + cross(l, l) - 2.0 * cross(k, l)))
 
 
 @dataclass(frozen=True)
@@ -328,9 +311,13 @@ class KernelCut:
             "anchor": int(self.anchor),
         }
 
+    def radius(self) -> float:
+        """Input-space radius r with: |x_axis - prototype_axis| > r goes left."""
+        return self.kernel.profile_inverse(self.axis, self.theta)
+
     def label(self) -> str:
         """The interval form ``|x_i - p| > r`` of the cut."""
-        return f"|x{self.axis + 1} - {self.prototype[self.axis]:.6g}| > {cut_interval(self, self.kernel):.6g}"
+        return f"|x{self.axis + 1} - {self.prototype[self.axis]:.6g}| > {self.radius():.6g}"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -443,11 +430,6 @@ def build_kernel_mmdt(
     )
 
 
-def cut_interval(cut: KernelCut, kernel: KernelSpec) -> float:
-    """Input-space radius r with: |x_axis - prototype_axis| > r goes left."""
-    return kernel.profile_inverse(cut.axis, cut.theta)
-
-
 def interval_predict(tree: KernelTree, x) -> int:
     """Route via the input-space interval form of every cut; must agree with
     tree.predict exactly."""
@@ -457,8 +439,7 @@ def interval_predict(tree: KernelTree, x) -> int:
     node = tree.root
     while not node.is_leaf:
         cut = node.cut
-        r = cut_interval(cut, tree.kernel)
-        node = node.left if abs(x[cut.axis] - cut.prototype[cut.axis]) > r else node.right
+        node = node.left if abs(x[cut.axis] - cut.prototype[cut.axis]) > cut.radius() else node.right
     return int(node.leaf)
 
 
@@ -476,17 +457,7 @@ class KernelPriceReport:
     fallback_leaves: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "price": self.price,
-            "price_hat": self.price_hat,
-            "error_rate": self.error_rate,
-            "baseline_cost": self.baseline_cost,
-            "tree_cost": self.tree_cost,
-            "mc_samples": self.mc_samples,
-            "mc_seed": self.mc_seed,
-            "fallback_leaves": list(self.fallback_leaves),
-        }
+        return _report_dict(self)
 
 
 def kernel_price(
@@ -515,7 +486,8 @@ def kernel_price(
         raise ValidationError(f"leaf_subsample must be >= 1, got {leaf_subsample}")
 
     if mode == "exact":
-        _require_discrete(model, "kernel_price")
+        if not model.all_discrete():
+            raise ValidationError("kernel_price in exact mode requires finite-discrete components")
         pts, w, comp = _support_enumeration(model)
     else:
         if n < 100:

@@ -24,9 +24,9 @@ from mmdt.errors import IncompatibilityError
 from mmdt.kernel import (
     KernelPriceReport,
     KernelTree,
+    _axis_gram,
     _full_gram,
     check_structure,
-    cut_interval,
     interval_predict,
 )
 from mmdt.tree import assign_components, export_dot
@@ -116,6 +116,7 @@ def test_kernel_stats_warns_on_unequal_norms():
 def test_mmd_examples():
     model, ker = point_pair(dist=3.0, gamma=0.25)
     assert mmd(model, ker, 0, 0) == 0.0
+    assert mmd(model, ker, 1, 1, mode="mc", n_pairs=50) == 0.0
     assert mmd(model, ker, 0, 1) == pytest.approx(math.sqrt(2.0 - 2.0 * math.exp(-0.25 * 9.0)))
     model2, ker2 = translate_battery(55)
     got = mmd(model2, ker2, 0, 1)
@@ -157,11 +158,11 @@ def test_build_kernel_tree_two_point():
     # equality goes right in both forms: a point at exactly the cut radius,
     # and a cut whose theta is exactly a point's axis similarity
     cut = tree.root.cut
-    assert interval_predict(tree, [cut_interval(cut, ker), 0.0]) == 0
+    assert interval_predict(tree, [cut.radius(), 0.0]) == 0
     on_theta = dataclasses.replace(cut, theta=float(ker.axis_similarity(0, 1.0, 0.0)))
     edited = dataclasses.replace(tree, root=dataclasses.replace(tree.root, cut=on_theta))
     assert predict(edited, [1.0, 0.0]) == 0
-    assert interval_predict(edited, [cut_interval(on_theta, ker), 0.0]) == 0
+    assert interval_predict(edited, [on_theta.radius(), 0.0]) == 0
 
 
 def test_kernel_tree_rejects_a_second_kernel():
@@ -249,7 +250,7 @@ def test_interval_form_matches_kernel_predict():
             assert interval_predict(tree, p) == predict(tree, p)
         # interval radius inverts the profile exactly
         cut = tree.root.cut
-        r = cut_interval(cut, ker)
+        r = cut.radius()
         assert ker.profile_value(cut.axis, r) == pytest.approx(cut.theta, rel=1e-12)
 
 
@@ -260,10 +261,136 @@ def test_mc_statistics_reject_pairs_below_one(n_pairs):
         lambda: kernel_stats(model, ker, mode="mc", n_pairs=n_pairs),
         lambda: xi(model, ker, 0, 0, 1, mode="mc", n_pairs=n_pairs),
         lambda: mmd(model, ker, 0, 1, mode="mc", n_pairs=n_pairs),
+        lambda: mmd(model, ker, 0, 0, mode="mc", n_pairs=n_pairs),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="n_pairs must be >= 1"):
             call()
+
+
+@pytest.mark.parametrize("mode", ["bogus", "Exact"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda model, ker, mode: kernel_stats(model, ker, mode=mode), id="kernel_stats"),
+        pytest.param(lambda model, ker, mode: xi(model, ker, 0, 0, 1, mode=mode), id="xi"),
+        pytest.param(lambda model, ker, mode: mmd(model, ker, 0, 1, mode=mode), id="mmd"),
+        pytest.param(lambda model, ker, mode: mmd(model, ker, 0, 0, mode=mode), id="mmd-self"),
+    ],
+)
+def test_statistics_reject_unknown_mode(call, mode):
+    model, ker = translate_battery(3)
+    with pytest.raises(ValidationError, match=f"mode must be 'exact' or 'mc', got '{mode}'"):
+        call(model, ker, mode)
+
+
+def test_exact_statistics_require_discrete_components():
+    comps = (Component.gaussian([0.0], [1.0]), Component.discrete([[3.0]], [1.0]))
+    model = MixtureModel.create(comps, [0.5, 0.5])
+    ker = KernelSpec.uniform("gaussian", 1.0, 1)
+    calls = [
+        lambda: kernel_stats(model, ker),
+        lambda: xi(model, ker, 0, 0, 1),
+        lambda: mmd(model, ker, 0, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="require finite-discrete components"):
+            call()
+
+
+def reference_pairs(model, k, l, n_pairs, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(k, l)))
+    return model.components[k].sample(rng, n_pairs), model.components[l].sample(rng, n_pairs)
+
+
+def reference_xi(model, ker, i, k, l, mode, n_pairs, seed):
+    # Reference: the separate exact and MC branches of xi, mmd and
+    # kernel_stats that the one pair law replaced.
+    if mode == "exact":
+        ck, cl = model.components[k], model.components[l]
+        return float(ck.mass @ _axis_gram(ker, i, ck.support[:, i], cl.support[:, i]) @ cl.mass)
+    x, y = reference_pairs(model, k, l, n_pairs, seed)
+    return float(np.mean(ker.axis_similarity(i, x[:, i], y[:, i])))
+
+
+def reference_mmd(model, ker, k, l, mode, n_pairs, seed):
+    def cross(a, b):
+        if mode == "exact":
+            ca, cb = model.components[a], model.components[b]
+            return float(ca.mass @ _full_gram(ker, ca.support, cb.support) @ cb.mass)
+        x, y = reference_pairs(model, a, b, n_pairs, seed)
+        return float(np.mean(ker.similarity(x, y)))
+
+    if k == l:
+        return 0.0
+    return math.sqrt(max(0.0, cross(k, k) + cross(l, l) - 2.0 * cross(k, l)))
+
+
+def reference_kernel_stats(model, ker, mode, n_pairs, seed):
+    d, K = model.dim, model.k
+    xi_table, sigma2_per, eps2 = np.empty((d, K, K)), np.empty(K), 0.0
+    for k in range(K):
+        for l in range(k, K):
+            full = 1.0
+            if mode == "exact":
+                ck, cl = model.components[k], model.components[l]
+                for i in range(d):
+                    gram = _axis_gram(ker, i, ck.support[:, i], cl.support[:, i])
+                    mean = float(ck.mass @ gram @ cl.mass)
+                    mean_sq = float(ck.mass @ gram**2 @ cl.mass)
+                    xi_table[i, k, l] = xi_table[i, l, k] = mean
+                    eps2 = max(eps2, mean_sq - mean**2)
+                    if k == l:
+                        full = full * gram
+                if k == l:
+                    sigma2_per[k] = float(ck.mass @ full @ cl.mass)
+            else:
+                x, y = reference_pairs(model, k, l, n_pairs, seed)
+                for i in range(d):
+                    vals = ker.axis_similarity(i, x[:, i], y[:, i])
+                    xi_table[i, k, l] = xi_table[i, l, k] = float(vals.mean())
+                    eps2 = max(eps2, float(vals.var()))
+                    if k == l:
+                        full = full * vals
+                if k == l:
+                    sigma2_per[k] = float(np.mean(full))
+    tau = max(float(xi_table[:, k, l].min()) for k in range(K) for l in range(K) if k != l)
+    return xi_table, sigma2_per, min(1.0, eps2), tau
+
+
+def mixed_profile_gaussians(seed):
+    rng = np.random.default_rng(seed)
+    k, d = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+    comps = tuple(
+        Component.gaussian(rng.uniform(-3.0, 3.0, d), rng.uniform(0.2, 1.0, d)) for _ in range(k)
+    )
+    ker = KernelSpec(profiles=tuple(rng.choice(["gaussian", "laplace"], d)), gamma=rng.uniform(0.2, 2.0, d))
+    return MixtureModel.create(comps, np.full(k, 1.0 / k)), ker
+
+
+def pair_law_cases():
+    for i in range(12):
+        yield (*translate_battery(9000 + i), "exact", 10_000, 0)
+    for i in range(4):
+        yield (*translate_battery(9100 + i), "mc", 400, i)
+    for i in range(8):
+        yield (*mixed_profile_gaussians(9200 + i), "mc", 400, i)
+
+
+@pytest.mark.filterwarnings("ignore:component self-similarities differ")
+def test_statistics_match_the_per_function_branches():
+    for model, ker, mode, n_pairs, seed in pair_law_cases():
+        args = (mode, n_pairs, seed)
+        st = kernel_stats(model, ker, *args)
+        xi_table, sigma2_per, eps2, tau = reference_kernel_stats(model, ker, *args)
+        assert np.array_equal(st.xi_table, xi_table)
+        assert np.array_equal(st.sigma2_per_component, sigma2_per)
+        assert st.sigma2 == float(sigma2_per.min()) and st.tau == tau and st.eps2 == eps2
+        for k in range(model.k):
+            for l in range(model.k):
+                assert mmd(model, ker, k, l, *args) == reference_mmd(model, ker, k, l, *args)
+                for i in range(model.dim):
+                    assert xi(model, ker, i, k, l, *args) == reference_xi(model, ker, i, k, l, *args)
 
 
 def test_mc_paths_with_gaussian_components():
