@@ -17,7 +17,6 @@ from .evaluate import (
     exact_error_rate_gaussian,
     exact_eval_discrete,
     mc_eval,
-    price_l2sq,
     thm1_bound,
     thm3_bound,
     thm4_floor,

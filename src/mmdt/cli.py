@@ -133,7 +133,6 @@ def cmd_eval(args) -> int:
     if isinstance(loaded, kernel.KernelTree):
         report = kernel.kernel_price(
             model,
-            loaded.kernel,
             loaded,
             n=args.samples,
             seed=args.seed,

@@ -15,16 +15,11 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
-from .mixture import DISCRETE, LabeledDataset, MixtureModel, enr, sample
+from .mixture import DISCRETE, MixtureModel, enr, sample
 from .tree import AxisTree, TreeNode, assign_components, normal_upper_tail
 
 # Constant of the price / error-rate bounds: 4 + 2*pi^2/3.
 BOUND_CONSTANT = 4.0 + 2.0 * math.pi**2 / 3.0
-
-# MC draws are split into this many shards, shard i drawn with seed ^ i;
-# every MC result depends on this layout.
-_MC_SHARDS = 16
-_MC_SHARD_MIN_N = 1600
 
 
 @dataclass(frozen=True)
@@ -110,9 +105,9 @@ def _leaf_centers(
     statistic: str,
 ) -> tuple[np.ndarray, list[int]]:
     """Per-leaf coordinate-wise centers (weighted median or mean); empty
-    leaves fall back to the assigned component mean.  Medians without
-    weights count every point the same: the median of m points is the one
-    of rank ceil(m/2) - 1, the lower median."""
+    leaves fall back to the assigned component mean.  Without weights every
+    point counts the same: the median of m points is the one of rank
+    ceil(m/2) - 1, the lower median."""
     d = points.shape[1]
     centers = np.empty((model.k, d))
     fallbacks: list[int] = []
@@ -124,7 +119,9 @@ def _leaf_centers(
             continue
         pts = points[mask]
         w = None if weights is None else weights[mask]
-        if statistic == "mean":
+        if statistic == "mean" and w is None:
+            centers[leaf] = pts.mean(axis=0)
+        elif statistic == "mean":
             centers[leaf] = (w[:, None] * pts).sum(axis=0) / w.sum()
         elif w is None:
             rank = (pts.shape[0] + 1) // 2 - 1
@@ -170,38 +167,25 @@ def exact_eval_discrete(model: MixtureModel, tree: AxisTree) -> EvalReport:
     )
 
 
-def _mc_shard_sizes(n: int) -> list[int]:
-    shards = _MC_SHARDS if n >= _MC_SHARD_MIN_N else 1
-    base, rem = divmod(n, shards)
-    return [base + (1 if i < rem else 0) for i in range(shards)]
-
-
-def _mc_sample(model: MixtureModel, n: int, seed: int) -> LabeledDataset:
-    parts = [sample(model, size, seed ^ i) for i, size in enumerate(_mc_shard_sizes(n))]
-    return LabeledDataset(
-        points=np.vstack([p.points for p in parts]),
-        labels=np.concatenate([p.labels for p in parts]),
-    )
-
-
 def mc_eval(model: MixtureModel, tree: AxisTree, n: int, seed: int) -> EvalReport:
-    """Monte-Carlo evaluation with sample leaf medians.
+    """Monte-Carlo evaluation on ``sample(model, n, seed)`` with sample leaf
+    medians and means.
 
     The confidence radius is 3 * std(t_i) / sqrt(n) where t_i are the
     delta-method residuals of the per-point cost ratio terms; acceptance
-    tests use it as a principled tolerance.  Deterministic given the seed.
+    tests use it as a principled tolerance.  The squared-l2 baseline is the
+    population one, sum_k p_k E|x - mu_k|^2.
     """
     if n < 100:
         raise ValidationError("mc_eval needs n >= 100")
     _check_dims(model, tree)
-    data = _mc_sample(model, n, seed)
+    data = sample(model, n, seed)
     pts, labels = data.points, data.labels
     assigned = assign_components(tree, pts)
     comp_means = model.means()
-    w = np.full(n, 1.0 / n)
 
     medians, fb_med = _leaf_centers(pts, None, assigned, model, "median")
-    leaf_means, fb_mean = _leaf_centers(pts, w, assigned, model, "mean")
+    leaf_means, fb_mean = _leaf_centers(pts, None, assigned, model, "mean")
 
     a = np.abs(pts - medians[assigned]).sum(axis=1)
     b = np.abs(pts - comp_means[labels]).sum(axis=1)
@@ -213,13 +197,13 @@ def mc_eval(model: MixtureModel, tree: AxisTree, n: int, seed: int) -> EvalRepor
     else:
         radius = 0.0
 
-    base_l2 = float(np.sum(model.sigma**2))
+    base_l2 = float(_pooled_abs_moments(model)[1].sum())
     tree_l2 = float(np.mean(((pts - leaf_means[assigned]) ** 2).sum(axis=1)))
 
     return EvalReport(
         price_l1=price,
         price_l1_hat=_ratio(float(hat.sum()), float(b.sum())),
-        price_l2sq=tree_l2 / base_l2,
+        price_l2sq=_ratio(tree_l2, base_l2),
         error_rate=float(np.mean(assigned != labels)),
         baseline_cost=float(b.mean()),
         tree_cost=float(a.mean()),
@@ -228,12 +212,6 @@ def mc_eval(model: MixtureModel, tree: AxisTree, n: int, seed: int) -> EvalRepor
         confidence_radius=radius,
         fallback_leaves=tuple(sorted(set(fb_med) | set(fb_mean))),
     )
-
-
-def price_l2sq(model: MixtureModel, tree: AxisTree, n: int, seed: int) -> float:
-    """Monte-Carlo squared-l2 price with leaf sample means as centers and the
-    population baseline sum(sigma_j^2)."""
-    return mc_eval(model, tree, n, seed).price_l2sq
 
 
 def with_bounds(report: EvalReport, model: MixtureModel, beta: float | None = None) -> EvalReport:
@@ -273,16 +251,22 @@ def thm4_floor(k: int, q: float) -> float:
     return (k - 1) / (4.0 * q)
 
 
-def beta_estimate(model: MixtureModel) -> float:
-    """Smallest beta with beta * E|x_i - mu_i(x)| >= sqrt(E|x_i - mu_i(x)|^2)
-    on every axis.  Both component kinds have closed-form absolute moments,
-    so the value is computed exactly."""
+def _pooled_abs_moments(model: MixtureModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per axis, sum_k p_k E|x_i - mu_ki| and sum_k p_k E|x_i - mu_ki|^2."""
     first = np.zeros(model.dim)
     second = np.zeros(model.dim)
     for c, p in zip(model.components, model.weights):
         m1, m2 = c.abs_moments()
         first += p * m1
         second += p * m2
+    return first, second
+
+
+def beta_estimate(model: MixtureModel) -> float:
+    """Smallest beta with beta * E|x_i - mu_i(x)| >= sqrt(E|x_i - mu_i(x)|^2)
+    on every axis.  Both component kinds have closed-form absolute moments,
+    so the value is computed exactly."""
+    first, second = _pooled_abs_moments(model)
     beta = 1.0
     for j in range(model.dim):
         if first[j] > 0:

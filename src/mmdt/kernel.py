@@ -28,6 +28,10 @@ PROFILES = ("gaussian", "laplace")
 # number of rows and in the support size.
 _GRAM_BLOCK = 2**18
 
+# In mc mode kernel_price embeds each component and each leaf by at most this
+# many of its draws.
+_MC_EMBED_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -129,6 +133,8 @@ def _pair_law(
     ``n_pairs`` paired draws seeded by (seed, k, l)."""
     if mode not in ("exact", "mc"):
         raise ValidationError(f"mode must be 'exact' or 'mc', got {mode!r}")
+    if not (0 <= k < model.k and 0 <= l < model.k):
+        raise ValidationError(f"component index out of range: ({k}, {l}) with K={model.k}")
     if mode == "exact":
         if not model.all_discrete():
             raise ValidationError("kernel statistics in exact mode require finite-discrete components")
@@ -169,8 +175,8 @@ def xi(
     """Expected per-axis similarity E[kappa_i(x, y)] for x ~ component k and
     y ~ component l; exact double sum for discrete components, MC otherwise."""
     _check_kernel_dim(model, kernel)
-    if not (0 <= i < model.dim and 0 <= k < model.k and 0 <= l < model.k):
-        raise ValidationError("xi index out of range")
+    if not 0 <= i < model.dim:
+        raise ValidationError(f"axis index {i} out of range with d={model.dim}")
     values, mean, _, _ = _pair_law(model, kernel, k, l, mode, n_pairs, seed)
     return mean(values(i))
 
@@ -461,46 +467,41 @@ class KernelPriceReport:
 
 
 def kernel_price(
-    model: MixtureModel,
-    kernel: KernelSpec,
-    tree: KernelTree,
-    n: int = 0,
-    seed: int = 0,
-    mode: str = "exact",
-    leaf_subsample: int = 2048,
+    model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 0, mode: str = "exact"
 ) -> KernelPriceReport:
-    """Price of the kernel tree in the embedding space.
+    """Price of the kernel tree in the embedding space of ``tree.kernel``.
 
     Baseline: E||phi(x) - phi_{component(x)}||^2.  The tree cost is reported
     both with leaf-conditional mean embeddings (price) and with the assigned
-    component embedding (price_hat).  Exact for all-discrete models; the MC
-    path plugs in empirical leaf embeddings, subsampling each leaf's
-    quadratic term at ``leaf_subsample`` points.
+    component embedding (price_hat).  Exact for all-discrete models.  The MC
+    path draws ``sample(model, n, seed)`` and embeds each component and each
+    leaf by its first ``_MC_EMBED_ROWS`` rows; the draws are i.i.d., so such
+    a prefix is a uniform random subset.
     """
+    kernel = tree.kernel
     _check_kernel_dim(model, kernel)
     if tree.dim != model.dim or tree.n_leaves != model.k:
         raise IncompatibilityError("tree does not match the model")
     if mode not in ("exact", "mc"):
         raise ValidationError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if leaf_subsample < 1:
-        raise ValidationError(f"leaf_subsample must be >= 1, got {leaf_subsample}")
 
     if mode == "exact":
         if not model.all_discrete():
             raise ValidationError("kernel_price in exact mode requires finite-discrete components")
         pts, w, comp = _support_enumeration(model)
+        cap = None
     else:
         if n < 100:
             raise ValidationError("kernel_price in mc mode needs n >= 100")
         data = sample(model, n, seed)
         pts, w, comp = data.points, np.full(n, 1.0 / n), data.labels
+        cap = _MC_EMBED_ROWS
 
     assigned = assign_components(tree, pts)
 
     # Component k's reference points C_k and leaf k's quadrature points Q_k
     # are row indices into one pool: C_k is the support in exact mode, and in
-    # mc mode the component's draws (subsampled), or two fresh draws if it
-    # got none.
+    # mc mode the component's first draws, or two fresh draws if it got none.
     pool = [pts]
     size = pts.shape[0]
     refs = []
@@ -513,9 +514,7 @@ def kernel_price(
             pool.append(model.components[k].sample(np.random.default_rng(seed ^ (k + 1)), 2))
             idx = np.arange(size, size + 2)
             size += 2
-        if idx.size > leaf_subsample:
-            rng = np.random.default_rng(seed ^ (k + 101))
-            idx = idx[rng.choice(idx.size, leaf_subsample, replace=False)]
+        idx = idx[:cap]
         refs.append((idx, np.full(idx.size, 1.0 / idx.size)))
     pool = np.vstack(pool)
 
@@ -532,15 +531,10 @@ def kernel_price(
         c_idx, c_mass = refs[k]
         own = np.flatnonzero(comp == k)
         leaf = np.flatnonzero(assigned == k)
+        q_idx = leaf[:cap]
+        q = w[q_idx] / w[q_idx].sum()
         if leaf.size == 0:
             fallbacks.append(k)
-            q_idx, q = leaf, np.empty(0)
-        elif leaf.size > leaf_subsample:
-            rng, rw = np.random.default_rng(seed ^ (k + 7919)), w[leaf]
-            q_idx = leaf[rng.choice(leaf.size, leaf_subsample, replace=False, p=rw / rw.sum())]
-            q = np.full(leaf_subsample, 1.0 / leaf_subsample)
-        else:
-            q_idx, q = leaf, w[leaf] / w[leaf].sum()
         cols = np.union1d(c_idx, q_idx)
         mass = np.zeros((cols.size, 2))
         mass[np.searchsorted(cols, c_idx), 0] = c_mass

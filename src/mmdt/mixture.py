@@ -422,9 +422,10 @@ def fit_gmm(
 
     Means start from farthest-point seeding (first seed drawn from ``seed``),
     variances at unit scale.  Iterates until the total log-likelihood improves
-    by less than ``tol`` or ``max_iters`` is hit.  An empty component is
-    reseeded at the worst-explained point.  The log-likelihood trace is
-    asserted non-decreasing except immediately after a reseed.
+    by less than ``tol`` or ``max_iters`` is hit.  Components that went
+    empty are reseeded at the worst-explained points, one point each.  The
+    log-likelihood trace is asserted non-decreasing except immediately after
+    a reseed.
     """
     X = data.points
     n, d = X.shape
@@ -452,15 +453,12 @@ def fit_gmm(
         check_monotone = True
 
         nk = resp.sum(axis=1)
-        empty = nk < 1e-10
-        if np.any(empty):
-            # Reseed dead components at the point the model explains worst.
-            worst = int(np.argmin(log_norm))
-            global_var = np.maximum(X.var(axis=0), VARIANCE_FLOOR)
-            for j in np.flatnonzero(empty):
-                means[j] = X[worst]
-                variances[j] = global_var
-                weights[j] = 1.0 / n
+        dead = np.flatnonzero(nk < 1e-10)
+        if dead.size:
+            # Reseed the j-th dead component at the j-th worst-explained point.
+            means[dead] = X[np.argsort(log_norm, kind="stable")[: dead.size]]
+            variances[dead] = np.maximum(X.var(axis=0), VARIANCE_FLOOR)
+            weights[dead] = 1.0 / n
             weights = weights / weights.sum()
             check_monotone = False
             prev_ll = -np.inf

@@ -204,7 +204,7 @@ def test_criterion_07_kernel_price_battery():
         prices = []
         for s in range(20):
             tree = build_kernel_mmdt(model, kernel, stats, seed=s)
-            prices.append(kernel_price(model, kernel, tree).price)
+            prices.append(kernel_price(model, tree).price)
         min_slack = min(min_slack, bound - float(np.mean(prices)))
     elapsed = time.perf_counter() - start
     ok = min_slack >= 0.0 and elapsed < 300.0

@@ -14,7 +14,7 @@ from mmdt import (
     exact_error_rate_gaussian,
     exact_eval_discrete,
     mc_eval,
-    price_l2sq,
+    sample,
     thm1_bound,
     thm3_bound,
     thm4_floor,
@@ -27,7 +27,7 @@ from mmdt.adversarial import (
     gen_thm4,
     thm4_canonical_tree,
 )
-from mmdt.evaluate import BOUND_CONSTANT, _leaf_cells, _mc_sample, weighted_median
+from mmdt.evaluate import BOUND_CONSTANT, _leaf_cells, weighted_median
 from mmdt.tree import assign_components
 from mmdt.tree import AxisCut, AxisTree, TreeNode
 
@@ -152,7 +152,7 @@ def test_mc_eval_leaf_medians_are_lower_rank_medians(n):
     )
     tree = build_mmdt(m, BuildOptions(objective="gaussian"))
     rep = mc_eval(m, tree, n, seed=8)
-    pts = _mc_sample(m, n, 8).points
+    pts = sample(m, n, 8).points
     leaf = assign_components(tree, pts)
     medians = np.array([
         np.sort(pts[leaf == k], axis=0)[((leaf == k).sum() + 1) // 2 - 1] for k in range(2)
@@ -189,8 +189,8 @@ def test_price_l2sq_examples():
         [0.5, 0.5],
     )
     ftree = build_mmdt(far, BuildOptions(objective="gaussian"))
-    val = price_l2sq(far, ftree, 50_000, seed=2)
-    ref = price_l2sq(far, ftree, 200_000, seed=3)
+    val = mc_eval(far, ftree, 50_000, seed=2).price_l2sq
+    ref = mc_eval(far, ftree, 200_000, seed=3).price_l2sq
     assert val == pytest.approx(ref, abs=0.02)
     assert val == pytest.approx(1.0, abs=0.02)
 
@@ -214,6 +214,26 @@ def test_price_l2sq_examples():
         w @ ((pts - np.where(side[:, None], centers[0], centers[1])) ** 2).sum(axis=1)
     )
     assert rep.price_l2sq == pytest.approx(cost / base, abs=1e-12)
+
+
+def test_mc_price_l2sq_baseline_comes_from_the_components():
+    # sigma is an optional JSON field, and the tree here is fixed: it must
+    # not move the squared-l2 price.
+    comps = (Component.gaussian([0.0, 0.0], [1.0, 2.0]), Component.gaussian([6.0, 1.0], [1.0, 2.0]))
+    tree = AxisTree(
+        root=TreeNode(cut=AxisCut(0, 3.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
+        dim=2,
+        n_leaves=2,
+    )
+    pooled = mc_eval(MixtureModel.create(comps, [0.5, 0.5]), tree, 20_000, seed=1)
+    given = mc_eval(MixtureModel.create(comps, [0.5, 0.5], sigma=[3.0, 3.0]), tree, 20_000, seed=1)
+    assert given.price_l2sq == pooled.price_l2sq
+    assert given.price_l1 == pooled.price_l1
+    assert pooled.price_l2sq == pytest.approx(1.0, abs=0.05)
+    # a zero-noise model puts every draw on its mean: a zero-cost tree prices at 1
+    atoms = (Component.discrete([[0.0, 0.0]], [1.0]), Component.discrete([[6.0, 1.0]], [1.0]))
+    points = MixtureModel.create(atoms, [0.5, 0.5])
+    assert mc_eval(points, tree, 1000, seed=1).price_l2sq == 1.0
 
 
 def test_thm1_bound_examples():

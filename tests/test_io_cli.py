@@ -561,7 +561,9 @@ def test_wine_dataset_vendored():
 
 # sha256 of every CLI artifact below, recorded at commit af305c0 with numpy
 # 2.4.6.  Tree JSON (key order included), DOT text and `eval --json` reports
-# of both tree kinds must stay byte-identical.
+# of both tree kinds must stay byte-identical.  gaussian.eval was re-recorded
+# when the axis MC eval moved to one `sample` draw and a squared-l2 baseline
+# from the components.
 _ARTIFACT_SHA256 = {
     "chebyshev": "6d04530dce576696b1596e1646361b082d9e2c8743a71e1d89432a60ca5133e2",
     "chebyshev.dot": "3a3a2d033664335356562f19a2024466d6b0925e420918886669d5ef74a7a7ae",
@@ -576,7 +578,7 @@ _ARTIFACT_SHA256 = {
     "imm": "eb978b42fd7194df8e647c35b138eaffe1d0d6a3d9e771ea5189d91bae050b22",
     "imm.dot": "a53dcfb7c5fa2b6a8805066bec7bad13ab166c6beebf304b42a6a774fa877351",
     "exact-discrete.eval": "08efd63cf8407b8ac77b87cdc5ddcce4a29764a4822a7ef195953522c77df36a",
-    "gaussian.eval": "984943afa97ca8c5410bec8897d0ff2ea1741840580ad78792495706bbb43036",
+    "gaussian.eval": "725ae07958cc90cabc353317de7c975901fdf80c9db707e452bd7b6025bb6d3f",
     "kernel-exact.eval": "2a628625ae32147ffb745dafc7fde2bc90410c70af0305e540b0d4274ff90264",
     "kernel-mc.eval": "406b72a0deb534e301ec84eca2919b72fd238a15b48ad6927fe7d0f0cbafd1be",
 }

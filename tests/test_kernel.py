@@ -20,6 +20,7 @@ from mmdt import (
     thm5_bound,
     xi,
 )
+from mmdt import kernel as kernel_module
 from mmdt.errors import IncompatibilityError
 from mmdt.kernel import (
     KernelPriceReport,
@@ -284,6 +285,19 @@ def test_statistics_reject_unknown_mode(call, mode):
         call(model, ker, mode)
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_statistics_reject_component_index_out_of_range(mode):
+    model, ker = translate_battery(3)
+    for k, l in ((-1, 0), (0, -1), (model.k, 0), (0, model.k), (-1, -1)):
+        with pytest.raises(ValidationError, match="component index out of range"):
+            mmd(model, ker, k, l, mode=mode, n_pairs=100)
+        with pytest.raises(ValidationError, match="component index out of range"):
+            xi(model, ker, 0, k, l, mode=mode, n_pairs=100)
+    for i in (-1, model.dim):
+        with pytest.raises(ValidationError, match="axis index"):
+            xi(model, ker, i, 0, 1, mode=mode, n_pairs=100)
+
+
 def test_exact_statistics_require_discrete_components():
     comps = (Component.gaussian([0.0], [1.0]), Component.discrete([[3.0]], [1.0]))
     model = MixtureModel.create(comps, [0.5, 0.5])
@@ -393,7 +407,7 @@ def test_statistics_match_the_per_function_branches():
                     assert xi(model, ker, i, k, l, *args) == reference_xi(model, ker, i, k, l, *args)
 
 
-def test_mc_paths_with_gaussian_components():
+def test_mc_paths_with_gaussian_components(monkeypatch):
     comps = (
         Component.gaussian([0.0, 0.0], [0.3, 0.3]),
         Component.gaussian([4.0, 0.2], [0.3, 0.3]),
@@ -411,7 +425,8 @@ def test_mc_paths_with_gaussian_components():
     )
     assert mmd(model, ker, 0, 1, mode="mc", n_pairs=50_000, seed=3) > 0.5
     tree = build_kernel_mmdt(model, ker, st, seed=0)
-    rep = kernel_price(model, ker, tree, n=4000, seed=5, mode="mc", leaf_subsample=512)
+    monkeypatch.setattr(kernel_module, "_MC_EMBED_ROWS", 512)
+    rep = kernel_price(model, tree, n=4000, seed=5, mode="mc")
     assert rep.price == pytest.approx(1.0, abs=0.1)
     assert rep.error_rate < 0.05
 
@@ -420,7 +435,7 @@ def test_kernel_price_exact_matches_brute_force():
     model, ker = translate_battery(404)
     st = kernel_stats(model, ker)
     tree = build_kernel_mmdt(model, ker, st, seed=1)
-    rep = kernel_price(model, ker, tree)
+    rep = kernel_price(model, tree)
     # brute-force Hilbert-norm expansion over the joint support
     pts, w, comp = [], [], []
     for k, c in enumerate(model.components):
@@ -463,31 +478,37 @@ def test_kernel_price_zero_noise():
     model, ker = point_pair()
     st = kernel_stats(model, ker)
     tree = build_kernel_mmdt(model, ker, st, seed=0)
-    rep = kernel_price(model, ker, tree)
+    rep = kernel_price(model, tree)
     assert rep.price == 1.0 and rep.error_rate == 0.0
 
 
-def test_kernel_price_mc_mode():
+def test_kernel_price_mc_mode(monkeypatch):
     model, ker = translate_battery(300)
     st = kernel_stats(model, ker)
     tree = build_kernel_mmdt(model, ker, st, seed=0)
-    exact = kernel_price(model, ker, tree)
-    approx = kernel_price(model, ker, tree, n=5000, seed=4, mode="mc", leaf_subsample=512)
+    exact = kernel_price(model, tree)
+    monkeypatch.setattr(kernel_module, "_MC_EMBED_ROWS", 512)
+    approx = kernel_price(model, tree, n=5000, seed=4, mode="mc")
     assert approx.price == pytest.approx(exact.price, abs=0.05)
     assert approx.error_rate == pytest.approx(exact.error_rate, abs=0.02)
 
 
-def dense_kernel_price(model, ker, tree, n=0, seed=0, mode="exact", leaf_subsample=2048):
+def dense_kernel_price(model, tree, n=0, seed=0, mode="exact"):
     # Reference: the five separate Gram products per component and leaf that
     # the blocked single pass replaced (self-similarity, own rows, assigned
-    # rows, leaf norm, leaf cross term), with the same random streams.
+    # rows, leaf norm, leaf cross term).  Exact mode uses every support row;
+    # mc mode the first rows of each component and leaf, or two fresh draws
+    # for a component without draws.
+    ker = tree.kernel
     if mode == "exact":
+        cap = None
         pts = np.vstack([c.support for c in model.components])
         w = np.concatenate([model.weights[k] * c.mass for k, c in enumerate(model.components)])
         comp = np.concatenate([np.full(c.support.shape[0], k) for k, c in enumerate(model.components)])
         comp_support = [c.support for c in model.components]
         comp_mass = [c.mass for c in model.components]
     else:
+        cap = kernel_module._MC_EMBED_ROWS
         rng = np.random.default_rng(seed)
         comp = rng.choice(model.k, size=n, p=model.weights)
         pts = np.empty((n, model.dim))
@@ -497,12 +518,9 @@ def dense_kernel_price(model, ker, tree, n=0, seed=0, mode="exact", leaf_subsamp
         w = np.full(n, 1.0 / n)
         comp_support, comp_mass = [], []
         for k in range(model.k):
-            rows = pts[comp == k]
+            rows = pts[comp == k][:cap]
             if rows.shape[0] == 0:
                 rows = model.components[k].sample(np.random.default_rng(seed ^ (k + 1)), 2)
-            if rows.shape[0] > leaf_subsample:
-                rows = rows[np.random.default_rng(seed ^ (k + 101)).choice(
-                    rows.shape[0], leaf_subsample, replace=False)]
             comp_support.append(rows)
             comp_mass.append(np.full(rows.shape[0], 1.0 / rows.shape[0]))
     assigned = assign_components(tree, pts)
@@ -521,16 +539,9 @@ def dense_kernel_price(model, ker, tree, n=0, seed=0, mode="exact", leaf_subsamp
         if not mine.any():
             fallbacks.append(k)
             continue
-        rows, rw = pts[mine], w[mine]
-        if rows.shape[0] > leaf_subsample:
-            sel = np.random.default_rng(seed ^ (k + 7919)).choice(
-                rows.shape[0], leaf_subsample, replace=False, p=rw / rw.sum()
-            )
-            q_pts, q = rows[sel], np.full(leaf_subsample, 1.0 / leaf_subsample)
-        else:
-            q_pts, q = rows, rw / rw.sum()
+        q_pts, q = pts[mine][:cap], w[mine][:cap] / w[mine][:cap].sum()
         leaf_norm = q @ _full_gram(ker, q_pts, q_pts) @ q
-        cost_tilde[mine] = 1.0 + leaf_norm - 2.0 * cross(rows, q_pts, q)
+        cost_tilde[mine] = 1.0 + leaf_norm - 2.0 * cross(pts[mine], q_pts, q)
     baseline, tree_cost = float(w @ cost_own), float(w @ cost_tilde)
     return KernelPriceReport(
         price=tree_cost / baseline,
@@ -544,9 +555,9 @@ def dense_kernel_price(model, ker, tree, n=0, seed=0, mode="exact", leaf_subsamp
     )
 
 
-def assert_matches_dense(model, ker, tree, **kwargs):
-    got = kernel_price(model, ker, tree, **kwargs)
-    want = dense_kernel_price(model, ker, tree, **kwargs)
+def assert_matches_dense(model, tree, **kwargs):
+    got = kernel_price(model, tree, **kwargs)
+    want = dense_kernel_price(model, tree, **kwargs)
     assert got.error_rate == want.error_rate
     assert got.fallback_leaves == want.fallback_leaves
     for field in ("price", "price_hat", "baseline_cost", "tree_cost"):
@@ -554,19 +565,11 @@ def assert_matches_dense(model, ker, tree, **kwargs):
     return got
 
 
-@pytest.mark.parametrize("mode, leaf_subsample", [("mc", 0), ("mc", -3), ("exact", 0)])
-def test_kernel_price_rejects_leaf_subsample_below_one(mode, leaf_subsample):
-    model, ker = translate_battery(3)
-    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
-    with pytest.raises(ValidationError, match="leaf_subsample must be >= 1"):
-        kernel_price(model, ker, tree, n=500, seed=1, mode=mode, leaf_subsample=leaf_subsample)
-
-
 def test_kernel_price_matches_dense_on_translate_battery():
     for i in range(30):
         model, ker = translate_battery(8000 + i)
         tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=i)
-        assert_matches_dense(model, ker, tree)
+        assert_matches_dense(model, tree)
 
 
 def mislabeled_moments(seed, n=600, k=3, d=2, flip=0.05):
@@ -582,14 +585,16 @@ def mislabeled_moments(seed, n=600, k=3, d=2, flip=0.05):
 
 
 @pytest.mark.filterwarnings("ignore:component self-similarities differ")
-def test_kernel_price_matches_dense_with_misrouted_rows():
+def test_kernel_price_matches_dense_with_misrouted_rows(monkeypatch):
     for seed in range(3):
         model = mislabeled_moments(seed)
         ker = KernelSpec.uniform("gaussian", 1.0, model.dim)
         tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=seed)
-        # exact, and exact with leaves subsampled through their weights
-        assert assert_matches_dense(model, ker, tree).error_rate > 0.0
-        assert_matches_dense(model, ker, tree, leaf_subsample=64)
+        assert assert_matches_dense(model, tree).error_rate > 0.0
+        # exact mode uses every row of a leaf, whatever the mc cap
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel_module, "_MC_EMBED_ROWS", 64)
+            assert_matches_dense(model, tree)
 
 
 def overlapping_gaussians():
@@ -600,14 +605,15 @@ def overlapping_gaussians():
     return model, ker, tree
 
 
-def test_kernel_price_matches_dense_in_mc_mode():
-    # Components and leaves differ, and with 64-point subsamples the
-    # component's and the leaf's reference points are different draws.
+def test_kernel_price_matches_dense_in_mc_mode(monkeypatch):
+    # Components and leaves differ, so with 64-row prefixes the component's
+    # and the leaf's reference points are different draws.
     model, ker, tree = overlapping_gaussians()
+    assert_matches_dense(model, tree, n=500, seed=5, mode="mc")
+    monkeypatch.setattr(kernel_module, "_MC_EMBED_ROWS", 64)
     for seed in (3, 4):
-        rep = assert_matches_dense(model, ker, tree, n=3000, seed=seed, mode="mc", leaf_subsample=64)
+        rep = assert_matches_dense(model, tree, n=3000, seed=seed, mode="mc")
         assert rep.error_rate > 0.0
-    assert_matches_dense(model, ker, tree, n=500, seed=5, mode="mc")
 
 
 def without_draws(model):
@@ -622,10 +628,10 @@ def test_kernel_price_mc_component_without_draws():
     # overlapping gaussians other components' rows are routed to its leaf.
     model, ker = translate_battery(8100)
     tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
-    rep = assert_matches_dense(without_draws(model), ker, tree, n=400, seed=2, mode="mc")
+    rep = assert_matches_dense(without_draws(model), tree, n=400, seed=2, mode="mc")
     assert 0 in rep.fallback_leaves
     model, ker, tree = overlapping_gaussians()
-    rep = assert_matches_dense(without_draws(model), ker, tree, n=3000, seed=6, mode="mc")
+    rep = assert_matches_dense(without_draws(model), tree, n=3000, seed=6, mode="mc")
     assert rep.fallback_leaves == ()
 
 
@@ -633,7 +639,7 @@ def test_kernel_price_rejects_unknown_mode():
     model, ker = point_pair()
     tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
     with pytest.raises(ValidationError, match="'Exact'"):
-        kernel_price(model, ker, tree, n=1000, mode="Exact")
+        kernel_price(model, tree, n=1000, mode="Exact")
 
 
 def test_kernel_price_mc_memory_is_bounded():
@@ -643,12 +649,32 @@ def test_kernel_price_mc_memory_is_bounded():
     tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker, mode="mc", n_pairs=2000), seed=0)
     tracemalloc.start()
     try:
-        rep = kernel_price(model, ker, tree, n=50_000, seed=1, mode="mc")
+        rep = kernel_price(model, tree, n=50_000, seed=1, mode="mc")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.error_rate == 0.0 and rep.fallback_leaves == ()
     assert peak < 64 * 2**20
+    # Every row lies in its own component's leaf, so the leaf's prefix of
+    # draws is the component's: the two embeddings, and prices, coincide.
+    assert rep.price == rep.price_hat == 1.0
+
+
+@pytest.mark.filterwarnings("ignore:component self-similarities differ")
+def test_kernel_price_exact_uses_every_row_of_large_leaves():
+    # Both leaves hold more support rows than the mc prefix length.
+    model = mislabeled_moments(0, n=4500, k=2, d=1)
+    ker = KernelSpec.uniform("gaussian", 1.0, model.dim)
+    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
+    pts = np.vstack([c.support for c in model.components])
+    assert np.bincount(assign_components(tree, pts)).min() > kernel_module._MC_EMBED_ROWS
+    want = dense_kernel_price(model, tree)
+    assert want.error_rate > 0.0
+    for seed in (0, 1, 2):
+        got = kernel_price(model, tree, seed=seed)
+        assert got.error_rate == want.error_rate and got.fallback_leaves == ()
+        for field in ("price", "price_hat", "baseline_cost", "tree_cost"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0)
 
 
 def test_thm5_bound_examples():

@@ -285,9 +285,9 @@ def _dense_fit_gmm(points, k, seed, max_iters=200, tol=1e-6):
         empty = resp.sum(axis=0) < 1e-10
         if np.any(empty):
             reseeds += 1
-            worst = int(np.argmin(log_norm))
-            for j in np.flatnonzero(empty):
-                means[j] = points[worst]
+            worst = np.argsort(log_norm, kind="stable")
+            for rank, j in enumerate(np.flatnonzero(empty)):
+                means[j] = points[worst[rank]]
                 variances[j] = np.maximum(points.var(axis=0), VARIANCE_FLOOR)
                 weights[j] = 1.0 / n
             weights = weights / weights.sum()
@@ -372,6 +372,23 @@ def test_fit_gmm_matches_dense_reference(points, k, seed):
     np.testing.assert_allclose(model.means(), means, rtol=1e-9, atol=1e-9)
     got_var = np.array([c.stddev**2 for c in model.components])
     np.testing.assert_allclose(got_var, variances, rtol=1e-9)
+    np.testing.assert_allclose(model.weights, weights, rtol=1e-9)
+
+
+def test_fit_gmm_reseeds_components_that_die_together_apart():
+    # Components 4 and 5 go empty in the same iteration.  Reseeded at one
+    # point with one variance they stayed identical, and the fit ended in
+    # "components 4 and 5 share the same mean"; the j-th dead component now
+    # restarts at the j-th worst-explained point.
+    points = np.array(
+        [[1.0, 2.0], [1.0, -1.0], [0.0, 1.0], [0.0, 1.0], [2.0, 2.0], [-1.0, -1.0], [1.0, -1.0]]
+    )
+    (means, variances, weights), history, _, reseeds = _dense_fit_gmm(points, 6, 4077)
+    assert reseeds == 1
+    model, got_history = fit_gmm(LabeledDataset(points=points), 6, seed=4077, return_history=True)
+    assert len(got_history) == len(history)
+    np.testing.assert_allclose(got_history, history, rtol=1e-9)
+    np.testing.assert_allclose(model.means(), means, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(model.weights, weights, rtol=1e-9)
 
 
