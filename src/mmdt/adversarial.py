@@ -1,7 +1,8 @@
 """Generators and exact evaluators for hard instances used as test oracles.
 
-Three constructions are provided, all with exact rational masses converted
-to floats only at the end:
+Three constructions are provided.  Each component is a star: its center
+(when that carries mass) and the 2d points one unit away along each axis,
+with exact rational masses converted to floats only at the end:
 
 * ``thm2-logk`` -- K clusters around well-spread sign-vector centers in
   dimension K^3, each cluster putting mass on the center (M copies) and on
@@ -28,8 +29,6 @@ from .errors import ValidationError
 from .mixture import Component, LabeledDataset, MixtureModel
 from .tree import AxisCut, AxisTree, TreeNode, _midpoint_candidates
 
-CONSTRUCTIONS = ("thm2-logk", "thm4-basis", "b3-constprice")
-
 
 @dataclass(frozen=True)
 class AdversarialInstance:
@@ -50,13 +49,19 @@ class AdversarialInstance:
         }
 
 
-def _uniform_discrete(support: list[list[Fraction]], masses: list[Fraction]) -> Component:
+def _star(center: np.ndarray, center_mass: Fraction, step_mass: Fraction) -> Component:
+    """Discrete component on ``center`` (listed only when ``center_mass`` > 0),
+    then ``center + e_i`` and ``center - e_i`` for each axis i in order, each
+    with ``step_mass``."""
+    d = center.shape[0]
+    masses = ([center_mass] if center_mass > 0 else []) + [step_mass] * (2 * d)
     total = sum(masses)
     if total != 1:
         raise ValidationError(f"masses sum to {total}, expected 1")
-    sup = np.array([[float(v) for v in row] for row in support])
-    mass = np.array([float(m) for m in masses])
-    return Component.discrete(sup, mass)
+    eye = np.eye(d)
+    steps = np.stack([center + eye, center - eye], axis=1).reshape(2 * d, d)
+    support = np.vstack([center, steps]) if center_mass > 0 else steps
+    return Component.discrete(support, [float(m) for m in masses])
 
 
 def _agreement_count(centers: np.ndarray, axes: tuple[int, ...]) -> int:
@@ -76,6 +81,8 @@ def gen_thm2(k: int, m: int, seed: int = 0, max_retries: int = 1000) -> Adversar
         raise ValidationError("need at least two components")
     if m < 0:
         raise ValidationError("m must be non-negative")
+    if max_retries < 1:
+        raise ValidationError("max_retries must be >= 1")
     d = k**3
     rng = np.random.default_rng(seed)
     eps = math.log(k) / math.sqrt(k)
@@ -122,24 +129,8 @@ def gen_thm2(k: int, m: int, seed: int = 0, max_retries: int = 1000) -> Adversar
     if centers is None:
         raise ValidationError(f"retries exhausted generating thm2 instance: {failure}")
 
-    per_point = Fraction(1, m + 2 * d)
-    comps = []
-    for c in range(k):
-        center = [Fraction(int(v)) for v in centers[c]]
-        support: list[list[Fraction]] = []
-        masses: list[Fraction] = []
-        if m > 0:
-            support.append(center)
-            masses.append(m * per_point)
-        for i in range(d):
-            for sign in (1, -1):
-                row = list(center)
-                row[i] = row[i] + sign
-                support.append(row)
-                masses.append(per_point)
-        comps.append(_uniform_discrete(support, masses))
-    weights = np.full(k, 1.0 / k)
-    model = MixtureModel.create(tuple(comps), weights, alpha=1.0)
+    comps = [_star(c, Fraction(m, m + 2 * d), Fraction(1, m + 2 * d)) for c in centers]
+    model = MixtureModel.create(comps, np.full(k, 1.0 / k), alpha=1.0)
 
     # Per-axis variance is 2/(m+2d); the closest pair differs by 2 on some
     # axis, so the exact explainability-to-noise ratio is 4/(2/(m+2d)).
@@ -161,26 +152,9 @@ def gen_thm4(k: int, q: int) -> AdversarialInstance:
         raise ValidationError("need at least two components")
     if q < k:
         raise ValidationError("construction requires q >= K")
-    d = k
     eps = Fraction(1, 2 * q)
-    center_mass = 1 - 2 * d * eps
-    comps = []
-    for c in range(k):
-        mean = [Fraction(1) if j == c else Fraction(0) for j in range(d)]
-        support: list[list[Fraction]] = []
-        masses: list[Fraction] = []
-        if center_mass > 0:
-            support.append(list(mean))
-            masses.append(center_mass)
-        for i in range(d):
-            for sign in (1, -1):
-                row = list(mean)
-                row[i] = row[i] + sign
-                support.append(row)
-                masses.append(eps)
-        comps.append(_uniform_discrete(support, masses))
-    weights = np.full(k, 1.0 / k)
-    model = MixtureModel.create(tuple(comps), weights, alpha=1.0)
+    comps = [_star(mean, 1 - 2 * k * eps, eps) for mean in np.eye(k)]
+    model = MixtureModel.create(comps, np.full(k, 1.0 / k), alpha=1.0)
 
     # The ordered-separation tree's exact error: component c can cross at
     # each of the first c cuts plus its own separating cut, each with
@@ -225,19 +199,8 @@ def gen_b3(d: int) -> AdversarialInstance:
     if d < 2:
         raise ValidationError("need d >= 2")
     eps = Fraction(1, 2 * d)
-    comps = []
-    for sign in (1, -1):
-        mean = [Fraction(sign, 2)] * d
-        support: list[list[Fraction]] = []
-        masses: list[Fraction] = []
-        for i in range(d):
-            for dev in (1, -1):
-                row = list(mean)
-                row[i] = row[i] + dev
-                support.append(row)
-                masses.append(eps)
-        comps.append(_uniform_discrete(support, masses))
-    model = MixtureModel.create(tuple(comps), np.array([0.5, 0.5]), alpha=1.0)
+    comps = [_star(np.full(d, sign / 2), Fraction(0), eps) for sign in (1, -1)]
+    model = MixtureModel.create(comps, np.array([0.5, 0.5]), alpha=1.0)
     targets = {
         "price": 1.5 - 1.0 / d,
         "baseline_l1": 1.0,

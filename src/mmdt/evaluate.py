@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
 from .mixture import DISCRETE, MixtureModel, enr, sample
-from .tree import AxisTree, TreeNode, assign_components, normal_upper_tail
+from .tree import AxisTree, assign_components, leaf_cells, normal_upper_tail
 
 # Constant of the price / error-rate bounds: 4 + 2*pi^2/3.
 BOUND_CONSTANT = 4.0 + 2.0 * math.pi**2 / 3.0
@@ -274,25 +274,6 @@ def beta_estimate(model: MixtureModel) -> float:
     return float(beta)
 
 
-def _leaf_cells(tree: AxisTree) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    cells: list[tuple[int, np.ndarray, np.ndarray]] = []
-
-    def walk(node: TreeNode, lo: np.ndarray, hi: np.ndarray):
-        if node.is_leaf:
-            cells.append((node.leaf, lo.copy(), hi.copy()))
-            return
-        hi_left = hi.copy()
-        hi_left[node.cut.axis] = min(hi[node.cut.axis], node.cut.theta)
-        lo_right = lo.copy()
-        lo_right[node.cut.axis] = max(lo[node.cut.axis], node.cut.theta)
-        walk(node.left, lo, hi_left)
-        walk(node.right, lo_right, hi)
-
-    d = tree.dim
-    walk(tree.root, np.full(d, -np.inf), np.full(d, np.inf))
-    return cells
-
-
 @np.errstate(divide="ignore")  # a cell holding none of its component's mass: log1p(-1) = -inf
 def exact_error_rate_gaussian(model: MixtureModel, tree: AxisTree) -> float:
     """Closed-form error rate for all-Gaussian models: the mass each
@@ -303,7 +284,7 @@ def exact_error_rate_gaussian(model: MixtureModel, tree: AxisTree) -> float:
     if not model.all_gaussian():
         raise ValidationError("exact gaussian error rate requires gaussian components")
     error = 0.0
-    for leaf, lo, hi in _leaf_cells(tree):
+    for leaf, lo, hi in leaf_cells(tree):
         c = model.components[leaf]
         outside = normal_upper_tail((hi - c.mean) / c.stddev) + normal_upper_tail((c.mean - lo) / c.stddev)
         error += model.weights[leaf] * -math.expm1(np.log1p(-outside).sum())

@@ -485,14 +485,14 @@ def log_likelihood(model: MixtureModel, data: LabeledDataset) -> float:
 
 def empirical_moments(data: LabeledDataset, k: int) -> MixtureModel:
     """Ground-truth-label path: per-label discrete components with uniform
-    mass, weights from label frequencies, sigma pooled within components."""
+    mass, weights from label frequencies, sigma pooled within components
+    by ``MixtureModel.create``."""
     if data.labels is None:
         raise ValidationError("empirical_moments requires labels")
     if k < 1:
         raise ValidationError("k must be >= 1")
     comps = []
     weights = []
-    pooled = np.zeros(data.dim)
     n = data.n
     for label in range(k):
         rows = data.points[data.labels == label]
@@ -502,9 +502,6 @@ def empirical_moments(data: LabeledDataset, k: int) -> MixtureModel:
         order = np.lexsort(rows.T[::-1])
         rows = rows[order]
         mass = np.full(rows.shape[0], 1.0 / rows.shape[0])
-        comp = Component.discrete(rows, mass)
-        comps.append(comp)
+        comps.append(Component.discrete(rows, mass))
         weights.append(rows.shape[0] / n)
-        pooled += (rows.shape[0] / n) * comp.variances()
-    sigma = np.sqrt(np.maximum(pooled, VARIANCE_FLOOR))
-    return MixtureModel.create(tuple(comps), np.array(weights), sigma=sigma)
+    return MixtureModel.create(tuple(comps), np.array(weights))

@@ -500,38 +500,43 @@ def build_mmdt(model: MixtureModel, options: BuildOptions | None = None) -> Axis
     )
 
 
+def leaf_cells(tree: AxisTree) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(leaf, lo, hi) for every leaf in depth-first order, the leaf's cell
+    being the box lo < x <= hi.  A cut outside its node's cell leaves an
+    empty box (lo >= hi on the cut's axis) on one side of it."""
+    cells: list[tuple[int, np.ndarray, np.ndarray]] = []
+
+    def walk(node: TreeNode, lo: np.ndarray, hi: np.ndarray):
+        if node.is_leaf:
+            cells.append((node.leaf, lo.copy(), hi.copy()))
+            return
+        axis, theta = node.cut.axis, node.cut.theta
+        hi_left = hi.copy()
+        hi_left[axis] = min(hi[axis], theta)
+        lo_right = lo.copy()
+        lo_right[axis] = max(lo[axis], theta)
+        walk(node.left, lo, hi_left)
+        walk(node.right, lo_right, hi)
+
+    walk(tree.root, np.full(tree.dim, -np.inf), np.full(tree.dim, np.inf))
+    return cells
+
+
 def check_structure(tree: AxisTree, means: np.ndarray) -> None:
     """Assert the structural invariants against component means (K x d):
-    exactly K leaves mapped bijectively onto components, every leaf cell
-    containing its component mean, every internal split nonempty."""
+    every leaf cell contains its component's mean, and the leaves map
+    bijectively onto the components.  A cut outside its node's cell fails
+    the first check, since the cell it leaves below it is empty."""
     k, d = means.shape
     if tree.dim != d:
         raise IncompatibilityError("tree dimension does not match means")
     seen: list[int] = []
-
-    def walk(node: TreeNode, lo: np.ndarray, hi: np.ndarray) -> list[int]:
-        if node.is_leaf:
-            if not (k > node.leaf >= 0):
-                raise ValidationError(f"leaf index {node.leaf} out of range")
-            m = means[node.leaf]
-            if not (np.all(m > lo) and np.all(m <= hi)):
-                raise ValidationError(f"leaf cell does not contain mean of component {node.leaf}")
-            seen.append(node.leaf)
-            return [node.leaf]
-        cut = node.cut
-        if not lo[cut.axis] < cut.theta < hi[cut.axis]:
-            raise ValidationError("cut threshold outside the cell of its node")
-        hi_left = hi.copy()
-        hi_left[cut.axis] = cut.theta
-        lo_right = lo.copy()
-        lo_right[cut.axis] = cut.theta
-        got_left = walk(node.left, lo, hi_left)
-        got_right = walk(node.right, lo_right, hi)
-        if not got_left or not got_right:
-            raise ValidationError("internal node with an empty side")
-        return got_left + got_right
-
-    walk(tree.root, np.full(d, -np.inf), np.full(d, np.inf))
+    for leaf, lo, hi in leaf_cells(tree):
+        if not k > leaf >= 0:
+            raise ValidationError(f"leaf index {leaf} out of range")
+        if not (np.all(means[leaf] > lo) and np.all(means[leaf] <= hi)):
+            raise ValidationError(f"leaf cell does not contain mean of component {leaf}")
+        seen.append(leaf)
     if sorted(seen) != list(range(k)):
         raise ValidationError(f"leaves {sorted(seen)} are not a bijection onto components")
 

@@ -44,8 +44,17 @@ def test_thm2_centers_hamming():
 
 
 def test_thm2_exhausted_retries():
-    with pytest.raises(ValidationError, match="retries exhausted"):
-        gen_thm2(2, 0, seed=0, max_retries=0)
+    # Seed 27's first draw gives two K=2 centers that differ on fewer than
+    # d/4 axes, and its second draw passes.
+    with pytest.raises(ValidationError, match=r"retries exhausted .*: property 1 "):
+        gen_thm2(2, 0, seed=27, max_retries=1)
+    assert gen_thm2(2, 0, seed=27, max_retries=2).params["d"] == 8
+
+
+def test_thm2_rejects_max_retries_below_one():
+    for retries in (0, -1):
+        with pytest.raises(ValidationError, match="max_retries must be >= 1"):
+            gen_thm2(2, 0, seed=0, max_retries=retries)
 
 
 def test_thm4_structure():

@@ -27,8 +27,8 @@ from mmdt.adversarial import (
     gen_thm4,
     thm4_canonical_tree,
 )
-from mmdt.evaluate import BOUND_CONSTANT, _leaf_cells, weighted_median
-from mmdt.tree import assign_components
+from mmdt.evaluate import BOUND_CONSTANT, weighted_median
+from mmdt.tree import assign_components, leaf_cells
 from mmdt.tree import AxisCut, AxisTree, TreeNode
 
 from conftest import gaussian_battery, random_discrete_model
@@ -312,7 +312,7 @@ def _cancelling_error_rate(model, tree):
         return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z])
 
     correct = 0.0
-    for leaf, lo, hi in _leaf_cells(tree):
+    for leaf, lo, hi in leaf_cells(tree):
         c = model.components[leaf]
         inside = norm_cdf((hi - c.mean) / c.stddev) - norm_cdf((lo - c.mean) / c.stddev)
         correct += model.weights[leaf] * float(np.prod(inside))

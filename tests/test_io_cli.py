@@ -419,6 +419,12 @@ def test_cli_bad_inputs_exit_cleanly(tmp_path, capsys, monkeypatch, argv, env, c
         assert err.startswith(f"error: cannot write {bad}")
 
 
+def test_cli_gen_thm2_rejects_zero_retries(tmp_path, capsys):
+    assert run_cli("gen", "thm2", "--max-retries", 0, "--out", tmp_path / "g.json") == 3
+    assert capsys.readouterr().err == "error: max_retries must be >= 1\n"
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = "import sys, mmdt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -563,7 +569,8 @@ def test_wine_dataset_vendored():
 # 2.4.6.  Tree JSON (key order included), DOT text and `eval --json` reports
 # of both tree kinds must stay byte-identical.  gaussian.eval was re-recorded
 # when the axis MC eval moved to one `sample` draw and a squared-l2 baseline
-# from the components.
+# from the components.  The `gen` mixture and `--meta` JSON and the `moments`
+# JSON were recorded at commit a5a28be.
 _ARTIFACT_SHA256 = {
     "chebyshev": "6d04530dce576696b1596e1646361b082d9e2c8743a71e1d89432a60ca5133e2",
     "chebyshev.dot": "3a3a2d033664335356562f19a2024466d6b0925e420918886669d5ef74a7a7ae",
@@ -581,6 +588,15 @@ _ARTIFACT_SHA256 = {
     "gaussian.eval": "725ae07958cc90cabc353317de7c975901fdf80c9db707e452bd7b6025bb6d3f",
     "kernel-exact.eval": "2a628625ae32147ffb745dafc7fde2bc90410c70af0305e540b0d4274ff90264",
     "kernel-mc.eval": "406b72a0deb534e301ec84eca2919b72fd238a15b48ad6927fe7d0f0cbafd1be",
+    "gen-thm2": "53f362397101337770557078de1544e08692fc31b7d4d35591a32f185ed81ea4",
+    "gen-thm2.meta": "7affa294da870271236dd14dc638212e1c5b10172b532d38bc77c8d791f686cf",
+    "gen-thm4": "abe6be2933b690f9480f01bf8244bb2cf05d77c5ae26961973befe924980931f",
+    "gen-thm4.meta": "2d44c20df0429d17aed902825439b62f4affbe3c278d79790adcde19def2df87",
+    "gen-thm4-no-center": "e49bf06be21aece6442da9dea65549c72a1f2541e8deae0dc3494c49ca54e973",
+    "gen-thm4-no-center.meta": "a13ba1d614f8ac70dadfaa818893a05c17ee1625e080deb9d55c6f5ff01ed0f8",
+    "gen-b3": "abc4010dd1ba2c275b803e2addd288d319aae5985fd2a7bc46ec6d51e82ca460",
+    "gen-b3.meta": "f3f419fd02cf7ab643ed1fb476cce2464da86b94f46a78b1163cded4ce678ef3",
+    "moments": "ca47202b70265baede67713904e6a09ae96361ee185062c953b54ef28ff99ada",
 }
 
 
@@ -625,6 +641,20 @@ def _cli_artifact_digests(tmp_path, capsys) -> dict:
     for name, (mix, *flags) in evals.items():
         assert run_cli("eval", "--mixture", mix, "--tree", tmp_path / f"{name}.json", "--json", *flags) == 0
         digests[f"{name}.eval"] = sha(capsys.readouterr().out)
+    gens = {
+        "thm2": ("thm2", "--k", 3, "--m", 2, "--seed", 4),
+        "thm4": ("thm4", "--k", 4, "--q", 6),
+        "thm4-no-center": ("thm4", "--k", 3, "--q", 3),
+        "b3": ("b3", "--d", 5),
+    }
+    for name, argv in gens.items():
+        out, meta = tmp_path / f"gen-{name}.json", tmp_path / f"gen-{name}.meta.json"
+        assert run_cli("gen", *argv, "--out", out, "--meta", meta) == 0
+        digests[f"gen-{name}"] = sha(out.read_bytes())
+        digests[f"gen-{name}.meta"] = sha(meta.read_bytes())
+    moments = tmp_path / "moments.json"
+    assert run_cli("moments", "--data", data, "--k", gauss.k, "--out", moments) == 0
+    digests["moments"] = sha(moments.read_bytes())
     return digests
 
 

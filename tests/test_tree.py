@@ -23,7 +23,10 @@ from mmdt import (
     select_axis,
 )
 from mmdt.adversarial import gen_b3, gen_thm4
+from mmdt.errors import IncompatibilityError
 from mmdt.tree import (
+    AxisCut,
+    TreeNode,
     _midpoint_candidates,
     assign_components,
     check_structure,
@@ -421,6 +424,44 @@ def test_structural_invariants_battery():
         model = random_discrete_model(300 + i)
         tree = build_mmdt(model, BuildOptions(objective="chebyshev"))
         check_structure(tree, model.means())
+
+
+def _leaf(k):
+    return TreeNode(leaf=k)
+
+
+def _cut(axis, theta, left, right):
+    return TreeNode(cut=AxisCut(axis=axis, theta=theta), left=left, right=right)
+
+
+# Component means (0, 0), (4, 0) and (4, 4); the valid tree cuts x1 <= 2,
+# then x2 <= 2 on the right.  Two-component cases use the first two means.
+_MEANS = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0]])
+_VALID = _cut(0, 2.0, _leaf(0), _cut(1, 2.0, _leaf(1), _leaf(2)))
+_BAD_TREES = [
+    pytest.param(2, _cut(0, 2.0, _leaf(1), _leaf(0)), id="two-leaves-swapped"),
+    pytest.param(3, _cut(0, 2.0, _leaf(0), _cut(0, 1.0, _leaf(1), _leaf(2))), id="cut-below-cell"),
+    pytest.param(3, _cut(0, 2.0, _leaf(0), _cut(0, 2.0, _leaf(1), _leaf(2))), id="cut-on-cell-edge"),
+    pytest.param(3, _cut(1, 2.0, _cut(1, 3.0, _leaf(0), _leaf(1)), _leaf(2)), id="cut-above-cell"),
+    pytest.param(3, _cut(0, 2.0, _leaf(0), _cut(1, 2.0, _leaf(1), _leaf(3))), id="leaf-index-k"),
+    pytest.param(3, _cut(0, 2.0, _leaf(0), _cut(1, 2.0, _leaf(1), _leaf(1))), id="repeated-leaf"),
+    pytest.param(3, _cut(0, 2.0, _leaf(0), _leaf(1)), id="component-without-leaf"),
+]
+
+
+def test_check_structure_accepts_the_valid_tree():
+    check_structure(AxisTree(root=_VALID, dim=2, n_leaves=3), _MEANS)
+
+
+@pytest.mark.parametrize("k, root", _BAD_TREES)
+def test_check_structure_rejects_bad_trees(k, root):
+    with pytest.raises(ValidationError):
+        check_structure(AxisTree(root=root, dim=2, n_leaves=k), _MEANS[:k])
+
+
+def test_check_structure_rejects_means_of_another_dimension():
+    with pytest.raises(IncompatibilityError):
+        check_structure(AxisTree(root=_VALID, dim=2, n_leaves=3), np.zeros((3, 3)))
 
 
 def test_build_determinism():
