@@ -46,12 +46,9 @@ from .mixture import (
 from .tree import (
     AxisCut,
     AxisTree,
-    BuildOptions,
     build_mmdt,
-    chebyshev_objective,
-    exact_discrete_objective,
-    gaussian_objective,
     minimize_threshold,
+    objective_value,
     predict,
     select_axis,
 )

@@ -10,14 +10,12 @@ consecutive center projections so a separating cut always exists.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
-from .mixture import lowest_duplicate_pair, squared_offsets
+from .mixture import json_fingerprint, lowest_duplicate_pair, squared_offsets
 from .tree import AxisCut, AxisTree, TreeNode, assign_components
 
 
@@ -72,8 +70,7 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def centers_fingerprint(centers: np.ndarray) -> str:
-    payload = json.dumps(np.asarray(centers, dtype=float).tolist(), separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return json_fingerprint(np.asarray(centers, dtype=float).tolist())
 
 
 def _best_cut(

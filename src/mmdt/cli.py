@@ -79,9 +79,8 @@ def cmd_moments(args) -> int:
 
 def cmd_build(args) -> int:
     model = io.load_mixture(args.mixture)
-    options = tree.BuildOptions(objective=args.objective)
     start = time.perf_counter()
-    built = tree.build_mmdt(model, options)
+    built = tree.build_mmdt(model, args.objective)
     elapsed = time.perf_counter() - start
     io.save_tree(args.out, built)
     print(f"built tree ({model.k} leaves) in {elapsed:.6f}s -> {args.out}")
@@ -220,7 +219,7 @@ def bench_rows(sizes, k: int, d: int, seed: int, mmdt_repeats: int = 20) -> list
         times = []
         for _ in range(mmdt_repeats):
             start = time.perf_counter()
-            tree.build_mmdt(fitted, tree.BuildOptions(objective="gaussian"))
+            tree.build_mmdt(fitted, "gaussian")
             times.append(time.perf_counter() - start)
         rows.append(("mmdt-build", n, float(np.median(times))))
 

@@ -102,33 +102,31 @@ def _leaf_centers(
     weights: np.ndarray | None,
     assigned: np.ndarray,
     model: MixtureModel,
-    statistic: str,
-) -> tuple[np.ndarray, list[int]]:
-    """Per-leaf coordinate-wise centers (weighted median or mean); empty
-    leaves fall back to the assigned component mean.  Without weights every
-    point counts the same: the median of m points is the one of rank
-    ceil(m/2) - 1, the lower median."""
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Per-leaf coordinate-wise weighted medians and means, from one mask
+    per leaf, and the empty leaves, whose centers fall back to the assigned
+    component mean.  Without weights every point counts the same: the median
+    of m points is the one of rank ceil(m/2) - 1, the lower median."""
     d = points.shape[1]
-    centers = np.empty((model.k, d))
+    medians = np.empty((model.k, d))
+    means = np.empty((model.k, d))
     fallbacks: list[int] = []
     for leaf in range(model.k):
         mask = assigned == leaf
         if not np.any(mask):
-            centers[leaf] = model.components[leaf].mean
+            medians[leaf] = means[leaf] = model.components[leaf].mean
             fallbacks.append(leaf)
             continue
         pts = points[mask]
-        w = None if weights is None else weights[mask]
-        if statistic == "mean" and w is None:
-            centers[leaf] = pts.mean(axis=0)
-        elif statistic == "mean":
-            centers[leaf] = (w[:, None] * pts).sum(axis=0) / w.sum()
-        elif w is None:
+        if weights is None:
             rank = (pts.shape[0] + 1) // 2 - 1
-            centers[leaf] = np.partition(pts, rank, axis=0)[rank]
+            medians[leaf] = np.partition(pts, rank, axis=0)[rank]
+            means[leaf] = pts.mean(axis=0)
         else:
-            centers[leaf] = [weighted_median(pts[:, j], w) for j in range(d)]
-    return centers, fallbacks
+            w = weights[mask]
+            medians[leaf] = [weighted_median(pts[:, j], w) for j in range(d)]
+            means[leaf] = (w[:, None] * pts).sum(axis=0) / w.sum()
+    return medians, means, fallbacks
 
 
 def exact_eval_discrete(model: MixtureModel, tree: AxisTree) -> EvalReport:
@@ -143,8 +141,7 @@ def exact_eval_discrete(model: MixtureModel, tree: AxisTree) -> EvalReport:
     assigned = assign_components(tree, pts)
     comp_means = model.means()
 
-    medians, fb_med = _leaf_centers(pts, w, assigned, model, "median")
-    leaf_means, fb_mean = _leaf_centers(pts, w, assigned, model, "mean")
+    medians, leaf_means, fallbacks = _leaf_centers(pts, w, assigned, model)
 
     base_l1 = float(w @ np.abs(pts - comp_means[comp]).sum(axis=1))
     tree_l1 = float(w @ np.abs(pts - medians[assigned]).sum(axis=1))
@@ -163,7 +160,7 @@ def exact_eval_discrete(model: MixtureModel, tree: AxisTree) -> EvalReport:
         mc_samples=0,
         mc_seed=0,
         confidence_radius=0.0,
-        fallback_leaves=tuple(sorted(set(fb_med) | set(fb_mean))),
+        fallback_leaves=tuple(fallbacks),
     )
 
 
@@ -184,8 +181,7 @@ def mc_eval(model: MixtureModel, tree: AxisTree, n: int, seed: int) -> EvalRepor
     assigned = assign_components(tree, pts)
     comp_means = model.means()
 
-    medians, fb_med = _leaf_centers(pts, None, assigned, model, "median")
-    leaf_means, fb_mean = _leaf_centers(pts, None, assigned, model, "mean")
+    medians, leaf_means, fallbacks = _leaf_centers(pts, None, assigned, model)
 
     a = np.abs(pts - medians[assigned]).sum(axis=1)
     b = np.abs(pts - comp_means[labels]).sum(axis=1)
@@ -210,15 +206,15 @@ def mc_eval(model: MixtureModel, tree: AxisTree, n: int, seed: int) -> EvalRepor
         mc_samples=n,
         mc_seed=seed,
         confidence_radius=radius,
-        fallback_leaves=tuple(sorted(set(fb_med) | set(fb_mean))),
+        fallback_leaves=tuple(fallbacks),
     )
 
 
-def with_bounds(report: EvalReport, model: MixtureModel, beta: float | None = None) -> EvalReport:
-    """Attach the price/error bound values for this model's alpha and ENR."""
+def with_bounds(report: EvalReport, model: MixtureModel) -> EvalReport:
+    """Attach the price/error bound values for this model's alpha, ENR and
+    estimated beta."""
     q = enr(model)
-    if beta is None:
-        beta = beta_estimate(model)
+    beta = beta_estimate(model)
     bounds = {
         "thm1": thm1_bound(model.alpha, beta, model.k, q),
         "thm3": thm3_bound(model.alpha, model.k, q),

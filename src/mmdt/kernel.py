@@ -9,8 +9,6 @@ goes left, so a cut is equivalently a two-sided input-space interval.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +17,7 @@ import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
 from .evaluate import BOUND_CONSTANT, _ratio, _report_dict, _support_enumeration
-from .mixture import MixtureModel, sample
+from .mixture import MixtureModel, json_fingerprint, sample
 from .tree import ThresholdTree, TreeNode, assign_components
 
 PROFILES = ("gaussian", "laplace")
@@ -100,8 +98,7 @@ class KernelSpec:
         return KernelSpec(profiles=tuple(d["profiles"]), gamma=d["gamma"])
 
     def fingerprint(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return json_fingerprint(self.to_dict())
 
 
 def _check_kernel_dim(model: MixtureModel, kernel: KernelSpec) -> None:

@@ -38,6 +38,12 @@ def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def json_fingerprint(payload) -> str:
+    """sha256 hex digest of the sorted-key, compact JSON of payload."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def lowest_duplicate_pair(rows: np.ndarray) -> tuple[int, int] | None:
     """The lowest index pair (a, b), a < b, of equal rows (-0.0 equals 0.0), or None."""
     _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
@@ -274,8 +280,7 @@ class MixtureModel:
 
     def fingerprint(self) -> str:
         """Stable hash of the canonical model JSON."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return json_fingerprint(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -309,34 +314,26 @@ class LabeledDataset:
         return self.points.shape[1]
 
 
-def enr(model: MixtureModel) -> float:
-    """Explainability-to-noise ratio: min over component pairs of the max
-    per-axis squared mean gap divided by the axis variance."""
+def _pair_gaps(model: MixtureModel) -> np.ndarray:
+    """(pairs, d) squared mean gaps over the axis variances, one row per
+    component pair a < b in lexicographic order."""
     if model.k < 2:
         raise ValidationError("need at least two components")
     means = model.means()
-    inv_var = 1.0 / model.sigma**2
-    best = np.inf
-    for a in range(model.k):
-        for b in range(a + 1, model.k):
-            ratio = np.max((means[a] - means[b]) ** 2 * inv_var)
-            best = min(best, ratio)
-    return float(best)
+    a, b = np.triu_indices(model.k, 1)
+    return (means[a] - means[b]) ** 2 * (1.0 / model.sigma**2)
+
+
+def enr(model: MixtureModel) -> float:
+    """Explainability-to-noise ratio: min over component pairs of the max
+    per-axis squared mean gap divided by the axis variance."""
+    return float(_pair_gaps(model).max(axis=1).min())
 
 
 def snr(model: MixtureModel) -> float:
     """Signal-to-noise ratio: min over pairs of the variance-weighted squared
     distance between means, summed over axes."""
-    if model.k < 2:
-        raise ValidationError("need at least two components")
-    means = model.means()
-    inv_var = 1.0 / model.sigma**2
-    best = np.inf
-    for a in range(model.k):
-        for b in range(a + 1, model.k):
-            total = np.sum((means[a] - means[b]) ** 2 * inv_var)
-            best = min(best, total)
-    return float(best)
+    return float(_pair_gaps(model).sum(axis=1).min())
 
 
 def sample(model: MixtureModel, n: int, seed: int) -> LabeledDataset:

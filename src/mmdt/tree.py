@@ -42,7 +42,8 @@ import numpy as np
 from .errors import IncompatibilityError, ValidationError
 from .mixture import DISCRETE, GAUSSIAN, MixtureModel
 
-OBJECTIVES = ("exact-discrete", "chebyshev", "gaussian")
+# Each objective and the component kind it requires (None: any kind).
+OBJECTIVES = {"exact-discrete": DISCRETE, "chebyshev": None, "gaussian": GAUSSIAN}
 
 # Slope bisection halves every bracket per step: 64 steps leave 5e-20 of a
 # piece, below one ulp of its ends unless they straddle zero.  It stops
@@ -123,30 +124,6 @@ class TreeNode:
 
 
 @dataclass(frozen=True)
-class BuildOptions:
-    """Options for build_mmdt.
-
-    Ties in axis or threshold choice are broken deterministically (lowest
-    axis index, then lowest theta), so a build needs no seed.
-    """
-
-    objective: str = "chebyshev"
-
-    def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise ValidationError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-
-    def to_dict(self) -> dict:
-        return {"objective": self.objective}
-
-    @staticmethod
-    def from_dict(d: dict) -> "BuildOptions":
-        # Trees written by older versions also carry "seed" and
-        # "intervals_per_gap"; neither affects the tree, so both are ignored.
-        return BuildOptions(objective=d["objective"])
-
-
-@dataclass(frozen=True)
 class ThresholdTree:
     """Binary tree with K leaves, one per component index.
 
@@ -204,20 +181,27 @@ class ThresholdTree:
 
 @dataclass(frozen=True)
 class AxisTree(ThresholdTree):
-    """Tree of axis-aligned cuts ``x_i <= theta``."""
+    """Tree of axis-aligned cuts ``x_i <= theta``, with the objective that
+    built it (None for trees made by other means)."""
 
-    options: BuildOptions | None = None
+    objective: str | None = None
 
     kind = "axis"
     dot_name = "tree"
     json_keys = ("format_version", "kind", "dim", "n_leaves", "model_fingerprint", "root", "options")
 
+    def __post_init__(self):
+        if self.objective is not None:
+            _check_objective(self.objective, ())
+
     def header(self) -> dict:
-        return {} if self.options is None else {"options": self.options.to_dict()}
+        return {} if self.objective is None else {"options": {"objective": self.objective}}
 
     @classmethod
     def header_from_dict(cls, d: dict, dim: int) -> dict:
-        return {"options": BuildOptions.from_dict(d["options"]) if "options" in d else None}
+        # Trees written by older versions also carry "seed" and
+        # "intervals_per_gap" in "options"; neither affects the tree.
+        return {"objective": d["options"]["objective"] if "options" in d else None}
 
     @classmethod
     def read_cut(cls, d: dict, axis: int, header: dict) -> AxisCut:
@@ -267,69 +251,59 @@ def select_axis(model: MixtureModel, node_components) -> tuple[int, float]:
     return axis, float(spread[axis])
 
 
-def _node_weights(model: MixtureModel, comps: list[int]) -> np.ndarray:
-    w = model.weights[comps]
-    return w / w.sum()
+def _check_objective(objective: str, components) -> None:
+    """The only check of an objective name and of the component kinds it needs."""
+    if not isinstance(objective, str) or objective not in OBJECTIVES:
+        raise ValidationError(f"objective must be one of {tuple(OBJECTIVES)}, got {objective!r}")
+    kind = OBJECTIVES[objective]
+    if kind is not None and any(c.kind != kind for c in components):
+        name = {DISCRETE: "discrete", GAUSSIAN: "gaussian"}[kind]
+        raise ValidationError(f"{objective} objective requires {name} components")
 
 
-def _check_theta_off_means(proj_means: np.ndarray, theta) -> None:
-    if np.any(np.asarray(theta)[..., None] == proj_means):
+def _node_values(model: MixtureModel, comps: list[int], axis: int, objective: str, proj, w, ts):
+    """The objective at thresholds ts (any shape) for the node components
+    comps, whose projected means are proj and normalized weights w: the
+    probability bound that a point of the node-conditional mixture lies on
+    the other side of the threshold from its own mean.  Unchecked: the
+    callers check the objective, the kinds and that ts avoids the means."""
+    if objective == "chebyshev":
+        # min(1, sigma_i^2 / (mu_i - theta)^2), clamped as it bounds a probability
+        terms = np.minimum(1.0, model.sigma[axis] ** 2 / (proj - ts[..., None]) ** 2)
+    elif objective == "gaussian":
+        stds = np.array([model.components[k].stddev[axis] for k in comps])
+        terms = normal_upper_tail(np.abs(proj - ts[..., None]) / stds)
+    else:
+        # A component's separated mass is its mass on the side of theta away
+        # from its mean, read off the prefix and suffix sums of its sorted masses.
+        cols = []
+        for k, mean in zip(comps, proj):
+            comp = model.components[k]
+            order = np.argsort(comp.support[:, axis], kind="stable")
+            mass = comp.mass[order]
+            at_or_below = np.concatenate([[0.0], np.cumsum(mass)])
+            above = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
+            n_below = np.searchsorted(comp.support[order, axis], ts, side="right")
+            cols.append(np.where(mean <= ts, above[n_below], at_or_below[n_below]))
+        terms = np.stack(cols, axis=-1)
+    return terms @ w
+
+
+def objective_value(model: MixtureModel, node_components, axis: int, theta, objective: str):
+    """The objective's value at theta, a float for a scalar theta and an
+    array for an array of thresholds, none of which may lie on a projected
+    mean of the node components."""
+    comps = list(node_components)
+    _check_objective(objective, (model.components[k] for k in comps))
+    proj = model.means()[comps, axis]
+    ts = np.asarray(theta, dtype=float)
+    if np.any(ts[..., None] == proj):
         raise ValidationError("threshold on a mean")
-
-
-def chebyshev_objective(model: MixtureModel, node_components, axis: int, theta):
-    """Clamped Chebyshev bound on the probability that a point from the
-    node-conditional mixture is separated from its own mean by theta."""
-    comps = list(node_components)
-    proj = model.means()[comps, axis]
-    theta_arr = np.asarray(theta, dtype=float)
-    _check_theta_off_means(proj, theta_arr)
-    w = _node_weights(model, comps)
-    sigma2 = model.sigma[axis] ** 2
+    w = model.weights[comps]
+    # chebyshev: (mu - theta)^2 may underflow or overflow; the clamped term stays right
     with np.errstate(divide="ignore", over="ignore"):
-        terms = np.minimum(1.0, sigma2 / (proj - theta_arr[..., None]) ** 2)
-    return terms @ w if theta_arr.ndim else float(terms @ w)
-
-
-def gaussian_objective(model: MixtureModel, node_components, axis: int, theta):
-    """Exact Gaussian tail version of the separation bound; requires all node
-    components to be diagonal Gaussians."""
-    comps = list(node_components)
-    for k in comps:
-        if model.components[k].kind != GAUSSIAN:
-            raise ValidationError("gaussian objective requires gaussian components")
-    proj = model.means()[comps, axis]
-    theta_arr = np.asarray(theta, dtype=float)
-    _check_theta_off_means(proj, theta_arr)
-    w = _node_weights(model, comps)
-    stds = np.array([model.components[k].stddev[axis] for k in comps])
-    tails = normal_upper_tail(np.abs(proj - theta_arr[..., None]) / stds)
-    return tails @ w if theta_arr.ndim else float(tails @ w)
-
-
-def exact_discrete_objective(model: MixtureModel, node_components, axis: int, theta):
-    """Exact separation probability; requires finite-discrete components.
-    A component's separated mass is its mass on the side of theta away from
-    its mean, read off the prefix and suffix sums of its sorted masses."""
-    comps = list(node_components)
-    for k in comps:
-        if model.components[k].kind != DISCRETE:
-            raise ValidationError("exact-discrete objective requires discrete components")
-    proj = model.means()[comps, axis]
-    theta_arr = np.asarray(theta, dtype=float)
-    _check_theta_off_means(proj, theta_arr)
-    w = _node_weights(model, comps)
-    terms = []
-    for k, mean in zip(comps, proj):
-        comp = model.components[k]
-        order = np.argsort(comp.support[:, axis], kind="stable")
-        mass = comp.mass[order]
-        at_or_below = np.concatenate([[0.0], np.cumsum(mass)])
-        above = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
-        n_below = np.searchsorted(comp.support[order, axis], theta_arr, side="right")
-        terms.append(np.where(mean <= theta_arr, above[n_below], at_or_below[n_below]))
-    total = np.stack(terms, axis=-1) @ w
-    return total if theta_arr.ndim else float(total)
+        values = _node_values(model, comps, axis, objective, proj, w / w.sum(), ts)
+    return values if ts.ndim else float(values)
 
 
 def _midpoint_candidates(model: MixtureModel, comps: list[int], axis: int) -> np.ndarray:
@@ -361,8 +335,8 @@ def minimize_threshold(
 
     The exact-discrete objective is piecewise constant, so candidate
     thresholds are midpoints between consecutive distinct support (and mean)
-    projections, all scored in one sweep of ``exact_discrete_objective``
-    (per component: one sort, then prefix sums), O(S log S) per node.
+    projections, all scored in one sweep (per component: one sort, then
+    prefix sums), O(S log S) per node.
 
     The continuous objectives are convex on every piece of the interval
     between consecutive distinct projected means, further split (chebyshev)
@@ -377,16 +351,18 @@ def minimize_threshold(
     tied and the lowest theta wins.
     """
     comps = list(node_components)
+    _check_objective(objective, (model.components[k] for k in comps))
     proj = model.means()[comps, axis]
     m_lo, m_hi = float(proj.min()), float(proj.max())
     if not m_lo < m_hi:
         raise ValidationError("need at least two distinct projected means on the axis")
+    w = model.weights[comps]
+    w = w / w.sum()
 
     if objective == "exact-discrete":
         candidates = _midpoint_candidates(model, comps, axis)
-        return _lowest_tied(candidates, exact_discrete_objective(model, comps, axis, candidates))
+        return _lowest_tied(candidates, _node_values(model, comps, axis, objective, proj, w, candidates))
 
-    w = _node_weights(model, comps)
     distinct = np.unique(proj)
     breaks = distinct
     if objective == "chebyshev":
@@ -413,9 +389,6 @@ def minimize_threshold(
         coef = np.where(np.abs(mid[:, None] - proj) > sigma, w, 0.0)
         log_scale = math.log(2.0 / sigma)
 
-        def values(ts):
-            return np.minimum(1.0, sigma**2 / (proj - ts[:, None]) ** 2) @ w
-
         def slope(ts, rows=slice(None)):
             # f' = -(2 / sigma) * sum_j coef_j / u_j^3, u_j = (t - mu_j) / sigma,
             # returned as (mantissa, log scale) like the gaussian slope
@@ -426,9 +399,6 @@ def minimize_threshold(
         log_ws = np.log(w / stds) - 0.5 * math.log(2.0 * math.pi)
         sign = np.where(proj > mid[:, None], 1.0, -1.0)
 
-        def values(ts):
-            return normal_upper_tail(np.abs(proj - ts[:, None]) / stds) @ w
-
         def slope(ts, rows=slice(None)):
             # f' = sum_j sign_j * w_j / s_j * phi(z_j) = mantissa * exp(top):
             # summed in the log domain, shifted by each row's largest term, so
@@ -437,7 +407,7 @@ def minimize_threshold(
             top = log_terms.max(axis=1)
             return (sign[rows] * np.exp(log_terms - top[:, None])).sum(axis=1), top
 
-    f_lo, f_hi = values(lo), values(hi)
+    f_lo, f_hi = (_node_values(model, comps, axis, objective, proj, w, t) for t in (lo, hi))
     (s_lo, e_lo), (s_hi, e_hi) = slope(lo), slope(hi)
     best_end = float(min(f_lo.min(), f_hi.min()))
     tol = _TIE_REL * max(1.0, abs(best_end))
@@ -460,31 +430,25 @@ def minimize_threshold(
         b = np.where(inside & up, probe, b)
         a = np.where(inside & ~up, probe, a)
 
-    return _lowest_tied(np.concatenate([lo, hi, a]), np.concatenate([f_lo, f_hi, values(a)]))
+    f_a = _node_values(model, comps, axis, objective, proj, w, a)
+    return _lowest_tied(np.concatenate([lo, hi, a]), np.concatenate([f_lo, f_hi, f_a]))
 
 
-def _check_objective_compatible(model: MixtureModel, objective: str) -> None:
-    if objective == "exact-discrete" and not model.all_discrete():
-        raise ValidationError("exact-discrete objective requires discrete components")
-    if objective == "gaussian" and not model.all_gaussian():
-        raise ValidationError("gaussian objective requires gaussian components")
-
-
-def build_mmdt(model: MixtureModel, options: BuildOptions | None = None) -> AxisTree:
+def build_mmdt(model: MixtureModel, objective: str = "chebyshev") -> AxisTree:
     """Build the K-leaf tree: per node, select the best axis, minimize the
     threshold objective, and partition the remaining components by mean side.
-    Deterministic given (model, options)."""
-    options = options or BuildOptions()
+    Ties in axis or threshold go to the lowest, so the tree is determined by
+    (model, objective)."""
+    _check_objective(objective, model.components)
     if model.k < 2:
         raise ValidationError("need at least two components")
-    _check_objective_compatible(model, options.objective)
     means = model.means()
 
     def grow(comps: list[int]) -> TreeNode:
         if len(comps) == 1:
             return TreeNode(leaf=comps[0])
         axis, _ = select_axis(model, comps)
-        theta, _ = minimize_threshold(model, comps, axis, options.objective)
+        theta, _ = minimize_threshold(model, comps, axis, objective)
         left = [k for k in comps if means[k, axis] <= theta]
         right = [k for k in comps if means[k, axis] > theta]
         assert left and right, "threshold failed to separate component means"
@@ -496,7 +460,7 @@ def build_mmdt(model: MixtureModel, options: BuildOptions | None = None) -> Axis
         dim=model.dim,
         n_leaves=model.k,
         model_fingerprint=model.fingerprint(),
-        options=options,
+        objective=objective,
     )
 
 

@@ -22,7 +22,6 @@ import pytest
 from scipy.stats import spearmanr
 
 from mmdt import (
-    BuildOptions,
     build_kernel_mmdt,
     build_mmdt,
     enr,
@@ -70,7 +69,7 @@ def bound_battery():
     runs = []
     for i in range(50):
         model = gaussian_battery(i)
-        tree = build_mmdt(model, BuildOptions(objective="gaussian"))
+        tree = build_mmdt(model, "gaussian")
         rep = mc_eval(model, tree, MC_SAMPLES, seed=3000 + i)
         runs.append((model, tree, rep))
     return runs, time.perf_counter() - start
@@ -224,7 +223,7 @@ def _wine_pipeline():
             best = (ll, model)
     model = best[1]
     cdata = CenteredDataset.create(pts, model.means())
-    tree = build_mmdt(model, BuildOptions(objective="gaussian"))
+    tree = build_mmdt(model, "gaussian")
     mmdt_price = empirical_price(cdata, tree, "l2sq")
     imm_price = empirical_price(cdata, build_imm(cdata), "l2sq")
     return mmdt_price, imm_price
@@ -265,7 +264,7 @@ def test_criterion_08c_gaussians_row():
             best = (ll, model)
     model = best[1]
     cdata = CenteredDataset.create(data.points, model.means())
-    tree = build_mmdt(model, BuildOptions(objective="gaussian"))
+    tree = build_mmdt(model, "gaussian")
     price = empirical_price(cdata, tree, "l2sq")
     ok = price <= 1.05
     report(8, "gaussians-row", ok, f"l2sq price {price:.4f} at N={n}")
@@ -294,15 +293,15 @@ def test_criterion_10_structure_and_determinism(tmp_path):
     # 500 axis trees over gaussian and discrete batteries
     for i in range(250):
         model = gaussian_battery(i)
-        tree = build_mmdt(model, BuildOptions(objective="gaussian"))
+        tree = build_mmdt(model, "gaussian")
         check_axis_structure(tree, model.means())
         if i < 50:
-            again = build_mmdt(model, BuildOptions(objective="gaussian"))
+            again = build_mmdt(model, "gaussian")
             assert json.dumps(tree.to_dict()) == json.dumps(again.to_dict())
     for i in range(250):
         model = random_discrete_model(4000 + i, k_max=6)
         objective = "exact-discrete" if i % 2 == 0 else "chebyshev"
-        tree = build_mmdt(model, BuildOptions(objective=objective))
+        tree = build_mmdt(model, objective)
         check_axis_structure(tree, model.means())
     # 500 kernel trees
     for i in range(500):
@@ -328,7 +327,7 @@ def test_criterion_10_structure_and_determinism(tmp_path):
     assert outs[0] == outs[1]
 
     model = gaussian_battery(1)
-    tree = build_mmdt(model, BuildOptions(objective="gaussian"))
+    tree = build_mmdt(model, "gaussian")
     r1 = mc_eval(model, tree, 20_000, seed=5)
     r2 = mc_eval(model, tree, 20_000, seed=5)
     ok = r1.to_dict() == r2.to_dict()

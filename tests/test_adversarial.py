@@ -107,7 +107,7 @@ def test_b3_leaf_medians():
     tree = b3_canonical_tree(inst)
     pts, w, _ = _support_enumeration(inst.model)
     assigned = assign_components(tree, pts)
-    medians, fallbacks = _leaf_centers(pts, w, assigned, inst.model, "median")
+    medians, _, fallbacks = _leaf_centers(pts, w, assigned, inst.model)
     assert not fallbacks
     np.testing.assert_allclose(medians[0], 0.5, atol=1e-12)
     np.testing.assert_allclose(medians[1], -0.5, atol=1e-12)

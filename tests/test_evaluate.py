@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mmdt import (
-    BuildOptions,
     Component,
     MixtureModel,
     ValidationError,
@@ -81,7 +80,7 @@ def test_exact_eval_point_masses():
 def test_exact_eval_median_beats_assigned_means():
     for i in range(25):
         model = random_discrete_model(900 + i)
-        tree = build_mmdt(model, BuildOptions(objective="exact-discrete"))
+        tree = build_mmdt(model, "exact-discrete")
         rep = exact_eval_discrete(model, tree)
         # leaf medians are coordinate-wise optimal for the l1 cost
         assert rep.price_l1 <= rep.price_l1_hat + 1e-12
@@ -92,7 +91,7 @@ def test_mc_eval_well_separated():
     m = MixtureModel.create(
         (Component.gaussian([-10.0], [1.0]), Component.gaussian([10.0], [1.0])), [0.5, 0.5]
     )
-    tree = build_mmdt(m, BuildOptions(objective="gaussian"))
+    tree = build_mmdt(m, "gaussian")
     rep = mc_eval(m, tree, 100_000, seed=17)
     assert 1.0 - 3 * rep.confidence_radius <= rep.price_l1 <= 1.01
     rep2 = mc_eval(m, tree, 100_000, seed=17)
@@ -103,7 +102,7 @@ def test_mc_eval_requires_min_samples():
     m = MixtureModel.create(
         (Component.gaussian([-1.0], [1.0]), Component.gaussian([1.0], [1.0])), [0.5, 0.5]
     )
-    tree = build_mmdt(m, BuildOptions(objective="gaussian"))
+    tree = build_mmdt(m, "gaussian")
     with pytest.raises(ValidationError):
         mc_eval(m, tree, 50, seed=0)
 
@@ -150,7 +149,7 @@ def test_mc_eval_leaf_medians_are_lower_rank_medians(n):
         (Component.gaussian([-1.0, 0.0], [1.0, 2.0]), Component.gaussian([1.5, 1.0], [1.0, 1.0])),
         [0.5, 0.5],
     )
-    tree = build_mmdt(m, BuildOptions(objective="gaussian"))
+    tree = build_mmdt(m, "gaussian")
     rep = mc_eval(m, tree, n, seed=8)
     pts = sample(m, n, 8).points
     leaf = assign_components(tree, pts)
@@ -165,7 +164,7 @@ def test_mc_convergence_doubling():
         (Component.gaussian([-2.0, 0.0], [1.0, 1.0]), Component.gaussian([2.0, 1.0], [1.0, 1.0])),
         [0.5, 0.5],
     )
-    tree = build_mmdt(m, BuildOptions(objective="gaussian"))
+    tree = build_mmdt(m, "gaussian")
     r1 = mc_eval(m, tree, 50_000, seed=21)
     r2 = mc_eval(m, tree, 100_000, seed=22)
     assert abs(r1.price_l1 - r2.price_l1) < r1.confidence_radius + r2.confidence_radius
@@ -188,7 +187,7 @@ def test_price_l2sq_examples():
         (Component.gaussian([-20.0, 0.0], [1.0, 1.0]), Component.gaussian([20.0, 0.0], [1.0, 1.0])),
         [0.5, 0.5],
     )
-    ftree = build_mmdt(far, BuildOptions(objective="gaussian"))
+    ftree = build_mmdt(far, "gaussian")
     val = mc_eval(far, ftree, 50_000, seed=2).price_l2sq
     ref = mc_eval(far, ftree, 200_000, seed=3).price_l2sq
     assert val == pytest.approx(ref, abs=0.02)
@@ -287,7 +286,7 @@ def test_with_bounds_attaches_values():
     m = MixtureModel.create(
         (Component.gaussian([-5.0], [1.0]), Component.gaussian([5.0], [1.0])), [0.5, 0.5]
     )
-    tree = build_mmdt(m, BuildOptions(objective="gaussian"))
+    tree = build_mmdt(m, "gaussian")
     rep = with_bounds(mc_eval(m, tree, 1000, seed=0), m)
     assert set(rep.bounds) == {"thm1", "thm3", "enr", "beta"}
     assert rep.bounds["enr"] == pytest.approx(100.0)
@@ -298,7 +297,7 @@ def test_exact_error_rate_gaussian_matches_mc():
         (Component.gaussian([-1.5, 0.0], [1.0, 1.0]), Component.gaussian([1.5, 0.5], [1.0, 1.0])),
         [0.5, 0.5],
     )
-    tree = build_mmdt(m, BuildOptions(objective="gaussian"))
+    tree = build_mmdt(m, "gaussian")
     exact = exact_error_rate_gaussian(m, tree)
     rep = mc_eval(m, tree, 200_000, seed=33)
     assert exact == pytest.approx(rep.error_rate, abs=0.01)
@@ -356,7 +355,7 @@ def test_exact_error_rate_gaussian_matches_cancelling_form():
         models.append(MixtureModel.create(comps, np.full(k, 1.0 / k)))
     compared = 0
     for m in models:
-        tree = build_mmdt(m, BuildOptions(objective="gaussian"))
+        tree = build_mmdt(m, "gaussian")
         reference = _cancelling_error_rate(m, tree)
         if reference > 1e-9:
             compared += 1

@@ -252,7 +252,7 @@ def test_tree_json_with_retired_options_loads(tmp_path):
         "options": {"objective": "gaussian", "seed": 5, "intervals_per_gap": 16},
     }))
     tree = load_tree(path)
-    assert tree.options.objective == "gaussian"
+    assert tree.objective == "gaussian"
     assert tree.root.cut.theta == 0.5 and tree.leaves() == [0, 1]
     assert tree.to_dict()["options"] == {"objective": "gaussian"}
 
@@ -276,6 +276,21 @@ def test_cli_eval_rejects_invalid_axis_tree(tmp_path, capsys, root, message):
     assert run_cli("eval", "--mixture", mix, "--tree", tree) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("objective", ["nope", ["chebyshev"], 5])
+def test_cli_eval_rejects_unknown_tree_objective(tmp_path, capsys, objective):
+    mix = tmp_path / "m.json"
+    tree = tmp_path / "t.json"
+    run_cli("gen", "b3", "--d", 2, "--out", mix)
+    root = {"axis": 0, "theta": 0.5, "left": {"leaf": 0}, "right": {"leaf": 1}}
+    payload = {"format_version": 1, "kind": "axis", "dim": 2, "n_leaves": 2, "root": root,
+               "options": {"objective": objective}}
+    tree.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("eval", "--mixture", mix, "--tree", tree) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "objective must be one of" in err and "Traceback" not in err
 
 
 def first_leaf(node: dict) -> dict:

@@ -8,17 +8,14 @@ from scipy.special import erfc
 
 from mmdt import (
     AxisTree,
-    BuildOptions,
     Component,
     LabeledDataset,
     MixtureModel,
     ValidationError,
     build_mmdt,
-    chebyshev_objective,
     empirical_moments,
-    exact_discrete_objective,
-    gaussian_objective,
     minimize_threshold,
+    objective_value,
     predict,
     select_axis,
 )
@@ -56,20 +53,20 @@ def test_select_axis_examples():
 
 def test_chebyshev_objective_examples():
     m = gaussians([[0.0], [10.0]], [1.0])
-    assert chebyshev_objective(m, [0, 1], 0, 5.0) == pytest.approx(4.0 / 100.0)
+    assert objective_value(m, [0, 1], 0, 5.0, "chebyshev") == pytest.approx(4.0 / 100.0)
     # threshold hugging the far mean: its term clamps at the weight, the
     # other decays like sigma^2 / distance^2
-    val = chebyshev_objective(m, [0, 1], 0, 9.99999)
+    val = objective_value(m, [0, 1], 0, 9.99999, "chebyshev")
     assert val == pytest.approx(0.5 * 1.0 + 0.5 / 9.99999**2, rel=1e-9)
     # singleton node: the lone component's tail bound
-    assert chebyshev_objective(m, [0], 0, 2.0) == pytest.approx(min(1.0, 1.0 / 4.0))
+    assert objective_value(m, [0], 0, 2.0, "chebyshev") == pytest.approx(min(1.0, 1.0 / 4.0))
     with pytest.raises(ValidationError, match="threshold on a mean"):
-        chebyshev_objective(m, [0, 1], 0, 10.0)
+        objective_value(m, [0, 1], 0, 10.0, "chebyshev")
 
 
 def test_chebyshev_clamps_at_one():
     m = gaussians([[0.0], [1.0]], [50.0])
-    assert chebyshev_objective(m, [0, 1], 0, 0.5) == pytest.approx(1.0)
+    assert objective_value(m, [0, 1], 0, 0.5, "chebyshev") == pytest.approx(1.0)
 
 
 def test_normal_upper_tail_matches_scipy_erfc():
@@ -91,33 +88,33 @@ def test_normal_upper_tail_matches_scipy_erfc():
 def test_gaussian_objective_examples():
     m = gaussians([[0.0], [8.0]], [2.0])
     # symmetric midpoint: 2 * (1/2) * tail(R / (2 sigma))
-    assert gaussian_objective(m, [0, 1], 0, 4.0) == pytest.approx(
+    assert objective_value(m, [0, 1], 0, 4.0, "gaussian") == pytest.approx(
         float(normal_upper_tail(2.0)), rel=1e-12
     )
     # tail at three sigma, single unit-weight component
     single = gaussians([[0.0], [100.0]], [1.0])
-    assert gaussian_objective(single, [0], 0, 3.0) == pytest.approx(1.3499e-3, abs=1e-7)
+    assert objective_value(single, [0], 0, 3.0, "gaussian") == pytest.approx(1.3499e-3, abs=1e-7)
     # boundary consistency: value approaches 1/2 as theta approaches a mean
-    assert gaussian_objective(single, [0], 0, 1e-12) == pytest.approx(0.5, abs=1e-9)
+    assert objective_value(single, [0], 0, 1e-12, "gaussian") == pytest.approx(0.5, abs=1e-9)
     disc = MixtureModel.create(
         (Component.discrete([[0.0]], [1.0]), Component.discrete([[1.0]], [1.0])), [0.5, 0.5]
     )
     with pytest.raises(ValidationError, match="gaussian objective"):
-        gaussian_objective(disc, [0, 1], 0, 0.5)
+        objective_value(disc, [0, 1], 0, 0.5, "gaussian")
 
 
 def test_exact_discrete_objective_examples():
     point = MixtureModel.create(
         (Component.discrete([[0.0]], [1.0]), Component.discrete([[1.0]], [1.0])), [0.5, 0.5]
     )
-    assert exact_discrete_objective(point, [0, 1], 0, 0.5) == 0.0
+    assert objective_value(point, [0, 1], 0, 0.5, "exact-discrete") == 0.0
     inst = gen_thm4(2, 2)
-    assert exact_discrete_objective(inst.model, [0, 1], 0, 0.5) == pytest.approx(0.25)
+    assert objective_value(inst.model, [0, 1], 0, 0.5, "exact-discrete") == pytest.approx(0.25)
     with pytest.raises(ValidationError, match="threshold on a mean"):
-        exact_discrete_objective(inst.model, [0, 1], 0, 1.0)
+        objective_value(inst.model, [0, 1], 0, 1.0, "exact-discrete")
     gauss = gaussians([[0.0], [1.0]], [1.0])
     with pytest.raises(ValidationError):
-        exact_discrete_objective(gauss, [0, 1], 0, 0.5)
+        objective_value(gauss, [0, 1], 0, 0.5, "exact-discrete")
 
 
 def dense_exact_discrete(model, comps, axis, thetas):
@@ -156,7 +153,7 @@ def check_sweep_against_dense(model, rng):
         extra = np.concatenate([pts, rng.uniform(pts.min() - 1.0, pts.max() + 1.0, 20)])
         extra = extra[~np.isin(extra, model.means()[comps, axis])]
         for thetas in (cands, extra):
-            got = exact_discrete_objective(model, comps, axis, thetas)
+            got = objective_value(model, comps, axis, thetas, "exact-discrete")
             np.testing.assert_allclose(got, dense_exact_discrete(model, comps, axis, thetas), rtol=0, atol=1e-12)
         # same theta as the dense argmin over the same candidates
         dense = dense_exact_discrete(model, comps, axis, cands)
@@ -174,14 +171,14 @@ def test_exact_discrete_sweep_ties():
     model = MixtureModel.create((c0, c1), [0.4, 0.6])
     assert model.means()[:, 0].tolist() == [1.0, 3.25]
     thetas = np.array([-1.0, 0.0, 0.5, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0])
-    got = exact_discrete_objective(model, [0, 1], 0, thetas)
+    got = objective_value(model, [0, 1], 0, thetas, "exact-discrete")
     np.testing.assert_allclose(got, dense_exact_discrete(model, [0, 1], 0, thetas), rtol=0, atol=1e-12)
     # at theta = 2 both points at 2.0 lie left: c0 loses nothing, c1 loses
     # its points at 1.0 and 2.0
     assert got[4] == pytest.approx(0.6 * 0.5, abs=1e-15)
-    assert exact_discrete_objective(model, [0, 1], 0, 2.0) == got[4]
+    assert objective_value(model, [0, 1], 0, 2.0, "exact-discrete") == got[4]
     with pytest.raises(ValidationError, match="threshold on a mean"):
-        exact_discrete_objective(model, [0, 1], 0, np.array([0.5, 1.0]))
+        objective_value(model, [0, 1], 0, np.array([0.5, 1.0]), "exact-discrete")
     cands = _midpoint_candidates(model, [0, 1], 0)
     assert cands.tolist() == [1.5, 2.625]
     theta, value = minimize_threshold(model, [0, 1], 0, "exact-discrete")
@@ -216,7 +213,7 @@ def test_exact_discrete_build_memory_is_linear_in_support():
     assert sum(c.support.shape[0] for c in model.components) == n
     tracemalloc.start()
     try:
-        tree = build_mmdt(model, BuildOptions(objective="exact-discrete"))
+        tree = build_mmdt(model, "exact-discrete")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -231,7 +228,7 @@ def test_minimize_threshold_symmetric_midpoint():
     assert value == pytest.approx(4.0 / 100.0, rel=1e-9)
 
 
-def brute_force_threshold(model, comps, axis, objective_fn, points_per_gap=10_000):
+def brute_force_threshold(model, comps, axis, objective, points_per_gap=10_000):
     # Two-stage grid scan (coarse pass, then a dense pass around the coarse
     # argmin); independent of the minimizer under test.
     proj = np.unique(model.means()[comps, axis])
@@ -243,12 +240,12 @@ def brute_force_threshold(model, comps, axis, objective_fn, points_per_gap=10_00
         # probe the same open-interval closure the implementation can reach
         edges = [max(a + span * 1e-12, np.nextafter(a, b)), min(b - span * 1e-12, np.nextafter(b, a))]
         thetas = np.concatenate([edges[:1], inner, edges[1:]])
-        vals = objective_fn(model, comps, axis, thetas)
+        vals = objective_value(model, comps, axis, thetas, objective)
         j = int(np.argmin(vals))
         lo = thetas[max(0, j - 1)]
         hi = thetas[min(thetas.size - 1, j + 1)]
         fine = np.linspace(lo, hi, points_per_gap)
-        fvals = objective_fn(model, comps, axis, fine)
+        fvals = objective_value(model, comps, axis, fine, objective)
         jj = int(np.argmin(fvals))
         if fvals[jj] < best[0]:
             best = (float(fvals[jj]), float(fine[jj]))
@@ -261,7 +258,7 @@ def test_minimize_threshold_equidistant_claim2():
     k, sigma = 4, 0.05
     m = gaussians([[float(j)] for j in range(k)], [sigma])
     theta, value = minimize_threshold(m, list(range(k)), 0, "chebyshev")
-    _, brute = brute_force_threshold(m, list(range(k)), 0, chebyshev_objective)
+    _, brute = brute_force_threshold(m, list(range(k)), 0, "chebyshev")
     assert value == pytest.approx(brute, abs=1e-6)
     r = k - 1.0
     delta = r / (2 * (k - 1))
@@ -286,7 +283,7 @@ def test_minimize_threshold_beats_largest_gap_midpoint(seed):
     gaps = np.diff(centers)
     g = int(np.argmax(gaps))
     midpoint = 0.5 * (centers[g] + centers[g + 1])
-    assert value <= chebyshev_objective(m, list(range(5)), 0, float(midpoint)) + 1e-12
+    assert value <= objective_value(m, list(range(5)), 0, float(midpoint), "chebyshev") + 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -304,9 +301,9 @@ def test_ternary_matches_dense_grid(seed):
     weights /= weights.sum()
     m = gaussians([[c] for c in centers], [sigma], weights)
     m = MixtureModel.create(m.components, weights, alpha=k * float(weights.max()), sigma=[sigma])
-    for objective, fn in (("chebyshev", chebyshev_objective), ("gaussian", gaussian_objective)):
+    for objective in ("chebyshev", "gaussian"):
         _, value = minimize_threshold(m, list(range(k)), 0, objective)
-        _, brute = brute_force_threshold(m, list(range(k)), 0, fn)
+        _, brute = brute_force_threshold(m, list(range(k)), 0, objective)
         assert value <= brute + 1e-9
         assert abs(value - brute) <= 1e-6
 
@@ -333,7 +330,7 @@ def test_minimize_threshold_chebyshev_breakpoint():
     root = 3.0 / (1.0 + (0.4 / 0.6) ** (1.0 / 3.0))
     assert theta == pytest.approx(root, rel=1e-9)
     assert value == pytest.approx(0.6 / root**2 + 0.4 / (3.0 - root) ** 2, rel=1e-12)
-    _, brute = brute_force_threshold(m, [0, 1], 0, chebyshev_objective)
+    _, brute = brute_force_threshold(m, [0, 1], 0, "chebyshev")
     assert value <= brute + 1e-12
     assert value == pytest.approx(brute, abs=1e-6)
 
@@ -348,7 +345,7 @@ def test_minimize_threshold_rejects_means_one_ulp_apart():
 
 def test_build_mmdt_minimal_tree():
     m = gaussians([[0.0], [10.0]], [1.0])
-    tree = build_mmdt(m, BuildOptions(objective="gaussian"))
+    tree = build_mmdt(m, "gaussian")
     assert not tree.root.is_leaf
     assert tree.root.left.is_leaf and tree.root.right.is_leaf
     assert sorted(tree.leaves()) == [0, 1]
@@ -356,7 +353,7 @@ def test_build_mmdt_minimal_tree():
 
 def test_build_mmdt_b3_root():
     inst = gen_b3(4)
-    tree = build_mmdt(inst.model, BuildOptions(objective="exact-discrete"))
+    tree = build_mmdt(inst.model, "exact-discrete")
     assert tree.root.cut.axis == 0
     assert tree.root.cut.theta == pytest.approx(0.0, abs=1e-12)
     assert -0.5 < tree.root.cut.theta < 0.5
@@ -364,7 +361,7 @@ def test_build_mmdt_b3_root():
 
 def test_build_mmdt_collinear_gaussians():
     m = gaussians([[0.0], [5.0], [10.0]], [1.0])
-    tree = build_mmdt(m, BuildOptions(objective="gaussian"))
+    tree = build_mmdt(m, "gaussian")
     thetas = sorted(
         node.cut.theta
         for node in (tree.root, tree.root.left, tree.root.right)
@@ -377,14 +374,35 @@ def test_build_mmdt_collinear_gaussians():
 def test_build_rejects_incompatible_objective():
     m = gaussians([[0.0], [1.0]], [1.0])
     with pytest.raises(ValidationError):
-        build_mmdt(m, BuildOptions(objective="exact-discrete"))
+        build_mmdt(m, "exact-discrete")
     with pytest.raises(ValidationError):
-        BuildOptions(objective="nope")
+        build_mmdt(m, "nope")
+
+
+def test_minimize_threshold_rejects_unknown_or_incompatible_objective():
+    m = gaussians([[0.0], [4.0]], [1.0])
+    with pytest.raises(ValidationError, match="objective must be one of"):
+        minimize_threshold(m, [0, 1], 0, "nope")
+    with pytest.raises(ValidationError, match="exact-discrete objective requires discrete components"):
+        minimize_threshold(m, [0, 1], 0, "exact-discrete")
+    inst = gen_thm4(2, 2)
+    with pytest.raises(ValidationError, match="gaussian objective requires gaussian components"):
+        minimize_threshold(inst.model, [0, 1], 0, "gaussian")
+    with pytest.raises(ValidationError, match="objective must be one of"):
+        objective_value(m, [0, 1], 0, 2.0, "nope")
+
+
+def test_axis_tree_rejects_unknown_objective():
+    root = TreeNode(cut=AxisCut(0, 1.5), left=TreeNode(leaf=0), right=TreeNode(leaf=1))
+    with pytest.raises(ValidationError, match="objective must be one of"):
+        AxisTree(root=root, dim=1, n_leaves=2, objective="nope")
+    with pytest.raises(ValidationError, match="objective must be one of"):
+        AxisTree.from_dict({**AxisTree(root=root, dim=1, n_leaves=2).to_dict(), "options": {"objective": "nope"}})
 
 
 def test_predict_examples():
     m = gaussians([[0.0, 0.0], [4.0, 4.0], [8.0, -2.0]], [1.0, 1.0])
-    tree = build_mmdt(m, BuildOptions(objective="gaussian"))
+    tree = build_mmdt(m, "gaussian")
     for k in range(3):
         assert predict(tree, m.means()[k]) == k
     from mmdt.errors import IncompatibilityError
@@ -407,7 +425,7 @@ def test_predict_boundary_goes_left():
 
 def test_thm4_support_routing():
     inst = gen_thm4(2, 4)
-    tree = build_mmdt(inst.model, BuildOptions(objective="exact-discrete"))
+    tree = build_mmdt(inst.model, "exact-discrete")
     for k, comp in enumerate(inst.model.components):
         routed = assign_components(tree, comp.support)
         # only the single-axis deviation against the cut leaves the component
@@ -418,11 +436,11 @@ def test_thm4_support_routing():
 def test_structural_invariants_battery():
     for i in range(60):
         model = gaussian_battery(i)
-        tree = build_mmdt(model, BuildOptions(objective="gaussian"))
+        tree = build_mmdt(model, "gaussian")
         check_structure(tree, model.means())
     for i in range(40):
         model = random_discrete_model(300 + i)
-        tree = build_mmdt(model, BuildOptions(objective="chebyshev"))
+        tree = build_mmdt(model, "chebyshev")
         check_structure(tree, model.means())
 
 
@@ -466,8 +484,8 @@ def test_check_structure_rejects_means_of_another_dimension():
 
 def test_build_determinism():
     model = gaussian_battery(7)
-    a = build_mmdt(model, BuildOptions(objective="gaussian"))
-    b = build_mmdt(model, BuildOptions(objective="gaussian"))
+    a = build_mmdt(model, "gaussian")
+    b = build_mmdt(model, "gaussian")
     import json
 
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
@@ -490,8 +508,8 @@ def test_affine_equivariance(seed):
     b = rng.normal(scale=2.0, size=d)
     mapped = m.scale_shift(a, b)
     for objective in ("chebyshev", "gaussian"):
-        t1 = build_mmdt(m, BuildOptions(objective=objective))
-        t2 = build_mmdt(mapped, BuildOptions(objective=objective))
+        t1 = build_mmdt(m, objective)
+        t2 = build_mmdt(mapped, objective)
 
         def walk(n1, n2):
             assert n1.is_leaf == n2.is_leaf
@@ -510,7 +528,7 @@ def test_affine_equivariance(seed):
 
 def test_tree_json_round_trip_and_dot():
     model = gaussian_battery(3)
-    tree = build_mmdt(model, BuildOptions(objective="gaussian"))
+    tree = build_mmdt(model, "gaussian")
     clone = AxisTree.from_dict(tree.to_dict())
     assert clone.to_dict() == tree.to_dict()
     dot = export_dot(tree)
