@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ValidationError
-from .mixture import Component, LabeledDataset, MixtureModel
+from .mixture import Component, MixtureModel
 from .tree import AxisCut, AxisTree, TreeNode, _midpoint_candidates
 
 
@@ -260,30 +260,3 @@ def enumerate_valid_trees(
         yield AxisTree(
             root=root, dim=model.dim, n_leaves=model.k, model_fingerprint=fingerprint
         )
-
-
-def as_labeled_dataset(model: MixtureModel, max_rows: int = 100_000) -> LabeledDataset:
-    """Expand a discrete model into a dataset whose empirical law is exactly
-    the model: each support point repeated proportionally to its joint mass
-    (requires all masses to be rational with a modest common denominator)."""
-    if not model.all_discrete():
-        raise ValidationError("dataset expansion requires finite-discrete components")
-    joint: list[tuple[np.ndarray, Fraction, int]] = []
-    denom = 1
-    for k, c in enumerate(model.components):
-        for row, mass in zip(c.support, c.mass):
-            frac = Fraction(model.weights[k]).limit_denominator(10**9) * Fraction(
-                mass
-            ).limit_denominator(10**9)
-            joint.append((row, frac, k))
-            denom = math.lcm(denom, frac.denominator)
-    total = sum(int(f * denom) for _, f, _ in joint)
-    if total > max_rows:
-        raise ValidationError(f"expansion needs {total} rows > {max_rows}")
-    pts, labels = [], []
-    for row, frac, k in joint:
-        reps = int(frac * denom)
-        for _ in range(reps):
-            pts.append(row)
-            labels.append(k)
-    return LabeledDataset(points=np.array(pts), labels=np.array(labels))

@@ -153,12 +153,6 @@ def _cut_mistakes(
     return int(np.sum((pts[:, axis] <= theta) != (ctr[:, axis] <= theta)))
 
 
-def cut_mistakes_on_subset(data: CenteredDataset, point_idx, center_idx, axis, theta) -> int:
-    """Mistakes of a fixed cut restricted to a subset of points (for the
-    monotonicity property: a cut's count never grows on subsets)."""
-    return _cut_mistakes(data, np.asarray(point_idx, dtype=int), list(center_idx), axis, theta)
-
-
 def empirical_price(
     data: CenteredDataset, tree: AxisTree, norm: str = "l1", return_details: bool = False
 ):

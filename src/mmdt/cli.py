@@ -92,7 +92,7 @@ def cmd_build_kernel(args) -> int:
     spec = kernel.KernelSpec(
         profiles=(args.kernel,) * model.dim, gamma=_gamma(args.gamma, model.dim)
     )
-    stats = kernel.kernel_stats(model, spec, mode=args.mode, n_pairs=args.pairs, seed=args.seed)
+    stats = kernel.kernel_stats(model, spec)
     start = time.perf_counter()
     built = kernel.build_kernel_mmdt(model, spec, stats, seed=args.seed)
     elapsed = time.perf_counter() - start
@@ -130,13 +130,7 @@ def cmd_eval(args) -> int:
     model = io.load_mixture(args.mixture)
     loaded = io.load_tree(args.tree)
     if isinstance(loaded, kernel.KernelTree):
-        report = kernel.kernel_price(
-            model,
-            loaded,
-            n=args.samples,
-            seed=args.seed,
-            mode="exact" if model.all_discrete() else "mc",
-        )
+        report = kernel.kernel_price(model, loaded, n=args.samples, seed=args.seed)
         payload = report.to_dict()
         if args.json:
             print(io.dumps_json(payload), end="")
@@ -290,8 +284,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mixture", required=True)
     p.add_argument("--kernel", choices=list(kernel.PROFILES), default="gaussian")
     p.add_argument("--gamma", type=_list_of(float), default="1.0", help="comma list, one value or one per axis")
-    p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--pairs", type=int, default=10_000, help="MC pair samples per xi entry")
+    # Ignored (every statistic is exact); kept for the kernel-price benchmark until ROADMAP item 6.
+    p.add_argument("--mode", choices=["exact", "mc"], default="exact", help=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     _add_seed(p)
     p.set_defaults(fn=cmd_build_kernel)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
 from .evaluate import BOUND_CONSTANT, _ratio, _report_dict, _support_enumeration
-from .mixture import MixtureModel, json_fingerprint, sample
+from .mixture import GAUSSIAN, MixtureModel, json_fingerprint, sample
 from .tree import ThresholdTree, TreeNode, assign_components
 
 PROFILES = ("gaussian", "laplace")
@@ -119,63 +119,90 @@ def _full_gram(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_law(
-    model: MixtureModel, kernel: KernelSpec, k: int, l: int, mode: str, n_pairs: int, seed: int
-) -> tuple:
-    """Law of the pair x ~ component k, y ~ component l: ``values(i)`` are
-    the axis similarities kappa_i(x, y) over it, ``mean(v)`` and ``var(v, m)``
-    the expectation and variance of such values or their products, and
-    ``noise`` the sampling allowance between two means.  Exact mode weighs
-    the supports' axis Gram matrix by their masses; mc mode takes
-    ``n_pairs`` paired draws seeded by (seed, k, l)."""
-    if mode not in ("exact", "mc"):
-        raise ValidationError(f"mode must be 'exact' or 'mc', got {mode!r}")
+def _erfcx(x: float) -> float:
+    """Scaled complementary error function exp(x^2) erfc(x) for x >= 0."""
+    if x < 26.0:  # erfc(x) is a normal float here
+        return math.exp(x * x) * math.erfc(x)
+    # Asymptotic series; at x >= 26 its terms fall below 1e-16 by the eighth.
+    total, term = 1.0, 1.0
+    for n in range(1, 8):
+        term *= -(2 * n - 1) / (2.0 * x * x)
+        total += term
+    return total / (x * math.sqrt(math.pi))
+
+
+def _laplace_mean(diff: float, var: float, gamma: float) -> float:
+    """E exp(-gamma |z|) for z ~ N(diff, var) with var > 0: the two half-line
+    integrals exp(gamma^2 var / 2 -+ gamma diff) Phi(+-diff / s - gamma s),
+    each written so that neither overflows nor underflows to a wrong 0."""
+    s = math.sqrt(var)
+    total = 0.0
+    for sign in (1.0, -1.0):
+        x = (gamma * s - sign * diff / s) / math.sqrt(2.0)
+        if x < 0.0:  # then gamma * sign * diff > gamma^2 var, and the exponent is negative
+            total += math.exp(0.5 * gamma * gamma * var - sign * gamma * diff) * math.erfc(x)
+        else:
+            total += math.exp(-0.5 * diff * diff / var) * _erfcx(x)
+    return 0.5 * total
+
+
+_LAPLACE_MEAN = np.vectorize(_laplace_mean, otypes=[float])
+
+
+def _atom_expectation(profile: str, gamma: float, diff: np.ndarray, var: float) -> np.ndarray:
+    """E g(|z|) for z ~ N(diff, var) per entry of diff (z = diff when var = 0),
+    with g the gaussian or laplace profile of scale gamma."""
+    # In place: support pairs hold S_k x S_l entries, so one array besides diff.
+    if profile == "gaussian":
+        c = 1.0 + 2.0 * gamma * var
+        out = np.square(diff)
+        out *= -gamma / c
+        np.exp(out, out=out)
+        out /= math.sqrt(c)
+        return out
+    if var == 0.0:
+        out = np.abs(diff)
+        out *= -gamma
+        return np.exp(out, out=out)
+    return _LAPLACE_MEAN(diff, var, gamma)
+
+
+def _atoms(component) -> tuple:
+    """(positions, per-axis variance, masses) of a component's atoms: the
+    support points of a discrete law, each of zero width, or one atom at a
+    Gaussian's mean with its variance."""
+    if component.kind == GAUSSIAN:
+        return component.mean[None, :], component.stddev**2, np.ones(1)
+    return component.support, np.zeros(component.dim), component.mass
+
+
+def _pair_law(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> tuple:
+    """Law of the pair x ~ component k, y ~ component l over the two
+    components' atoms: ``gram(i, power)`` is the matrix of exact expectations
+    E kappa_i(x, y)^power between every two atoms, and ``mean(g)`` weighs such
+    a matrix by the atom masses.  Within an atom the axes are independent, so
+    the elementwise product of the axis Grams is the full kernel's Gram."""
     if not (0 <= k < model.k and 0 <= l < model.k):
         raise ValidationError(f"component index out of range: ({k}, {l}) with K={model.k}")
-    if mode == "exact":
-        if not model.all_discrete():
-            raise ValidationError("kernel statistics in exact mode require finite-discrete components")
-        ck, cl = model.components[k], model.components[l]
+    a, var_a, mass_a = _atoms(model.components[k])
+    b, var_b, mass_b = _atoms(model.components[l])
 
-        def mean(v):
-            return float(ck.mass @ v @ cl.mass)
+    def gram(i: int, power: int = 1) -> np.ndarray:
+        # kappa_i^power is the same profile at power * gamma_i
+        diff = a[:, i, None] - b[None, :, i]
+        return _atom_expectation(kernel.profiles[i], power * kernel.gamma[i], diff, var_a[i] + var_b[i])
 
-        return (
-            lambda i: _axis_gram(kernel, i, ck.support[:, i], cl.support[:, i]),
-            mean,
-            lambda v, m: mean(v**2) - m**2,
-            0.0,
-        )
-    if n_pairs < 1:
-        raise ValidationError(f"n_pairs must be >= 1, got {n_pairs}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(k, l)))
-    x = model.components[k].sample(rng, n_pairs)
-    y = model.components[l].sample(rng, n_pairs)
-    return (
-        lambda i: kernel.axis_similarity(i, x[:, i], y[:, i]),
-        lambda v: float(np.mean(v)),
-        lambda v, m: float(np.mean((v - m) ** 2)),
-        4.0 / math.sqrt(n_pairs),
-    )
+    return gram, lambda g: float(mass_a @ g @ mass_b)
 
 
-def xi(
-    model: MixtureModel,
-    kernel: KernelSpec,
-    i: int,
-    k: int,
-    l: int,
-    mode: str = "exact",
-    n_pairs: int = 10_000,
-    seed: int = 0,
-) -> float:
+def xi(model: MixtureModel, kernel: KernelSpec, i: int, k: int, l: int) -> float:
     """Expected per-axis similarity E[kappa_i(x, y)] for x ~ component k and
-    y ~ component l; exact double sum for discrete components, MC otherwise."""
+    y ~ component l."""
     _check_kernel_dim(model, kernel)
     if not 0 <= i < model.dim:
         raise ValidationError(f"axis index {i} out of range with d={model.dim}")
-    values, mean, _, _ = _pair_law(model, kernel, k, l, mode, n_pairs, seed)
-    return mean(values(i))
+    gram, mean = _pair_law(model, kernel, k, l)
+    return mean(gram(i))
 
 
 @dataclass(frozen=True)
@@ -208,14 +235,8 @@ class KernelStats:
             raise ValidationError("xi entries outside [0, 1]")
 
 
-def kernel_stats(
-    model: MixtureModel,
-    kernel: KernelSpec,
-    mode: str = "exact",
-    n_pairs: int = 10_000,
-    seed: int = 0,
-) -> KernelStats:
-    """Fill sigma2, eps2, tau, and the full xi table (axes x K x K)."""
+def kernel_stats(model: MixtureModel, kernel: KernelSpec) -> KernelStats:
+    """Fill sigma2, eps2, tau, and the full xi table (axes x K x K), all exact."""
     _check_kernel_dim(model, kernel)
     d, K = model.dim, model.k
 
@@ -224,22 +245,21 @@ def kernel_stats(
     eps2 = 0.0
     for k in range(K):
         for l in range(k, K):
-            values, mean, var, noise = _pair_law(model, kernel, k, l, mode, n_pairs, seed)
-            # On the self pair the per-axis values multiply into the full
-            # product kernel, whose mean is the self-similarity sigma2_k.
+            gram, mean = _pair_law(model, kernel, k, l)
+            # On the self pair the axis Grams multiply into the full kernel's,
+            # whose mean is the self-similarity sigma2_k.
             full = 1.0
             for i in range(d):
-                v = values(i)
-                m = xi_table[i, k, l] = xi_table[i, l, k] = mean(v)
-                eps2 = max(eps2, var(v, m))
+                g = gram(i)
+                m = xi_table[i, k, l] = xi_table[i, l, k] = mean(g)
+                eps2 = max(eps2, mean(gram(i, 2)) - m**2)
                 if k == l:
-                    full = full * v
+                    full = full * g
             if k == l:
                 sigma2_per[k] = mean(full)
 
     spread = float(sigma2_per.max() - sigma2_per.min())
-    # Equal values still spread by the sampling noise of the pair law.
-    if spread > max(1e-6, noise):
+    if spread > 1e-6:
         warnings.warn(
             f"component self-similarities differ by {spread:.3g}; "
             "bounds use the minimum",
@@ -263,23 +283,15 @@ def kernel_stats(
     )
 
 
-def mmd(
-    model: MixtureModel,
-    kernel: KernelSpec,
-    k: int,
-    l: int,
-    mode: str = "exact",
-    n_pairs: int = 10_000,
-    seed: int = 0,
-) -> float:
+def mmd(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> float:
     """Maximum mean discrepancy between two components (clamped at zero
-    before the square root to absorb MC noise).  For k == l the three
+    before the square root to absorb rounding).  For k == l the three
     expectations are one and the same, so the result is exactly 0."""
     _check_kernel_dim(model, kernel)
 
     def cross(a: int, b: int) -> float:
-        values, mean, _, _ = _pair_law(model, kernel, a, b, mode, n_pairs, seed)
-        return mean(math.prod(values(i) for i in range(model.dim)))
+        gram, mean = _pair_law(model, kernel, a, b)
+        return mean(math.prod(gram(i) for i in range(model.dim)))
 
     return math.sqrt(max(0.0, cross(k, k) + cross(l, l) - 2.0 * cross(k, l)))
 
@@ -463,28 +475,22 @@ class KernelPriceReport:
         return _report_dict(self)
 
 
-def kernel_price(
-    model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 0, mode: str = "exact"
-) -> KernelPriceReport:
+def kernel_price(model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 0) -> KernelPriceReport:
     """Price of the kernel tree in the embedding space of ``tree.kernel``.
 
     Baseline: E||phi(x) - phi_{component(x)}||^2.  The tree cost is reported
     both with leaf-conditional mean embeddings (price) and with the assigned
-    component embedding (price_hat).  Exact for all-discrete models.  The MC
-    path draws ``sample(model, n, seed)`` and embeds each component and each
-    leaf by its first ``_MC_EMBED_ROWS`` rows; the draws are i.i.d., so such
-    a prefix is a uniform random subset.
+    component embedding (price_hat).  Exact for all-discrete models.  Any
+    other model takes the MC path: it draws ``sample(model, n, seed)`` and
+    embeds each component and each leaf by its first ``_MC_EMBED_ROWS`` rows;
+    the draws are i.i.d., so such a prefix is a uniform random subset.
     """
     kernel = tree.kernel
     _check_kernel_dim(model, kernel)
     if tree.dim != model.dim or tree.n_leaves != model.k:
         raise IncompatibilityError("tree does not match the model")
-    if mode not in ("exact", "mc"):
-        raise ValidationError(f"mode must be 'exact' or 'mc', got {mode!r}")
-
-    if mode == "exact":
-        if not model.all_discrete():
-            raise ValidationError("kernel_price in exact mode requires finite-discrete components")
+    exact = model.all_discrete()
+    if exact:
         pts, w, comp = _support_enumeration(model)
         cap = None
     else:
@@ -504,7 +510,7 @@ def kernel_price(
     refs = []
     for k in range(model.k):
         idx = np.flatnonzero(comp == k)
-        if mode == "exact":
+        if exact:
             refs.append((idx, model.components[k].mass))
             continue
         if idx.size == 0:
@@ -556,7 +562,7 @@ def kernel_price(
         error_rate=float(w @ (assigned != comp)),
         baseline_cost=baseline,
         tree_cost=tree_cost,
-        mc_samples=0 if mode == "exact" else n,
+        mc_samples=0 if exact else n,
         mc_seed=seed,
         fallback_leaves=tuple(fallbacks),
     )

@@ -242,22 +242,6 @@ class MixtureModel:
     def all_gaussian(self) -> bool:
         return all(c.kind == GAUSSIAN for c in self.components)
 
-    def scale_shift(self, scale, shift) -> "MixtureModel":
-        """Apply x_j -> a_j * x_j + b_j (a_j > 0) jointly to all parameters."""
-        a = np.asarray(scale, dtype=float)
-        b = np.asarray(shift, dtype=float)
-        if np.any(a <= 0):
-            raise ValidationError("scale factors must be positive")
-        comps = []
-        for c in self.components:
-            if c.kind == GAUSSIAN:
-                comps.append(Component.gaussian(a * c.mean + b, a * c.stddev))
-            else:
-                comps.append(Component.discrete(a * c.support + b, c.mass, mean=a * c.mean + b))
-        return MixtureModel(
-            components=tuple(comps), weights=self.weights, sigma=a * self.sigma, alpha=self.alpha
-        )
-
     def to_dict(self) -> dict:
         return {
             "format_version": 1,

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from mmdt import Component, KernelSpec, MixtureModel, enr
+from mmdt import CenteredDataset, Component, KernelSpec, LabeledDataset, MixtureModel, enr
+from mmdt.baseline import _cut_mistakes
+from mmdt.mixture import GAUSSIAN
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -77,3 +80,43 @@ def random_discrete_model(seed: int, k_max: int = 4, d_max: int = 4) -> MixtureM
     w = np.maximum(w, 0.05)
     w /= w.sum()
     return MixtureModel.create(tuple(comps), w)
+
+
+def scale_shift(model: MixtureModel, scale, shift) -> MixtureModel:
+    """Apply x_j -> a_j * x_j + b_j (a_j > 0) jointly to all parameters."""
+    a = np.asarray(scale, dtype=float)
+    b = np.asarray(shift, dtype=float)
+    assert np.all(a > 0), "scale factors must be positive"
+    comps = tuple(
+        Component.gaussian(a * c.mean + b, a * c.stddev)
+        if c.kind == GAUSSIAN
+        else Component.discrete(a * c.support + b, c.mass, mean=a * c.mean + b)
+        for c in model.components
+    )
+    return MixtureModel(components=comps, weights=model.weights, sigma=a * model.sigma, alpha=model.alpha)
+
+
+def as_labeled_dataset(model: MixtureModel, max_rows: int = 100_000) -> LabeledDataset:
+    """Expand a discrete model into a dataset whose empirical law is exactly
+    the model: each support point repeated proportionally to its joint mass
+    (requires all masses to be rational with a modest common denominator)."""
+    assert model.all_discrete(), "dataset expansion requires finite-discrete components"
+    joint = []
+    denom = 1
+    for k, c in enumerate(model.components):
+        for row, mass in zip(c.support, c.mass):
+            frac = Fraction(model.weights[k]).limit_denominator(10**9)
+            frac *= Fraction(mass).limit_denominator(10**9)
+            joint.append((row, frac, k))
+            denom = math.lcm(denom, frac.denominator)
+    reps = [int(frac * denom) for _, frac, _ in joint]
+    assert sum(reps) <= max_rows, f"expansion needs {sum(reps)} rows > {max_rows}"
+    points = np.repeat(np.array([row for row, _, _ in joint]), reps, axis=0)
+    labels = np.repeat(np.array([k for _, _, k in joint]), reps)
+    return LabeledDataset(points=points, labels=labels)
+
+
+def cut_mistakes_on_subset(data: CenteredDataset, point_idx, center_idx, axis, theta) -> int:
+    """Mistakes of a fixed cut restricted to a subset of points (for the
+    monotonicity property: a cut's count never grows on subsets)."""
+    return _cut_mistakes(data, np.asarray(point_idx, dtype=int), list(center_idx), axis, theta)

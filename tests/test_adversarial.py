@@ -9,7 +9,6 @@ from mmdt import (
     thm4_floor,
 )
 from mmdt.adversarial import (
-    as_labeled_dataset,
     b3_canonical_tree,
     enumerate_valid_trees,
     gen_b3,
@@ -19,6 +18,8 @@ from mmdt.adversarial import (
 )
 from mmdt.evaluate import _support_enumeration
 from mmdt.mixture import Component, MixtureModel
+
+from conftest import as_labeled_dataset
 
 
 def test_thm2_targets_match_exact_computation():

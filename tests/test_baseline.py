@@ -3,8 +3,10 @@ import pytest
 
 from mmdt import ValidationError, build_imm, empirical_price, sample
 from mmdt.adversarial import gen_b3
-from mmdt.baseline import CenteredDataset, _best_cut, cut_mistakes_on_subset, nearest_center
+from mmdt.baseline import CenteredDataset, _best_cut, nearest_center
 from mmdt.tree import assign_components, check_structure
+
+from conftest import cut_mistakes_on_subset
 
 
 def make_blobs(seed=0, n=400, centers=((0.0, 0.0), (6.0, 0.0), (0.0, 6.0)), scale=0.8):

@@ -1,15 +1,20 @@
-"""The benchmark in ``perfbench/`` times mmdt functions by name and checks its
-workloads with mmdt's own oracles.  A renamed function would silently drop
-out of the traced layers or break an oracle, so both lists are pinned here.
-``perfbench/spans.py`` is only read, never imported as a module."""
+"""The benchmark in ``perfbench/`` times mmdt functions by name, runs CLI
+chains and checks its workloads with mmdt's own oracles.  A renamed function
+would silently drop out of the traced layers or break an oracle, and a
+dropped flag would fail every op, so all three are pinned here.
+``perfbench/spans.py`` and ``perfbench/workloads.py`` are only read, never
+imported as modules."""
 
 import importlib
 import runpy
 from pathlib import Path
 
-import mmdt.cli  # noqa: F401  (imports every traced module)
+import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import mmdt.cli  # imports every traced module
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 # Kernel routing is timed under tree.assign_components since axis and kernel
 # trees share one router; the benchmark reports this name as missing.
@@ -44,3 +49,14 @@ def test_traced_layers_resolve():
 
 def test_oracle_entry_points_exist():
     assert [name for name in ORACLES if not callable(resolve(name))] == []
+
+
+def test_workload_argv_parses(tmp_path):
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
+    parser = mmdt.cli.make_parser()
+    for name, workload in workloads.items():
+        for argv, _ in workload(tmp_path, 0).steps(0):
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{name}: mmdt rejects {argv}")

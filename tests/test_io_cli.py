@@ -400,10 +400,11 @@ _BAD_INPUTS = [
     pytest.param(("export-dot", "--tree", "{tree}", "--out", "{bad}"), {}, 2, id="export-dot-out"),
     pytest.param(("build-kernel", "--mixture", "{mix}", "--gamma", "abc", "--out", "{tmp}/k.json"), {}, 2, id="gamma"),
     pytest.param(("bench", "--sizes", "a"), {}, 2, id="sizes"),
+    # the statistics draw no pairs, so --pairs is an unknown flag
     pytest.param(
         ("build-kernel", "--mixture", "{mix}", "--mode", "mc", "--pairs", 0, "--out", "{tmp}/k.json"),
         {},
-        3,
+        2,
         id="mc-pairs-zero",
     ),
     pytest.param(("moments", "--data", "{data}", "--k", 0, "--out", "{tmp}/mm.json"), {}, 3, id="moments-k-zero"),
@@ -595,8 +596,8 @@ _ARTIFACT_SHA256 = {
     "exact-discrete.dot": "807ae624638dc3fbc87bf0aae146f7ee4251823401e3cfb37983731e3bae4fee",
     "kernel-exact": "e6366c64ea21d4c238faf0279290b0cbb2939e87edd2b9add1445abc53de1c4e",
     "kernel-exact.dot": "523ad9705eab3cef5c62a8475c7dc16a43761b346cba1ecfcf677ae051a0fb46",
-    "kernel-mc": "7add84139e31ad84a8074aa66011e0bcd8573599904cb031ed4b3866bd69672f",
-    "kernel-mc.dot": "3a50bb21270e0e27610f4f75d52555a79c2101213dbb879f68f9d04c9f52c519",
+    "kernel-mc": "55cb59774acaa2ddb015fe5aac7327b22d2ed5b26341a9726913a6cbd37db117",
+    "kernel-mc.dot": "4907d35e04d134e38aa7bb290eeedd50332076a25b8974b5189b143908b78a13",
     "imm": "eb978b42fd7194df8e647c35b138eaffe1d0d6a3d9e771ea5189d91bae050b22",
     "imm.dot": "a53dcfb7c5fa2b6a8805066bec7bad13ab166c6beebf304b42a6a774fa877351",
     "exact-discrete.eval": "08efd63cf8407b8ac77b87cdc5ddcce4a29764a4822a7ef195953522c77df36a",
@@ -630,10 +631,7 @@ def _cli_artifact_digests(tmp_path, capsys) -> dict:
         "gaussian": ("build", "--mixture", gauss_path, "--objective", "gaussian"),
         "exact-discrete": ("build", "--mixture", disc_path, "--objective", "exact-discrete"),
         "kernel-exact": ("build-kernel", "--mixture", disc_path, "--gamma", gamma, "--seed", 3),
-        "kernel-mc": (
-            "build-kernel", "--mixture", gauss_path, "--gamma", "0.001",
-            "--mode", "mc", "--pairs", 2000, "--seed", 3,
-        ),
+        "kernel-mc": ("build-kernel", "--mixture", gauss_path, "--gamma", "0.001", "--seed", 3),
         "imm": ("baseline-imm", "--data", data, "--centers", centers),
     }
     def sha(text) -> str:
@@ -675,3 +673,19 @@ def _cli_artifact_digests(tmp_path, capsys) -> dict:
 
 def test_cli_artifacts_byte_identical(tmp_path, capsys):
     assert _cli_artifact_digests(tmp_path, capsys) == _ARTIFACT_SHA256
+
+
+def test_build_kernel_mode_flag_is_hidden_and_ignored(tmp_path, capsys):
+    mix = tmp_path / "g.json"
+    save_mixture(mix, gaussian_battery(7))
+    trees = []
+    for extra in ((), ("--mode", "exact"), ("--mode", "mc")):
+        out = tmp_path / f"k{len(trees)}.json"
+        assert run_cli("build-kernel", "--mixture", mix, "--gamma", "0.001", *extra, "--out", out) == 0
+        trees.append(out.read_bytes())
+    assert trees[0] == trees[1] == trees[2]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        run_cli("build-kernel", "--help")
+    usage = capsys.readouterr().out
+    assert "--gamma" in usage and "--mode" not in usage and "--pairs" not in usage

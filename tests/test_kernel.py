@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from mmdt import (
     Component,
@@ -23,6 +24,7 @@ from mmdt import (
 from mmdt import kernel as kernel_module
 from mmdt.errors import IncompatibilityError
 from mmdt.kernel import (
+    PROFILES,
     KernelPriceReport,
     KernelTree,
     _axis_gram,
@@ -81,9 +83,9 @@ def test_xi_examples():
 
 def test_xi_mc_agrees_with_exact():
     model, ker = translate_battery(77)
-    exact = xi(model, ker, 0, 0, 1, mode="exact")
-    approx = xi(model, ker, 0, 0, 1, mode="mc", n_pairs=200_000, seed=5)
-    assert approx == pytest.approx(exact, abs=5e-3)
+    x, y = reference_pairs(model, 0, 1, 200_000, 5)
+    approx = float(np.mean(ker.axis_similarity(0, x[:, 0], y[:, 0])))
+    assert approx == pytest.approx(xi(model, ker, 0, 0, 1), abs=5e-3)
 
 
 def test_kernel_stats_point_masses():
@@ -117,7 +119,7 @@ def test_kernel_stats_warns_on_unequal_norms():
 def test_mmd_examples():
     model, ker = point_pair(dist=3.0, gamma=0.25)
     assert mmd(model, ker, 0, 0) == 0.0
-    assert mmd(model, ker, 1, 1, mode="mc", n_pairs=50) == 0.0
+    assert mmd(model, ker, 1, 1) == 0.0
     assert mmd(model, ker, 0, 1) == pytest.approx(math.sqrt(2.0 - 2.0 * math.exp(-0.25 * 9.0)))
     model2, ker2 = translate_battery(55)
     got = mmd(model2, ker2, 0, 1)
@@ -257,16 +259,18 @@ def test_interval_form_matches_kernel_predict():
 
 @pytest.mark.parametrize("n_pairs", [0, -3])
 def test_mc_statistics_reject_pairs_below_one(n_pairs):
+    # Every statistic is exact: none takes a pair count or a seed, at any value.
     model, ker = translate_battery(3)
     calls = [
-        lambda: kernel_stats(model, ker, mode="mc", n_pairs=n_pairs),
-        lambda: xi(model, ker, 0, 0, 1, mode="mc", n_pairs=n_pairs),
-        lambda: mmd(model, ker, 0, 1, mode="mc", n_pairs=n_pairs),
-        lambda: mmd(model, ker, 0, 0, mode="mc", n_pairs=n_pairs),
+        lambda **kw: kernel_stats(model, ker, **kw),
+        lambda **kw: xi(model, ker, 0, 0, 1, **kw),
+        lambda **kw: mmd(model, ker, 0, 1, **kw),
+        lambda **kw: mmd(model, ker, 0, 0, **kw),
     ]
     for call in calls:
-        with pytest.raises(ValidationError, match="n_pairs must be >= 1"):
-            call()
+        for name in ("n_pairs", "seed"):
+            with pytest.raises(TypeError, match=name):
+                call(**{name: n_pairs})
 
 
 @pytest.mark.parametrize("mode", ["bogus", "Exact"])
@@ -280,36 +284,23 @@ def test_mc_statistics_reject_pairs_below_one(n_pairs):
     ],
 )
 def test_statistics_reject_unknown_mode(call, mode):
+    # Exact is the only mode, so no statistic takes one.
     model, ker = translate_battery(3)
-    with pytest.raises(ValidationError, match=f"mode must be 'exact' or 'mc', got '{mode}'"):
+    with pytest.raises(TypeError, match="mode"):
         call(model, ker, mode)
 
 
-@pytest.mark.parametrize("mode", ["exact", "mc"])
-def test_statistics_reject_component_index_out_of_range(mode):
-    model, ker = translate_battery(3)
+@pytest.mark.parametrize("kind", ["discrete", "gaussian"])
+def test_statistics_reject_component_index_out_of_range(kind):
+    model, ker = translate_battery(3) if kind == "discrete" else mixed_profile_gaussians(9200)
     for k, l in ((-1, 0), (0, -1), (model.k, 0), (0, model.k), (-1, -1)):
         with pytest.raises(ValidationError, match="component index out of range"):
-            mmd(model, ker, k, l, mode=mode, n_pairs=100)
+            mmd(model, ker, k, l)
         with pytest.raises(ValidationError, match="component index out of range"):
-            xi(model, ker, 0, k, l, mode=mode, n_pairs=100)
+            xi(model, ker, 0, k, l)
     for i in (-1, model.dim):
         with pytest.raises(ValidationError, match="axis index"):
-            xi(model, ker, i, 0, 1, mode=mode, n_pairs=100)
-
-
-def test_exact_statistics_require_discrete_components():
-    comps = (Component.gaussian([0.0], [1.0]), Component.discrete([[3.0]], [1.0]))
-    model = MixtureModel.create(comps, [0.5, 0.5])
-    ker = KernelSpec.uniform("gaussian", 1.0, 1)
-    calls = [
-        lambda: kernel_stats(model, ker),
-        lambda: xi(model, ker, 0, 0, 1),
-        lambda: mmd(model, ker, 0, 1),
-    ]
-    for call in calls:
-        with pytest.raises(ValidationError, match="require finite-discrete components"):
-            call()
+            xi(model, ker, i, 0, 1)
 
 
 def reference_pairs(model, k, l, n_pairs, seed):
@@ -317,57 +308,40 @@ def reference_pairs(model, k, l, n_pairs, seed):
     return model.components[k].sample(rng, n_pairs), model.components[l].sample(rng, n_pairs)
 
 
-def reference_xi(model, ker, i, k, l, mode, n_pairs, seed):
-    # Reference: the separate exact and MC branches of xi, mmd and
-    # kernel_stats that the one pair law replaced.
-    if mode == "exact":
-        ck, cl = model.components[k], model.components[l]
-        return float(ck.mass @ _axis_gram(ker, i, ck.support[:, i], cl.support[:, i]) @ cl.mass)
-    x, y = reference_pairs(model, k, l, n_pairs, seed)
-    return float(np.mean(ker.axis_similarity(i, x[:, i], y[:, i])))
+def reference_xi(model, ker, i, k, l):
+    # Reference: the separate exact branches of xi, mmd and kernel_stats
+    # that the one pair law replaced.
+    ck, cl = model.components[k], model.components[l]
+    return float(ck.mass @ _axis_gram(ker, i, ck.support[:, i], cl.support[:, i]) @ cl.mass)
 
 
-def reference_mmd(model, ker, k, l, mode, n_pairs, seed):
+def reference_mmd(model, ker, k, l):
     def cross(a, b):
-        if mode == "exact":
-            ca, cb = model.components[a], model.components[b]
-            return float(ca.mass @ _full_gram(ker, ca.support, cb.support) @ cb.mass)
-        x, y = reference_pairs(model, a, b, n_pairs, seed)
-        return float(np.mean(ker.similarity(x, y)))
+        ca, cb = model.components[a], model.components[b]
+        return float(ca.mass @ _full_gram(ker, ca.support, cb.support) @ cb.mass)
 
     if k == l:
         return 0.0
     return math.sqrt(max(0.0, cross(k, k) + cross(l, l) - 2.0 * cross(k, l)))
 
 
-def reference_kernel_stats(model, ker, mode, n_pairs, seed):
+def reference_kernel_stats(model, ker):
     d, K = model.dim, model.k
     xi_table, sigma2_per, eps2 = np.empty((d, K, K)), np.empty(K), 0.0
     for k in range(K):
         for l in range(k, K):
             full = 1.0
-            if mode == "exact":
-                ck, cl = model.components[k], model.components[l]
-                for i in range(d):
-                    gram = _axis_gram(ker, i, ck.support[:, i], cl.support[:, i])
-                    mean = float(ck.mass @ gram @ cl.mass)
-                    mean_sq = float(ck.mass @ gram**2 @ cl.mass)
-                    xi_table[i, k, l] = xi_table[i, l, k] = mean
-                    eps2 = max(eps2, mean_sq - mean**2)
-                    if k == l:
-                        full = full * gram
+            ck, cl = model.components[k], model.components[l]
+            for i in range(d):
+                gram = _axis_gram(ker, i, ck.support[:, i], cl.support[:, i])
+                mean = float(ck.mass @ gram @ cl.mass)
+                mean_sq = float(ck.mass @ gram**2 @ cl.mass)
+                xi_table[i, k, l] = xi_table[i, l, k] = mean
+                eps2 = max(eps2, mean_sq - mean**2)
                 if k == l:
-                    sigma2_per[k] = float(ck.mass @ full @ cl.mass)
-            else:
-                x, y = reference_pairs(model, k, l, n_pairs, seed)
-                for i in range(d):
-                    vals = ker.axis_similarity(i, x[:, i], y[:, i])
-                    xi_table[i, k, l] = xi_table[i, l, k] = float(vals.mean())
-                    eps2 = max(eps2, float(vals.var()))
-                    if k == l:
-                        full = full * vals
-                if k == l:
-                    sigma2_per[k] = float(np.mean(full))
+                    full = full * gram
+            if k == l:
+                sigma2_per[k] = float(ck.mass @ full @ cl.mass)
     tau = max(float(xi_table[:, k, l].min()) for k in range(K) for l in range(K) if k != l)
     return xi_table, sigma2_per, min(1.0, eps2), tau
 
@@ -382,29 +356,142 @@ def mixed_profile_gaussians(seed):
     return MixtureModel.create(comps, np.full(k, 1.0 / k)), ker
 
 
-def pair_law_cases():
+def test_statistics_match_the_per_function_branches():
+    # On all-discrete models every statistic is bit-identical to the sums it
+    # replaced, except eps2, which squares the profile at 2 gamma instead of
+    # squaring its values: the two differ by rounding only.
     for i in range(12):
-        yield (*translate_battery(9000 + i), "exact", 10_000, 0)
-    for i in range(4):
-        yield (*translate_battery(9100 + i), "mc", 400, i)
-    for i in range(8):
-        yield (*mixed_profile_gaussians(9200 + i), "mc", 400, i)
+        model, ker = translate_battery(9000 + i)
+        st = kernel_stats(model, ker)
+        xi_table, sigma2_per, eps2, tau = reference_kernel_stats(model, ker)
+        assert np.array_equal(st.xi_table, xi_table)
+        assert np.array_equal(st.sigma2_per_component, sigma2_per)
+        assert st.sigma2 == float(sigma2_per.min()) and st.tau == tau
+        assert st.eps2 == pytest.approx(eps2, rel=1e-12, abs=1e-15)
+        for k in range(model.k):
+            for l in range(model.k):
+                assert mmd(model, ker, k, l) == reference_mmd(model, ker, k, l)
+                for i in range(model.dim):
+                    assert xi(model, ker, i, k, l) == reference_xi(model, ker, i, k, l)
 
 
 @pytest.mark.filterwarnings("ignore:component self-similarities differ")
-def test_statistics_match_the_per_function_branches():
-    for model, ker, mode, n_pairs, seed in pair_law_cases():
-        args = (mode, n_pairs, seed)
-        st = kernel_stats(model, ker, *args)
-        xi_table, sigma2_per, eps2, tau = reference_kernel_stats(model, ker, *args)
-        assert np.array_equal(st.xi_table, xi_table)
-        assert np.array_equal(st.sigma2_per_component, sigma2_per)
-        assert st.sigma2 == float(sigma2_per.min()) and st.tau == tau and st.eps2 == eps2
+def test_gaussian_statistics_match_mc_reference():
+    # Closed forms against paired draws, within 5 standard errors of the
+    # draws' means at 200k pairs per component pair.
+    n = 200_000
+    for seed in range(9200, 9208):
+        model, ker = mixed_profile_gaussians(seed)
+        st = kernel_stats(model, ker)
+        eps2, eps2_se, cross, cross_se = 0.0, 0.0, {}, {}
         for k in range(model.k):
-            for l in range(model.k):
-                assert mmd(model, ker, k, l, *args) == reference_mmd(model, ker, k, l, *args)
-                for i in range(model.dim):
-                    assert xi(model, ker, i, k, l, *args) == reference_xi(model, ker, i, k, l, *args)
+            for l in range(k, model.k):
+                x, y = reference_pairs(model, k, l, n, seed)
+                vals = [ker.axis_similarity(i, x[:, i], y[:, i]) for i in range(model.dim)]
+                for i, v in enumerate(vals):
+                    m = float(v.mean())
+                    assert abs(st.xi_table[i, k, l] - m) <= 5.0 * v.std() / math.sqrt(n)
+                    if v.var() > eps2:
+                        eps2, eps2_se = v.var(), (np.std(v**2) + 2.0 * m * v.std()) / math.sqrt(n)
+                full = math.prod(vals)
+                cross[k, l], cross_se[k, l] = float(full.mean()), full.std() / math.sqrt(n)
+            assert abs(st.sigma2_per_component[k] - cross[k, k]) <= 5.0 * cross_se[k, k]
+        assert abs(st.eps2 - eps2) <= 5.0 * eps2_se
+        for k in range(model.k):
+            for l in range(k + 1, model.k):
+                mmd2 = cross[k, k] + cross[l, l] - 2.0 * cross[k, l]
+                se = cross_se[k, k] + cross_se[l, l] + 2.0 * cross_se[k, l]
+                assert abs(mmd(model, ker, k, l) ** 2 - mmd2) <= 5.0 * se
+
+
+def quad_expectation(profile, gamma, diff, var):
+    # E g(|z|) for z ~ N(diff, var) by quadrature, split at the kink z = 0.
+    g = KernelSpec((profile,), [gamma])
+    if var == 0.0:
+        return float(g.profile_value(0, abs(diff)))
+    s = math.sqrt(var)
+    kink = min(max(-diff / s, -40.0), 40.0)
+
+    def f(u):
+        density = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        return float(g.profile_value(0, abs(diff + s * u))) * density
+
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=500)
+    return quad(f, -40.0, kink, **opts)[0] + quad(f, kink, 40.0, **opts)[0]
+
+
+def test_laplace_closed_form_matches_quadrature():
+    for diff in (-7.0, -1.3, 0.0, 0.4, 3.0, 25.0):
+        for var in (1e-4, 0.09, 1.0, 30.0, 800.0):
+            for gamma in (0.3, 2.0):
+                got = kernel_module._laplace_mean(diff, var, gamma)
+                assert got == pytest.approx(quad_expectation("laplace", gamma, diff, var), rel=1e-9)
+    # Where exp(gamma^2 var / 2 -+ gamma diff) overflows, each term is
+    # exp(-diff^2 / (2 var)) times the scaled erfc instead.
+    for (diff, var, gamma), want in (((0.0, 800.0, 2.0), 0.0141003360), ((5.0, 2000.0, 1.0), 0.0177213398)):
+        naive_x = (gamma * var - diff) / math.sqrt(2.0 * var)
+        with pytest.raises(OverflowError):
+            math.exp(0.5 * gamma**2 * var - gamma * diff) * math.erfc(naive_x)
+        got = kernel_module._laplace_mean(diff, var, gamma)
+        assert got == pytest.approx(want, rel=1e-8)
+        assert got == pytest.approx(quad_expectation("laplace", gamma, diff, var), rel=1e-9)
+    # a point pair (var 0) reads the profile itself
+    diffs = np.array([[-2.5, 0.0, 1.5]])
+    for profile in PROFILES:
+        ker = KernelSpec((profile,), [0.7])
+        got = kernel_module._atom_expectation(profile, ker.gamma[0], diffs, 0.0)
+        assert np.array_equal(got, ker.profile_value(0, np.abs(diffs)))
+
+
+def mixed_model():
+    comps = (
+        Component.discrete([[0.0, 0.3], [0.4, -0.2], [-0.3, 0.1]], [0.5, 0.3, 0.2]),
+        Component.gaussian([2.0, 0.5], [0.4, 0.7]),
+        Component.discrete([[4.1, -0.6], [3.6, 0.2]], [0.6, 0.4]),
+        Component.gaussian([6.0, -0.4], [0.9, 0.3]),
+    )
+    model = MixtureModel.create(comps, [0.3, 0.2, 0.25, 0.25])
+    return model, KernelSpec(profiles=("gaussian", "laplace"), gamma=[0.8, 1.3])
+
+
+def test_mixed_model_statistics_match_quadrature():
+    model, ker = mixed_model()
+
+    def atoms(c):
+        if c.support is None:
+            return c.mean[None, :], c.stddev**2, np.ones(1)
+        return c.support, np.zeros(model.dim), c.mass
+
+    def expect(k, l, axes, power=1):
+        # E prod_{i in axes} kappa_i(x, y)^power, summed over support points
+        (a, va, ma), (b, vb, mb) = atoms(model.components[k]), atoms(model.components[l])
+        return sum(
+            ma[p] * mb[q] * math.prod(
+                quad_expectation(ker.profiles[i], power * ker.gamma[i], a[p, i] - b[q, i], va[i] + vb[i])
+                for i in axes
+            )
+            for p in range(len(ma))
+            for q in range(len(mb))
+        )
+
+    with pytest.warns(UserWarning, match="self-similarities"):
+        st = kernel_stats(model, ker)
+    axes = range(model.dim)
+    eps2 = 0.0
+    for k in range(model.k):
+        assert st.sigma2_per_component[k] == pytest.approx(expect(k, k, axes), rel=1e-9)
+        for l in range(model.k):
+            for i in axes:
+                want = expect(k, l, [i])
+                assert st.xi_table[i, k, l] == pytest.approx(want, rel=1e-9)
+                assert xi(model, ker, i, k, l) == pytest.approx(want, rel=1e-9)
+                eps2 = max(eps2, expect(k, l, [i], power=2) - want**2)
+            if k != l:
+                want = math.sqrt(expect(k, k, axes) + expect(l, l, axes) - 2.0 * expect(k, l, axes))
+                assert mmd(model, ker, k, l) == pytest.approx(want, rel=1e-9)
+    assert st.eps2 == pytest.approx(eps2, rel=1e-9)
+    tree = build_kernel_mmdt(model, ker, st, seed=0)
+    check_structure(tree, st)
 
 
 def test_mc_paths_with_gaussian_components(monkeypatch):
@@ -414,19 +501,17 @@ def test_mc_paths_with_gaussian_components(monkeypatch):
     )
     model = MixtureModel.create(comps, [0.5, 0.5])
     ker = KernelSpec.uniform("gaussian", 0.4, 2)
-    st = kernel_stats(model, ker, mode="mc", n_pairs=50_000, seed=1)
+    st = kernel_stats(model, ker)
     assert 0.0 < st.sigma2 < 1.0 and st.tau < st.sigma2
     # closed form for gaussian profile with gaussian marginals:
     # E exp(-g (x - y)^2) = exp(-g D^2 / (1 + 2 g s^2)) / sqrt(1 + 2 g s^2)
     g, s2, dist = 0.4, 0.3**2 + 0.3**2, 4.0
     want = math.exp(-g * dist**2 / (1 + 2 * g * s2)) / math.sqrt(1 + 2 * g * s2)
-    assert xi(model, ker, 0, 0, 1, mode="mc", n_pairs=200_000, seed=2) == pytest.approx(
-        want, abs=2e-3
-    )
-    assert mmd(model, ker, 0, 1, mode="mc", n_pairs=50_000, seed=3) > 0.5
+    assert xi(model, ker, 0, 0, 1) == pytest.approx(want, rel=1e-12)
+    assert mmd(model, ker, 0, 1) > 0.5
     tree = build_kernel_mmdt(model, ker, st, seed=0)
     monkeypatch.setattr(kernel_module, "_MC_EMBED_ROWS", 512)
-    rep = kernel_price(model, tree, n=4000, seed=5, mode="mc")
+    rep = kernel_price(model, tree, n=4000, seed=5)
     assert rep.price == pytest.approx(1.0, abs=0.1)
     assert rep.error_rate < 0.05
 
@@ -482,25 +567,39 @@ def test_kernel_price_zero_noise():
     assert rep.price == 1.0 and rep.error_rate == 0.0
 
 
+@pytest.mark.filterwarnings("ignore:component self-similarities differ")
 def test_kernel_price_mc_mode(monkeypatch):
+    # The model decides the path: exact when every component is discrete,
+    # MC as soon as one is not.
     model, ker = translate_battery(300)
+    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
+    exact = kernel_price(model, tree, n=5000, seed=4)
+    assert exact.mc_samples == 0 and exact == kernel_price(model, tree, seed=4)
+    mixed, ker = mixed_model()
+    tree = build_kernel_mmdt(mixed, ker, kernel_stats(mixed, ker), seed=0)
+    assert kernel_price(mixed, tree, n=1000, seed=4).mc_samples == 1000
+    with pytest.raises(ValidationError, match="n >= 100"):
+        kernel_price(mixed, tree)
+    # The MC baseline cost estimates sum_k p_k (1 - sigma2_k), which the
+    # statistics give in closed form.
+    model, ker, tree = overlapping_gaussians()
     st = kernel_stats(model, ker)
-    tree = build_kernel_mmdt(model, ker, st, seed=0)
-    exact = kernel_price(model, tree)
     monkeypatch.setattr(kernel_module, "_MC_EMBED_ROWS", 512)
-    approx = kernel_price(model, tree, n=5000, seed=4, mode="mc")
-    assert approx.price == pytest.approx(exact.price, abs=0.05)
-    assert approx.error_rate == pytest.approx(exact.error_rate, abs=0.02)
+    rep = kernel_price(model, tree, n=5000, seed=4)
+    assert rep.mc_samples == 5000
+    want = float(model.weights @ (1.0 - st.sigma2_per_component))
+    assert rep.baseline_cost == pytest.approx(want, rel=0.02)
 
 
-def dense_kernel_price(model, tree, n=0, seed=0, mode="exact"):
+def dense_kernel_price(model, tree, n=0, seed=0):
     # Reference: the five separate Gram products per component and leaf that
     # the blocked single pass replaced (self-similarity, own rows, assigned
-    # rows, leaf norm, leaf cross term).  Exact mode uses every support row;
-    # mc mode the first rows of each component and leaf, or two fresh draws
-    # for a component without draws.
+    # rows, leaf norm, leaf cross term).  An all-discrete model uses every
+    # support row; any other model the first MC rows of each component and
+    # leaf, or two fresh draws for a component without draws.
     ker = tree.kernel
-    if mode == "exact":
+    exact = model.all_discrete()
+    if exact:
         cap = None
         pts = np.vstack([c.support for c in model.components])
         w = np.concatenate([model.weights[k] * c.mass for k, c in enumerate(model.components)])
@@ -549,7 +648,7 @@ def dense_kernel_price(model, tree, n=0, seed=0, mode="exact"):
         error_rate=float(w @ (assigned != comp)),
         baseline_cost=baseline,
         tree_cost=tree_cost,
-        mc_samples=0 if mode == "exact" else n,
+        mc_samples=0 if exact else n,
         mc_seed=seed,
         fallback_leaves=tuple(fallbacks),
     )
@@ -601,7 +700,7 @@ def overlapping_gaussians():
     comps = tuple(Component.gaussian([2.0 * j, 0.0, 0.0], [0.8, 0.3, 0.3]) for j in range(3))
     model = MixtureModel.create(comps, [0.3, 0.3, 0.4])
     ker = KernelSpec(profiles=("gaussian", "laplace", "gaussian"), gamma=[0.5, 1.0, 2.0])
-    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker, mode="mc", n_pairs=2000), seed=1)
+    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=1)
     return model, ker, tree
 
 
@@ -609,10 +708,10 @@ def test_kernel_price_matches_dense_in_mc_mode(monkeypatch):
     # Components and leaves differ, so with 64-row prefixes the component's
     # and the leaf's reference points are different draws.
     model, ker, tree = overlapping_gaussians()
-    assert_matches_dense(model, tree, n=500, seed=5, mode="mc")
+    assert_matches_dense(model, tree, n=500, seed=5)
     monkeypatch.setattr(kernel_module, "_MC_EMBED_ROWS", 64)
     for seed in (3, 4):
-        rep = assert_matches_dense(model, tree, n=3000, seed=seed, mode="mc")
+        rep = assert_matches_dense(model, tree, n=3000, seed=seed)
         assert rep.error_rate > 0.0
 
 
@@ -622,34 +721,31 @@ def without_draws(model):
     return MixtureModel.create(model.components, weights / weights.sum())
 
 
+@pytest.mark.filterwarnings("ignore:component self-similarities differ")
 def test_kernel_price_mc_component_without_draws():
     # A near-zero-weight component gets no draws, so its reference points are
     # two fresh draws.  Far from the others its leaf stays empty; among
     # overlapping gaussians other components' rows are routed to its leaf.
-    model, ker = translate_battery(8100)
+    far = (Component.gaussian([30.0, 30.0], [0.3, 0.3]),)
+    comps = far + tuple(Component.gaussian([3.0 * j, 0.0], [0.3, 0.5]) for j in range(3))
+    model = MixtureModel.create(comps, np.full(4, 0.25))
+    ker = KernelSpec.uniform("gaussian", 0.5, 2)
     tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
-    rep = assert_matches_dense(without_draws(model), tree, n=400, seed=2, mode="mc")
+    rep = assert_matches_dense(without_draws(model), tree, n=400, seed=2)
     assert 0 in rep.fallback_leaves
     model, ker, tree = overlapping_gaussians()
-    rep = assert_matches_dense(without_draws(model), tree, n=3000, seed=6, mode="mc")
+    rep = assert_matches_dense(without_draws(model), tree, n=3000, seed=6)
     assert rep.fallback_leaves == ()
-
-
-def test_kernel_price_rejects_unknown_mode():
-    model, ker = point_pair()
-    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
-    with pytest.raises(ValidationError, match="'Exact'"):
-        kernel_price(model, tree, n=1000, mode="Exact")
 
 
 def test_kernel_price_mc_memory_is_bounded():
     comps = tuple(Component.gaussian([2.5 * j, 0.0, 0.0, 0.0], [0.1] * 4) for j in range(5))
     model = MixtureModel.create(comps, np.full(5, 0.2))
     ker = KernelSpec.uniform("gaussian", 1.0, 4)
-    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker, mode="mc", n_pairs=2000), seed=0)
+    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
     tracemalloc.start()
     try:
-        rep = kernel_price(model, tree, n=50_000, seed=1, mode="mc")
+        rep = kernel_price(model, tree, n=50_000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -16,8 +16,10 @@ from mmdt import (
     sample,
     snr,
 )
-from mmdt.adversarial import as_labeled_dataset, gen_b3
+from mmdt.adversarial import gen_b3
 from mmdt.mixture import VARIANCE_FLOOR, _e_step, _farthest_point_seeds, _m_step, log_likelihood
+
+from conftest import as_labeled_dataset, scale_shift
 
 
 def two_comp(means, sigma):
@@ -109,7 +111,7 @@ def test_enr_snr_affine_invariant(seed):
     )
     a = rng.uniform(0.1, 5.0, size=d)
     b = rng.normal(scale=3.0, size=d)
-    mapped = m.scale_shift(a, b)
+    mapped = scale_shift(m, a, b)
     assert enr(mapped) == pytest.approx(enr(m), rel=1e-9)
     assert snr(mapped) == pytest.approx(snr(m), rel=1e-9)
 

@@ -31,7 +31,7 @@ from mmdt.tree import (
     normal_upper_tail,
 )
 
-from conftest import gaussian_battery, random_discrete_model
+from conftest import gaussian_battery, random_discrete_model, scale_shift
 
 
 def gaussians(means, sigma, weights=None):
@@ -316,7 +316,7 @@ def test_minimize_threshold_gaussian_underflow_plateau():
     assert theta == pytest.approx(100.0, rel=1e-9)
     assert value == 0.0
     a, b = 3.7, -41.0
-    theta2, _ = minimize_threshold(m.scale_shift([a], [b]), [0, 1], 0, "gaussian")
+    theta2, _ = minimize_threshold(scale_shift(m, [a], [b]), [0, 1], 0, "gaussian")
     assert theta2 == pytest.approx(a * theta + b, rel=1e-9)
 
 
@@ -506,7 +506,7 @@ def test_affine_equivariance(seed):
     )
     a = rng.uniform(0.2, 4.0, size=d)
     b = rng.normal(scale=2.0, size=d)
-    mapped = m.scale_shift(a, b)
+    mapped = scale_shift(m, a, b)
     for objective in ("chebyshev", "gaussian"):
         t1 = build_mmdt(m, objective)
         t2 = build_mmdt(mapped, objective)
