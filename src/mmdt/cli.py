@@ -342,6 +342,9 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (getattr(args, "out", None), getattr(args, "meta", None)):
+            if path:
+                io.check_writable(path)
         return args.fn(args)
     except MMDTError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -47,6 +48,18 @@ def write_text(path, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
+def check_writable(path) -> None:
+    """Raise FormatError unless path names a file in an existing, writable
+    directory, so that a command can refuse its output before its work."""
+    path = Path(path)
+    if path.is_dir():
+        raise FormatError(f"cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise FormatError(f"cannot write {path}: no directory {path.parent}")
+    if not os.access(path.parent, os.W_OK):
+        raise FormatError(f"cannot write {path}: directory {path.parent} is not writable")
 
 
 def save_json(path, payload: dict) -> None:

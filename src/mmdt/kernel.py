@@ -197,11 +197,12 @@ def _pair_law(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> tuple:
 
 def xi(model: MixtureModel, kernel: KernelSpec, i: int, k: int, l: int) -> float:
     """Expected per-axis similarity E[kappa_i(x, y)] for x ~ component k and
-    y ~ component l."""
+    y ~ component l.  The pair is read in (min, max) order, as
+    ``kernel_stats`` fills its table, so both agree bit for bit."""
     _check_kernel_dim(model, kernel)
     if not 0 <= i < model.dim:
         raise ValidationError(f"axis index {i} out of range with d={model.dim}")
-    gram, mean = _pair_law(model, kernel, k, l)
+    gram, mean = _pair_law(model, kernel, min(k, l), max(k, l))
     return mean(gram(i))
 
 

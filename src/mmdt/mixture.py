@@ -201,9 +201,12 @@ class MixtureModel:
             raise ValidationError("sigma dimension does not match components")
         if np.any(sig <= 0):
             raise ValidationError("sigma must be strictly positive")
-        dup = lowest_duplicate_pair(np.array([c.mean for c in comps]))
+        means = np.array([c.mean for c in comps])
+        dup = lowest_duplicate_pair(means)
         if dup:
             raise ValidationError(f"components {dup[0]} and {dup[1]} share the same mean")
+        means.setflags(write=False)
+        object.__setattr__(self, "_means", means)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "sigma", sig)
@@ -233,8 +236,9 @@ class MixtureModel:
         return self.components[0].dim
 
     def means(self) -> np.ndarray:
-        """Component means as a (K, d) array."""
-        return np.array([c.mean for c in self.components])
+        """Component means as a read-only (K, d) array, built once; a caller
+        that writes to it copies it first."""
+        return self._means
 
     def all_discrete(self) -> bool:
         return all(c.kind == DISCRETE for c in self.components)

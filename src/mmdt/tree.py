@@ -25,17 +25,19 @@ The two continuous objectives are minimized exactly.  Between consecutive
 projected means every Gaussian tail term is convex, and so is every Chebyshev
 term once the gap is also split at its clamp breakpoints ``mu_j +- sigma``.
 On each such piece the minimum is an end of the piece or the root of the
-objective's slope; the roots of all pieces of a node are found by one
-bisection on the slope's sign, vectorized over the pieces.  For every
-objective, candidates within a relative ``1e-12`` of the best are tied and
-the lowest threshold wins.
+objective's slope.  The tree grows one level at a time, with one vectorized
+bisection per tree level over all nodes' pieces, on the slope's sign; each
+slope is summed over components in a fixed order, so a node's threshold does
+not depend on the other nodes of its level.  For every objective,
+candidates within a relative ``1e-12`` of the best are tied and the lowest
+threshold wins.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -324,6 +326,191 @@ def _lowest_tied(thetas: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     return float(thetas[best]), float(vals[best])
 
 
+def _node_weights(model: MixtureModel, comps: list[int], axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Projected means and normalized weights of a node's components, which
+    need two distinct projected means on the axis."""
+    proj = model.means()[comps, axis]
+    if not proj.min() < proj.max():
+        raise ValidationError("need at least two distinct projected means on the axis")
+    w = model.weights[comps]
+    return proj, w / w.sum()
+
+
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum of each column of a (components, columns) array, adding its
+    entries top to bottom, so that zero terms padded on below change no bit.
+    numpy adds the rows in turn when the array is C-ordered with two or more
+    columns, but sums a lone column (or a column-major array) pairwise, so a
+    lone column is accumulated instead."""
+    if terms.shape[1] == 1:
+        return np.cumsum(terms, axis=0)[-1]
+    return np.ascontiguousarray(terms).sum(axis=0)
+
+
+class _Slope(NamedTuple):
+    """Slope f' of a continuous objective at one threshold per column, from
+    terms laid out (components, columns), as f' = factor * mantissa *
+    exp(shift) per column.
+
+    chebyshev (``sign`` None): f' = -(2 / sigma) sum_j coef_j / u_j^3 with
+    u_j = (t - mu_j) / sigma and coef_j the weight of a term the piece leaves
+    unclamped (else 0); factor 2 / sigma, shift 0.
+
+    gaussian: f' = sum_j sign_j * w_j / s_j * phi(u_j) with
+    u_j = (t - mu_j) / s_j, coef_j = log(w_j / s_j) - log sqrt(2 pi) and
+    sign_j = +1 where mu_j lies above the piece; factor 1.  The terms are
+    summed in the log domain, shifted by each column's largest, so the sign
+    survives where every term underflows (gaps over ~77 s_j).
+    """
+
+    proj: np.ndarray  # mu_j
+    scale: np.ndarray  # sigma (chebyshev) or s_j (gaussian)
+    coef: np.ndarray
+    sign: np.ndarray | None
+
+    def __call__(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+        # in place, so a call holds one (components, columns) array
+        u = t - self.proj
+        u /= self.scale
+        if self.sign is None:
+            u **= 3
+            return -_column_sums(np.divide(self.coef, u, out=u)), 0.0
+        u **= 2
+        u *= 0.5
+        log_terms = np.subtract(self.coef, u, out=u)
+        top = log_terms.max(axis=0)
+        log_terms -= top
+        terms = np.exp(log_terms, out=log_terms)
+        terms *= self.sign
+        return _column_sums(terms), top
+
+    @staticmethod
+    def stack(parts: list["_Slope"]) -> "_Slope":
+        """The columns of all parts side by side, each part padded below to
+        the widest with components whose terms are zero: mean +inf (so
+        u = -inf), scale 1, coef 0 (chebyshev) or -inf (gaussian), sign 0."""
+        # a node with nothing to bisect must not widen the padding
+        parts = [p for p in parts if p.proj.shape[1]] or parts[:1]
+        if len(parts) == 1:
+            return parts[0]
+        width = max(p.proj.shape[0] for p in parts)
+        bounds = np.cumsum([0] + [p.proj.shape[1] for p in parts])
+        gaussian = parts[0].sign is not None
+        stacked = []
+        for field, fill in zip(zip(*parts), (np.inf, 1.0, -np.inf if gaussian else 0.0, 0.0)):
+            if field[0] is None:
+                stacked.append(None)
+                continue
+            out = np.full((width, bounds[-1]), fill)
+            for a, start, stop in zip(field, bounds[:-1], bounds[1:]):
+                out[: a.shape[0], start:stop] = a
+            stacked.append(out)
+        return _Slope(*stacked)
+
+
+def _bisect(slope: _Slope, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Halve every bracket [a, b], on the sign of the slope at its midpoint,
+    until no float lies strictly inside any bracket, and return the lower
+    ends.  Each bracket holds one root of its (monotone) slope column."""
+    for _ in range(_BISECT_MAX_ITERS):
+        probe = 0.5 * (a + b)
+        inside = (probe > a) & (probe < b)
+        if not inside.any():
+            break
+        up = slope(probe)[0] > 0
+        b = np.where(inside & up, probe, b)
+        a = np.where(inside & ~up, probe, a)
+    return a
+
+
+def _brackets(model: MixtureModel, comps: list[int], axis: int, objective: str):
+    """A continuous node's search up to the bisection: split its interval
+    into pieces on which the objective is convex, and bracket those whose
+    one-sided end slopes change sign and whose tangent-line lower bound does
+    not already exceed the best end value.  Returns every piece's two ends,
+    their objective values, the brackets' lower and upper ends, the slope on
+    the brackets, and the objective as a function of thresholds."""
+    proj, w = _node_weights(model, comps, axis)
+    distinct = np.unique(proj)
+    breaks = distinct
+    if objective == "chebyshev":
+        sigma = float(model.sigma[axis])
+        clamp = np.concatenate([distinct - sigma, distinct + sigma])
+        breaks = np.union1d(distinct, clamp[(clamp > distinct[0]) & (clamp < distinct[-1])])
+    start, stop = breaks[:-1], breaks[1:]
+    gap = np.searchsorted(distinct, start, side="right")
+    span = distinct[gap] - distinct[gap - 1]
+    pull = span * 1e-12
+    lo = np.where(np.isin(start, distinct), np.maximum(start + pull, np.nextafter(start, stop)), start)
+    hi = np.where(np.isin(stop, distinct), np.minimum(stop - pull, np.nextafter(stop, start)), stop)
+    # A piece no wider than the pull-in (a breakpoint hugging a mean, or
+    # means one ulp apart) holds no threshold off the means.
+    lo, hi = lo[lo <= hi], hi[lo <= hi]
+    if lo.size == 0:
+        raise ValidationError("no threshold strictly between the projected means")
+    # Which side of each mean a piece lies on, and (chebyshev) which terms
+    # are clamped, is fixed per piece by its midpoint, so the slopes at its
+    # ends are one-sided.
+    mid = 0.5 * (lo + hi)
+    shape = (proj.size, mid.size)
+    if objective == "chebyshev":
+        coef = np.where(np.abs(mid - proj[:, None]) > sigma, w[:, None], 0.0)
+        slope = _Slope(np.broadcast_to(proj[:, None], shape), np.broadcast_to(sigma, shape), coef, None)
+        log_factor = math.log(2.0 / sigma)
+    else:
+        stds = np.array([model.components[k].stddev[axis] for k in comps])
+        log_ws = np.log(w / stds) - 0.5 * math.log(2.0 * math.pi)
+        slope = _Slope(
+            np.broadcast_to(proj[:, None], shape),
+            np.broadcast_to(stds[:, None], shape),
+            np.broadcast_to(log_ws[:, None], shape),
+            np.where(proj[:, None] > mid, 1.0, -1.0),
+        )
+        log_factor = 0.0
+
+    def values(ts):
+        return _node_values(model, comps, axis, objective, proj, w, ts)
+
+    f_lo, f_hi = values(lo), values(hi)
+    (s_lo, e_lo), (s_hi, e_hi) = slope(lo), slope(hi)
+    best_end = float(min(f_lo.min(), f_hi.min()))
+    tol = _TIE_REL * max(1.0, abs(best_end))
+    # Only a piece whose end slopes have opposite signs holds an interior
+    # minimum.  Its end tangents meet below that minimum; the bound prunes
+    # only where both slopes are representable (neither underflowed).
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g_lo, g_hi = s_lo * np.exp(e_lo + log_factor), s_hi * np.exp(e_hi + log_factor)
+        sloped = (g_lo < 0) & (g_hi > 0)
+        reach = np.where(sloped, (f_lo - f_hi + g_hi * (hi - lo)) / (g_hi - g_lo), 0.0)
+        bound = f_lo + g_lo * np.clip(reach, 0.0, hi - lo)
+    rows = np.flatnonzero((s_lo < 0) & (s_hi > 0) & ~(sloped & (bound > best_end + tol)))
+    bracketed = _Slope(*(None if a is None else a.take(rows, axis=1) for a in slope))
+    return np.concatenate([lo, hi]), np.concatenate([f_lo, f_hi]), lo[rows], hi[rows], bracketed, values
+
+
+def _search_level(
+    model: MixtureModel, nodes: list[tuple[list[int], int]], objective: str
+) -> list[tuple[float, float]]:
+    """(theta, value) of ``minimize_threshold`` for every (components, axis)
+    node of one tree level.  A continuous objective's pieces are bracketed
+    per node, and their slope roots found by one bisection over the brackets
+    of all the level's nodes together."""
+    if objective == "exact-discrete":
+        found = []
+        for comps, axis in nodes:
+            proj, w = _node_weights(model, comps, axis)
+            candidates = _midpoint_candidates(model, comps, axis)
+            found.append(_lowest_tied(candidates, _node_values(model, comps, axis, objective, proj, w, candidates)))
+        return found
+    ends, f_ends, a, b, slopes, values = zip(*(_brackets(model, comps, axis, objective) for comps, axis in nodes))
+    roots = _bisect(_Slope.stack(slopes), np.concatenate(a), np.concatenate(b))
+    per_node = np.split(roots, np.cumsum([r.size for r in a])[:-1])
+    return [
+        _lowest_tied(np.concatenate([e, r]), np.concatenate([f, value(r)]))
+        for e, f, r, value in zip(ends, f_ends, per_node, values)
+    ]
+
+
 def minimize_threshold(
     model: MixtureModel,
     node_components,
@@ -344,119 +531,50 @@ def minimize_threshold(
     pulled into the open gap by ``1e-12`` of the gap (at least one ulp).  Each
     piece contributes its two ends and, when its one-sided slopes change sign
     and its tangent-line lower bound does not already exceed the best end
-    value, the root of its slope, found by one bisection vectorized over all
-    such pieces.
+    value, the root of its slope, found by bisection.  ``build_mmdt`` runs
+    this search for all nodes of a tree level at once, with one bisection
+    over all their pieces; a node's result does not depend on the others.
 
     For every objective, candidates within ``_TIE_REL`` of the best value are
     tied and the lowest theta wins.
     """
     comps = list(node_components)
     _check_objective(objective, (model.components[k] for k in comps))
-    proj = model.means()[comps, axis]
-    m_lo, m_hi = float(proj.min()), float(proj.max())
-    if not m_lo < m_hi:
-        raise ValidationError("need at least two distinct projected means on the axis")
-    w = model.weights[comps]
-    w = w / w.sum()
-
-    if objective == "exact-discrete":
-        candidates = _midpoint_candidates(model, comps, axis)
-        return _lowest_tied(candidates, _node_values(model, comps, axis, objective, proj, w, candidates))
-
-    distinct = np.unique(proj)
-    breaks = distinct
-    if objective == "chebyshev":
-        sigma = float(model.sigma[axis])
-        clamp = np.concatenate([distinct - sigma, distinct + sigma])
-        breaks = np.union1d(distinct, clamp[(clamp > m_lo) & (clamp < m_hi)])
-    start, stop = breaks[:-1], breaks[1:]
-    gap = np.searchsorted(distinct, start, side="right")
-    span = distinct[gap] - distinct[gap - 1]
-    pull = span * 1e-12
-    lo = np.where(np.isin(start, distinct), np.maximum(start + pull, np.nextafter(start, stop)), start)
-    hi = np.where(np.isin(stop, distinct), np.minimum(stop - pull, np.nextafter(stop, start)), stop)
-    # A piece no wider than the pull-in (a breakpoint hugging a mean, or
-    # means one ulp apart) holds no threshold off the means.
-    lo, hi = lo[lo <= hi], hi[lo <= hi]
-    if lo.size == 0:
-        raise ValidationError("no threshold strictly between the projected means")
-    # Which side of each mean a piece lies on, and (chebyshev) which terms
-    # are clamped, is fixed per piece by its midpoint, so the slopes at its
-    # ends are one-sided.
-    mid = 0.5 * (lo + hi)
-
-    if objective == "chebyshev":
-        coef = np.where(np.abs(mid[:, None] - proj) > sigma, w, 0.0)
-        log_scale = math.log(2.0 / sigma)
-
-        def slope(ts, rows=slice(None)):
-            # f' = -(2 / sigma) * sum_j coef_j / u_j^3, u_j = (t - mu_j) / sigma,
-            # returned as (mantissa, log scale) like the gaussian slope
-            u = (ts[:, None] - proj) / sigma
-            return -(coef[rows] / u**3).sum(axis=1), log_scale
-    else:
-        stds = np.array([model.components[k].stddev[axis] for k in comps])
-        log_ws = np.log(w / stds) - 0.5 * math.log(2.0 * math.pi)
-        sign = np.where(proj > mid[:, None], 1.0, -1.0)
-
-        def slope(ts, rows=slice(None)):
-            # f' = sum_j sign_j * w_j / s_j * phi(z_j) = mantissa * exp(top):
-            # summed in the log domain, shifted by each row's largest term, so
-            # the sign survives where every term underflows (gaps over ~77 s_j).
-            log_terms = log_ws - 0.5 * ((ts[:, None] - proj) / stds) ** 2
-            top = log_terms.max(axis=1)
-            return (sign[rows] * np.exp(log_terms - top[:, None])).sum(axis=1), top
-
-    f_lo, f_hi = (_node_values(model, comps, axis, objective, proj, w, t) for t in (lo, hi))
-    (s_lo, e_lo), (s_hi, e_hi) = slope(lo), slope(hi)
-    best_end = float(min(f_lo.min(), f_hi.min()))
-    tol = _TIE_REL * max(1.0, abs(best_end))
-    # Only a piece whose end slopes have opposite signs holds an interior
-    # minimum.  Its end tangents meet below that minimum; the bound prunes
-    # only where both slopes are representable (neither underflowed).
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g_lo, g_hi = s_lo * np.exp(e_lo), s_hi * np.exp(e_hi)
-        sloped = (g_lo < 0) & (g_hi > 0)
-        reach = np.where(sloped, (f_lo - f_hi + g_hi * (hi - lo)) / (g_hi - g_lo), 0.0)
-        bound = f_lo + g_lo * np.clip(reach, 0.0, hi - lo)
-    rows = np.flatnonzero((s_lo < 0) & (s_hi > 0) & ~(sloped & (bound > best_end + tol)))
-    a, b = lo[rows], hi[rows]
-    for _ in range(_BISECT_MAX_ITERS):
-        probe = 0.5 * (a + b)
-        inside = (probe > a) & (probe < b)
-        if not inside.any():
-            break
-        up = slope(probe, rows)[0] > 0
-        b = np.where(inside & up, probe, b)
-        a = np.where(inside & ~up, probe, a)
-
-    f_a = _node_values(model, comps, axis, objective, proj, w, a)
-    return _lowest_tied(np.concatenate([lo, hi, a]), np.concatenate([f_lo, f_hi, f_a]))
+    return _search_level(model, [(comps, axis)], objective)[0]
 
 
 def build_mmdt(model: MixtureModel, objective: str = "chebyshev") -> AxisTree:
     """Build the K-leaf tree: per node, select the best axis, minimize the
     threshold objective, and partition the remaining components by mean side.
-    Ties in axis or threshold go to the lowest, so the tree is determined by
-    (model, objective)."""
+    The tree grows one level at a time, the threshold searches of a level's
+    nodes sharing one bisection.  Ties in axis or threshold go to the lowest,
+    so the tree is determined by (model, objective)."""
     _check_objective(objective, model.components)
     if model.k < 2:
         raise ValidationError("need at least two components")
     means = model.means()
+    splits: dict[tuple[int, ...], tuple[AxisCut, list[int], list[int]]] = {}
+    level = [list(range(model.k))]
+    while level:
+        axes = [select_axis(model, comps)[0] for comps in level]
+        found = _search_level(model, list(zip(level, axes)), objective)
+        next_level = []
+        for comps, axis, (theta, _) in zip(level, axes, found):
+            left = [k for k in comps if means[k, axis] <= theta]
+            right = [k for k in comps if means[k, axis] > theta]
+            assert left and right, "threshold failed to separate component means"
+            splits[tuple(comps)] = (AxisCut(axis=axis, theta=theta), left, right)
+            next_level += [side for side in (left, right) if len(side) > 1]
+        level = next_level
 
     def grow(comps: list[int]) -> TreeNode:
         if len(comps) == 1:
             return TreeNode(leaf=comps[0])
-        axis, _ = select_axis(model, comps)
-        theta, _ = minimize_threshold(model, comps, axis, objective)
-        left = [k for k in comps if means[k, axis] <= theta]
-        right = [k for k in comps if means[k, axis] > theta]
-        assert left and right, "threshold failed to separate component means"
-        return TreeNode(cut=AxisCut(axis=axis, theta=theta), left=grow(left), right=grow(right))
+        cut, left, right = splits[tuple(comps)]
+        return TreeNode(cut=cut, left=grow(left), right=grow(right))
 
-    root = grow(list(range(model.k)))
     return AxisTree(
-        root=root,
+        root=grow(list(range(model.k))),
         dim=model.dim,
         n_leaves=model.k,
         model_fingerprint=model.fingerprint(),

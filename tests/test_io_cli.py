@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 
 from mmdt import FormatError, LabeledDataset, MixtureModel, sample
 from mmdt.adversarial import gen_b3, gen_thm4
+from mmdt import cli as cli_module
+from mmdt import mixture as mixture_module
+from mmdt import tree as tree_module
 from mmdt.cli import main
 from mmdt.io import (
     load_centers,
@@ -433,6 +436,27 @@ def test_cli_bad_inputs_exit_cleanly(tmp_path, capsys, monkeypatch, argv, env, c
     assert "error: " in err and "Traceback" not in err
     if "{bad}" in argv:
         assert err.startswith(f"error: cannot write {bad}")
+
+
+@pytest.mark.parametrize("command", ["bench", "build", "fit-gmm"])
+@pytest.mark.parametrize("out", ["missing/out.json", "."], ids=["missing-dir", "is-dir"])
+def test_cli_refuses_unwritable_out_before_its_work(tmp_path, capsys, monkeypatch, command, out):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    for module, name in ((cli_module, "bench_rows"), (tree_module, "build_mmdt"), (mixture_module, "fit_gmm")):
+        monkeypatch.setattr(module, name, unreachable)
+    mix, data, bad = tmp_path / "m.json", tmp_path / "d.csv", tmp_path / out
+    save_mixture(mix, gaussian_battery(1))
+    save_dataset(data, sample(load_mixture(mix), 200, seed=2))
+    argv = {
+        "bench": ("bench", "--out", bad),
+        "build": ("build", "--mixture", mix, "--out", bad),
+        "fit-gmm": ("fit-gmm", "--data", data, "--k", 2, "--out", bad),
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad}")
 
 
 def test_cli_gen_thm2_rejects_zero_retries(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,20 @@ def test_statistics_reject_component_index_out_of_range(kind):
             xi(model, ker, i, 0, 1)
 
 
+def test_xi_equals_its_table_entry():
+    # xi reads a pair in (min, max) order, as kernel_stats fills its table,
+    # so both agree bit for bit in either order.
+    cases = [translate_battery(seed) for seed in range(40)] + [mixed_model()]
+    for model, ker in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = kernel_stats(model, ker).xi_table
+        for i in range(model.dim):
+            for k in range(model.k):
+                for l in range(model.k):
+                    assert xi(model, ker, i, k, l) == table[i, k, l]
+
+
 def reference_pairs(model, k, l, n_pairs, seed):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(k, l)))
     return model.components[k].sample(rng, n_pairs), model.components[l].sample(rng, n_pairs)
@@ -359,7 +374,8 @@ def mixed_profile_gaussians(seed):
 def test_statistics_match_the_per_function_branches():
     # On all-discrete models every statistic is bit-identical to the sums it
     # replaced, except eps2, which squares the profile at 2 gamma instead of
-    # squaring its values: the two differ by rounding only.
+    # squaring its values: the two differ by rounding only.  xi reads the
+    # pair in (min, max) order, as the table does.
     for i in range(12):
         model, ker = translate_battery(9000 + i)
         st = kernel_stats(model, ker)
@@ -372,7 +388,7 @@ def test_statistics_match_the_per_function_branches():
             for l in range(model.k):
                 assert mmd(model, ker, k, l) == reference_mmd(model, ker, k, l)
                 for i in range(model.dim):
-                    assert xi(model, ker, i, k, l) == reference_xi(model, ker, i, k, l)
+                    assert xi(model, ker, i, k, l) == reference_xi(model, ker, i, min(k, l), max(k, l))
 
 
 @pytest.mark.filterwarnings("ignore:component self-similarities differ")

@@ -21,10 +21,13 @@ from mmdt import (
 )
 from mmdt.adversarial import gen_b3, gen_thm4
 from mmdt.errors import IncompatibilityError
+from mmdt import tree as tree_module
 from mmdt.tree import (
     AxisCut,
     TreeNode,
+    _column_sums,
     _midpoint_candidates,
+    _search_level,
     assign_components,
     check_structure,
     export_dot,
@@ -475,6 +478,103 @@ def test_check_structure_accepts_the_valid_tree():
 def test_check_structure_rejects_bad_trees(k, root):
     with pytest.raises(ValidationError):
         check_structure(AxisTree(root=root, dim=2, n_leaves=k), _MEANS[:k])
+
+
+def wide_build_mixture(seed: int = 0) -> MixtureModel:
+    """The first K=100, d=50 mixture of the wide-build benchmark pool: means
+    uniform in a box 60 stddevs wide, stddevs in [0.5, 1.5]."""
+    rng = np.random.default_rng([seed, 2])
+    means = rng.uniform(-30.0, 30.0, (100, 50))
+    stds = rng.uniform(0.5, 1.5, (100, 50))
+    w = rng.uniform(0.5, 1.5, 100)
+    return MixtureModel.create(tuple(Component.gaussian(means[j], stds[j]) for j in range(100)), w / w.sum())
+
+
+def internal_nodes(tree, means):
+    """(components, cut) of every internal node, top down."""
+    stack = [(tree.root, list(range(tree.n_leaves)))]
+    while stack:
+        node, comps = stack.pop()
+        if node.is_leaf:
+            continue
+        yield comps, node.cut
+        left = [k for k in comps if means[k, node.cut.axis] <= node.cut.theta]
+        stack += [(node.left, left), (node.right, [k for k in comps if k not in left])]
+
+
+@pytest.mark.parametrize("objective", ["chebyshev", "gaussian"])
+def test_build_thetas_equal_standalone_search(objective):
+    # Nodes of one level share a bisection; each node's theta must still be
+    # bit-equal to the search over that node alone.
+    for model in [gaussian_battery(i) for i in range(60)] + [wide_build_mixture()]:
+        tree = build_mmdt(model, objective)
+        for comps, cut in internal_nodes(tree, model.means()):
+            assert minimize_threshold(model, comps, cut.axis, objective)[0] == cut.theta
+
+
+@pytest.mark.parametrize("objective", ["chebyshev", "gaussian"])
+def test_level_search_is_independent_of_padding(objective):
+    # Nodes of widths 2, 7, 30 and 100 on different axes: in one batch each
+    # is padded to the widest, and must find what it finds alone.
+    model = wide_build_mixture()
+    nodes = [([3, 41], 5), (list(range(10, 17)), 0), (list(range(30, 60)), 17), (list(range(100)), 2)]
+    together = _search_level(model, nodes, objective)
+    for node, found in zip(nodes, together):
+        assert _search_level(model, [node], objective) == [found]
+    assert _search_level(model, nodes[::-1], objective)[::-1] == together
+
+
+def test_column_sums_add_top_to_bottom():
+    # A one followed by terms below half its ulp: added in turn, each is
+    # lost; summed pairwise (numpy's order within a lone column), they count.
+    rng = np.random.default_rng(5)
+    for rows in (3, 20, 100):
+        for cols in (1, 2, 7):
+            terms = rng.uniform(0.5, 1.0, (rows, cols)) * 1e-16
+            terms[0] = 1.0
+            expected = terms[0].copy()
+            for row in terms[1:]:
+                expected = expected + row
+            assert np.array_equal(_column_sums(terms), expected)
+            padded = np.vstack([terms, np.zeros((rows, cols))])
+            assert np.array_equal(_column_sums(padded), expected)
+            assert np.array_equal(_column_sums(np.asfortranarray(terms)), expected)
+
+
+@pytest.mark.parametrize("objective", ["chebyshev", "gaussian"])
+def test_build_runs_one_bisection_per_level(monkeypatch, objective):
+    # Work guard in passes, not seconds: one bisection loop per tree level,
+    # and slope passes bounded by two per node (its end slopes) plus one
+    # bisection's worth per level.
+    counts = {"bisections": 0, "slopes": 0}
+    bisect, slope = tree_module._bisect, tree_module._Slope.__call__
+
+    def counting_bisect(*args):
+        counts["bisections"] += 1
+        return bisect(*args)
+
+    def counting_slope(self, t):
+        counts["slopes"] += 1
+        return slope(self, t)
+
+    monkeypatch.setattr(tree_module, "_bisect", counting_bisect)
+    monkeypatch.setattr(tree_module._Slope, "__call__", counting_slope)
+    model = wide_build_mixture()
+    tree = build_mmdt(model, objective)
+    depths = []
+
+    def walk(node, depth):
+        if not node.is_leaf:
+            depths.append(depth)
+            walk(node.left, depth + 1)
+            walk(node.right, depth + 1)
+
+    walk(tree.root, 0)
+    levels, nodes = max(depths) + 1, len(depths)
+    assert counts["bisections"] == levels
+    assert counts["slopes"] <= 2 * nodes + levels * tree_module._BISECT_MAX_ITERS
+    # one node at a time took about 55 passes per node, over 5,000 per build
+    assert counts["slopes"] < 20 * nodes
 
 
 def test_check_structure_rejects_means_of_another_dimension():
