@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
+from .evaluate import _ratio
 from .mixture import json_fingerprint, lowest_duplicate_pair, squared_offsets
 from .tree import AxisCut, AxisTree, TreeNode, assign_components
 
@@ -153,14 +154,13 @@ def _cut_mistakes(
     return int(np.sum((pts[:, axis] <= theta) != (ctr[:, axis] <= theta)))
 
 
-def empirical_price(
-    data: CenteredDataset, tree: AxisTree, norm: str = "l1", return_details: bool = False
-):
+def empirical_price(data: CenteredDataset, tree: AxisTree, norm: str = "l1") -> float:
     """Ratio of tree cost to baseline cost on the dataset.
 
     l1 uses coordinate-wise medians of leaf groups against medians of the
-    assignment groups; l2sq uses means against means.  Empty leaves fall
-    back to the leaf's reference center (recorded in the details).
+    assignment groups; l2sq uses means against means.  Empty groups cost
+    nothing.  A zero baseline prices a zero-cost tree at 1 and any other
+    at inf.
     """
     if norm not in ("l1", "l2sq"):
         raise ValidationError(f"norm must be 'l1' or 'l2sq', got {norm!r}")
@@ -171,24 +171,17 @@ def empirical_price(
     leaf_of = assign_components(tree, data.points)
     stat = np.median if norm == "l1" else np.mean
 
-    def group_cost(groups: np.ndarray) -> tuple[float, list[int]]:
+    def group_cost(groups: np.ndarray) -> float:
         total = 0.0
-        fallbacks = []
         for g in range(data.k):
             rows = data.points[groups == g]
             if rows.shape[0] == 0:
-                fallbacks.append(g)
                 continue
             center = stat(rows, axis=0)
             if norm == "l1":
                 total += float(np.abs(rows - center).sum())
             else:
                 total += float(((rows - center) ** 2).sum())
-        return total, fallbacks
+        return total
 
-    tree_cost, fallbacks = group_cost(leaf_of)
-    base_cost, _ = group_cost(data.assignment)
-    price = tree_cost / base_cost
-    if return_details:
-        return price, {"fallback_leaves": fallbacks, "tree_cost": tree_cost, "baseline_cost": base_cost}
-    return price
+    return _ratio(group_cost(leaf_of), group_cost(data.assignment))

@@ -267,11 +267,7 @@ def kernel_stats(model: MixtureModel, kernel: KernelSpec) -> KernelStats:
             stacklevel=2,
         )
 
-    tau = 0.0
-    for k in range(K):
-        for l in range(K):
-            if k != l:
-                tau = max(tau, float(xi_table[:, k, l].min()))
+    tau = float(np.max(xi_table.min(axis=0), where=~np.eye(K, dtype=bool), initial=0.0))
 
     return KernelStats(
         sigma2=float(sigma2_per.min()),
@@ -406,16 +402,13 @@ def build_kernel_mmdt(
         if len(comps) == 1:
             return TreeNode(leaf=comps[0])
 
-        best = None  # (xi value, axis, k, l)
-        for i in range(model.dim):
-            for a_idx, k in enumerate(comps):
-                for l in comps[a_idx + 1 :]:
-                    cand = (float(stats.xi_table[i, k, l]), i, k, l)
-                    if best is None or cand < best:
-                        best = cand
-        _, axis, anchor, _ = best
+        # The smallest (xi, axis, k, l) with k < l: comps ascend, so the
+        # first minimum in C order over (axis, k, l) breaks ties that way.
+        block = np.where(np.tri(len(comps), dtype=bool), np.inf, stats.xi_table[:, comps][:, :, comps])
+        axis, a, _ = map(int, np.unravel_index(np.argmin(block), block.shape))
+        anchor = comps[a]
 
-        values = np.array([float(stats.xi_table[axis, anchor, m]) for m in comps])
+        values = stats.xi_table[axis, anchor, comps]
         order = np.argsort(values, kind="stable")
         sorted_vals = values[order]
         gaps = np.diff(sorted_vals)

@@ -26,8 +26,9 @@ projected means every Gaussian tail term is convex, and so is every Chebyshev
 term once the gap is also split at its clamp breakpoints ``mu_j +- sigma``.
 On each such piece the minimum is an end of the piece or the root of the
 objective's slope.  The tree grows one level at a time, with one vectorized
-bisection per tree level over all nodes' pieces, on the slope's sign; each
-slope is summed over components in a fixed order, so a node's threshold does
+bisection per tree level over all nodes' pieces, on the slope's sign.  A
+level's slope terms are one flat list, piece by piece, and each piece's terms
+are added in component order (``np.bincount``), so a node's threshold does
 not depend on the other nodes of its level.  For every objective,
 candidates within a relative ``1e-12`` of the best are tied and the lowest
 threshold wins.
@@ -336,21 +337,13 @@ def _node_weights(model: MixtureModel, comps: list[int], axis: int) -> tuple[np.
     return proj, w / w.sum()
 
 
-def _column_sums(terms: np.ndarray) -> np.ndarray:
-    """Sum of each column of a (components, columns) array, adding its
-    entries top to bottom, so that zero terms padded on below change no bit.
-    numpy adds the rows in turn when the array is C-ordered with two or more
-    columns, but sums a lone column (or a column-major array) pairwise, so a
-    lone column is accumulated instead."""
-    if terms.shape[1] == 1:
-        return np.cumsum(terms, axis=0)[-1]
-    return np.ascontiguousarray(terms).sum(axis=0)
-
-
 class _Slope(NamedTuple):
-    """Slope f' of a continuous objective at one threshold per column, from
-    terms laid out (components, columns), as f' = factor * mantissa *
-    exp(shift) per column.
+    """Slope f' of a continuous objective at one threshold per piece, as
+    f' = factor * mantissa * exp(shift) per piece.  The terms are listed
+    piece by piece, each piece's in component order; ``piece`` holds every
+    term's piece and ``starts`` every piece's first term.  ``np.bincount``
+    adds each piece's terms in list order, starting from 0.0, so a piece's
+    slope does not depend on the pieces listed beside it.
 
     chebyshev (``sign`` None): f' = -(2 / sigma) sum_j coef_j / u_j^3 with
     u_j = (t - mu_j) / sigma and coef_j the weight of a term the piece leaves
@@ -359,7 +352,7 @@ class _Slope(NamedTuple):
     gaussian: f' = sum_j sign_j * w_j / s_j * phi(u_j) with
     u_j = (t - mu_j) / s_j, coef_j = log(w_j / s_j) - log sqrt(2 pi) and
     sign_j = +1 where mu_j lies above the piece; factor 1.  The terms are
-    summed in the log domain, shifted by each column's largest, so the sign
+    summed in the log domain, shifted by each piece's largest, so the sign
     survives where every term underflows (gaps over ~77 s_j).
     """
 
@@ -367,51 +360,37 @@ class _Slope(NamedTuple):
     scale: np.ndarray  # sigma (chebyshev) or s_j (gaussian)
     coef: np.ndarray
     sign: np.ndarray | None
+    piece: np.ndarray
+    starts: np.ndarray
+
+    @staticmethod
+    def ragged(terms: tuple, sizes: np.ndarray) -> "_Slope":
+        """The slope of terms (proj, scale, coef, sign) listed piece by
+        piece, ``sizes[p]`` of them for piece p."""
+        return _Slope(*terms, np.repeat(np.arange(sizes.size), sizes), np.cumsum(sizes) - sizes)
 
     def __call__(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-        # in place, so a call holds one (components, columns) array
-        u = t - self.proj
+        # in place, so a call holds one array of terms
+        u = t[self.piece]
+        u -= self.proj
         u /= self.scale
         if self.sign is None:
             u **= 3
-            return -_column_sums(np.divide(self.coef, u, out=u)), 0.0
+            return -np.bincount(self.piece, np.divide(self.coef, u, out=u), self.starts.size), 0.0
         u **= 2
         u *= 0.5
         log_terms = np.subtract(self.coef, u, out=u)
-        top = log_terms.max(axis=0)
-        log_terms -= top
+        top = np.maximum.reduceat(log_terms, self.starts)
+        log_terms -= top[self.piece]
         terms = np.exp(log_terms, out=log_terms)
         terms *= self.sign
-        return _column_sums(terms), top
-
-    @staticmethod
-    def stack(parts: list["_Slope"]) -> "_Slope":
-        """The columns of all parts side by side, each part padded below to
-        the widest with components whose terms are zero: mean +inf (so
-        u = -inf), scale 1, coef 0 (chebyshev) or -inf (gaussian), sign 0."""
-        # a node with nothing to bisect must not widen the padding
-        parts = [p for p in parts if p.proj.shape[1]] or parts[:1]
-        if len(parts) == 1:
-            return parts[0]
-        width = max(p.proj.shape[0] for p in parts)
-        bounds = np.cumsum([0] + [p.proj.shape[1] for p in parts])
-        gaussian = parts[0].sign is not None
-        stacked = []
-        for field, fill in zip(zip(*parts), (np.inf, 1.0, -np.inf if gaussian else 0.0, 0.0)):
-            if field[0] is None:
-                stacked.append(None)
-                continue
-            out = np.full((width, bounds[-1]), fill)
-            for a, start, stop in zip(field, bounds[:-1], bounds[1:]):
-                out[: a.shape[0], start:stop] = a
-            stacked.append(out)
-        return _Slope(*stacked)
+        return np.bincount(self.piece, terms, self.starts.size), top
 
 
 def _bisect(slope: _Slope, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Halve every bracket [a, b], on the sign of the slope at its midpoint,
     until no float lies strictly inside any bracket, and return the lower
-    ends.  Each bracket holds one root of its (monotone) slope column."""
+    ends.  Each bracket holds one root of its piece's (monotone) slope."""
     for _ in range(_BISECT_MAX_ITERS):
         probe = 0.5 * (a + b)
         inside = (probe > a) & (probe < b)
@@ -428,8 +407,9 @@ def _brackets(model: MixtureModel, comps: list[int], axis: int, objective: str):
     into pieces on which the objective is convex, and bracket those whose
     one-sided end slopes change sign and whose tangent-line lower bound does
     not already exceed the best end value.  Returns every piece's two ends,
-    their objective values, the brackets' lower and upper ends, the slope on
-    the brackets, and the objective as a function of thresholds."""
+    their objective values, the brackets' lower and upper ends, the brackets'
+    slope terms (as ``terms`` lists them), and the objective as a function
+    of thresholds."""
     proj, w = _node_weights(model, comps, axis)
     distinct = np.unique(proj)
     breaks = distinct
@@ -452,25 +432,24 @@ def _brackets(model: MixtureModel, comps: list[int], axis: int, objective: str):
     # are clamped, is fixed per piece by its midpoint, so the slopes at its
     # ends are one-sided.
     mid = 0.5 * (lo + hi)
-    shape = (proj.size, mid.size)
     if objective == "chebyshev":
-        coef = np.where(np.abs(mid - proj[:, None]) > sigma, w[:, None], 0.0)
-        slope = _Slope(np.broadcast_to(proj[:, None], shape), np.broadcast_to(sigma, shape), coef, None)
-        log_factor = math.log(2.0 / sigma)
+        scale, coef, log_factor = np.full(proj.size, sigma), w, math.log(2.0 / sigma)
     else:
-        stds = np.array([model.components[k].stddev[axis] for k in comps])
-        log_ws = np.log(w / stds) - 0.5 * math.log(2.0 * math.pi)
-        slope = _Slope(
-            np.broadcast_to(proj[:, None], shape),
-            np.broadcast_to(stds[:, None], shape),
-            np.broadcast_to(log_ws[:, None], shape),
-            np.where(proj[:, None] > mid, 1.0, -1.0),
-        )
-        log_factor = 0.0
+        scale = np.array([model.components[k].stddev[axis] for k in comps])
+        coef, log_factor = np.log(w / scale) - 0.5 * math.log(2.0 * math.pi), 0.0
+
+    def terms(mids):
+        """(proj, scale, coef, sign) of the slope terms of the pieces with
+        midpoints mids, piece by piece, each piece's in component order."""
+        mu, at, c = np.tile(proj, mids.size), np.repeat(mids, proj.size), np.tile(coef, mids.size)
+        if objective == "chebyshev":
+            return mu, np.tile(scale, mids.size), np.where(np.abs(at - mu) > sigma, c, 0.0), None
+        return mu, np.tile(scale, mids.size), c, np.where(mu > at, 1.0, -1.0)
 
     def values(ts):
         return _node_values(model, comps, axis, objective, proj, w, ts)
 
+    slope = _Slope.ragged(terms(mid), np.full(mid.size, proj.size))
     f_lo, f_hi = values(lo), values(hi)
     (s_lo, e_lo), (s_hi, e_hi) = slope(lo), slope(hi)
     best_end = float(min(f_lo.min(), f_hi.min()))
@@ -484,8 +463,7 @@ def _brackets(model: MixtureModel, comps: list[int], axis: int, objective: str):
         reach = np.where(sloped, (f_lo - f_hi + g_hi * (hi - lo)) / (g_hi - g_lo), 0.0)
         bound = f_lo + g_lo * np.clip(reach, 0.0, hi - lo)
     rows = np.flatnonzero((s_lo < 0) & (s_hi > 0) & ~(sloped & (bound > best_end + tol)))
-    bracketed = _Slope(*(None if a is None else a.take(rows, axis=1) for a in slope))
-    return np.concatenate([lo, hi]), np.concatenate([f_lo, f_hi]), lo[rows], hi[rows], bracketed, values
+    return np.concatenate([lo, hi]), np.concatenate([f_lo, f_hi]), lo[rows], hi[rows], terms(mid[rows]), values
 
 
 def _search_level(
@@ -494,7 +472,8 @@ def _search_level(
     """(theta, value) of ``minimize_threshold`` for every (components, axis)
     node of one tree level.  A continuous objective's pieces are bracketed
     per node, and their slope roots found by one bisection over the brackets
-    of all the level's nodes together."""
+    of all the level's nodes together: the level's slope lists the nodes'
+    bracketed terms in turn."""
     if objective == "exact-discrete":
         found = []
         for comps, axis in nodes:
@@ -502,8 +481,10 @@ def _search_level(
             candidates = _midpoint_candidates(model, comps, axis)
             found.append(_lowest_tied(candidates, _node_values(model, comps, axis, objective, proj, w, candidates)))
         return found
-    ends, f_ends, a, b, slopes, values = zip(*(_brackets(model, comps, axis, objective) for comps, axis in nodes))
-    roots = _bisect(_Slope.stack(slopes), np.concatenate(a), np.concatenate(b))
+    ends, f_ends, a, b, terms, values = zip(*(_brackets(model, comps, axis, objective) for comps, axis in nodes))
+    sizes = np.repeat([len(comps) for comps, _ in nodes], [r.size for r in a])
+    slope = _Slope.ragged([None if f[0] is None else np.concatenate(f) for f in zip(*terms)], sizes)
+    roots = _bisect(slope, np.concatenate(a), np.concatenate(b))
     per_node = np.split(roots, np.cumsum([r.size for r in a])[:-1])
     return [
         _lowest_tied(np.concatenate([e, r]), np.concatenate([f, value(r)]))
@@ -533,7 +514,8 @@ def minimize_threshold(
     and its tangent-line lower bound does not already exceed the best end
     value, the root of its slope, found by bisection.  ``build_mmdt`` runs
     this search for all nodes of a tree level at once, with one bisection
-    over all their pieces; a node's result does not depend on the others.
+    over all their pieces; each piece's slope terms are added in component
+    order, so a node's result does not depend on the others.
 
     For every objective, candidates within ``_TIE_REL`` of the best value are
     tied and the lowest theta wins.

@@ -123,13 +123,27 @@ def test_empirical_price_below_one_is_legal():
     assert empirical_price(data, tree, "l2sq") < 1.0
 
 
-def test_empirical_price_details_and_norm_guard():
+def test_empirical_price_norm_guard():
     data = make_blobs(seed=5)
     tree = build_imm(data)
-    price, details = empirical_price(data, tree, "l1", return_details=True)
-    assert price == pytest.approx(details["tree_cost"] / details["baseline_cost"])
     with pytest.raises(ValidationError):
         empirical_price(data, tree, "huber")
+
+
+def test_empirical_price_zero_baseline():
+    # Every point on its center: the baseline costs 0, so a tree that keeps
+    # the assignment prices at 1, and one that misroutes a point at inf.
+    from mmdt.tree import AxisCut, AxisTree, TreeNode
+
+    data = CenteredDataset.create(np.array([[0.0], [0.0], [5.0], [5.0]]), np.array([[0.0], [5.0]]))
+    for theta, price in ((2.5, 1.0), (-1.0, np.inf)):
+        tree = AxisTree(
+            root=TreeNode(cut=AxisCut(0, theta), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
+            dim=1,
+            n_leaves=2,
+        )
+        assert empirical_price(data, tree, "l1") == price
+        assert empirical_price(data, tree, "l2sq") == price
 
 
 def test_imm_mistakes_bounded_by_n():

@@ -466,8 +466,16 @@ def test_cli_gen_thm2_rejects_zero_retries(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency: a fresh import of the CLI loads
+    # no other top-level package outside the standard library.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    probe = "import sys, mmdt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    probe = (
+        "import sys\n"
+        "def tops(): return {m.partition('.')[0] for m in sys.modules}\n"
+        "before = tops()\n"
+        "import mmdt.cli\n"
+        "print(sorted(tops() - before - set(sys.stdlib_module_names) - {'mmdt', 'numpy'}))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.strip() == "[]"
@@ -532,6 +540,21 @@ def test_cli_baseline_imm_and_export_dot(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("export-dot", "--tree", tree) == 0
     assert capsys.readouterr().out.startswith("digraph")
+
+
+def test_cli_eval_data_prices_zero_baseline_at_one(tmp_path, capsys):
+    # Every point on its center: both costs are 0, and the price is 1.
+    data = tmp_path / "d.csv"
+    centers = tmp_path / "c.json"
+    tree = tmp_path / "imm.json"
+    data.write_text("x1,label\n0,0\n0,0\n5,1\n5,1\n")
+    save_centers(centers, np.array([[0.0], [5.0]]))
+    assert run_cli("baseline-imm", "--data", data, "--centers", centers, "--out", tree) == 0
+    capsys.readouterr()
+    assert run_cli("eval-data", "--data", data, "--tree", tree, "--centers", centers, "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["price_l1"] == 1.0
+    assert payload["price_l2sq"] == 1.0
 
 
 def test_cli_kernel_pipeline(tmp_path, capsys):

@@ -209,6 +209,58 @@ def collect_leaves(node):
     return collect_leaves(node.left) + collect_leaves(node.right)
 
 
+def loop_choice(xi_table, comps):
+    """The (axis, anchor) of the smallest (xi, axis, k, l) with k < l, by
+    one Python comparison per candidate."""
+    best = None
+    for i in range(xi_table.shape[0]):
+        for a_idx, k in enumerate(comps):
+            for l in comps[a_idx + 1 :]:
+                cand = (float(xi_table[i, k, l]), i, k, l)
+                if best is None or cand < best:
+                    best = cand
+    return best[1], best[2]
+
+
+def loop_tau(xi_table):
+    tau = 0.0
+    for k in range(xi_table.shape[1]):
+        for l in range(xi_table.shape[1]):
+            if k != l:
+                tau = max(tau, float(xi_table[:, k, l].min()))
+    return tau
+
+
+def test_build_kernel_choice_matches_pair_loop():
+    # Array argmin against the candidate loop at every node, with exact ties
+    # forced by rounding the xi table of a Gaussian mixture.
+    cases = []
+    for i in range(20):
+        model, ker = translate_battery(7000 + i)
+        cases.append((model, ker, kernel_stats(model, ker)))
+    rng = np.random.default_rng(8)
+    means, stds = rng.uniform(-3.0, 3.0, (12, 4)), rng.uniform(0.3, 1.0, (12, 4))
+    model = MixtureModel.create(tuple(Component.gaussian(m, s) for m, s in zip(means, stds)), np.full(12, 1 / 12))
+    ker = KernelSpec.uniform("gaussian", 0.5, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        st = kernel_stats(model, ker)
+    cases.append((model, ker, st))
+    for _, _, computed in cases:
+        assert computed.tau == loop_tau(computed.xi_table)
+    cases.append((model, ker, dataclasses.replace(st, xi_table=np.round(st.xi_table, 2))))
+    for model, ker, st in cases:
+        stack = [(build_kernel_mmdt(model, ker, st, seed=1).root, list(range(model.k)))]
+        while stack:
+            node, comps = stack.pop()
+            if node.is_leaf:
+                continue
+            cut = node.cut
+            assert (cut.axis, cut.anchor) == loop_choice(st.xi_table, comps)
+            left = [m for m in comps if st.xi_table[cut.axis, cut.anchor, m] < cut.theta]
+            stack += [(node.left, left), (node.right, [m for m in comps if m not in left])]
+
+
 def test_kernel_tree_partition_matches_xi_sides():
     for i in range(30):
         model, ker = translate_battery(6000 + i)

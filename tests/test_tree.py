@@ -25,7 +25,7 @@ from mmdt import tree as tree_module
 from mmdt.tree import (
     AxisCut,
     TreeNode,
-    _column_sums,
+    _Slope,
     _midpoint_candidates,
     _search_level,
     assign_components,
@@ -513,9 +513,10 @@ def test_build_thetas_equal_standalone_search(objective):
 
 
 @pytest.mark.parametrize("objective", ["chebyshev", "gaussian"])
-def test_level_search_is_independent_of_padding(objective):
+def test_level_search_is_independent_of_neighbours(objective):
     # Nodes of widths 2, 7, 30 and 100 on different axes: in one batch each
-    # is padded to the widest, and must find what it finds alone.
+    # node's terms sit beside the others', and it must find what it finds
+    # alone, in either order.
     model = wide_build_mixture()
     nodes = [([3, 41], 5), (list(range(10, 17)), 0), (list(range(30, 60)), 17), (list(range(100)), 2)]
     together = _search_level(model, nodes, objective)
@@ -524,21 +525,34 @@ def test_level_search_is_independent_of_padding(objective):
     assert _search_level(model, nodes[::-1], objective)[::-1] == together
 
 
-def test_column_sums_add_top_to_bottom():
+def test_slope_adds_each_piece_in_list_order():
     # A one followed by terms below half its ulp: added in turn, each is
-    # lost; summed pairwise (numpy's order within a lone column), they count.
+    # lost; summed pairwise (numpy's order for a long row), they count.
     rng = np.random.default_rng(5)
-    for rows in (3, 20, 100):
-        for cols in (1, 2, 7):
-            terms = rng.uniform(0.5, 1.0, (rows, cols)) * 1e-16
-            terms[0] = 1.0
-            expected = terms[0].copy()
-            for row in terms[1:]:
-                expected = expected + row
-            assert np.array_equal(_column_sums(terms), expected)
-            padded = np.vstack([terms, np.zeros((rows, cols))])
-            assert np.array_equal(_column_sums(padded), expected)
-            assert np.array_equal(_column_sums(np.asfortranarray(terms)), expected)
+    pieces = []
+    for width in rng.permutation(np.arange(1, 101)):
+        terms = rng.uniform(0.5, 1.0, width) * 1e-16
+        terms[0] = 1.0
+        pieces.append(terms)
+
+    def in_order(terms):
+        total = 0.0
+        for term in terms:
+            total += term
+        return total
+
+    def slopes(chosen):
+        # chebyshev terms -coef / u^3 with u = (0 - (-1)) / 1 = 1
+        coef = np.concatenate(chosen)
+        n = coef.size
+        slope = _Slope.ragged((np.full(n, -1.0), np.ones(n), coef, None), np.array([c.size for c in chosen]))
+        return (-slope(np.zeros(len(chosen)))[0]).tolist()
+
+    assert any(in_order(terms) != np.sum(terms) for terms in pieces)
+    for terms in pieces:
+        assert slopes([terms]) == [in_order(terms)]
+    for chosen in (pieces, pieces[::-1], pieces[::3] + pieces[1::3]):
+        assert slopes(chosen) == [in_order(terms) for terms in chosen]
 
 
 @pytest.mark.parametrize("objective", ["chebyshev", "gaussian"])
