@@ -207,6 +207,9 @@ class MixtureModel:
             raise ValidationError(f"components {dup[0]} and {dup[1]} share the same mean")
         means.setflags(write=False)
         object.__setattr__(self, "_means", means)
+        stddevs = np.array([c.stddev if c.kind == GAUSSIAN else np.full(d, np.nan) for c in comps])
+        stddevs.setflags(write=False)
+        object.__setattr__(self, "_stddevs", stddevs)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "sigma", sig)
@@ -239,6 +242,11 @@ class MixtureModel:
         """Component means as a read-only (K, d) array, built once; a caller
         that writes to it copies it first."""
         return self._means
+
+    def stddevs(self) -> np.ndarray:
+        """Gaussian component stddevs as a read-only (K, d) array, built
+        once; the rows of other kinds are NaN."""
+        return self._stddevs
 
     def all_discrete(self) -> bool:
         return all(c.kind == DISCRETE for c in self.components)
@@ -302,26 +310,26 @@ class LabeledDataset:
         return self.points.shape[1]
 
 
-def _pair_gaps(model: MixtureModel) -> np.ndarray:
-    """(pairs, d) squared mean gaps over the axis variances, one row per
-    component pair a < b in lexicographic order."""
+def _pair_gaps(model: MixtureModel):
+    """Per component a < K - 1, its (K - 1 - a, d) squared mean gaps to
+    every b > a over the axis variances: the pairs a < b in lexicographic
+    order, one row of pairs at a time so memory stays O(K d)."""
     if model.k < 2:
         raise ValidationError("need at least two components")
-    means = model.means()
-    a, b = np.triu_indices(model.k, 1)
-    return (means[a] - means[b]) ** 2 * (1.0 / model.sigma**2)
+    means, inv = model.means(), 1.0 / model.sigma**2
+    return ((means[a] - means[a + 1 :]) ** 2 * inv for a in range(model.k - 1))
 
 
 def enr(model: MixtureModel) -> float:
     """Explainability-to-noise ratio: min over component pairs of the max
     per-axis squared mean gap divided by the axis variance."""
-    return float(_pair_gaps(model).max(axis=1).min())
+    return float(min(gaps.max(axis=1).min() for gaps in _pair_gaps(model)))
 
 
 def snr(model: MixtureModel) -> float:
     """Signal-to-noise ratio: min over pairs of the variance-weighted squared
     distance between means, summed over axes."""
-    return float(_pair_gaps(model).sum(axis=1).min())
+    return float(min(gaps.sum(axis=1).min() for gaps in _pair_gaps(model)))
 
 
 def sample(model: MixtureModel, n: int, seed: int) -> LabeledDataset:
@@ -463,7 +471,7 @@ def log_likelihood(model: MixtureModel, data: LabeledDataset) -> float:
     """Total log-likelihood of a Gaussian model on a dataset."""
     if not model.all_gaussian():
         raise ValidationError("log_likelihood requires gaussian components")
-    variances = np.array([c.stddev**2 for c in model.components])
+    variances = model.stddevs() ** 2
     log_norm, _ = _e_step(data.points, model.means(), variances, model.weights)
     return float(log_norm.sum())
 

@@ -25,13 +25,14 @@ The two continuous objectives are minimized exactly.  Between consecutive
 projected means every Gaussian tail term is convex, and so is every Chebyshev
 term once the gap is also split at its clamp breakpoints ``mu_j +- sigma``.
 On each such piece the minimum is an end of the piece or the root of the
-objective's slope.  The tree grows one level at a time, with one vectorized
-bisection per tree level over all nodes' pieces, on the slope's sign.  A
-level's slope terms are one flat list, piece by piece, and each piece's terms
-are added in component order (``np.bincount``), so a node's threshold does
-not depend on the other nodes of its level.  For every objective,
-candidates within a relative ``1e-12`` of the best are tied and the lowest
-threshold wins.
+objective's slope.  The tree grows one level at a time.  Per level, one pass
+on flat arrays with a node id per term builds every node's pieces, end values
+and brackets, one vectorized bisection on the slope's sign finds the roots,
+and one tie pick chooses every node's threshold.  Each piece lists its node's
+terms in component order and adds them from 0.0 (``np.bincount``), so a
+node's threshold does not depend on the other nodes of its level.  For every
+objective, candidates within a relative ``1e-12`` of the best are tied and
+the lowest threshold wins.
 """
 
 from __future__ import annotations
@@ -264,32 +265,35 @@ def _check_objective(objective: str, components) -> None:
         raise ValidationError(f"{objective} objective requires {name} components")
 
 
-def _node_values(model: MixtureModel, comps: list[int], axis: int, objective: str, proj, w, ts):
-    """The objective at thresholds ts (any shape) for the node components
-    comps, whose projected means are proj and normalized weights w: the
-    probability bound that a point of the node-conditional mixture lies on
-    the other side of the threshold from its own mean.  Unchecked: the
-    callers check the objective, the kinds and that ts avoids the means."""
+def _tail_terms(objective: str, dist: np.ndarray, scale):
+    """Each component's term of a continuous objective at the signed
+    distance dist between its mean and the threshold, on the axis scale
+    sigma (chebyshev) or its own stddev (gaussian).  Overwrites dist."""
     if objective == "chebyshev":
-        # min(1, sigma_i^2 / (mu_i - theta)^2), clamped as it bounds a probability
-        terms = np.minimum(1.0, model.sigma[axis] ** 2 / (proj - ts[..., None]) ** 2)
-    elif objective == "gaussian":
-        stds = np.array([model.components[k].stddev[axis] for k in comps])
-        terms = normal_upper_tail(np.abs(proj - ts[..., None]) / stds)
-    else:
-        # A component's separated mass is its mass on the side of theta away
-        # from its mean, read off the prefix and suffix sums of its sorted masses.
-        cols = []
-        for k, mean in zip(comps, proj):
-            comp = model.components[k]
-            order = np.argsort(comp.support[:, axis], kind="stable")
-            mass = comp.mass[order]
-            at_or_below = np.concatenate([[0.0], np.cumsum(mass)])
-            above = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
-            n_below = np.searchsorted(comp.support[order, axis], ts, side="right")
-            cols.append(np.where(mean <= ts, above[n_below], at_or_below[n_below]))
-        terms = np.stack(cols, axis=-1)
-    return terms @ w
+        # min(1, sigma^2 / (mu - theta)^2), clamped as it bounds a probability
+        dist *= dist
+        return np.minimum(np.divide(scale**2, dist, out=dist), 1.0, out=dist)
+    return normal_upper_tail(np.divide(np.abs(dist, out=dist), scale, out=dist))
+
+
+def _discrete_values(model: MixtureModel, comps: list[int], axis: int, proj, w, ts):
+    """The exact-discrete objective at thresholds ts (any shape) for the node
+    components comps, whose projected means are proj and normalized weights
+    w: the mass of the node-conditional mixture on the other side of the
+    threshold from its own component's mean.  Unchecked: the callers check
+    the kinds and that ts avoids the means."""
+    # A component's separated mass is its mass on the side of theta away
+    # from its mean, read off the prefix and suffix sums of its sorted masses.
+    cols = []
+    for k, mean in zip(comps, proj):
+        comp = model.components[k]
+        order = np.argsort(comp.support[:, axis], kind="stable")
+        mass = comp.mass[order]
+        at_or_below = np.concatenate([[0.0], np.cumsum(mass)])
+        above = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
+        n_below = np.searchsorted(comp.support[order, axis], ts, side="right")
+        cols.append(np.where(mean <= ts, above[n_below], at_or_below[n_below]))
+    return np.stack(cols, axis=-1) @ w
 
 
 def objective_value(model: MixtureModel, node_components, axis: int, theta, objective: str):
@@ -298,14 +302,22 @@ def objective_value(model: MixtureModel, node_components, axis: int, theta, obje
     mean of the node components."""
     comps = list(node_components)
     _check_objective(objective, (model.components[k] for k in comps))
+    if not comps:
+        raise ValidationError("no components at the node")
     proj = model.means()[comps, axis]
     ts = np.asarray(theta, dtype=float)
     if np.any(ts[..., None] == proj):
         raise ValidationError("threshold on a mean")
-    w = model.weights[comps]
-    # chebyshev: (mu - theta)^2 may underflow or overflow; the clamped term stays right
-    with np.errstate(divide="ignore", over="ignore"):
-        values = _node_values(model, comps, axis, objective, proj, w / w.sum(), ts)
+    w, n = model.weights[comps], ts.size
+    if objective == "exact-discrete":
+        values = _discrete_values(model, comps, axis, proj, w / w.sum(), ts)
+    else:
+        # one piece per threshold, its terms weighted and added as the threshold search does
+        scale = model.sigma[[axis] * len(comps)] if objective == "chebyshev" else model.stddevs()[comps, axis]
+        terms = (np.tile(proj, n), np.tile(scale, n), None, None, np.tile(w / np.add.reduceat(w, [0]), n))
+        # chebyshev: (mu - theta)^2 may underflow or overflow; the clamped term stays right
+        with np.errstate(divide="ignore", over="ignore"):
+            values = _Slope.ragged(terms, np.full(n, len(comps))).values(objective, ts.ravel()).reshape(ts.shape)
     return values if ts.ndim else float(values)
 
 
@@ -319,35 +331,33 @@ def _midpoint_candidates(model: MixtureModel, comps: list[int], axis: int) -> np
     return 0.5 * (breaks[:-1] + breaks[1:])
 
 
-def _lowest_tied(thetas: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """The lowest theta among values within ``_TIE_REL`` of the minimum."""
-    best_val = float(vals.min())
-    tied = vals <= best_val + _TIE_REL * max(1.0, abs(best_val))
-    best = int(np.flatnonzero(tied)[np.argmin(thetas[tied])])
-    return float(thetas[best]), float(vals[best])
-
-
-def _node_weights(model: MixtureModel, comps: list[int], axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projected means and normalized weights of a node's components, which
-    need two distinct projected means on the axis."""
-    proj = model.means()[comps, axis]
-    if not proj.min() < proj.max():
-        raise ValidationError("need at least two distinct projected means on the axis")
-    w = model.weights[comps]
-    return proj, w / w.sum()
+def _lowest_tied(starts: np.ndarray, thetas: np.ndarray, vals: np.ndarray) -> list[tuple[float, float]]:
+    """(theta, value) per node, whose candidates run from ``starts`` to the
+    next node's: the lowest theta among values within ``_TIE_REL`` of the
+    node's minimum.  Equal thetas have equal values, so which is read does
+    not matter."""
+    node = np.repeat(np.arange(starts.size), np.diff(starts, append=thetas.size))
+    best = np.minimum.reduceat(vals, starts)
+    tied = vals <= (best + _TIE_REL * np.maximum(1.0, np.abs(best)))[node]
+    theta = np.minimum.reduceat(np.where(tied, thetas, np.inf), starts)
+    value = np.minimum.reduceat(np.where(tied & (thetas == theta[node]), vals, np.inf), starts)
+    return list(zip(theta.tolist(), value.tolist()))
 
 
 class _Slope(NamedTuple):
     """Slope f' of a continuous objective at one threshold per piece, as
-    f' = factor * mantissa * exp(shift) per piece.  The terms are listed
-    piece by piece, each piece's in component order; ``piece`` holds every
-    term's piece and ``starts`` every piece's first term.  ``np.bincount``
-    adds each piece's terms in list order, starting from 0.0, so a piece's
-    slope does not depend on the pieces listed beside it.
+    f' = factor * mantissa * exp(shift) per piece, and (``values``) the
+    objective there.  The terms are listed piece by piece, each piece's in
+    its node's component order; ``piece`` holds every term's piece and
+    ``sizes`` every piece's number of terms.  ``np.bincount`` adds each
+    piece's terms in list order, starting from 0.0, so a piece's slope and
+    value do not depend on the pieces listed beside it, whichever node they
+    belong to.
 
     chebyshev (``sign`` None): f' = -(2 / sigma) sum_j coef_j / u_j^3 with
-    u_j = (t - mu_j) / sigma and coef_j the weight of a term the piece leaves
-    unclamped (else 0); factor 2 / sigma, shift 0.
+    u_j = (t - mu_j) / sigma, cubed as u_j * (u_j * u_j), and coef_j the
+    weight of a term the piece leaves unclamped (else 0); factor 2 / sigma,
+    shift 0.
 
     gaussian: f' = sum_j sign_j * w_j / s_j * phi(u_j) with
     u_j = (t - mu_j) / s_j, coef_j = log(w_j / s_j) - log sqrt(2 pi) and
@@ -358,33 +368,42 @@ class _Slope(NamedTuple):
 
     proj: np.ndarray  # mu_j
     scale: np.ndarray  # sigma (chebyshev) or s_j (gaussian)
-    coef: np.ndarray
+    coef: np.ndarray | None
     sign: np.ndarray | None
+    w: np.ndarray  # w_j, normalized over the node
     piece: np.ndarray
-    starts: np.ndarray
+    sizes: np.ndarray
 
     @staticmethod
     def ragged(terms: tuple, sizes: np.ndarray) -> "_Slope":
-        """The slope of terms (proj, scale, coef, sign) listed piece by
+        """The slope of terms (proj, scale, coef, sign, w) listed piece by
         piece, ``sizes[p]`` of them for piece p."""
-        return _Slope(*terms, np.repeat(np.arange(sizes.size), sizes), np.cumsum(sizes) - sizes)
+        return _Slope(*terms, np.repeat(np.arange(sizes.size), sizes), sizes)
 
     def __call__(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
         # in place, so a call holds one array of terms
-        u = t[self.piece]
+        u = np.repeat(t, self.sizes)
         u -= self.proj
         u /= self.scale
         if self.sign is None:
-            u **= 3
-            return -np.bincount(self.piece, np.divide(self.coef, u, out=u), self.starts.size), 0.0
+            u *= u * u
+            return -np.bincount(self.piece, np.divide(self.coef, u, out=u), self.sizes.size), 0.0
         u **= 2
         u *= 0.5
         log_terms = np.subtract(self.coef, u, out=u)
-        top = np.maximum.reduceat(log_terms, self.starts)
+        top = np.maximum.reduceat(log_terms, np.cumsum(self.sizes) - self.sizes)
         log_terms -= top[self.piece]
         terms = np.exp(log_terms, out=log_terms)
         terms *= self.sign
-        return np.bincount(self.piece, terms, self.starts.size), top
+        return np.bincount(self.piece, terms, self.sizes.size), top
+
+    def values(self, objective: str, t: np.ndarray) -> np.ndarray:
+        """The objective at one threshold per piece, its terms added in list order."""
+        dist = np.repeat(t, self.sizes)
+        dist -= self.proj
+        terms = _tail_terms(objective, dist, self.scale)
+        terms *= self.w
+        return np.bincount(self.piece, terms, self.sizes.size)
 
 
 def _bisect(slope: _Slope, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -402,58 +421,73 @@ def _bisect(slope: _Slope, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a
 
 
-def _brackets(model: MixtureModel, comps: list[int], axis: int, objective: str):
-    """A continuous node's search up to the bisection: split its interval
-    into pieces on which the objective is convex, and bracket those whose
-    one-sided end slopes change sign and whose tangent-line lower bound does
-    not already exceed the best end value.  Returns every piece's two ends,
-    their objective values, the brackets' lower and upper ends, the brackets'
-    slope terms (as ``terms`` lists them), and the objective as a function
-    of thresholds."""
-    proj, w = _node_weights(model, comps, axis)
-    distinct = np.unique(proj)
-    breaks = distinct
+def _level_brackets(model: MixtureModel, nodes: list[tuple[list[int], int]], objective: str):
+    """A continuous level's search up to the bisection, on flat arrays over
+    all its (components, axis) nodes: split each node's interval into pieces
+    on which its objective is convex, and bracket the pieces whose one-sided
+    end slopes change sign and whose tangent-line lower bound does not
+    already exceed the node's best end value.  Returns every node's first
+    piece, every piece's two ends and their objective values, the bracketed
+    pieces, and their slope."""
+    sizes = np.array([len(comps) for comps, _ in nodes])
+    first, node = np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.size), sizes)
+    axis = np.array([axis for _, axis in nodes])[node]
+    comp = np.concatenate([comps for comps, _ in nodes])
+    mu, w = model.means()[comp, axis], model.weights[comp]
+    w = w / np.add.reduceat(w, first)[node]
+    # Breakpoints: each node's distinct means and (chebyshev) the clamp
+    # breakpoints mu_j +- sigma strictly inside its span, sorted per node,
+    # a mean first where a breakpoint lands on one.
+    breaks, of, on_mean = mu, node, np.ones(mu.size, dtype=bool)
     if objective == "chebyshev":
-        sigma = float(model.sigma[axis])
-        clamp = np.concatenate([distinct - sigma, distinct + sigma])
-        breaks = np.union1d(distinct, clamp[(clamp > distinct[0]) & (clamp < distinct[-1])])
-    start, stop = breaks[:-1], breaks[1:]
-    gap = np.searchsorted(distinct, start, side="right")
-    span = distinct[gap] - distinct[gap - 1]
-    pull = span * 1e-12
-    lo = np.where(np.isin(start, distinct), np.maximum(start + pull, np.nextafter(start, stop)), start)
-    hi = np.where(np.isin(stop, distinct), np.minimum(stop - pull, np.nextafter(stop, start)), stop)
-    # A piece no wider than the pull-in (a breakpoint hugging a mean, or
-    # means one ulp apart) holds no threshold off the means.
-    lo, hi = lo[lo <= hi], hi[lo <= hi]
-    if lo.size == 0:
-        raise ValidationError("no threshold strictly between the projected means")
-    # Which side of each mean a piece lies on, and (chebyshev) which terms
-    # are clamped, is fixed per piece by its midpoint, so the slopes at its
-    # ends are one-sided.
-    mid = 0.5 * (lo + hi)
-    if objective == "chebyshev":
-        scale, coef, log_factor = np.full(proj.size, sigma), w, math.log(2.0 / sigma)
+        scale, coef = model.sigma[axis], None  # a term's coef is its weight, or 0 where clamped
+        clamp = np.concatenate([mu - scale, mu + scale])
+        of_clamp = np.tile(node, 2)
+        inside = (clamp > np.minimum.reduceat(mu, first)[of_clamp]) & (clamp < np.maximum.reduceat(mu, first)[of_clamp])
+        breaks, of = np.concatenate([mu, clamp[inside]]), np.concatenate([node, of_clamp[inside]])
+        on_mean = np.concatenate([on_mean, np.zeros(int(inside.sum()), dtype=bool)])
     else:
-        scale = np.array([model.components[k].stddev[axis] for k in comps])
-        coef, log_factor = np.log(w / scale) - 0.5 * math.log(2.0 * math.pi), 0.0
-
-    def terms(mids):
-        """(proj, scale, coef, sign) of the slope terms of the pieces with
-        midpoints mids, piece by piece, each piece's in component order."""
-        mu, at, c = np.tile(proj, mids.size), np.repeat(mids, proj.size), np.tile(coef, mids.size)
-        if objective == "chebyshev":
-            return mu, np.tile(scale, mids.size), np.where(np.abs(at - mu) > sigma, c, 0.0), None
-        return mu, np.tile(scale, mids.size), c, np.where(mu > at, 1.0, -1.0)
-
-    def values(ts):
-        return _node_values(model, comps, axis, objective, proj, w, ts)
-
-    slope = _Slope.ragged(terms(mid), np.full(mid.size, proj.size))
-    f_lo, f_hi = values(lo), values(hi)
+        scale = model.stddevs()[comp, axis]
+        coef = np.log(w / scale) - 0.5 * math.log(2.0 * math.pi)
+    order = np.lexsort((~on_mean, breaks, of))
+    breaks, of, on_mean = breaks[order], of[order], on_mean[order]
+    new = np.concatenate([[True], (breaks[1:] != breaks[:-1]) | (of[1:] != of[:-1])])
+    breaks, of, on_mean = breaks[new], of[new], on_mean[new]
+    if np.any(np.bincount(of[on_mean], minlength=sizes.size) < 2):
+        raise ValidationError("need at least two distinct projected means on the axis")
+    # A piece joins consecutive breakpoints of one node.  Its ends on a mean
+    # are pulled into the open gap by 1e-12 of the gap between the means
+    # around it (at least one ulp); a piece no wider than the pull-in (a
+    # breakpoint hugging a mean, or means one ulp apart) is dropped.
+    index = np.arange(breaks.size)
+    below = np.maximum.accumulate(np.where(on_mean, index, 0))
+    above = np.minimum.accumulate(np.where(on_mean, index, breaks.size)[::-1])[::-1]
+    p = np.flatnonzero(of[1:] == of[:-1])
+    start, stop, pull = breaks[p], breaks[p + 1], (breaks[above[p + 1]] - breaks[below[p]]) * 1e-12
+    lo = np.where(on_mean[p], np.maximum(start + pull, np.nextafter(start, stop)), start)
+    hi = np.where(on_mean[p + 1], np.minimum(stop - pull, np.nextafter(stop, start)), stop)
+    lo, hi, of = lo[lo <= hi], hi[lo <= hi], of[p][lo <= hi]
+    count = np.bincount(of, minlength=sizes.size)
+    if np.any(count == 0):
+        raise ValidationError("no threshold strictly between the projected means")
+    first_piece, n = np.cumsum(count) - count, sizes[of]
+    # Piece p lists its node's terms in order.  Which side of each mean it
+    # lies on, and (chebyshev) which terms it clamps, is fixed by its
+    # midpoint, so the slopes at its ends are one-sided.
+    term = np.repeat(first[of] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    mu, scale, w, at = mu[term], scale[term], w[term], np.repeat(0.5 * (lo + hi), n)
+    if objective == "chebyshev":
+        at -= mu
+        slope = _Slope.ragged((mu, scale, np.where(np.abs(at, out=at) > scale, w, 0.0), None, w), n)
+        log_factor = np.array([math.log(2.0 / s) for s in model.sigma[axis[first]]])[of]
+    else:
+        slope, log_factor = _Slope.ragged((mu, scale, coef[term], np.where(mu > at, 1.0, -1.0), w), n), 0.0
+    del term, at  # a level can list millions of terms
+    with np.errstate(divide="ignore", over="ignore"):
+        f_lo, f_hi = slope.values(objective, lo), slope.values(objective, hi)
     (s_lo, e_lo), (s_hi, e_hi) = slope(lo), slope(hi)
-    best_end = float(min(f_lo.min(), f_hi.min()))
-    tol = _TIE_REL * max(1.0, abs(best_end))
+    best = np.minimum.reduceat(np.minimum(f_lo, f_hi), first_piece)
+    best += _TIE_REL * np.maximum(1.0, np.abs(best))
     # Only a piece whose end slopes have opposite signs holds an interior
     # minimum.  Its end tangents meet below that minimum; the bound prunes
     # only where both slopes are representable (neither underflowed).
@@ -462,34 +496,37 @@ def _brackets(model: MixtureModel, comps: list[int], axis: int, objective: str):
         sloped = (g_lo < 0) & (g_hi > 0)
         reach = np.where(sloped, (f_lo - f_hi + g_hi * (hi - lo)) / (g_hi - g_lo), 0.0)
         bound = f_lo + g_lo * np.clip(reach, 0.0, hi - lo)
-    rows = np.flatnonzero((s_lo < 0) & (s_hi > 0) & ~(sloped & (bound > best_end + tol)))
-    return np.concatenate([lo, hi]), np.concatenate([f_lo, f_hi]), lo[rows], hi[rows], terms(mid[rows]), values
+    rows = (s_lo < 0) & (s_hi > 0) & ~(sloped & (bound > best[of]))
+    keep = rows[slope.piece]
+    bracketed = _Slope.ragged(tuple(c if c is None else c[keep] for c in slope[:5]), n[rows])
+    return first_piece, lo, hi, f_lo, f_hi, rows, bracketed
 
 
 def _search_level(
     model: MixtureModel, nodes: list[tuple[list[int], int]], objective: str
 ) -> list[tuple[float, float]]:
     """(theta, value) of ``minimize_threshold`` for every (components, axis)
-    node of one tree level.  A continuous objective's pieces are bracketed
-    per node, and their slope roots found by one bisection over the brackets
-    of all the level's nodes together: the level's slope lists the nodes'
-    bracketed terms in turn."""
+    node of one tree level.  A continuous objective's pieces are built and
+    bracketed for all the level's nodes together, and their slope roots
+    found by one bisection over all the brackets; one tie pick then chooses
+    every node's threshold among its piece ends and roots."""
     if objective == "exact-discrete":
         found = []
         for comps, axis in nodes:
-            proj, w = _node_weights(model, comps, axis)
+            proj, w = model.means()[comps, axis], model.weights[comps]
+            if not proj.min() < proj.max():
+                raise ValidationError("need at least two distinct projected means on the axis")
             candidates = _midpoint_candidates(model, comps, axis)
-            found.append(_lowest_tied(candidates, _node_values(model, comps, axis, objective, proj, w, candidates)))
-        return found
-    ends, f_ends, a, b, terms, values = zip(*(_brackets(model, comps, axis, objective) for comps, axis in nodes))
-    sizes = np.repeat([len(comps) for comps, _ in nodes], [r.size for r in a])
-    slope = _Slope.ragged([None if f[0] is None else np.concatenate(f) for f in zip(*terms)], sizes)
-    roots = _bisect(slope, np.concatenate(a), np.concatenate(b))
-    per_node = np.split(roots, np.cumsum([r.size for r in a])[:-1])
-    return [
-        _lowest_tied(np.concatenate([e, r]), np.concatenate([f, value(r)]))
-        for e, f, r, value in zip(ends, f_ends, per_node, values)
-    ]
+            found.append((candidates, _discrete_values(model, comps, axis, proj, w / w.sum(), candidates)))
+        sizes = np.array([c.size for c, _ in found])
+        return _lowest_tied(np.cumsum(sizes) - sizes, *(np.concatenate(f) for f in zip(*found)))
+    first, lo, hi, f_lo, f_hi, rows, slope = _level_brackets(model, nodes, objective)
+    roots, f_roots = np.full(lo.size, np.inf), np.full(lo.size, np.inf)
+    roots[rows] = _bisect(slope, lo[rows], hi[rows])
+    with np.errstate(divide="ignore", over="ignore"):
+        f_roots[rows] = slope.values(objective, roots[rows])
+    # per piece: its lower end, its upper end, its root
+    return _lowest_tied(3 * first, np.stack([lo, hi, roots], 1).ravel(), np.stack([f_lo, f_hi, f_roots], 1).ravel())
 
 
 def minimize_threshold(
@@ -513,15 +550,18 @@ def minimize_threshold(
     piece contributes its two ends and, when its one-sided slopes change sign
     and its tangent-line lower bound does not already exceed the best end
     value, the root of its slope, found by bisection.  ``build_mmdt`` runs
-    this search for all nodes of a tree level at once, with one bisection
-    over all their pieces; each piece's slope terms are added in component
-    order, so a node's result does not depend on the others.
+    this search for all nodes of a tree level at once: one construction of
+    the pieces and brackets on flat arrays with a node id per term, one
+    bisection, one tie pick.  Each piece's terms are added in component
+    order from 0.0, so a node's result does not depend on the others.
 
     For every objective, candidates within ``_TIE_REL`` of the best value are
     tied and the lowest theta wins.
     """
     comps = list(node_components)
     _check_objective(objective, (model.components[k] for k in comps))
+    if len(comps) < 2:
+        raise ValidationError("need at least two distinct projected means on the axis")
     return _search_level(model, [(comps, axis)], objective)[0]
 
 

@@ -19,7 +19,7 @@ from mmdt import (
 from mmdt.adversarial import gen_b3
 from mmdt.mixture import VARIANCE_FLOOR, _e_step, _farthest_point_seeds, _m_step, log_likelihood
 
-from conftest import as_labeled_dataset, scale_shift
+from conftest import as_labeled_dataset, gaussian_battery, random_discrete_model, scale_shift
 
 
 def two_comp(means, sigma):
@@ -79,6 +79,43 @@ def test_enr_examples():
     # 1-D identity
     m1 = two_comp([[0.0], [3.0]], [2.0])
     assert enr(m1) == pytest.approx(snr(m1))
+
+
+def test_enr_snr_equal_the_whole_pair_array():
+    # One row of pairs at a time takes the same max, min and per-pair sums
+    # as the whole (pairs, d) array, so the bits do not move.
+    models = [gaussian_battery(i) for i in range(60)] + [random_discrete_model(i) for i in range(300, 340)]
+    for model in models:
+        a, b = np.triu_indices(model.k, 1)
+        gaps = (model.means()[a] - model.means()[b]) ** 2 * (1.0 / model.sigma**2)
+        assert enr(model) == float(gaps.max(axis=1).min())
+        assert snr(model) == float(gaps.sum(axis=1).min())
+
+
+def test_enr_memory_is_linear_in_k():
+    # The whole (K(K-1)/2, d) array of pair gaps would take 249 MiB here.
+    rng = np.random.default_rng(0)
+    model = MixtureModel.create(
+        tuple(Component.gaussian(rng.uniform(-30.0, 30.0, 50), np.ones(50)) for _ in range(800)), np.full(800, 1 / 800)
+    )
+    tracemalloc.start()
+    try:
+        enr(model)
+        snr(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_stddevs_table():
+    model = MixtureModel.create(
+        (Component.gaussian([0.0, 1.0], [2.0, 3.0]), Component.discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])),
+        [0.5, 0.5],
+    )
+    assert model.stddevs()[0].tolist() == [2.0, 3.0]
+    assert np.isnan(model.stddevs()[1]).all()
+    assert not model.stddevs().flags.writeable
 
 
 @settings(max_examples=50, deadline=None)

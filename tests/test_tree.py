@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from mmdt import (
 )
 from mmdt.adversarial import gen_b3, gen_thm4
 from mmdt.errors import IncompatibilityError
+from mmdt.io import dumps_json
 from mmdt import tree as tree_module
 from mmdt.tree import (
     AxisCut,
@@ -346,6 +348,27 @@ def test_minimize_threshold_rejects_means_one_ulp_apart():
             minimize_threshold(m, [0, 1], 0, objective)
 
 
+def test_minimize_threshold_rejects_nodes_of_fewer_than_two_components():
+    m = gaussians([[0.0], [4.0], [9.0]], [1.0])
+    disc = gen_thm4(2, 2).model
+    for model, objective in ((m, "chebyshev"), (m, "gaussian"), (disc, "exact-discrete")):
+        for comps in ([], [0]):
+            with pytest.raises(ValidationError, match="two distinct projected means"):
+                minimize_threshold(model, comps, 0, objective)
+        with pytest.raises(ValidationError, match="no components"):
+            objective_value(model, [], 0, 0.5, objective)
+
+
+@pytest.mark.parametrize("objective", ["chebyshev", "gaussian"])
+def test_minimize_threshold_value_is_objective_value(objective):
+    # The search values its candidates as objective_value does, bit for bit.
+    model = wide_build_mixture()
+    for comps, axis in (([3, 41], 5), (list(range(10, 17)), 0), (list(range(30, 60)), 17), (list(range(100)), 2)):
+        theta, value = minimize_threshold(model, comps, axis, objective)
+        assert value == objective_value(model, comps, axis, theta, objective)
+        assert objective_value(model, comps, axis, np.array([[theta]]), objective)[0, 0] == value
+
+
 def test_build_mmdt_minimal_tree():
     m = gaussians([[0.0], [10.0]], [1.0])
     tree = build_mmdt(m, "gaussian")
@@ -480,14 +503,22 @@ def test_check_structure_rejects_bad_trees(k, root):
         check_structure(AxisTree(root=root, dim=2, n_leaves=k), _MEANS[:k])
 
 
-def wide_build_mixture(seed: int = 0) -> MixtureModel:
-    """The first K=100, d=50 mixture of the wide-build benchmark pool: means
+def wide_build_pool(seed: int = 0) -> list[MixtureModel]:
+    """The four K=100, d=50 mixtures of the wide-build benchmark pool: means
     uniform in a box 60 stddevs wide, stddevs in [0.5, 1.5]."""
     rng = np.random.default_rng([seed, 2])
-    means = rng.uniform(-30.0, 30.0, (100, 50))
-    stds = rng.uniform(0.5, 1.5, (100, 50))
-    w = rng.uniform(0.5, 1.5, 100)
-    return MixtureModel.create(tuple(Component.gaussian(means[j], stds[j]) for j in range(100)), w / w.sum())
+    pool = []
+    for _ in range(4):
+        means = rng.uniform(-30.0, 30.0, (100, 50))
+        stds = rng.uniform(0.5, 1.5, (100, 50))
+        w = rng.uniform(0.5, 1.5, 100)
+        pool.append(MixtureModel.create(tuple(Component.gaussian(means[j], stds[j]) for j in range(100)), w / w.sum()))
+    return pool
+
+
+def wide_build_mixture(seed: int = 0) -> MixtureModel:
+    """The first mixture of the wide-build benchmark pool."""
+    return wide_build_pool(seed)[0]
 
 
 def internal_nodes(tree, means):
@@ -525,6 +556,49 @@ def test_level_search_is_independent_of_neighbours(objective):
     assert _search_level(model, nodes[::-1], objective)[::-1] == together
 
 
+@pytest.mark.parametrize("objective", ["chebyshev", "gaussian"])
+def test_level_search_raises_for_a_node_it_cannot_split(objective):
+    # A node with no float strictly between its means, or with one distinct
+    # projected mean, fails a batch of ordinary nodes as it fails alone.
+    rng = np.random.default_rng(3)
+    means = rng.uniform(-10.0, 10.0, (10, 2))
+    means[:2, 0] = [1.0, np.nextafter(1.0, 2.0)]
+    means[2:4, 0] = 5.0
+    model = gaussians(means, [1.0, 1.0])
+    ordinary = [(list(range(4, 10)), 0), (list(range(10)), 1), ([0, 1], 1)]
+    for bad, match in (([0, 1], "strictly between"), ([2, 3], "two distinct projected means")):
+        with pytest.raises(ValidationError, match=match):
+            _search_level(model, [(bad, 0)], objective)
+        for at in range(len(ordinary) + 1):
+            with pytest.raises(ValidationError, match=match):
+                _search_level(model, ordinary[:at] + [(bad, 0)] + ordinary[at:], objective)
+
+
+# sha256 of the tree JSON, as `build` writes it, for each mixture of the
+# seed-0 wide-build pool: the benchmark's output digests of its trees.  A
+# change that moves any bit of these trees must re-record the digests and
+# declare the moved thresholds.
+_WIDE_BUILD_TREE_SHA256 = {
+    "mix0-chebyshev": "a9562c0113c47e5be9375400153ae6800c032bcdbbbf259dd6bdb4afa269cfa2",
+    "mix0-gaussian": "bf61289faeff9b3ba12aa0bf4206de8f008bcd05877c11934f46e961e61ff82b",
+    "mix1-chebyshev": "397a24191f97a2270a7b34eedc75877dd506231aa4ffd79e55c1f4480f9e2f0e",
+    "mix1-gaussian": "8793a8abe28fb20a6d264579881ceee58c046ff1206d70472134b63b8c384c75",
+    "mix2-chebyshev": "88c50e7ce8868354c3b32610b4ed6f5df4b9a095fe2b4d702893091fe4a37037",
+    "mix2-gaussian": "4cea9858e2260b0f59e751a32dcee8856cb174d78659cae346dbffb16f0479e0",
+    "mix3-chebyshev": "e41b4e8553d7bddc9fe4f0a022ccfb4c0c7b1c13e012d94529f7b9306a120f28",
+    "mix3-gaussian": "cb3fdbd24eb5368dc379235963a7b02c1c4c4a430b1a3168ecb4324881ead79a",
+}
+
+
+def test_wide_build_trees_are_byte_identical():
+    digests = {}
+    for m, model in enumerate(wide_build_pool(0)):
+        for objective in ("chebyshev", "gaussian"):
+            text = dumps_json(build_mmdt(model, objective).to_dict())
+            digests[f"mix{m}-{objective}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digests == _WIDE_BUILD_TREE_SHA256
+
+
 def test_slope_adds_each_piece_in_list_order():
     # A one followed by terms below half its ulp: added in turn, each is
     # lost; summed pairwise (numpy's order for a long row), they count.
@@ -545,7 +619,7 @@ def test_slope_adds_each_piece_in_list_order():
         # chebyshev terms -coef / u^3 with u = (0 - (-1)) / 1 = 1
         coef = np.concatenate(chosen)
         n = coef.size
-        slope = _Slope.ragged((np.full(n, -1.0), np.ones(n), coef, None), np.array([c.size for c in chosen]))
+        slope = _Slope.ragged((np.full(n, -1.0), np.ones(n), coef, None, coef), np.array([c.size for c in chosen]))
         return (-slope(np.zeros(len(chosen)))[0]).tolist()
 
     assert any(in_order(terms) != np.sum(terms) for terms in pieces)
@@ -557,11 +631,15 @@ def test_slope_adds_each_piece_in_list_order():
 
 @pytest.mark.parametrize("objective", ["chebyshev", "gaussian"])
 def test_build_runs_one_bisection_per_level(monkeypatch, objective):
-    # Work guard in passes, not seconds: one bisection loop per tree level,
-    # and slope passes bounded by two per node (its end slopes) plus one
-    # bisection's worth per level.
-    counts = {"bisections": 0, "slopes": 0}
-    bisect, slope = tree_module._bisect, tree_module._Slope.__call__
+    # Work guard in passes, not seconds: one bracket construction and one
+    # bisection loop per tree level, and slope passes bounded by two per node
+    # (its end slopes) plus one bisection's worth per level.
+    counts = {"brackets": 0, "bisections": 0, "slopes": 0}
+    brackets, bisect, slope = tree_module._level_brackets, tree_module._bisect, tree_module._Slope.__call__
+
+    def counting_brackets(*args):
+        counts["brackets"] += 1
+        return brackets(*args)
 
     def counting_bisect(*args):
         counts["bisections"] += 1
@@ -571,6 +649,7 @@ def test_build_runs_one_bisection_per_level(monkeypatch, objective):
         counts["slopes"] += 1
         return slope(self, t)
 
+    monkeypatch.setattr(tree_module, "_level_brackets", counting_brackets)
     monkeypatch.setattr(tree_module, "_bisect", counting_bisect)
     monkeypatch.setattr(tree_module._Slope, "__call__", counting_slope)
     model = wide_build_mixture()
@@ -585,6 +664,7 @@ def test_build_runs_one_bisection_per_level(monkeypatch, objective):
 
     walk(tree.root, 0)
     levels, nodes = max(depths) + 1, len(depths)
+    assert counts["brackets"] == levels
     assert counts["bisections"] == levels
     assert counts["slopes"] <= 2 * nodes + levels * tree_module._BISECT_MAX_ITERS
     # one node at a time took about 55 passes per node, over 5,000 per build
