@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
 from .evaluate import _ratio
-from .mixture import json_fingerprint, lowest_duplicate_pair, squared_offsets
+from .mixture import array_fingerprint, lowest_duplicate_pair, squared_offsets
 from .tree import AxisCut, AxisTree, TreeNode, assign_components
 
 
@@ -71,7 +71,7 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def centers_fingerprint(centers: np.ndarray) -> str:
-    return json_fingerprint(np.asarray(centers, dtype=float).tolist())
+    return array_fingerprint(centers)
 
 
 def _best_cut(

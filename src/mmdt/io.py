@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -26,7 +27,35 @@ _TREE_KINDS = {tree.kind: tree for tree in (AxisTree, KernelTree)}
 
 
 def dumps_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """Exactly ``json.dumps(payload, indent=2) + "\\n"`` for str-keyed
+    payloads, without the pure-Python indent encoder's walk over every float."""
+    chunks: list[str] = []
+    _indented(payload, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _indented(obj, pad: str, out: list[str]) -> None:
+    """Append the JSON of obj to out; pad is a newline and obj's indentation.
+    One join at the end, not one per level, keeps large strings from being
+    copied at every level of nesting."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        opening, closing, items = "{", "}", [(json.dumps(key) + ": ", value) for key, value in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        # json spells nan and inf its own way, so only finite floats join at once
+        if obj and all(isinstance(v, float) for v in obj) and all(map(math.isfinite, obj)):
+            out.append("[" + inner + ("," + inner).join(map(float.__repr__, obj)) + pad + "]")
+            return
+        opening, closing, items = "[", "]", [("", value) for value in obj]
+    else:
+        out.append(json.dumps(obj))
+        return
+    out.append(opening)
+    for i, (head, value) in enumerate(items):
+        out.append(("," if i else "") + inner + head)
+        _indented(value, inner, out)
+    out.append((pad if items else "") + closing)
 
 
 def _read_text(path) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
 from .evaluate import BOUND_CONSTANT, _ratio, _report_dict, _support_enumeration
-from .mixture import GAUSSIAN, MixtureModel, json_fingerprint, sample
+from .mixture import GAUSSIAN, MixtureModel, array_fingerprint, sample
 from .tree import ThresholdTree, TreeNode, assign_components
 
 PROFILES = ("gaussian", "laplace")
@@ -98,7 +98,7 @@ class KernelSpec:
         return KernelSpec(profiles=tuple(d["profiles"]), gamma=d["gamma"])
 
     def fingerprint(self) -> str:
-        return json_fingerprint(self.to_dict())
+        return array_fingerprint(*self.profiles, self.gamma)
 
 
 def _check_kernel_dim(model: MixtureModel, kernel: KernelSpec) -> None:

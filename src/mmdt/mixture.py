@@ -10,7 +10,6 @@ weight-cap parameter alpha with p_k <= alpha / K.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +37,26 @@ def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def json_fingerprint(payload) -> str:
-    """sha256 hex digest of the sorted-key, compact JSON of payload."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+# Bump the tag whenever the hashed parts change, so that fingerprints of
+# different layouts never meet.
+_FINGERPRINT_TAG = b"mmdt-model-v2"
+
+
+def array_fingerprint(*parts) -> str:
+    """sha256 hex digest of the versioned tag and then parts in order: a str
+    (a component kind, a kernel profile) as its length and UTF-8 bytes, any
+    other part as a float64 array's shape and little-endian bytes.  Hashing
+    lengths and shapes keeps apart parts whose bytes run together alike."""
+    digest = hashlib.sha256(_FINGERPRINT_TAG)
+    for part in parts:
+        if isinstance(part, str):
+            data = part.encode("utf-8")
+            digest.update(f"s{len(data)}:".encode() + data)
+        else:
+            arr = np.asarray(part, dtype="<f8", order="C")
+            digest.update(f"a{arr.shape}:".encode())
+            digest.update(arr)
+    return digest.hexdigest()
 
 
 def lowest_duplicate_pair(rows: np.ndarray) -> tuple[int, int] | None:
@@ -275,8 +290,12 @@ class MixtureModel:
         return model
 
     def fingerprint(self) -> str:
-        """Stable hash of the canonical model JSON."""
-        return json_fingerprint(self.to_dict())
+        """array_fingerprint of alpha, weights, sigma and each component's
+        kind and arrays, in component order."""
+        parts = [self.alpha, self.weights, self.sigma]
+        for c in self.components:
+            parts += [c.kind, c.mean] + ([c.stddev] if c.kind == GAUSSIAN else [c.support, c.mass])
+        return array_fingerprint(*parts)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmdt import FormatError, LabeledDataset, MixtureModel, sample
@@ -21,7 +22,9 @@ from mmdt import cli as cli_module
 from mmdt import mixture as mixture_module
 from mmdt import tree as tree_module
 from mmdt.cli import main
+from mmdt.baseline import centers_fingerprint
 from mmdt.io import (
+    dumps_json,
     load_centers,
     load_dataset,
     load_mixture,
@@ -229,6 +232,45 @@ def test_cli_pipeline(tmp_path, capsys):
     payload = json.loads(out.splitlines()[-1] and out[out.index("{") :])
     assert payload["price_l1"] == pytest.approx(1.25)
     assert json.loads(meta.read_text())["targets"]["price"] == pytest.approx(1.25)
+
+
+_FLOATS = st.floats() | st.floats().map(np.float64)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() | _FLOATS
+    | st.lists(_FLOATS) | st.lists(_FINITE | _FINITE.map(np.float64)),
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAYLOADS)
+@example({"a": [-0.0, 0.0, math.nan, math.inf, -math.inf], "b": [], "c": {}, "d": ((), [[]], {"e": {}})})
+@example([np.float64(-0.0), 1e-300, np.float64(math.inf), 2.5, np.float64(1e22)])
+@example({"\"quote\"\n": "tab\t, back\\slash, \u00e9, \u2028", "": [None, True, False, 0, -7, 10**30]})
+def test_dumps_json_writes_what_json_dumps_writes(payload):
+    assert dumps_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_written_trees_carry_the_fingerprint_of_their_input(tmp_path):
+    discrete, ker = translate_battery(5)
+    mix, data, centers = tmp_path / "m.json", tmp_path / "d.csv", tmp_path / "c.json"
+    save_mixture(mix, discrete)
+    save_dataset(data, sample(discrete, 500, seed=1))
+    save_centers(centers, discrete.means())
+    gamma = ",".join(repr(float(g)) for g in ker.gamma)
+    builds = {
+        "build": ("build", "--mixture", mix, "--objective", "exact-discrete"),
+        "build-kernel": ("build-kernel", "--mixture", mix, "--gamma", gamma, "--seed", 3),
+    }
+    for name, argv in builds.items():
+        out = tmp_path / f"{name}.json"
+        assert run_cli(*argv, "--out", out) == 0
+        assert load_tree(out).model_fingerprint == load_mixture(mix).fingerprint(), name
+    imm = tmp_path / "imm.json"
+    assert run_cli("baseline-imm", "--data", data, "--centers", centers, "--out", imm) == 0
+    assert load_tree(imm).model_fingerprint == centers_fingerprint(load_centers(centers))
 
 
 def test_cli_build_determinism(tmp_path):
@@ -633,19 +675,21 @@ def test_wine_dataset_vendored():
 # of both tree kinds must stay byte-identical.  gaussian.eval was re-recorded
 # when the axis MC eval moved to one `sample` draw and a squared-l2 baseline
 # from the components.  The `gen` mixture and `--meta` JSON and the `moments`
-# JSON were recorded at commit a5a28be.
+# JSON were recorded at commit a5a28be.  The six tree digests were
+# re-recorded when model_fingerprint moved from a hash of the model JSON to
+# array_fingerprint; with that field blanked, every tree is unchanged.
 _ARTIFACT_SHA256 = {
-    "chebyshev": "6d04530dce576696b1596e1646361b082d9e2c8743a71e1d89432a60ca5133e2",
+    "chebyshev": "9bb45561a0fe69517bf8223ecaa95a0ec2d1821d7eff6c90dd30bf20dd65ffc7",
     "chebyshev.dot": "3a3a2d033664335356562f19a2024466d6b0925e420918886669d5ef74a7a7ae",
-    "gaussian": "2adcd452ee1e73cccaf199387507a465b539f0ad420e9ce8374dff2f71c67750",
+    "gaussian": "cb7a4d1bd3ce77ced5342551b1d1054d087ff87886473736e8dfffbe141c7a46",
     "gaussian.dot": "9acb17af4246b48d4593ec6e918ff3321f904a443b3336988c43c940498ed9c0",
-    "exact-discrete": "346bd55a97d7f447b89a4427263f8d6a6c6b98414ac02a2d68195dd5da92535e",
+    "exact-discrete": "b452daf8fa2798c801e90abec22a647db9f9a6a78a9a26d1759fb3fb2cc79673",
     "exact-discrete.dot": "807ae624638dc3fbc87bf0aae146f7ee4251823401e3cfb37983731e3bae4fee",
-    "kernel-exact": "e6366c64ea21d4c238faf0279290b0cbb2939e87edd2b9add1445abc53de1c4e",
+    "kernel-exact": "4d2017caa111aa0f8b8a66e7a97429de10b61f2e5633fbf47746a9f56fd3d48a",
     "kernel-exact.dot": "523ad9705eab3cef5c62a8475c7dc16a43761b346cba1ecfcf677ae051a0fb46",
-    "kernel-mc": "55cb59774acaa2ddb015fe5aac7327b22d2ed5b26341a9726913a6cbd37db117",
+    "kernel-mc": "ae2481192a0400f357f4f907bd82a288e1ebd65b2a96b0f9e9a63b1e8d8ca7d3",
     "kernel-mc.dot": "4907d35e04d134e38aa7bb290eeedd50332076a25b8974b5189b143908b78a13",
-    "imm": "eb978b42fd7194df8e647c35b138eaffe1d0d6a3d9e771ea5189d91bae050b22",
+    "imm": "18ef03b5ec6e76ccf568d75ac09119d32c77fce9a50a9000f19040bca21606c7",
     "imm.dot": "a53dcfb7c5fa2b6a8805066bec7bad13ab166c6beebf304b42a6a774fa877351",
     "exact-discrete.eval": "08efd63cf8407b8ac77b87cdc5ddcce4a29764a4822a7ef195953522c77df36a",
     "gaussian.eval": "725ae07958cc90cabc353317de7c975901fdf80c9db707e452bd7b6025bb6d3f",

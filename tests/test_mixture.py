@@ -17,7 +17,17 @@ from mmdt import (
     snr,
 )
 from mmdt.adversarial import gen_b3
-from mmdt.mixture import VARIANCE_FLOOR, _e_step, _farthest_point_seeds, _m_step, log_likelihood
+from mmdt.io import load_mixture, save_mixture
+from mmdt.mixture import (
+    DISCRETE,
+    GAUSSIAN,
+    VARIANCE_FLOOR,
+    _e_step,
+    _farthest_point_seeds,
+    _m_step,
+    array_fingerprint,
+    log_likelihood,
+)
 
 from conftest import as_labeled_dataset, gaussian_battery, random_discrete_model, scale_shift
 
@@ -452,3 +462,55 @@ def test_mixture_json_round_trip():
     clone = MixtureModel.from_dict(d)
     assert clone.to_dict() == d
     assert clone.fingerprint() == inst.model.fingerprint()
+
+
+def _fingerprint_model(gauss=((0.0, 0.0), (1.0, 1.0)), support=((0.0, 0.0), (2.0, 2.0), (4.0, 4.0)),
+                       mass=(0.25, 0.5, 0.25), weights=(0.5, 0.5), sigma=(1.0, 1.0), alpha=1.5, swap=False):
+    comps = [Component.gaussian(*gauss), Component.discrete(support, mass)]
+    return MixtureModel.create(comps[::-1] if swap else comps, weights, alpha=alpha, sigma=sigma)
+
+
+def test_fingerprint_survives_save_load_and_from_dict(tmp_path):
+    for i, model in enumerate([_fingerprint_model(), gaussian_battery(3), random_discrete_model(301)]):
+        path = tmp_path / f"m{i}.json"
+        save_mixture(path, model)
+        assert load_mixture(path).fingerprint() == model.fingerprint()
+        assert MixtureModel.from_dict(model.to_dict()).fingerprint() == model.fingerprint()
+    created = MixtureModel.create(_fingerprint_model().components, [0.5, 0.5])
+    assert MixtureModel.from_dict(created.to_dict()).fingerprint() == created.fingerprint()
+
+
+def test_fingerprint_moves_with_every_field():
+    base = _fingerprint_model()
+    variants = {
+        "weight": _fingerprint_model(weights=(0.4, 0.6)),
+        "sigma": _fingerprint_model(sigma=(1.0, 1.1)),
+        "alpha": _fingerprint_model(alpha=1.6),
+        "mean": _fingerprint_model(gauss=((0.0, 0.5), (1.0, 1.0))),
+        "stddev": _fingerprint_model(gauss=((0.0, 0.0), (1.0, 1.5))),
+        "support, same mean": _fingerprint_model(support=((1.0, 0.0), (2.0, 2.0), (3.0, 4.0))),
+        "mass, same mean": _fingerprint_model(mass=(0.3, 0.4, 0.3)),
+        "order": _fingerprint_model(swap=True),
+    }
+    prints = {name: model.fingerprint() for name, model in variants.items()}
+    assert base.fingerprint() not in prints.values()
+    assert len(set(prints.values())) == len(prints)
+    for name in ("support, same mean", "mass, same mean"):
+        assert variants[name].means().tolist() == base.means().tolist()
+    one_atom = Component.discrete([[0.0, 0.0]], [1.0])
+    kinds = [MixtureModel.create([c, Component.gaussian([3.0, 3.0], [1.0, 1.0])], [0.5, 0.5])
+             for c in (one_atom, Component.gaussian([0.0, 0.0], [1.0, 1.0]))]
+    assert kinds[0].fingerprint() != kinds[1].fingerprint()
+    assert array_fingerprint(GAUSSIAN, [1.0]) != array_fingerprint(DISCRETE, [1.0])
+
+
+def test_array_fingerprint_hashes_shapes():
+    support = np.arange(6.0).reshape(3, 2)
+    transposed = support.reshape(2, 3)
+    assert transposed.tobytes() == support.tobytes()
+    assert array_fingerprint(support) != array_fingerprint(transposed)
+    assert array_fingerprint(support) != array_fingerprint(support.ravel())
+    assert array_fingerprint(support[:1], support[1:]) != array_fingerprint(support[:2], support[2:])
+    assert array_fingerprint("ab", "c") != array_fingerprint("a", "bc")
+    assert array_fingerprint(np.asfortranarray(support)) == array_fingerprint(support.tolist())
+    assert array_fingerprint(2.0) != array_fingerprint([2.0])

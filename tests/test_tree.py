@@ -577,16 +577,17 @@ def test_level_search_raises_for_a_node_it_cannot_split(objective):
 # sha256 of the tree JSON, as `build` writes it, for each mixture of the
 # seed-0 wide-build pool: the benchmark's output digests of its trees.  A
 # change that moves any bit of these trees must re-record the digests and
-# declare the moved thresholds.
+# declare the moved thresholds.  They were re-recorded when model_fingerprint
+# moved to array_fingerprint; no other byte of the trees moved.
 _WIDE_BUILD_TREE_SHA256 = {
-    "mix0-chebyshev": "a9562c0113c47e5be9375400153ae6800c032bcdbbbf259dd6bdb4afa269cfa2",
-    "mix0-gaussian": "bf61289faeff9b3ba12aa0bf4206de8f008bcd05877c11934f46e961e61ff82b",
-    "mix1-chebyshev": "397a24191f97a2270a7b34eedc75877dd506231aa4ffd79e55c1f4480f9e2f0e",
-    "mix1-gaussian": "8793a8abe28fb20a6d264579881ceee58c046ff1206d70472134b63b8c384c75",
-    "mix2-chebyshev": "88c50e7ce8868354c3b32610b4ed6f5df4b9a095fe2b4d702893091fe4a37037",
-    "mix2-gaussian": "4cea9858e2260b0f59e751a32dcee8856cb174d78659cae346dbffb16f0479e0",
-    "mix3-chebyshev": "e41b4e8553d7bddc9fe4f0a022ccfb4c0c7b1c13e012d94529f7b9306a120f28",
-    "mix3-gaussian": "cb3fdbd24eb5368dc379235963a7b02c1c4c4a430b1a3168ecb4324881ead79a",
+    "mix0-chebyshev": "70284f10db26283253dff5b05ead3f1241f4f6257dc7bf3dafc10223762b3bc2",
+    "mix0-gaussian": "0216799925a86e435092077fc6e29dd4d17ee380df6ef1dfa25a33187f673747",
+    "mix1-chebyshev": "a70a17cff04b833fad9fe8a84613a1894766d63033cea0c64ed0593474f4faa3",
+    "mix1-gaussian": "c5bc5fa625eabe632df9686d01d569c646b1ed0fe34174cffabed56dfc15426b",
+    "mix2-chebyshev": "7c27ee5afade01c143ce68e77f8b21aff60f7ca32af20a2c9d7af8118056cb93",
+    "mix2-gaussian": "9caf9afaeeebb481a3b0dbc5f6ebbfe7e8f6832765fba16cc579e4fb88963e65",
+    "mix3-chebyshev": "76daab51abba5d6477c9232445a45f3d03cbd732c365cb39d37cbffeca3a850b",
+    "mix3-gaussian": "d9c95038c75eaeb62b6c2839027c82f54cd267b11d7b20d40cb7b0c5c9801d91",
 }
 
 
