@@ -1,14 +1,6 @@
 """Explainable clustering of mixture models with axis-aligned and kernel trees."""
 
-from .adversarial import (
-    AdversarialInstance,
-    b3_canonical_tree,
-    enumerate_valid_trees,
-    gen_b3,
-    gen_thm2,
-    gen_thm4,
-    thm4_canonical_tree,
-)
+from .adversarial import AdversarialInstance, gen_b3, gen_thm2, gen_thm4
 from .baseline import CenteredDataset, build_imm, empirical_price
 from .errors import FormatError, IncompatibilityError, MMDTError, ValidationError
 from .evaluate import (
@@ -41,7 +33,6 @@ from .mixture import (
     enr,
     fit_gmm,
     sample,
-    snr,
 )
 from .tree import (
     AxisCut,

@@ -1,4 +1,7 @@
-"""Generators and exact evaluators for hard instances used as test oracles.
+"""Generators of the paper's hard instances, with their analytic targets.
+
+The test suite checks each target against exact evaluation, with the
+canonical trees and the exhaustive tree enumerator of ``tests/oracles.py``.
 
 Three constructions are provided.  Each component is a star: its center
 (when that carries mass) and the 2d points one unit away along each axis,
@@ -21,13 +24,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
 
 import numpy as np
 
 from .errors import ValidationError
 from .mixture import Component, MixtureModel
-from .tree import AxisCut, AxisTree, TreeNode, _midpoint_candidates
 
 
 @dataclass(frozen=True)
@@ -171,26 +172,6 @@ def gen_thm4(k: int, q: int) -> AdversarialInstance:
     )
 
 
-def thm4_canonical_tree(instance: AdversarialInstance) -> AxisTree:
-    """Caterpillar tree separating component 0 first, then 1, and so on,
-    each with the cut x_{k+1} <= 0.5."""
-    if instance.construction != "thm4-basis":
-        raise ValidationError("canonical tree is defined for thm4-basis instances")
-    k = instance.params["K"]
-
-    def grow(c: int) -> TreeNode:
-        if c == k - 1:
-            return TreeNode(leaf=c)
-        return TreeNode(cut=AxisCut(axis=c, theta=0.5), left=grow(c + 1), right=TreeNode(leaf=c))
-
-    return AxisTree(
-        root=grow(0),
-        dim=k,
-        n_leaves=k,
-        model_fingerprint=instance.model.fingerprint(),
-    )
-
-
 def gen_b3(d: int) -> AdversarialInstance:
     """Constant-price instance: two components at +-0.5 * ones(d), each a
     unit deviation on exactly one axis with probability 1/(2d) per sign-axis
@@ -210,53 +191,3 @@ def gen_b3(d: int) -> AdversarialInstance:
     return AdversarialInstance(
         model=model, construction="b3-constprice", params={"d": d}, targets=targets
     )
-
-
-def b3_canonical_tree(instance: AdversarialInstance) -> AxisTree:
-    """Root cut x_1 <= 0; the positive component sits in the right leaf."""
-    if instance.construction != "b3-constprice":
-        raise ValidationError("canonical tree is defined for b3-constprice instances")
-    d = instance.params["d"]
-    root = TreeNode(cut=AxisCut(axis=0, theta=0.0), left=TreeNode(leaf=1), right=TreeNode(leaf=0))
-    return AxisTree(root=root, dim=d, n_leaves=2, model_fingerprint=instance.model.fingerprint())
-
-
-def enumerate_valid_trees(
-    model: MixtureModel, max_support: int = 200, max_k: int = 3
-) -> Iterator[AxisTree]:
-    """Enumerate every K-leaf tree with one component mean per leaf.
-
-    Thresholds are midpoints between consecutive distinct support
-    projections lying strictly between the projected means at each node, so
-    the stream covers one representative per equivalence class of the exact
-    objective.  Deterministic order: axis ascending, threshold ascending,
-    left subtree varying fastest.
-    """
-    if not model.all_discrete():
-        raise ValidationError("tree enumeration requires finite-discrete components")
-    if model.k > max_k:
-        raise ValidationError(f"instance too large: K={model.k} > {max_k}")
-    n_support = sum(c.support.shape[0] for c in model.components)
-    if n_support > max_support:
-        raise ValidationError(f"instance too large: {n_support} support points > {max_support}")
-    means = model.means()
-    fingerprint = model.fingerprint()
-
-    def grow(comps: list[int]) -> Iterator[TreeNode]:
-        if len(comps) == 1:
-            yield TreeNode(leaf=comps[0])
-            return
-        for axis in range(model.dim):
-            for theta in _midpoint_candidates(model, comps, axis).tolist():
-                left = [k for k in comps if means[k, axis] <= theta]
-                right = [k for k in comps if means[k, axis] > theta]
-                for left_node in grow(left):
-                    for right_node in grow(right):
-                        yield TreeNode(
-                            cut=AxisCut(axis=axis, theta=theta), left=left_node, right=right_node
-                        )
-
-    for root in grow(list(range(model.k))):
-        yield AxisTree(
-            root=root, dim=model.dim, n_leaves=model.k, model_fingerprint=fingerprint
-        )

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibilityError, ValidationError
+from .errors import ValidationError
 from .evaluate import _ratio
 from .mixture import array_fingerprint, lowest_duplicate_pair, squared_offsets
-from .tree import AxisCut, AxisTree, TreeNode, assign_components
+from .tree import AxisCut, AxisTree, TreeNode, assign_components, check_fits
 
 
 @dataclass(frozen=True)
@@ -164,10 +164,7 @@ def empirical_price(data: CenteredDataset, tree: AxisTree, norm: str = "l1") -> 
     """
     if norm not in ("l1", "l2sq"):
         raise ValidationError(f"norm must be 'l1' or 'l2sq', got {norm!r}")
-    if tree.dim != data.dim:
-        raise IncompatibilityError("tree dimension does not match dataset")
-    if tree.n_leaves != data.k:
-        raise IncompatibilityError("tree leaf count does not match centers")
+    check_fits(tree, data.dim, data.k)
     leaf_of = assign_components(tree, data.points)
     stat = np.median if norm == "l1" else np.mean
 

@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import IncompatibilityError, ValidationError
+from .errors import ValidationError
 from .mixture import DISCRETE, MixtureModel, enr, sample
-from .tree import AxisTree, assign_components, leaf_cells, normal_upper_tail
+from .tree import AxisTree, assign_components, check_fits, leaf_cells, normal_upper_tail
 
 # Constant of the price / error-rate bounds: 4 + 2*pi^2/3.
 BOUND_CONSTANT = 4.0 + 2.0 * math.pi**2 / 3.0
@@ -74,17 +74,6 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[np.searchsorted(cum, half)])
 
 
-def _check_dims(model: MixtureModel, tree: AxisTree) -> None:
-    if tree.dim != model.dim:
-        raise IncompatibilityError(
-            f"tree dimension {tree.dim} does not match model dimension {model.dim}"
-        )
-    if tree.n_leaves != model.k:
-        raise IncompatibilityError(
-            f"tree has {tree.n_leaves} leaves but the model has {model.k} components"
-        )
-
-
 def _support_enumeration(model: MixtureModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All (support point, joint mass, component) triples of a discrete model."""
     pts, mass, comp = [], [], []
@@ -136,7 +125,7 @@ def exact_eval_discrete(model: MixtureModel, tree: AxisTree) -> EvalReport:
     leaf-conditional mass; all prices and the error rate are exact and the
     confidence radius is zero.
     """
-    _check_dims(model, tree)
+    check_fits(tree, model.dim, model.k)
     pts, w, comp = _support_enumeration(model)
     assigned = assign_components(tree, pts)
     comp_means = model.means()
@@ -175,7 +164,7 @@ def mc_eval(model: MixtureModel, tree: AxisTree, n: int, seed: int) -> EvalRepor
     """
     if n < 100:
         raise ValidationError("mc_eval needs n >= 100")
-    _check_dims(model, tree)
+    check_fits(tree, model.dim, model.k)
     data = sample(model, n, seed)
     pts, labels = data.points, data.labels
     assigned = assign_components(tree, pts)
@@ -276,7 +265,7 @@ def exact_error_rate_gaussian(model: MixtureModel, tree: AxisTree) -> float:
     component places outside its own leaf cell.  Per axis that mass is two
     normal tails; one minus the product of the inside masses is taken as
     -expm1(sum log1p(-outside)), which resolves rates far below 1e-16."""
-    _check_dims(model, tree)
+    check_fits(tree, model.dim, model.k)
     if not model.all_gaussian():
         raise ValidationError("exact gaussian error rate requires gaussian components")
     error = 0.0

@@ -9,7 +9,6 @@ decimals; labels are 0-based component indices.
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 import math
 import os
@@ -65,13 +64,6 @@ def _read_text(path) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_json(text: str, path) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
-
-
 def write_text(path, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
@@ -96,14 +88,19 @@ def save_json(path, payload: dict) -> None:
 
 
 def _load_json(path, parse):
-    """parse(JSON of path); a missing, wrong-typed or out-of-range field
-    raises FormatError naming the path, while a ValidationError passes
+    """parse(JSON of path); malformed JSON, nesting too deep for the parser
+    or the tree builder, and a missing, wrong-typed or out-of-range field
+    raise FormatError naming the path, while a ValidationError passes
     through."""
-    data = _parse_json(_read_text(path), path)
+    text = _read_text(path)
     try:
-        return parse(data)
+        return parse(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
     except ValidationError:
         raise
+    except RecursionError as exc:
+        raise FormatError(f"{path}: nested too deeply") from exc
     except KeyError as exc:
         raise FormatError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -137,29 +134,6 @@ def load_centers(path) -> np.ndarray:
     if centers.ndim != 2:
         raise FormatError(f"{path}: centers must be a 2-D array")
     return centers
-
-
-def save_centers(path, centers: np.ndarray) -> None:
-    save_json(path, {"format_version": 1, "centers": np.asarray(centers, dtype=float).tolist()})
-
-
-def dataset_to_csv(data: LabeledDataset) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = [f"x{j + 1}" for j in range(data.dim)]
-    if data.labels is not None:
-        header.append("label")
-    writer.writerow(header)
-    for i in range(data.n):
-        row = [repr(float(v)) for v in data.points[i]]
-        if data.labels is not None:
-            row.append(str(int(data.labels[i])))
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def save_dataset(path, data: LabeledDataset) -> None:
-    write_text(path, dataset_to_csv(data))
 
 
 def load_dataset(path) -> LabeledDataset:

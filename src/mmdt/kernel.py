@@ -5,6 +5,9 @@ The kernel is a product over axes of monotone decreasing profiles
 laplace ``exp(-gamma t)`` profiles).  The tree cuts on per-axis kernel
 similarity to a sampled prototype point: ``kappa_i(x, prototype) < theta``
 goes left, so a cut is equivalently a two-sided input-space interval.
+One atom law, ``_atom_expectation``, gives every kernel value: the profile
+itself, the Gram blocks of ``kernel_price`` and the pair law behind the
+statistics.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import IncompatibilityError, ValidationError
 from .evaluate import BOUND_CONSTANT, _ratio, _report_dict, _support_enumeration
 from .mixture import GAUSSIAN, MixtureModel, array_fingerprint, sample
-from .tree import ThresholdTree, TreeNode, assign_components
+from .tree import ThresholdTree, TreeNode, assign_components, check_fits
 
 PROFILES = ("gaussian", "laplace")
 
@@ -63,11 +66,10 @@ class KernelSpec:
         return len(self.profiles)
 
     def profile_value(self, axis: int, t):
-        """g_i evaluated at non-negative distances t."""
+        """g_i evaluated at non-negative distances t: the atom law at variance 0."""
         t = np.asarray(t, dtype=float)
-        if self.profiles[axis] == "gaussian":
-            return np.exp(-self.gamma[axis] * t**2)
-        return np.exp(-self.gamma[axis] * t)
+        out = _atom_expectation(self.profiles[axis], self.gamma[axis], np.atleast_1d(t), 0.0)
+        return out if t.ndim else out[0]
 
     def profile_inverse(self, axis: int, value: float) -> float:
         """Distance r with g_i(r) = value, for value in (0, 1]."""
@@ -80,15 +82,6 @@ class KernelSpec:
 
     def axis_similarity(self, axis: int, x_axis, y_axis):
         return self.profile_value(axis, np.abs(np.subtract(x_axis, y_axis)))
-
-    def similarity(self, x, y):
-        """Full product kernel kappa(x, y)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = 1.0
-        for i in range(self.dim):
-            out = out * self.axis_similarity(i, x[..., i], y[..., i])
-        return out
 
     def to_dict(self) -> dict:
         return {"profiles": list(self.profiles), "gamma": self.gamma.tolist()}
@@ -106,17 +99,6 @@ def _check_kernel_dim(model: MixtureModel, kernel: KernelSpec) -> None:
         raise IncompatibilityError(
             f"kernel dimension {kernel.dim} does not match model dimension {model.dim}"
         )
-
-
-def _axis_gram(kernel: KernelSpec, axis: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return kernel.profile_value(axis, np.abs(u[:, None] - v[None, :]))
-
-
-def _full_gram(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.ones((a.shape[0], b.shape[0]))
-    for i in range(kernel.dim):
-        out *= _axis_gram(kernel, i, a[:, i], b[:, i])
-    return out
 
 
 def _erfcx(x: float) -> float:
@@ -176,23 +158,36 @@ def _atoms(component) -> tuple:
     return component.support, np.zeros(component.dim), component.mass
 
 
+def _atom_grams(kernel: KernelSpec, a: np.ndarray, b: np.ndarray, var: np.ndarray):
+    """``gram(i, power)``: the matrix of exact expectations E kappa_i^power
+    between every row of a and every row of b, for atoms whose axis
+    variances add to var (kappa_i^power is the same profile at power * gamma_i)."""
+
+    def gram(i: int, power: int = 1) -> np.ndarray:
+        diff = a[:, i, None] - b[None, :, i]
+        return _atom_expectation(kernel.profiles[i], power * kernel.gamma[i], diff, var[i])
+
+    return gram
+
+
+def _product(gram, d: int) -> np.ndarray:
+    """gram(0) * ... * gram(d - 1), in place.  Within an atom the axes are
+    independent, so the product of the axis Grams is the full kernel's Gram."""
+    out = gram(0)
+    for i in range(1, d):
+        out *= gram(i)
+    return out
+
+
 def _pair_law(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> tuple:
     """Law of the pair x ~ component k, y ~ component l over the two
-    components' atoms: ``gram(i, power)`` is the matrix of exact expectations
-    E kappa_i(x, y)^power between every two atoms, and ``mean(g)`` weighs such
-    a matrix by the atom masses.  Within an atom the axes are independent, so
-    the elementwise product of the axis Grams is the full kernel's Gram."""
+    components' atoms: ``gram`` of ``_atom_grams``, and ``mean(g)``, which
+    weighs such a matrix by the atom masses."""
     if not (0 <= k < model.k and 0 <= l < model.k):
         raise ValidationError(f"component index out of range: ({k}, {l}) with K={model.k}")
     a, var_a, mass_a = _atoms(model.components[k])
     b, var_b, mass_b = _atoms(model.components[l])
-
-    def gram(i: int, power: int = 1) -> np.ndarray:
-        # kappa_i^power is the same profile at power * gamma_i
-        diff = a[:, i, None] - b[None, :, i]
-        return _atom_expectation(kernel.profiles[i], power * kernel.gamma[i], diff, var_a[i] + var_b[i])
-
-    return gram, lambda g: float(mass_a @ g @ mass_b)
+    return _atom_grams(kernel, a, b, var_a + var_b), lambda g: float(mass_a @ g @ mass_b)
 
 
 def xi(model: MixtureModel, kernel: KernelSpec, i: int, k: int, l: int) -> float:
@@ -288,7 +283,7 @@ def mmd(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> float:
 
     def cross(a: int, b: int) -> float:
         gram, mean = _pair_law(model, kernel, a, b)
-        return mean(math.prod(gram(i) for i in range(model.dim)))
+        return mean(_product(gram, model.dim))
 
     return math.sqrt(max(0.0, cross(k, k) + cross(l, l) - 2.0 * cross(k, l)))
 
@@ -481,8 +476,7 @@ def kernel_price(model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 
     """
     kernel = tree.kernel
     _check_kernel_dim(model, kernel)
-    if tree.dim != model.dim or tree.n_leaves != model.k:
-        raise IncompatibilityError("tree does not match the model")
+    check_fits(tree, model.dim, model.k)
     exact = model.all_discrete()
     if exact:
         pts, w, comp = _support_enumeration(model)
@@ -523,6 +517,7 @@ def kernel_price(model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 
     cost_hat = np.empty(pts.shape[0])
     cost_tilde = np.empty(pts.shape[0])
     cross = np.empty((size, 2))
+    zero_var = np.zeros(model.dim)
     fallbacks: list[int] = []
     for k in range(model.k):
         c_idx, c_mass = refs[k]
@@ -541,7 +536,7 @@ def kernel_price(model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 
         step = max(1, _GRAM_BLOCK // cols.size)
         for start in range(0, rows.size, step):
             block = rows[start : start + step]
-            cross[block] = _full_gram(kernel, pool[block], ref_pts) @ mass
+            cross[block] = _product(_atom_grams(kernel, pool[block], ref_pts, zero_var), model.dim) @ mass
         self_sim = float(c_mass @ cross[c_idx, 0])
         cost_own[own] = 1.0 + self_sim - 2.0 * cross[own, 0]
         cost_hat[leaf] = 1.0 + self_sim - 2.0 * cross[leaf, 0]

@@ -108,7 +108,7 @@ class Component:
             if np.any(mass <= 0):
                 raise ValidationError("all masses must be positive")
             if abs(mass.sum() - 1.0) > _MASS_TOL:
-                raise ValidationError(f"masses sum to {mass.sum()!r}, expected 1")
+                raise ValidationError(f"masses sum to {float(mass.sum())}, expected 1")
             implied = mass @ sup
             if np.max(np.abs(implied - self.mean)) > _MASS_TOL:
                 raise ValidationError("mean field does not match mass-weighted support average")
@@ -205,7 +205,7 @@ class MixtureModel:
         if np.any(w <= 0):
             raise ValidationError("weights must be positive")
         if abs(w.sum() - 1.0) > _MASS_TOL:
-            raise ValidationError(f"weights sum to {w.sum()!r}, expected 1")
+            raise ValidationError(f"weights sum to {float(w.sum())}, expected 1")
         if not np.isfinite(self.alpha) or self.alpha < 1.0:
             raise ValidationError("alpha must be a real >= 1")
         k = len(comps)
@@ -345,12 +345,6 @@ def enr(model: MixtureModel) -> float:
     return float(min(gaps.max(axis=1).min() for gaps in _pair_gaps(model)))
 
 
-def snr(model: MixtureModel) -> float:
-    """Signal-to-noise ratio: min over pairs of the variance-weighted squared
-    distance between means, summed over axes."""
-    return float(min(gaps.sum(axis=1).min() for gaps in _pair_gaps(model)))
-
-
 def sample(model: MixtureModel, n: int, seed: int) -> LabeledDataset:
     """Draw n labeled points; bit-identical output for identical inputs."""
     if n < 1:
@@ -486,15 +480,6 @@ def fit_gmm(
     return model
 
 
-def log_likelihood(model: MixtureModel, data: LabeledDataset) -> float:
-    """Total log-likelihood of a Gaussian model on a dataset."""
-    if not model.all_gaussian():
-        raise ValidationError("log_likelihood requires gaussian components")
-    variances = model.stddevs() ** 2
-    log_norm, _ = _e_step(data.points, model.means(), variances, model.weights)
-    return float(log_norm.sum())
-
-
 def empirical_moments(data: LabeledDataset, k: int) -> MixtureModel:
     """Ground-truth-label path: per-label discrete components with uniform
     mass, weights from label frequencies, sigma pooled within components
@@ -503,6 +488,9 @@ def empirical_moments(data: LabeledDataset, k: int) -> MixtureModel:
         raise ValidationError("empirical_moments requires labels")
     if k < 1:
         raise ValidationError("k must be >= 1")
+    top = int(data.labels.max())
+    if top >= k:
+        raise ValidationError(f"label {top} is not a component index below k={k}")
     comps = []
     weights = []
     n = data.n

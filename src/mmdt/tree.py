@@ -220,6 +220,14 @@ def predict(tree: ThresholdTree, x) -> int:
     return int(assign_components(tree, x[None, :])[0])
 
 
+def check_fits(tree: ThresholdTree, dim: int, k: int) -> None:
+    """Raise IncompatibilityError unless the tree cuts dim axes and has k leaves."""
+    if tree.dim != dim:
+        raise IncompatibilityError(f"tree has dimension {tree.dim}, expected {dim}")
+    if tree.n_leaves != k:
+        raise IncompatibilityError(f"tree has {tree.n_leaves} leaves, expected {k}")
+
+
 def assign_components(tree: ThresholdTree, points: np.ndarray) -> np.ndarray:
     """Leaf of every row of an (n, d) array: at each node the rows whose
     cut ``goes_left`` move to the left child, the rest to the right."""

@@ -1,0 +1,106 @@
+"""Oracles and writers that only the tests use: two mixture statistics, the
+dataset and centers writers, and the canonical trees and exhaustive tree
+enumerator of the hard instances."""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+import numpy as np
+
+from mmdt import AdversarialInstance, LabeledDataset, MixtureModel, ValidationError
+from mmdt.io import save_json, write_text
+from mmdt.mixture import _e_step, _pair_gaps
+from mmdt.tree import AxisCut, AxisTree, TreeNode, _midpoint_candidates
+
+
+def snr(model: MixtureModel) -> float:
+    """Signal-to-noise ratio: min over pairs of the variance-weighted squared
+    distance between means, summed over axes."""
+    return float(min(gaps.sum(axis=1).min() for gaps in _pair_gaps(model)))
+
+
+def log_likelihood(model: MixtureModel, data: LabeledDataset) -> float:
+    """Total log-likelihood of a Gaussian model on a dataset."""
+    if not model.all_gaussian():
+        raise ValidationError("log_likelihood requires gaussian components")
+    variances = model.stddevs() ** 2
+    log_norm, _ = _e_step(data.points, model.means(), variances, model.weights)
+    return float(log_norm.sum())
+
+
+def save_dataset(path, data: LabeledDataset) -> None:
+    """Write the dataset CSV, each float in its shortest round-trip form
+    (repr), so that it loads back bit for bit; one %-format fills every row."""
+    header = [f"x{j + 1}" for j in range(data.dim)]
+    fields = ["%r"] * data.dim
+    table = data.points
+    if data.labels is not None:
+        header.append("label")
+        fields.append("%d")
+        table = np.column_stack([table, data.labels])
+    row = ",".join(fields) + "\n"
+    write_text(path, ",".join(header) + "\n" + (row * data.n) % tuple(table.ravel().tolist()))
+
+
+def save_centers(path, centers: np.ndarray) -> None:
+    save_json(path, {"format_version": 1, "centers": np.asarray(centers, dtype=float).tolist()})
+
+
+def thm4_canonical_tree(instance: AdversarialInstance) -> AxisTree:
+    """Caterpillar tree separating component 0 first, then 1, and so on,
+    each with the cut x_{k+1} <= 0.5."""
+    if instance.construction != "thm4-basis":
+        raise ValidationError("canonical tree is defined for thm4-basis instances")
+    k = instance.params["K"]
+
+    def grow(c: int) -> TreeNode:
+        if c == k - 1:
+            return TreeNode(leaf=c)
+        return TreeNode(cut=AxisCut(axis=c, theta=0.5), left=grow(c + 1), right=TreeNode(leaf=c))
+
+    return AxisTree(root=grow(0), dim=k, n_leaves=k, model_fingerprint=instance.model.fingerprint())
+
+
+def b3_canonical_tree(instance: AdversarialInstance) -> AxisTree:
+    """Root cut x_1 <= 0; the positive component sits in the right leaf."""
+    if instance.construction != "b3-constprice":
+        raise ValidationError("canonical tree is defined for b3-constprice instances")
+    d = instance.params["d"]
+    root = TreeNode(cut=AxisCut(axis=0, theta=0.0), left=TreeNode(leaf=1), right=TreeNode(leaf=0))
+    return AxisTree(root=root, dim=d, n_leaves=2, model_fingerprint=instance.model.fingerprint())
+
+
+def enumerate_valid_trees(model: MixtureModel, max_support: int = 200, max_k: int = 3) -> Iterator[AxisTree]:
+    """Enumerate every K-leaf tree with one component mean per leaf.
+
+    Thresholds are midpoints between consecutive distinct support
+    projections lying strictly between the projected means at each node, so
+    the stream covers one representative per equivalence class of the exact
+    objective.  Deterministic order: axis ascending, threshold ascending,
+    left subtree varying fastest.
+    """
+    if not model.all_discrete():
+        raise ValidationError("tree enumeration requires finite-discrete components")
+    if model.k > max_k:
+        raise ValidationError(f"instance too large: K={model.k} > {max_k}")
+    n_support = sum(c.support.shape[0] for c in model.components)
+    if n_support > max_support:
+        raise ValidationError(f"instance too large: {n_support} support points > {max_support}")
+    means = model.means()
+    fingerprint = model.fingerprint()
+
+    def grow(comps: list[int]) -> Iterator[TreeNode]:
+        if len(comps) == 1:
+            yield TreeNode(leaf=comps[0])
+            return
+        for axis in range(model.dim):
+            for theta in _midpoint_candidates(model, comps, axis).tolist():
+                left = [k for k in comps if means[k, axis] <= theta]
+                right = [k for k in comps if means[k, axis] > theta]
+                for left_node in grow(left):
+                    for right_node in grow(right):
+                        yield TreeNode(cut=AxisCut(axis=axis, theta=theta), left=left_node, right=right_node)
+
+    for root in grow(list(range(model.k))):
+        yield AxisTree(root=root, dim=model.dim, n_leaves=model.k, model_fingerprint=fingerprint)

@@ -36,22 +36,17 @@ from mmdt import (
     thm4_floor,
     thm5_bound,
 )
-from mmdt.adversarial import (
-    b3_canonical_tree,
-    enumerate_valid_trees,
-    gen_b3,
-    gen_thm4,
-    thm4_canonical_tree,
-)
+from mmdt.adversarial import gen_b3, gen_thm4
 from mmdt.baseline import CenteredDataset, build_imm, empirical_price
 from mmdt.cli import bench_rows, main
 from mmdt.evaluate import BOUND_CONSTANT
 from mmdt.io import load_dataset
 from mmdt.kernel import check_structure as check_kernel_structure
-from mmdt.mixture import Component, LabeledDataset, MixtureModel, fit_gmm, log_likelihood, sample
+from mmdt.mixture import Component, LabeledDataset, MixtureModel, fit_gmm, sample
 from mmdt.tree import check_structure as check_axis_structure
 
 from conftest import DATA_DIR, gaussian_battery, random_discrete_model, translate_battery
+from oracles import b3_canonical_tree, enumerate_valid_trees, log_likelihood, thm4_canonical_tree
 
 MC_SAMPLES = 200_000
 BETA_GAUSSIAN = math.sqrt(math.pi / 2.0)

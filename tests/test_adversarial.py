@@ -8,18 +8,12 @@ from mmdt import (
     exact_eval_discrete,
     thm4_floor,
 )
-from mmdt.adversarial import (
-    b3_canonical_tree,
-    enumerate_valid_trees,
-    gen_b3,
-    gen_thm2,
-    gen_thm4,
-    thm4_canonical_tree,
-)
+from mmdt.adversarial import gen_b3, gen_thm2, gen_thm4
 from mmdt.evaluate import _support_enumeration
 from mmdt.mixture import Component, MixtureModel
 
 from conftest import as_labeled_dataset
+from oracles import b3_canonical_tree, enumerate_valid_trees, thm4_canonical_tree
 
 
 def test_thm2_targets_match_exact_computation():

@@ -5,13 +5,19 @@ import numpy as np
 import pytest
 
 from mmdt import (
+    CenteredDataset,
     Component,
+    KernelSpec,
     MixtureModel,
     ValidationError,
     beta_estimate,
+    build_kernel_mmdt,
     build_mmdt,
+    empirical_price,
     exact_error_rate_gaussian,
     exact_eval_discrete,
+    kernel_price,
+    kernel_stats,
     mc_eval,
     sample,
     thm1_bound,
@@ -19,18 +25,14 @@ from mmdt import (
     thm4_floor,
     with_bounds,
 )
-from mmdt.adversarial import (
-    b3_canonical_tree,
-    enumerate_valid_trees,
-    gen_b3,
-    gen_thm4,
-    thm4_canonical_tree,
-)
+from mmdt.adversarial import gen_b3, gen_thm4
+from mmdt.errors import IncompatibilityError
 from mmdt.evaluate import BOUND_CONSTANT, weighted_median
-from mmdt.tree import assign_components, leaf_cells
+from mmdt.tree import assign_components, check_fits, leaf_cells
 from mmdt.tree import AxisCut, AxisTree, TreeNode
 
 from conftest import gaussian_battery, random_discrete_model
+from oracles import b3_canonical_tree, enumerate_valid_trees, thm4_canonical_tree
 
 
 def test_weighted_median():
@@ -369,3 +371,25 @@ def test_report_json_round_trip():
     d = rep.to_dict()
     assert d["format_version"] == 1
     assert d["price_l1"] == rep.price_l1
+
+
+def test_every_pricer_shares_one_tree_fit_check():
+    # tree.check_fits is the one check that a tree fits its model, for the
+    # axis and kernel evaluators and for the dataset price alike.
+    b3, thm4 = gen_b3(3).model, gen_thm4(3, 3).model  # K = 2 and 3, both d = 3
+    axis_tree = build_mmdt(thm4, "exact-discrete")
+    ker = KernelSpec.uniform("gaussian", 1.0, 3)
+    kernel_tree = build_kernel_mmdt(thm4, ker, kernel_stats(thm4, ker))
+    data = CenteredDataset.create(sample(b3, 50, seed=0).points, b3.means())
+    calls = [
+        lambda: exact_eval_discrete(b3, axis_tree),
+        lambda: mc_eval(b3, axis_tree, 1000, 0),
+        lambda: exact_error_rate_gaussian(b3, axis_tree),
+        lambda: kernel_price(b3, kernel_tree),
+        lambda: empirical_price(data, axis_tree),
+    ]
+    for call in calls:
+        with pytest.raises(IncompatibilityError, match="tree has 3 leaves, expected 2"):
+            call()
+    with pytest.raises(IncompatibilityError, match="tree has dimension 3, expected 2"):
+        check_fits(axis_tree, 2, 3)

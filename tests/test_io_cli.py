@@ -29,12 +29,11 @@ from mmdt.io import (
     load_dataset,
     load_mixture,
     load_tree,
-    save_centers,
-    save_dataset,
     save_mixture,
 )
 
 from conftest import DATA_DIR, gaussian_battery, translate_battery
+from oracles import save_centers, save_dataset
 
 
 def test_dataset_csv_round_trip(tmp_path):
@@ -380,6 +379,16 @@ def _string_gamma(tree: dict) -> dict:
     return tree
 
 
+def _caterpillar_text(tree: dict, leaves: int = 1100) -> str:
+    # Leaf c hangs right of the c-th cut, so the JSON nests about `leaves`
+    # levels deep; built as text, since json.dumps cannot nest that deep.
+    node = f'{{"leaf": {leaves - 1}}}'
+    for c in range(leaves - 2, -1, -1):
+        node = f'{{"axis": 0, "theta": {float(c)}, "left": {node}, "right": {{"leaf": {c}}}}}'
+    header = {key: value for key, value in tree.items() if key != "root"}
+    return json.dumps({**header, "n_leaves": leaves})[:-1] + f', "root": {node}}}'
+
+
 # artifact, edit of its JSON payload, allowed exit codes
 _MALFORMED = [
     pytest.param("axis", lambda t: {**t, "root": 5}, {2, 3, 4}, id="tree-root-int"),
@@ -396,6 +405,7 @@ _MALFORMED = [
     pytest.param("axis", lambda t: [t], {2, 3, 4}, id="tree-toplevel-list"),
     # JSON 1e400 reads as inf, which int() cannot convert
     pytest.param("axis", lambda t: {**t, "n_leaves": 1e400}, {2, 3, 4}, id="tree-n-leaves-overflow"),
+    pytest.param("axis", _caterpillar_text, {2}, id="tree-nested-too-deeply"),
     pytest.param("kernel", _string_gamma, {2, 3, 4}, id="kernel-gamma-str"),
     pytest.param("kernel", lambda t: {**t, "dim": 5}, {3}, id="kernel-dim-mismatch"),
     pytest.param("mixture", lambda m: {**m, "weights": "ab"}, {2, 3, 4}, id="mixture-weights-str"),
@@ -415,7 +425,8 @@ def test_cli_malformed_artifacts_exit_cleanly(tmp_path, capsys, artifact, edit, 
     assert run_cli("build", "--mixture", mix, "--objective", "exact-discrete", "--out", axis_tree) == 0
     assert run_cli("build-kernel", "--mixture", mix, "--out", kernel_tree) == 0
     path = {"axis": axis_tree, "kernel": kernel_tree, "mixture": mix}[artifact]
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    edited = edit(json.loads(path.read_text()))
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
     if artifact == "mixture":
         runs = [
             ("eval", "--mixture", mix, "--tree", axis_tree),
@@ -453,6 +464,7 @@ _BAD_INPUTS = [
         id="mc-pairs-zero",
     ),
     pytest.param(("moments", "--data", "{data}", "--k", 0, "--out", "{tmp}/mm.json"), {}, 3, id="moments-k-zero"),
+    pytest.param(("moments", "--data", "{data}", "--k", 1, "--out", "{tmp}/mm.json"), {}, 3, id="moments-label-above-k"),
     pytest.param(("gen", "b3", "--d", 2, "--out", "{tmp}/x.json"), {"MMDT_SEED": "abc"}, 2, id="seed-env"),
 ]
 

@@ -28,14 +28,36 @@ from mmdt.kernel import (
     PROFILES,
     KernelPriceReport,
     KernelTree,
-    _axis_gram,
-    _full_gram,
     check_structure,
     interval_predict,
 )
 from mmdt.tree import assign_components, export_dot
 
 from conftest import translate_battery
+
+
+def profile(ker, i, t):
+    # The profile g_i written on np.exp, independent of the library's atom law.
+    t = np.asarray(t, dtype=float)
+    if ker.profiles[i] == "gaussian":
+        return np.exp(-ker.gamma[i] * t**2)
+    return np.exp(-ker.gamma[i] * t)
+
+
+def axis_gram(ker, i, u, v):
+    return profile(ker, i, np.abs(u[:, None] - v[None, :]))
+
+
+def full_gram(ker, a, b):
+    out = np.ones((a.shape[0], b.shape[0]))
+    for i in range(ker.dim):
+        out *= axis_gram(ker, i, a[:, i], b[:, i])
+    return out
+
+
+def similarity(ker, x, y):
+    """Full product kernel kappa(x, y) of two points."""
+    return math.prod(float(profile(ker, i, abs(x[i] - y[i]))) for i in range(ker.dim))
 
 
 def point_pair(dist=2.0, gamma=0.5):
@@ -51,6 +73,7 @@ def test_profiles():
     ts = np.linspace(0.0, 4.0, 50)
     for axis in (0, 1):
         vals = ker.profile_value(axis, ts)
+        assert np.array_equal(vals, profile(ker, axis, ts))
         assert np.all(np.diff(vals) < 0)
         assert np.all(vals > 0)
     assert ker.profile_value(0, 1.5) == pytest.approx(math.exp(-2.0 * 1.5**2))
@@ -75,7 +98,7 @@ def test_xi_examples():
     got = xi(model2, ker2, i, k, l)
     ck, cl = model2.components[k], model2.components[l]
     want = sum(
-        mk * ml * float(ker2.profile_value(i, abs(pk[i] - pl[i])))
+        mk * ml * float(profile(ker2, i, abs(pk[i] - pl[i])))
         for pk, mk in zip(ck.support, ck.mass)
         for pl, ml in zip(cl.support, cl.mass)
     )
@@ -130,7 +153,7 @@ def test_mmd_examples():
         total = 0.0
         for pk, mk in zip(ck.support, ck.mass):
             for pl, ml in zip(cl.support, cl.mass):
-                total += mk * ml * float(ker2.similarity(pk, pl))
+                total += mk * ml * similarity(ker2, pk, pl)
         return total
 
     want = math.sqrt(max(0.0, cross(0, 0) + cross(1, 1) - 2 * cross(0, 1)))
@@ -379,13 +402,13 @@ def reference_xi(model, ker, i, k, l):
     # Reference: the separate exact branches of xi, mmd and kernel_stats
     # that the one pair law replaced.
     ck, cl = model.components[k], model.components[l]
-    return float(ck.mass @ _axis_gram(ker, i, ck.support[:, i], cl.support[:, i]) @ cl.mass)
+    return float(ck.mass @ axis_gram(ker, i, ck.support[:, i], cl.support[:, i]) @ cl.mass)
 
 
 def reference_mmd(model, ker, k, l):
     def cross(a, b):
         ca, cb = model.components[a], model.components[b]
-        return float(ca.mass @ _full_gram(ker, ca.support, cb.support) @ cb.mass)
+        return float(ca.mass @ full_gram(ker, ca.support, cb.support) @ cb.mass)
 
     if k == l:
         return 0.0
@@ -400,7 +423,7 @@ def reference_kernel_stats(model, ker):
             full = 1.0
             ck, cl = model.components[k], model.components[l]
             for i in range(d):
-                gram = _axis_gram(ker, i, ck.support[:, i], cl.support[:, i])
+                gram = axis_gram(ker, i, ck.support[:, i], cl.support[:, i])
                 mean = float(ck.mass @ gram @ cl.mass)
                 mean_sq = float(ck.mass @ gram**2 @ cl.mass)
                 xi_table[i, k, l] = xi_table[i, l, k] = mean
@@ -455,7 +478,7 @@ def test_gaussian_statistics_match_mc_reference():
         for k in range(model.k):
             for l in range(k, model.k):
                 x, y = reference_pairs(model, k, l, n, seed)
-                vals = [ker.axis_similarity(i, x[:, i], y[:, i]) for i in range(model.dim)]
+                vals = [profile(ker, i, np.abs(x[:, i] - y[:, i])) for i in range(model.dim)]
                 for i, v in enumerate(vals):
                     m = float(v.mean())
                     assert abs(st.xi_table[i, k, l] - m) <= 5.0 * v.std() / math.sqrt(n)
@@ -472,17 +495,17 @@ def test_gaussian_statistics_match_mc_reference():
                 assert abs(mmd(model, ker, k, l) ** 2 - mmd2) <= 5.0 * se
 
 
-def quad_expectation(profile, gamma, diff, var):
+def quad_expectation(name, gamma, diff, var):
     # E g(|z|) for z ~ N(diff, var) by quadrature, split at the kink z = 0.
-    g = KernelSpec((profile,), [gamma])
+    g = KernelSpec((name,), [gamma])
     if var == 0.0:
-        return float(g.profile_value(0, abs(diff)))
+        return float(profile(g, 0, abs(diff)))
     s = math.sqrt(var)
     kink = min(max(-diff / s, -40.0), 40.0)
 
     def f(u):
         density = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-        return float(g.profile_value(0, abs(diff + s * u))) * density
+        return float(profile(g, 0, abs(diff + s * u))) * density
 
     opts = dict(epsabs=0.0, epsrel=1e-13, limit=500)
     return quad(f, -40.0, kink, **opts)[0] + quad(f, kink, 40.0, **opts)[0]
@@ -503,12 +526,12 @@ def test_laplace_closed_form_matches_quadrature():
         got = kernel_module._laplace_mean(diff, var, gamma)
         assert got == pytest.approx(want, rel=1e-8)
         assert got == pytest.approx(quad_expectation("laplace", gamma, diff, var), rel=1e-9)
-    # a point pair (var 0) reads the profile itself
+    # a point pair (var 0) reads the profile itself, bit for bit
     diffs = np.array([[-2.5, 0.0, 1.5]])
-    for profile in PROFILES:
-        ker = KernelSpec((profile,), [0.7])
-        got = kernel_module._atom_expectation(profile, ker.gamma[0], diffs, 0.0)
-        assert np.array_equal(got, ker.profile_value(0, np.abs(diffs)))
+    for name in PROFILES:
+        ker = KernelSpec((name,), [0.7])
+        got = kernel_module._atom_expectation(name, ker.gamma[0], diffs, 0.0)
+        assert np.array_equal(got, profile(ker, 0, np.abs(diffs)))
 
 
 def mixed_model():
@@ -603,11 +626,11 @@ def test_kernel_price_exact_matches_brute_force():
 
     def emb_dist2(x, rows, masses):
         norm = sum(
-            mi * mj * float(ker.similarity(ri, rj))
+            mi * mj * similarity(ker, ri, rj)
             for ri, mi in zip(rows, masses)
             for rj, mj in zip(rows, masses)
         )
-        cross = sum(mi * float(ker.similarity(x, ri)) for ri, mi in zip(rows, masses))
+        cross = sum(mi * similarity(ker, x, ri) for ri, mi in zip(rows, masses))
         return 1.0 + norm - 2.0 * cross
 
     base = sum(
@@ -693,13 +716,13 @@ def dense_kernel_price(model, tree, n=0, seed=0):
     assigned = assign_components(tree, pts)
 
     def cross(points, support, mass):
-        return _full_gram(ker, points, support) @ mass
+        return full_gram(ker, points, support) @ mass
 
     cost_own, cost_hat, cost_tilde = (np.empty(pts.shape[0]) for _ in range(3))
     fallbacks = []
     for k in range(model.k):
         sup, mass = comp_support[k], comp_mass[k]
-        self_sim = mass @ _full_gram(ker, sup, sup) @ mass
+        self_sim = mass @ full_gram(ker, sup, sup) @ mass
         own, mine = comp == k, assigned == k
         cost_own[own] = 1.0 + self_sim - 2.0 * cross(pts[own], sup, mass)
         cost_hat[mine] = 1.0 + self_sim - 2.0 * cross(pts[mine], sup, mass)
@@ -707,7 +730,7 @@ def dense_kernel_price(model, tree, n=0, seed=0):
             fallbacks.append(k)
             continue
         q_pts, q = pts[mine][:cap], w[mine][:cap] / w[mine][:cap].sum()
-        leaf_norm = q @ _full_gram(ker, q_pts, q_pts) @ q
+        leaf_norm = q @ full_gram(ker, q_pts, q_pts) @ q
         cost_tilde[mine] = 1.0 + leaf_norm - 2.0 * cross(pts[mine], q_pts, q)
     baseline, tree_cost = float(w @ cost_own), float(w @ cost_tilde)
     return KernelPriceReport(

@@ -14,7 +14,6 @@ from mmdt import (
     enr,
     fit_gmm,
     sample,
-    snr,
 )
 from mmdt.adversarial import gen_b3
 from mmdt.io import load_mixture, save_mixture
@@ -26,10 +25,10 @@ from mmdt.mixture import (
     _farthest_point_seeds,
     _m_step,
     array_fingerprint,
-    log_likelihood,
 )
 
 from conftest import as_labeled_dataset, gaussian_battery, random_discrete_model, scale_shift
+from oracles import log_likelihood, snr
 
 
 def two_comp(means, sigma):
@@ -264,6 +263,22 @@ def test_empirical_moments_missing_class():
     data = LabeledDataset(points=np.zeros((3, 1)) + [[0.0], [1.0], [2.0]], labels=[0, 0, 1])
     with pytest.raises(ValidationError, match="label class"):
         empirical_moments(data, 3)
+
+
+def test_empirical_moments_rejects_label_not_below_k():
+    # Rows labeled k or above would drop out of every component, and the
+    # weights would then fail to sum to one.
+    data = LabeledDataset(points=[[0.0], [1.0], [2.0], [3.0], [4.0]], labels=[0, 0, 1, 2, 1])
+    with pytest.raises(ValidationError, match=r"^label 2 is not a component index below k=2$"):
+        empirical_moments(data, 2)
+
+
+def test_sum_checks_print_plain_floats():
+    with pytest.raises(ValidationError, match=r"^masses sum to 0\.8, expected 1$"):
+        Component.discrete([[0.0], [1.0]], [0.5, 0.3])
+    comps = (Component.gaussian([0.0], [1.0]), Component.gaussian([5.0], [1.0]))
+    with pytest.raises(ValidationError, match=r"^weights sum to 0\.8, expected 1$"):
+        MixtureModel.create(comps, [0.5, 0.3], alpha=2.0)
 
 
 def test_empirical_moments_variance_floor():
