@@ -5,9 +5,9 @@ The kernel is a product over axes of monotone decreasing profiles
 laplace ``exp(-gamma t)`` profiles).  The tree cuts on per-axis kernel
 similarity to a sampled prototype point: ``kappa_i(x, prototype) < theta``
 goes left, so a cut is equivalently a two-sided input-space interval.
-One atom law, ``_atom_expectation``, gives every kernel value: the profile
-itself, the Gram blocks of ``kernel_price`` and the pair law behind the
-statistics.
+One atom law, ``_atom_expectation`` of a ``_distance``, gives every kernel
+value: the profile itself, the Gram blocks of ``kernel_price`` and the pair
+law behind the statistics.
 """
 
 from __future__ import annotations
@@ -66,9 +66,11 @@ class KernelSpec:
         return len(self.profiles)
 
     def profile_value(self, axis: int, t):
-        """g_i evaluated at non-negative distances t: the atom law at variance 0."""
+        """g_i(|t|) at distances t: the atom law at variance 0."""
         t = np.asarray(t, dtype=float)
-        out = _atom_expectation(self.profiles[axis], self.gamma[axis], np.atleast_1d(t), 0.0)
+        out = np.array(t, ndmin=1)
+        profile = self.profiles[axis]
+        _atom_expectation(profile, self.gamma[axis], _distance(profile, out, 0.0), 0.0, out)
         return out if t.ndim else out[0]
 
     def profile_inverse(self, axis: int, value: float) -> float:
@@ -81,7 +83,7 @@ class KernelSpec:
         return u / self.gamma[axis]
 
     def axis_similarity(self, axis: int, x_axis, y_axis):
-        return self.profile_value(axis, np.abs(np.subtract(x_axis, y_axis)))
+        return self.profile_value(axis, np.subtract(x_axis, y_axis))
 
     def to_dict(self) -> dict:
         return {"profiles": list(self.profiles), "gamma": self.gamma.tolist()}
@@ -131,22 +133,33 @@ def _laplace_mean(diff: float, var: float, gamma: float) -> float:
 _LAPLACE_MEAN = np.vectorize(_laplace_mean, otypes=[float])
 
 
-def _atom_expectation(profile: str, gamma: float, diff: np.ndarray, var: float) -> np.ndarray:
-    """E g(|z|) for z ~ N(diff, var) per entry of diff (z = diff when var = 0),
-    with g the gaussian or laplace profile of scale gamma."""
-    # In place: support pairs hold S_k x S_l entries, so one array besides diff.
+def _distance(profile: str, diff: np.ndarray, var: float) -> np.ndarray:
+    """diff turned in place into what the atom law reads: its square for the
+    gaussian profile, its absolute value for a laplace point pair (var 0),
+    and the signed difference itself for the laplace mean."""
+    if profile == "gaussian":
+        return np.square(diff, out=diff)
+    if var == 0.0:
+        return np.abs(diff, out=diff)
+    return diff
+
+
+def _atom_expectation(profile: str, gamma: float, t: np.ndarray, var: float, out: np.ndarray) -> np.ndarray:
+    """E g(|z|) for z ~ N(diff, var) per entry of t = _distance(profile, diff,
+    var) (z = diff when var = 0), with g the gaussian or laplace profile of
+    scale gamma, written to out; out may be t itself."""
     if profile == "gaussian":
         c = 1.0 + 2.0 * gamma * var
-        out = np.square(diff)
-        out *= -gamma / c
+        np.multiply(t, -gamma / c, out=out)
         np.exp(out, out=out)
-        out /= math.sqrt(c)
+        if c != 1.0:  # x / 1.0 == x
+            out /= math.sqrt(c)
         return out
     if var == 0.0:
-        out = np.abs(diff)
-        out *= -gamma
+        np.multiply(t, -gamma, out=out)
         return np.exp(out, out=out)
-    return _LAPLACE_MEAN(diff, var, gamma)
+    out[...] = _LAPLACE_MEAN(t, var, gamma)
+    return out
 
 
 def _atoms(component) -> tuple:
@@ -159,35 +172,42 @@ def _atoms(component) -> tuple:
 
 
 def _atom_grams(kernel: KernelSpec, a: np.ndarray, b: np.ndarray, var: np.ndarray):
-    """``gram(i, power)``: the matrix of exact expectations E kappa_i^power
-    between every row of a and every row of b, for atoms whose axis
-    variances add to var (kappa_i^power is the same profile at power * gamma_i)."""
+    """``gram(i, powers, out)``: writes to out[j] the matrix of exact
+    expectations E kappa_i^powers[j] between every row of a and every row of
+    b, for atoms whose axis variances add to var (kappa_i^power is the same
+    profile at power * gamma_i), and returns out.  One difference matrix
+    serves every power: it is formed in out[-1], which takes the last power."""
 
-    def gram(i: int, power: int = 1) -> np.ndarray:
-        diff = a[:, i, None] - b[None, :, i]
-        return _atom_expectation(kernel.profiles[i], power * kernel.gamma[i], diff, var[i])
+    def gram(i: int, powers: tuple, out: tuple) -> tuple:
+        profile = kernel.profiles[i]
+        t = _distance(profile, np.subtract(a[:, i, None], b[None, :, i], out=out[-1]), var[i])
+        for power, o in zip(powers, out):
+            _atom_expectation(profile, power * kernel.gamma[i], t, var[i], o)
+        return out
 
     return gram
 
 
-def _product(gram, d: int) -> np.ndarray:
-    """gram(0) * ... * gram(d - 1), in place.  Within an atom the axes are
-    independent, so the product of the axis Grams is the full kernel's Gram."""
-    out = gram(0)
+def _product(gram, d: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """gram(0) * ... * gram(d - 1) in out, with work holding each later axis.
+    Within an atom the axes are independent, so the product of the axis
+    Grams is the full kernel's Gram."""
+    gram(0, (1,), (out,))
     for i in range(1, d):
-        out *= gram(i)
+        out *= gram(i, (1,), (work,))[0]
     return out
 
 
 def _pair_law(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> tuple:
     """Law of the pair x ~ component k, y ~ component l over the two
-    components' atoms: ``gram`` of ``_atom_grams``, and ``mean(g)``, which
-    weighs such a matrix by the atom masses."""
+    components' atoms: ``gram`` of ``_atom_grams``, ``mean(g)``, which
+    weighs such a matrix by the atom masses, and the matrix shape."""
     if not (0 <= k < model.k and 0 <= l < model.k):
         raise ValidationError(f"component index out of range: ({k}, {l}) with K={model.k}")
     a, var_a, mass_a = _atoms(model.components[k])
     b, var_b, mass_b = _atoms(model.components[l])
-    return _atom_grams(kernel, a, b, var_a + var_b), lambda g: float(mass_a @ g @ mass_b)
+    gram = _atom_grams(kernel, a, b, var_a + var_b)
+    return gram, lambda g: float(mass_a @ g @ mass_b), (mass_a.size, mass_b.size)
 
 
 def xi(model: MixtureModel, kernel: KernelSpec, i: int, k: int, l: int) -> float:
@@ -197,8 +217,8 @@ def xi(model: MixtureModel, kernel: KernelSpec, i: int, k: int, l: int) -> float
     _check_kernel_dim(model, kernel)
     if not 0 <= i < model.dim:
         raise ValidationError(f"axis index {i} out of range with d={model.dim}")
-    gram, mean = _pair_law(model, kernel, min(k, l), max(k, l))
-    return mean(gram(i))
+    gram, mean, shape = _pair_law(model, kernel, min(k, l), max(k, l))
+    return mean(gram(i, (1,), (np.empty(shape),))[0])
 
 
 @dataclass(frozen=True)
@@ -239,18 +259,23 @@ def kernel_stats(model: MixtureModel, kernel: KernelSpec) -> KernelStats:
     xi_table = np.empty((d, K, K))
     sigma2_per = np.empty(K)
     eps2 = 0.0
+    # Three workspaces serve every pair: the axis Gram at powers 1 and 2 (the
+    # second also holds the difference matrix) and, on the self pair, their
+    # product over the axes, the full kernel's Gram, whose mean is sigma2_k.
+    size = max(_atoms(c)[2].size for c in model.components) ** 2
+    buffers = [np.empty(size) for _ in range(3)]
     for k in range(K):
         for l in range(k, K):
-            gram, mean = _pair_law(model, kernel, k, l)
-            # On the self pair the axis Grams multiply into the full kernel's,
-            # whose mean is the self-similarity sigma2_k.
-            full = 1.0
+            gram, mean, (rows, cols) = _pair_law(model, kernel, k, l)
+            g, g2, full = (buf[: rows * cols].reshape(rows, cols) for buf in buffers)
+            if k == l:
+                full.fill(1.0)
             for i in range(d):
-                g = gram(i)
+                gram(i, (1, 2), (g, g2))
                 m = xi_table[i, k, l] = xi_table[i, l, k] = mean(g)
-                eps2 = max(eps2, mean(gram(i, 2)) - m**2)
+                eps2 = max(eps2, mean(g2) - m**2)
                 if k == l:
-                    full = full * g
+                    full *= g
             if k == l:
                 sigma2_per[k] = mean(full)
 
@@ -282,8 +307,8 @@ def mmd(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> float:
     _check_kernel_dim(model, kernel)
 
     def cross(a: int, b: int) -> float:
-        gram, mean = _pair_law(model, kernel, a, b)
-        return mean(_product(gram, model.dim))
+        gram, mean, shape = _pair_law(model, kernel, a, b)
+        return mean(_product(gram, model.dim, np.empty(shape), np.empty(shape)))
 
     return math.sqrt(max(0.0, cross(k, k) + cross(l, l) - 2.0 * cross(k, l)))
 
@@ -512,13 +537,15 @@ def kernel_price(model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 
     # ||phi(x) - phi_k||^2 = 1 + ||phi_k||^2 - 2 E_y kappa(x, y), with phi_k
     # the component embedding (column 0) or the leaf embedding (column 1).
     # One pass per k over the rows that need either cross term evaluates
-    # each Gram entry once, in blocks of _GRAM_BLOCK entries.
+    # each Gram entry once, in blocks of _GRAM_BLOCK entries (or one row, if
+    # a row holds more) that reuse two buffers.
     cost_own = np.empty(pts.shape[0])
     cost_hat = np.empty(pts.shape[0])
     cost_tilde = np.empty(pts.shape[0])
     cross = np.empty((size, 2))
     zero_var = np.zeros(model.dim)
     fallbacks: list[int] = []
+    buffers = [np.empty(max(_GRAM_BLOCK, size)) for _ in range(2)]
     for k in range(model.k):
         c_idx, c_mass = refs[k]
         own = np.flatnonzero(comp == k)
@@ -536,7 +563,9 @@ def kernel_price(model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 
         step = max(1, _GRAM_BLOCK // cols.size)
         for start in range(0, rows.size, step):
             block = rows[start : start + step]
-            cross[block] = _product(_atom_grams(kernel, pool[block], ref_pts, zero_var), model.dim) @ mass
+            g, work = (buf[: block.size * cols.size].reshape(block.size, cols.size) for buf in buffers)
+            gram = _atom_grams(kernel, pool[block], ref_pts, zero_var)
+            cross[block] = _product(gram, model.dim, g, work) @ mass
         self_sim = float(c_mass @ cross[c_idx, 0])
         cost_own[own] = 1.0 + self_sim - 2.0 * cross[own, 0]
         cost_hat[leaf] = 1.0 + self_sim - 2.0 * cross[leaf, 0]

@@ -466,6 +466,61 @@ def test_statistics_match_the_per_function_branches():
                     assert xi(model, ker, i, k, l) == reference_xi(model, ker, i, min(k, l), max(k, l))
 
 
+def reference_atom_gram(ker, i, a, b, var, power=1):
+    # E kappa_i^power between atoms at the rows of a and b whose variances
+    # add to var: the profile at power * gamma on np.exp for point pairs,
+    # else the gaussian closed form or the library's scalar laplace mean.
+    gamma = power * ker.gamma[i]
+    diff = a[:, i, None] - b[None, :, i]
+    if var == 0.0:
+        return profile(KernelSpec((ker.profiles[i],), [gamma]), 0, np.abs(diff))
+    if ker.profiles[i] == "gaussian":
+        c = 1.0 + 2.0 * gamma * var
+        return np.exp(-gamma / c * diff**2) / np.sqrt(c)
+    return np.vectorize(kernel_module._laplace_mean)(diff, var, gamma)
+
+
+def reference_atom_stats(model, ker):
+    # xi table, sigma2_k and eps2 with E kappa_i^2 taken as the profile at
+    # 2 gamma_i, as kernel_stats takes it, so that all three match bit for bit.
+    atoms = [
+        (c.mean[None, :], c.stddev**2, np.ones(1)) if c.support is None else (c.support, np.zeros(model.dim), c.mass)
+        for c in model.components
+    ]
+    d, K = model.dim, model.k
+    xi_table, sigma2_per, eps2 = np.empty((d, K, K)), np.empty(K), 0.0
+    for k in range(K):
+        for l in range(k, K):
+            (a, va, ma), (b, vb, mb) = atoms[k], atoms[l]
+            full = 1.0
+            for i in range(d):
+                gram = reference_atom_gram(ker, i, a, b, va[i] + vb[i])
+                mean = xi_table[i, k, l] = xi_table[i, l, k] = float(ma @ gram @ mb)
+                mean_sq = float(ma @ reference_atom_gram(ker, i, a, b, va[i] + vb[i], power=2) @ mb)
+                eps2 = max(eps2, mean_sq - mean**2)
+                full = full * gram
+            if k == l:
+                sigma2_per[k] = float(ma @ full @ mb)
+    return xi_table, sigma2_per, min(1.0, eps2)
+
+
+@pytest.mark.filterwarnings("ignore:component self-similarities differ")
+def test_statistics_match_the_atom_reference_bit_for_bit():
+    # eps2 included; both profiles; the mixed model's gaussian components
+    # take the closed forms, and with the laplace profile the scalar laplace
+    # mean, written into the Gram workspaces for both powers.
+    cases = [translate_battery(9000 + i) for i in range(12)]
+    cases += [(model, KernelSpec.uniform("laplace", ker.gamma, model.dim)) for model, ker in cases]
+    model, ker = mixed_model()
+    cases += [(model, ker)] + [(model, KernelSpec.uniform(name, 1.1, model.dim)) for name in PROFILES]
+    for model, ker in cases:
+        st = kernel_stats(model, ker)
+        xi_table, sigma2_per, eps2 = reference_atom_stats(model, ker)
+        assert np.array_equal(st.xi_table, xi_table)
+        assert np.array_equal(st.sigma2_per_component, sigma2_per)
+        assert st.eps2 == eps2
+
+
 @pytest.mark.filterwarnings("ignore:component self-similarities differ")
 def test_gaussian_statistics_match_mc_reference():
     # Closed forms against paired draws, within 5 standard errors of the
@@ -530,7 +585,8 @@ def test_laplace_closed_form_matches_quadrature():
     diffs = np.array([[-2.5, 0.0, 1.5]])
     for name in PROFILES:
         ker = KernelSpec((name,), [0.7])
-        got = kernel_module._atom_expectation(name, ker.gamma[0], diffs, 0.0)
+        t = kernel_module._distance(name, diffs.copy(), 0.0)
+        got = kernel_module._atom_expectation(name, ker.gamma[0], t, 0.0, np.empty_like(t))
         assert np.array_equal(got, profile(ker, 0, np.abs(diffs)))
 
 
@@ -845,6 +901,44 @@ def test_kernel_price_mc_memory_is_bounded():
     # Every row lies in its own component's leaf, so the leaf's prefix of
     # draws is the component's: the two embeddings, and prices, coincide.
     assert rep.price == rep.price_hat == 1.0
+
+
+def translated_supports(S, k=3, d=2, seed=0):
+    # K translates of one S-point law, 3 apart on the first axis.
+    base = np.random.default_rng(seed).normal(scale=0.2, size=(S, d))
+    offset = np.zeros(d)
+    offset[0] = 3.0
+    comps = tuple(Component.discrete(base + j * offset, np.full(S, 1.0 / S)) for j in range(k))
+    return MixtureModel.create(comps, np.full(k, 1.0 / k))
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("S", [1000, 2000])
+def test_kernel_stats_memory_is_three_gram_workspaces(S):
+    # One difference matrix per (pair, axis) serves both powers: the axis
+    # Grams at powers 1 and 2 and the self pair's product are all that is
+    # S x S, 3.0 S^2 floats against 4.0 with a fresh array per Gram.
+    model = translated_supports(S)
+    ker = KernelSpec.uniform("gaussian", 1.0, model.dim)
+    assert traced_peak(kernel_stats, model, ker) <= 3.1 * S * S * 8
+
+
+@pytest.mark.parametrize("S", [1000, 2000])
+def test_kernel_price_exact_memory_is_two_gram_blocks(S):
+    # Two Gram-block buffers per call, and O(rows) besides.
+    model = translated_supports(S)
+    ker = KernelSpec.uniform("gaussian", 1.0, model.dim)
+    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
+    rows = model.k * S
+    assert traced_peak(kernel_price, model, tree) <= 2 * kernel_module._GRAM_BLOCK * 8 + 48 * rows * 8
 
 
 @pytest.mark.filterwarnings("ignore:component self-similarities differ")
