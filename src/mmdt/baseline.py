@@ -148,10 +148,12 @@ def build_imm(data: CenteredDataset) -> AxisTree:
 def _cut_mistakes(
     data: CenteredDataset, point_idx: np.ndarray, center_idx: list[int], axis: int, theta: float
 ) -> int:
-    alive = np.isin(data.assignment[point_idx], center_idx)
-    pts = data.points[point_idx][alive]
-    ctr = data.centers[data.assignment[point_idx][alive]]
-    return int(np.sum((pts[:, axis] <= theta) != (ctr[:, axis] <= theta)))
+    """Points reaching a node, assigned to one of center_idx, that the cut
+    puts on the other side from their center; reads the cut's axis only."""
+    assign = data.assignment[point_idx]
+    alive = np.isin(assign, center_idx)
+    left = data.points[point_idx[alive], axis] <= theta
+    return int(np.count_nonzero(left != (data.centers[:, axis] <= theta)[assign[alive]]))
 
 
 def empirical_price(data: CenteredDataset, tree: AxisTree, norm: str = "l1") -> float:

@@ -27,8 +27,9 @@ term once the gap is also split at its clamp breakpoints ``mu_j +- sigma``.
 On each such piece the minimum is an end of the piece or the root of the
 objective's slope.  The tree grows one level at a time.  Per level, one pass
 on flat arrays with a node id per term builds every node's pieces, end values
-and brackets, one vectorized bisection on the slope's sign finds the roots,
-and one tie pick chooses every node's threshold.  Each piece lists its node's
+and brackets, one vectorized search on the slope's sign finds the roots
+(safeguarded Newton steps, each probe moving one end of its bracket), and
+one tie pick chooses every node's threshold.  Each piece lists its node's
 terms in component order and adds them from 0.0 (``np.bincount``), so a
 node's threshold does not depend on the other nodes of its level.  For every
 objective, candidates within a relative ``1e-12`` of the best are tied and
@@ -49,9 +50,12 @@ from .mixture import DISCRETE, GAUSSIAN, MixtureModel
 # Each objective and the component kind it requires (None: any kind).
 OBJECTIVES = {"exact-discrete": DISCRETE, "chebyshev": None, "gaussian": GAUSSIAN}
 
-# Slope bisection halves every bracket per step: 64 steps leave 5e-20 of a
-# piece, below one ulp of its ends unless they straddle zero.  It stops
-# earlier once no bracket has a float strictly inside.
+# The level's root search (``_slope_roots``) probes every bracket at most
+# this many times.  It stops earlier once no bracket has a float strictly
+# inside, after about 10 probes where Newton steps converge.  A bracket
+# around a root at or next to zero can hold more floats than that many
+# probes can exhaust; there the cap returns an end with slope <= 0 whose
+# bracket is not closed.
 _BISECT_MAX_ITERS = 64
 
 # Mathematically tied scores and objective values (symmetric configurations)
@@ -354,8 +358,8 @@ def _lowest_tied(starts: np.ndarray, thetas: np.ndarray, vals: np.ndarray) -> li
 
 class _Slope(NamedTuple):
     """Slope f' of a continuous objective at one threshold per piece, as
-    f' = factor * mantissa * exp(shift) per piece, and (``values``) the
-    objective there.  The terms are listed piece by piece, each piece's in
+    f' = factor * mantissa * exp(shift) per piece, (``values``) the
+    objective there, and (``newton``) the slope's sign with a Newton point.  The terms are listed piece by piece, each piece's in
     its node's component order; ``piece`` holds every term's piece and
     ``sizes`` every piece's number of terms.  ``np.bincount`` adds each
     piece's terms in list order, starting from 0.0, so a piece's slope and
@@ -381,12 +385,13 @@ class _Slope(NamedTuple):
     w: np.ndarray  # w_j, normalized over the node
     piece: np.ndarray
     sizes: np.ndarray
+    starts: np.ndarray  # every piece's first term
 
     @staticmethod
     def ragged(terms: tuple, sizes: np.ndarray) -> "_Slope":
         """The slope of terms (proj, scale, coef, sign, w) listed piece by
         piece, ``sizes[p]`` of them for piece p."""
-        return _Slope(*terms, np.repeat(np.arange(sizes.size), sizes), sizes)
+        return _Slope(*terms, np.repeat(np.arange(sizes.size), sizes), sizes, np.cumsum(sizes) - sizes)
 
     def __call__(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
         # in place, so a call holds one array of terms
@@ -399,7 +404,7 @@ class _Slope(NamedTuple):
         u **= 2
         u *= 0.5
         log_terms = np.subtract(self.coef, u, out=u)
-        top = np.maximum.reduceat(log_terms, np.cumsum(self.sizes) - self.sizes)
+        top = np.maximum.reduceat(log_terms, self.starts)
         log_terms -= top[self.piece]
         terms = np.exp(log_terms, out=log_terms)
         terms *= self.sign
@@ -413,24 +418,89 @@ class _Slope(NamedTuple):
         terms *= self.w
         return np.bincount(self.piece, terms, self.sizes.size)
 
+    def workspace(self) -> tuple[np.ndarray, np.ndarray]:
+        """What ``newton`` reuses from call to call: an array of terms, and
+        sigma / 3 per piece (chebyshev) or every term's piece and side,
+        2 * piece + (sign_j > 0) (gaussian)."""
+        if self.sign is None:
+            return np.empty(self.proj.size), self.scale[self.starts] / 3.0
+        return np.empty(self.proj.size), 2 * self.piece + (self.sign > 0)
 
-def _bisect(slope: _Slope, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Halve every bracket [a, b], on the sign of the slope at its midpoint,
-    until no float lies strictly inside any bracket, and return the lower
-    ends.  Each bracket holds one root of its piece's (monotone) slope."""
-    for _ in range(_BISECT_MAX_ITERS):
-        probe = 0.5 * (a + b)
-        inside = (probe > a) & (probe < b)
-        if not inside.any():
-            break
-        up = slope(probe)[0] > 0
-        b = np.where(inside & up, probe, b)
-        a = np.where(inside & ~up, probe, a)
+    def newton(self, t: np.ndarray, work: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The slope at t, bit for bit the first output of ``__call__``, and
+        from the same terms each piece's Newton point t - g / g' for a g
+        with the slope's sign and root: the slope itself (chebyshev), or
+        h = log P - log N, P and N the sums of its positive and negative
+        terms (gaussian), which stays steep where the terms fade in the
+        tails.  The Newton point is not finite where all of one side's terms
+        underflow.  ``work`` is the slope's ``workspace()``; run under an
+        ``np.errstate`` that ignores divide, overflow and invalid."""
+        u, (v, extra) = np.repeat(t, self.sizes), work
+        u -= self.proj
+        u /= self.scale
+        n = self.sizes.size
+        if self.sign is None:
+            # f' = -(2 / sigma) S_3 and f'' = (6 / sigma^2) S_4, with S_m = sum_j coef_j / u_j^m
+            np.multiply(u, u, out=v)
+            v *= u
+            cubes = np.bincount(self.piece, np.divide(self.coef, v, out=v), n)
+            step = np.divide(cubes, np.bincount(self.piece, np.divide(v, u, out=v), n))
+            step *= extra
+            step += t
+            return np.negative(cubes, out=cubes), step
+        np.square(u, out=v)
+        v *= 0.5
+        log_terms = np.subtract(self.coef, v, out=v)
+        log_terms -= np.maximum.reduceat(log_terms, self.starts)[self.piece]
+        terms = np.exp(log_terms, out=log_terms)
+        # [N, P] per piece, and [-N', -P'], as d/dt of a term is -(u_j / s_j) times it
+        sides = np.bincount(extra, terms, 2 * n)
+        u /= self.scale
+        u *= terms
+        rates = np.bincount(extra, u, 2 * n)
+        terms *= self.sign
+        slope = np.bincount(self.piece, terms, n)
+        rates /= sides
+        h = np.log(np.divide(sides[1::2], sides[::2], out=sides[1::2]))
+        h /= np.subtract(rates[::2], rates[1::2], out=rates[::2])  # h' = P'/P - N'/N
+        return slope, np.subtract(t, h, out=h)
+
+
+def _slope_roots(slope: _Slope, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Narrow every bracket [a, b] until no float lies strictly inside it,
+    and return the lower ends.  Each bracket holds one root of its piece's
+    (monotone) slope, with slope(a) <= 0 < slope(b).  A probe moves b down
+    to it where the slope there is positive, else a up, so every returned
+    a keeps slope(a) <= 0 < slope(nextafter(a, inf)).
+
+    The first probe is the midpoint.  Each next one lies past the last
+    probe's Newton point (``_Slope.newton``), toward the bracket's far end,
+    by one ulp, or by 2^r ulps after r probes in a row on one side: a
+    Newton step of about an ulp then closes the far end, and a run of
+    probes in a band where the computed slope is zero or rounding noise
+    crosses it in a few doublings.  Where that point is not strictly inside
+    the bracket (Newton overshot, or one side's terms underflowed) the
+    probe is the midpoint.  A closed bracket probes its own end, which
+    moves nothing."""
+    work = slope.workspace()
+    probe, run, was_up = 0.5 * (a + b), np.zeros(a.size, dtype=int), np.zeros(a.size, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_BISECT_MAX_ITERS):
+            if not np.count_nonzero((probe > a) & (probe < b)):
+                break
+            value, newton = slope.newton(probe, work)
+            up = value > 0
+            a, b = np.where(up, a, probe), np.where(up, probe, b)
+            run += 1
+            run *= up == was_up
+            probe = newton + np.ldexp(np.nextafter(newton, np.where(up, a, b)) - newton, run)
+            probe = np.where((probe > a) & (probe < b), probe, 0.5 * (a + b))
+            was_up = up
     return a
 
 
 def _level_brackets(model: MixtureModel, nodes: list[tuple[list[int], int]], objective: str):
-    """A continuous level's search up to the bisection, on flat arrays over
+    """A continuous level's search up to the root search, on flat arrays over
     all its (components, axis) nodes: split each node's interval into pieces
     on which its objective is convex, and bracket the pieces whose one-sided
     end slopes change sign and whose tangent-line lower bound does not
@@ -516,7 +586,7 @@ def _search_level(
     """(theta, value) of ``minimize_threshold`` for every (components, axis)
     node of one tree level.  A continuous objective's pieces are built and
     bracketed for all the level's nodes together, and their slope roots
-    found by one bisection over all the brackets; one tie pick then chooses
+    found by one search over all the brackets; one tie pick then chooses
     every node's threshold among its piece ends and roots."""
     if objective == "exact-discrete":
         found = []
@@ -530,7 +600,7 @@ def _search_level(
         return _lowest_tied(np.cumsum(sizes) - sizes, *(np.concatenate(f) for f in zip(*found)))
     first, lo, hi, f_lo, f_hi, rows, slope = _level_brackets(model, nodes, objective)
     roots, f_roots = np.full(lo.size, np.inf), np.full(lo.size, np.inf)
-    roots[rows] = _bisect(slope, lo[rows], hi[rows])
+    roots[rows] = _slope_roots(slope, lo[rows], hi[rows])
     with np.errstate(divide="ignore", over="ignore"):
         f_roots[rows] = slope.values(objective, roots[rows])
     # per piece: its lower end, its upper end, its root
@@ -557,11 +627,17 @@ def minimize_threshold(
     pulled into the open gap by ``1e-12`` of the gap (at least one ulp).  Each
     piece contributes its two ends and, when its one-sided slopes change sign
     and its tangent-line lower bound does not already exceed the best end
-    value, the root of its slope, found by bisection.  ``build_mmdt`` runs
-    this search for all nodes of a tree level at once: one construction of
-    the pieces and brackets on flat arrays with a node id per term, one
-    bisection, one tie pick.  Each piece's terms are added in component
-    order from 0.0, so a node's result does not depend on the others.
+    value, the root of its slope.  The root is found on the slope's sign:
+    each probe moves one end of the piece's bracket, until no float lies
+    between the ends, so the slope is <= 0 at the root and > 0 one float
+    above it.  The first probe is the midpoint, the next ones Newton points
+    pushed an ulp or more toward the far end, or the midpoint where Newton
+    leaves the bracket: about 10 probes per level, at most
+    ``_BISECT_MAX_ITERS``.  ``build_mmdt`` runs this search for all nodes of
+    a tree level at once: one construction of the pieces and brackets on
+    flat arrays with a node id per term, one root search, one tie pick.
+    Each piece's terms are added in component order from 0.0, so a node's
+    result does not depend on the others.
 
     For every objective, candidates within ``_TIE_REL`` of the best value are
     tied and the lowest theta wins.
@@ -577,7 +653,7 @@ def build_mmdt(model: MixtureModel, objective: str = "chebyshev") -> AxisTree:
     """Build the K-leaf tree: per node, select the best axis, minimize the
     threshold objective, and partition the remaining components by mean side.
     The tree grows one level at a time, the threshold searches of a level's
-    nodes sharing one bisection.  Ties in axis or threshold go to the lowest,
+    nodes sharing one root search.  Ties in axis or threshold go to the lowest,
     so the tree is determined by (model, objective)."""
     _check_objective(objective, model.components)
     if model.k < 2:

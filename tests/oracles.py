@@ -1,6 +1,8 @@
 """Oracles and writers that only the tests use: two mixture statistics, the
-dataset and centers writers, and the canonical trees and exhaustive tree
-enumerator of the hard instances."""
+dataset and centers writers, the canonical trees and exhaustive tree
+enumerator of the hard instances, the bisection that the threshold search's
+roots are checked against, and the list of thresholds that moved between
+two trees."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import numpy as np
 from mmdt import AdversarialInstance, LabeledDataset, MixtureModel, ValidationError
 from mmdt.io import save_json, write_text
 from mmdt.mixture import _e_step, _pair_gaps
-from mmdt.tree import AxisCut, AxisTree, TreeNode, _midpoint_candidates
+from mmdt.tree import _BISECT_MAX_ITERS, AxisCut, AxisTree, TreeNode, _midpoint_candidates
 
 
 def snr(model: MixtureModel) -> float:
@@ -104,3 +106,55 @@ def enumerate_valid_trees(model: MixtureModel, max_support: int = 200, max_k: in
 
     for root in grow(list(range(model.k))):
         yield AxisTree(root=root, dim=model.dim, n_leaves=model.k, model_fingerprint=fingerprint)
+
+
+def bisect_roots(slope, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Plain bisection on the sign of ``slope(t)[0]``: halve every bracket
+    [a, b] at its midpoint, at most ``_BISECT_MAX_ITERS`` times, until no
+    float lies strictly inside any of them.  Returns the lower ends and the
+    number of slope passes made."""
+    passes = 0
+    for _ in range(_BISECT_MAX_ITERS):
+        probe = 0.5 * (a + b)
+        inside = (probe > a) & (probe < b)
+        if not inside.any():
+            break
+        passes += 1
+        up = slope(probe)[0] > 0
+        b = np.where(inside & up, probe, b)
+        a = np.where(inside & ~up, probe, a)
+    return a, passes
+
+
+def float_ordinal(x: float) -> int:
+    """The position of x among the floats: consecutive floats differ by 1,
+    and -0.0 and 0.0 share position 0."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def moved_thresholds(old: dict, new: dict) -> list[tuple]:
+    """(node path, axis, old theta, new theta, ulps) for every node where two
+    trees differ, top down.  Each tree is its JSON dict or its root node's;
+    a path spells the way from the root in L and R.  ulps counts the floats
+    between the two thetas.  Where the axis moved, axis is (old, new) and
+    ulps None; where a leaf or the shape moved, axis is "leaf", the thetas
+    are the two nodes' leaves (None for an internal node) and ulps None, and
+    the walk does not go below that node."""
+    moved: list[tuple] = []
+
+    def walk(a: dict, b: dict, path: str) -> None:
+        if "leaf" in a or "leaf" in b:
+            if a.get("leaf") != b.get("leaf"):
+                moved.append((path, "leaf", a.get("leaf"), b.get("leaf"), None))
+            return
+        if a["axis"] != b["axis"]:
+            moved.append((path, (a["axis"], b["axis"]), a["theta"], b["theta"], None))
+        elif a["theta"] != b["theta"]:
+            ulps = abs(float_ordinal(a["theta"]) - float_ordinal(b["theta"]))
+            moved.append((path, a["axis"], a["theta"], b["theta"], ulps))
+        walk(a["left"], b["left"], path + "L")
+        walk(a["right"], b["right"], path + "R")
+
+    walk(old.get("root", old), new.get("root", new), "")
+    return moved

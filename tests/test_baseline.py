@@ -97,6 +97,23 @@ def test_cut_mistake_subset_monotonicity():
         assert cut_mistakes_on_subset(data, part, range(data.k), cut.axis, cut.theta) <= full
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_cut_mistakes_match_the_whole_row_count(seed):
+    # The invariant check reads one column of the points and centers; the
+    # count must be the one taken from whole rows.
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-4.0, 4.0, (4, 3))
+    data = CenteredDataset.create(centers[rng.integers(4, size=400)] + rng.normal(0.0, 2.5, (400, 3)), centers)
+    for _ in range(20):
+        idx = np.flatnonzero(rng.random(data.points.shape[0]) < 0.6)
+        reached = sorted(rng.choice(4, int(rng.integers(1, 5)), replace=False).tolist())
+        axis, theta = int(rng.integers(3)), float(rng.uniform(-4.0, 4.0))
+        alive = np.isin(data.assignment[idx], reached)
+        pts, ctr = data.points[idx][alive], data.centers[data.assignment[idx][alive]]
+        whole_rows = int(np.sum((pts[:, axis] <= theta) != (ctr[:, axis] <= theta)))
+        assert cut_mistakes_on_subset(data, idx, reached, axis, theta) == whole_rows
+
+
 def test_empirical_price_identical_partition():
     data = make_blobs(seed=4, scale=0.2)
     tree = build_imm(data)

@@ -33,7 +33,7 @@ from mmdt.io import (
 )
 
 from conftest import DATA_DIR, gaussian_battery, translate_battery
-from oracles import save_centers, save_dataset
+from oracles import moved_thresholds, save_centers, save_dataset
 
 
 def test_dataset_csv_round_trip(tmp_path):
@@ -775,7 +775,16 @@ def _cli_artifact_digests(tmp_path, capsys) -> dict:
 
 
 def test_cli_artifacts_byte_identical(tmp_path, capsys):
-    assert _cli_artifact_digests(tmp_path, capsys) == _ARTIFACT_SHA256
+    digests = _cli_artifact_digests(tmp_path, capsys)
+    # The root of every tree built above, as recorded with these digests:
+    # a moved tree digest lists the thresholds that moved.
+    recorded = json.loads((DATA_DIR / "recorded_trees.json").read_text())["cli"]
+    moved = {
+        name: moved_thresholds(root, json.loads((tmp_path / f"{name}.json").read_text()))
+        for name, root in recorded.items()
+        if digests[name] != _ARTIFACT_SHA256[name]
+    }
+    assert digests == _ARTIFACT_SHA256, f"(path, axis, old theta, new theta, ulps): {moved}"
 
 
 def test_build_kernel_mode_flag_is_hidden_and_ignored(tmp_path, capsys):

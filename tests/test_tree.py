@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -36,7 +37,8 @@ from mmdt.tree import (
     normal_upper_tail,
 )
 
-from conftest import gaussian_battery, random_discrete_model, scale_shift
+from conftest import DATA_DIR, gaussian_battery, random_discrete_model, scale_shift
+from oracles import bisect_roots, moved_thresholds
 
 
 def gaussians(means, sigma, weights=None):
@@ -535,7 +537,7 @@ def internal_nodes(tree, means):
 
 @pytest.mark.parametrize("objective", ["chebyshev", "gaussian"])
 def test_build_thetas_equal_standalone_search(objective):
-    # Nodes of one level share a bisection; each node's theta must still be
+    # Nodes of one level share a root search; each node's theta must still be
     # bit-equal to the search over that node alone.
     for model in [gaussian_battery(i) for i in range(60)] + [wide_build_mixture()]:
         tree = build_mmdt(model, objective)
@@ -579,11 +581,16 @@ def test_level_search_raises_for_a_node_it_cannot_split(objective):
 # change that moves any bit of these trees must re-record the digests and
 # declare the moved thresholds.  They were re-recorded when model_fingerprint
 # moved to array_fingerprint; no other byte of the trees moved.
+# mix1-gaussian was re-recorded when the root search moved from bisection to
+# Newton probes: one theta moved by 73 ulps, where bisection had run into its
+# 64-probe cap without closing the bracket.  tests/data/recorded_trees.json
+# holds the root node of every tree recorded here, so that a failure lists
+# the thresholds that moved.
 _WIDE_BUILD_TREE_SHA256 = {
     "mix0-chebyshev": "70284f10db26283253dff5b05ead3f1241f4f6257dc7bf3dafc10223762b3bc2",
     "mix0-gaussian": "0216799925a86e435092077fc6e29dd4d17ee380df6ef1dfa25a33187f673747",
     "mix1-chebyshev": "a70a17cff04b833fad9fe8a84613a1894766d63033cea0c64ed0593474f4faa3",
-    "mix1-gaussian": "c5bc5fa625eabe632df9686d01d569c646b1ed0fe34174cffabed56dfc15426b",
+    "mix1-gaussian": "f2a86f9d319b80cb8857cc700beb39165283737bb7cafb4148a63598a729cddf",
     "mix2-chebyshev": "7c27ee5afade01c143ce68e77f8b21aff60f7ca32af20a2c9d7af8118056cb93",
     "mix2-gaussian": "9caf9afaeeebb481a3b0dbc5f6ebbfe7e8f6832765fba16cc579e4fb88963e65",
     "mix3-chebyshev": "76daab51abba5d6477c9232445a45f3d03cbd732c365cb39d37cbffeca3a850b",
@@ -592,12 +599,15 @@ _WIDE_BUILD_TREE_SHA256 = {
 
 
 def test_wide_build_trees_are_byte_identical():
-    digests = {}
+    recorded = json.loads((DATA_DIR / "recorded_trees.json").read_text())["wide-build"]
+    digests, moved = {}, {}
     for m, model in enumerate(wide_build_pool(0)):
         for objective in ("chebyshev", "gaussian"):
-            text = dumps_json(build_mmdt(model, objective).to_dict())
-            digests[f"mix{m}-{objective}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digests == _WIDE_BUILD_TREE_SHA256
+            name, tree = f"mix{m}-{objective}", build_mmdt(model, objective).to_dict()
+            digests[name] = hashlib.sha256(dumps_json(tree).encode("utf-8")).hexdigest()
+            if digests[name] != _WIDE_BUILD_TREE_SHA256[name]:
+                moved[name] = moved_thresholds(recorded[name], tree)
+    assert digests == _WIDE_BUILD_TREE_SHA256, f"(path, axis, old theta, new theta, ulps): {moved}"
 
 
 def test_slope_adds_each_piece_in_list_order():
@@ -631,28 +641,36 @@ def test_slope_adds_each_piece_in_list_order():
 
 
 @pytest.mark.parametrize("objective", ["chebyshev", "gaussian"])
-def test_build_runs_one_bisection_per_level(monkeypatch, objective):
+def test_build_runs_one_root_search_per_level(monkeypatch, objective):
     # Work guard in passes, not seconds: one bracket construction and one
-    # bisection loop per tree level, and slope passes bounded by two per node
-    # (its end slopes) plus one bisection's worth per level.
-    counts = {"brackets": 0, "bisections": 0, "slopes": 0}
-    brackets, bisect, slope = tree_module._level_brackets, tree_module._bisect, tree_module._Slope.__call__
+    # root search per tree level, and slope passes (``__call__`` and
+    # ``newton``) bounded by the two end-slope passes of a level plus 15
+    # probes.  Measured: 156 and 144 passes over 13 and 12 levels, at most
+    # 14 probes in a level; bisection took about 58 probes per level.
+    counts = {"brackets": 0, "searches": 0, "slopes": 0}
+    brackets, search = tree_module._level_brackets, tree_module._slope_roots
+    slope, newton = tree_module._Slope.__call__, tree_module._Slope.newton
 
     def counting_brackets(*args):
         counts["brackets"] += 1
         return brackets(*args)
 
-    def counting_bisect(*args):
-        counts["bisections"] += 1
-        return bisect(*args)
+    def counting_search(*args):
+        counts["searches"] += 1
+        return search(*args)
 
     def counting_slope(self, t):
         counts["slopes"] += 1
         return slope(self, t)
 
+    def counting_newton(self, t, work):
+        counts["slopes"] += 1
+        return newton(self, t, work)
+
     monkeypatch.setattr(tree_module, "_level_brackets", counting_brackets)
-    monkeypatch.setattr(tree_module, "_bisect", counting_bisect)
+    monkeypatch.setattr(tree_module, "_slope_roots", counting_search)
     monkeypatch.setattr(tree_module._Slope, "__call__", counting_slope)
+    monkeypatch.setattr(tree_module._Slope, "newton", counting_newton)
     model = wide_build_mixture()
     tree = build_mmdt(model, objective)
     depths = []
@@ -664,12 +682,108 @@ def test_build_runs_one_bisection_per_level(monkeypatch, objective):
             walk(node.right, depth + 1)
 
     walk(tree.root, 0)
-    levels, nodes = max(depths) + 1, len(depths)
+    levels = max(depths) + 1
     assert counts["brackets"] == levels
-    assert counts["bisections"] == levels
-    assert counts["slopes"] <= 2 * nodes + levels * tree_module._BISECT_MAX_ITERS
-    # one node at a time took about 55 passes per node, over 5,000 per build
-    assert counts["slopes"] < 20 * nodes
+    assert counts["searches"] == levels
+    assert counts["slopes"] <= levels * (2 + 15)
+
+
+def _certified(slope, roots):
+    """Where the slope is <= 0 at a root and > 0 one float above it."""
+    return (slope(roots)[0] <= 0) & (slope(np.nextafter(roots, np.inf))[0] > 0)
+
+
+def _random_slope(rng, objective, far=False):
+    """A ragged slope of 40 pieces of 1 to 30 terms, and a threshold per
+    piece; ``far`` puts every gaussian threshold 80 to 200 s_j from every
+    mean of its piece, where all its terms underflow."""
+    sizes = rng.integers(1, 31, 40)
+    n = int(sizes.sum())
+    proj = rng.uniform(-30.0, 30.0, n)
+    w = rng.uniform(0.5, 1.5, n)
+    t = rng.uniform(-40.0, 40.0, sizes.size)
+    if objective == "chebyshev":
+        scale = np.repeat(rng.uniform(0.5, 2.0, sizes.size), sizes)
+        coef = np.where(rng.random(n) < 0.8, w, 0.0)
+        return _Slope.ragged((proj, scale, coef, None, w), sizes), t
+    scale = rng.uniform(0.5, 1.5, n)
+    if far:
+        sign = rng.choice([-1.0, 1.0], n)
+        proj = np.repeat(t, sizes) + sign * scale * rng.uniform(80.0, 200.0, n)
+    else:
+        sign = np.where(proj > np.repeat(t, sizes), 1.0, -1.0)
+    coef = np.log(w / scale) - 0.5 * np.log(2.0 * np.pi)
+    return _Slope.ragged((proj, scale, coef, sign, w), sizes), t
+
+
+@pytest.mark.parametrize("objective, far", [("chebyshev", False), ("gaussian", False), ("gaussian", True)])
+def test_newton_pass_slope_is_the_call_bit_for_bit(objective, far):
+    # The root search reads its signs from ``newton``; they must be the
+    # certificate's signs, so ``newton`` must give ``__call__``'s bits, also
+    # where every gaussian term underflows and only the shift keeps the sign.
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        slope, t = _random_slope(rng, objective, far)
+        work = slope.workspace()
+        for probe in (t, t + rng.uniform(-0.5, 0.5, t.size)):  # the workspace is reused
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                value, _ = slope.newton(probe, work)
+            assert value.tobytes() == slope(probe)[0].tobytes()
+    if far:
+        assert np.all(np.exp(slope.coef - 0.5 * ((slope.proj - np.repeat(t, slope.sizes)) / slope.scale) ** 2) == 0.0)
+        assert np.all(slope(t)[0] != 0.0)
+
+
+def _captured_searches(monkeypatch, builds):
+    """(slope, lower ends, upper ends, roots) of every root search the
+    builds run."""
+    searches = []
+    search = tree_module._slope_roots
+
+    def capturing(slope, a, b):
+        roots = search(slope, a, b)
+        searches.append((slope, a, b, roots))
+        return roots
+
+    monkeypatch.setattr(tree_module, "_slope_roots", capturing)
+    for model, objective in builds:
+        build_mmdt(model, objective)
+    return searches
+
+
+def test_roots_are_certified_wherever_bisection_certifies(monkeypatch):
+    models = [gaussian_battery(i) for i in range(60)] + wide_build_pool(0)
+    builds = [(model, objective) for model in models for objective in ("chebyshev", "gaussian")]
+    certified = 0
+    for slope, a, b, roots in _captured_searches(monkeypatch, builds):
+        bisected, _ = bisect_roots(slope, a, b)
+        assert np.all(slope(roots)[0] <= 0)
+        by_bisection = _certified(slope, bisected)
+        assert np.all(_certified(slope, roots)[by_bisection])
+        certified += int(by_bisection.sum())
+    assert certified > 3_000  # 3,314 brackets
+
+
+@pytest.mark.parametrize("objective", ["chebyshev", "gaussian"])
+@pytest.mark.parametrize("eps", [5e-5, -1.5e-4, 4e-8, 3e-4])
+def test_root_near_zero_closes_within_the_cap(monkeypatch, objective, eps):
+    # Means -1 and 1 with weights 1/2 +- eps put the slope's root within
+    # 1e-3 of zero.  Bisection from the bracket's midpoint, 0.0, must then
+    # halve a width of about 1 down to an ulp of the root; the Newton probes
+    # close the bracket in far fewer passes.
+    probes = []
+    newton = tree_module._Slope.newton
+
+    def counting(self, t, work):
+        probes.append(t)
+        return newton(self, t, work)
+
+    monkeypatch.setattr(tree_module._Slope, "newton", counting)
+    model = gaussians([[-1.0], [1.0]], [0.5], [0.5 + eps, 0.5 - eps])
+    [(slope, a, b, roots)] = _captured_searches(monkeypatch, [(model, objective)])
+    assert roots.size == 1 and abs(roots[0]) < 1e-3
+    assert np.all(_certified(slope, roots))
+    assert len(probes) < tree_module._BISECT_MAX_ITERS
 
 
 def test_check_structure_rejects_means_of_another_dimension():
