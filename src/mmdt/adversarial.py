@@ -98,15 +98,7 @@ def gen_thm2(k: int, m: int, seed: int = 0, max_retries: int = 1000) -> Adversar
     failure = ""
     for _ in range(max_retries):
         cand = rng.choice([-1.0, 1.0], size=(k, d))
-        hamming_ok = True
-        for a in range(k):
-            for b in range(a + 1, k):
-                if np.sum(cand[a] != cand[b]) < d / 4:
-                    hamming_ok = False
-                    break
-            if not hamming_ok:
-                break
-        if not hamming_ok:
+        if np.any((cand[:, None] != cand[None]).sum(2)[np.triu_indices(k, 1)] < d / 4):
             failure = "property 1 (pairwise distinct on >= d/4 axes) failed"
             continue
         verified_l = []

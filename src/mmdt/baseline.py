@@ -10,7 +10,7 @@ consecutive center projections so a separating cut always exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,13 +22,12 @@ from .tree import AxisCut, AxisTree, TreeNode, assign_components, check_fits
 
 @dataclass(frozen=True)
 class CenteredDataset:
-    """Points plus K reference centers; assignment is nearest center in l2
-    with ties going to the lower index, computed when left out and checked
-    when given."""
+    """Points plus K reference centers; assignment is the nearest center in
+    l2 with ties going to the lower index, computed from the two."""
 
     points: np.ndarray
     centers: np.ndarray
-    assignment: np.ndarray | None = None
+    assignment: np.ndarray = field(init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -41,17 +40,11 @@ class CenteredDataset:
         if dup:
             raise ValidationError(f"centers {dup[0]} and {dup[1]} are duplicates")
         assign = nearest_center(pts, ctr)
-        if self.assignment is not None and not np.array_equal(self.assignment, assign):
-            raise ValidationError("assignment does not follow the nearest-center rule")
         for arr in (pts, ctr, assign):
             arr.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "centers", ctr)
         object.__setattr__(self, "assignment", assign)
-
-    @staticmethod
-    def create(points, centers) -> "CenteredDataset":
-        return CenteredDataset(points=points, centers=centers)
 
     @property
     def k(self) -> int:
@@ -137,12 +130,7 @@ def build_imm(data: CenteredDataset) -> AxisTree:
         )
 
     root = grow(np.arange(data.points.shape[0]), list(range(data.k)), None)
-    return AxisTree(
-        root=root,
-        dim=data.dim,
-        n_leaves=data.k,
-        model_fingerprint=centers_fingerprint(data.centers),
-    )
+    return AxisTree(root=root, dim=data.dim, model_fingerprint=centers_fingerprint(data.centers))
 
 
 def _cut_mistakes(

@@ -160,7 +160,7 @@ def cmd_eval_data(args) -> int:
         centers = io.load_mixture(args.mixture).means()
     else:
         raise ValidationError("eval-data needs --centers or --mixture")
-    cdata = baseline.CenteredDataset.create(data.points, centers)
+    cdata = baseline.CenteredDataset(data.points, centers)
     norms = ["l1", "l2sq"] if args.norm == "both" else [args.norm]
     out = {}
     for norm in norms:
@@ -181,7 +181,7 @@ def cmd_eval_data(args) -> int:
 def cmd_baseline_imm(args) -> int:
     data = io.load_dataset(args.data)
     centers = io.load_centers(args.centers)
-    cdata = baseline.CenteredDataset.create(data.points, centers)
+    cdata = baseline.CenteredDataset(data.points, centers)
     start = time.perf_counter()
     built = baseline.build_imm(cdata)
     elapsed = time.perf_counter() - start
@@ -217,7 +217,7 @@ def bench_rows(sizes, k: int, d: int, seed: int, mmdt_repeats: int = 20) -> list
             times.append(time.perf_counter() - start)
         rows.append(("mmdt-build", n, float(np.median(times))))
 
-        cdata = baseline.CenteredDataset.create(data.points, fitted.means())
+        cdata = baseline.CenteredDataset(data.points, fitted.means())
         start = time.perf_counter()
         baseline.build_imm(cdata)
         rows.append(("imm-build", n, time.perf_counter() - start))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
 from .evaluate import BOUND_CONSTANT, _ratio, _report_dict, _support_enumeration
-from .mixture import GAUSSIAN, MixtureModel, array_fingerprint, sample
+from .mixture import GAUSSIAN, MixtureModel, array_fingerprint, json_int, sample
 from .tree import ThresholdTree, TreeNode, assign_components, check_fits
 
 PROFILES = ("gaussian", "laplace")
@@ -316,14 +316,12 @@ def mmd(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> float:
 @dataclass(frozen=True)
 class KernelCut:
     """Similarity cut: kappa_axis(x, prototype) < theta goes left, equality
-    goes right.  It carries the kernel for its axis profile; the kernel is
-    not part of its JSON."""
+    goes right, with kappa the kernel of the tree that holds the cut."""
 
     axis: int
     prototype: np.ndarray
     theta: float
     anchor: int
-    kernel: KernelSpec
 
     def __post_init__(self):
         proto = np.asarray(self.prototype, dtype=float).copy()
@@ -331,9 +329,6 @@ class KernelCut:
         object.__setattr__(self, "prototype", proto)
         if not 0.0 < self.theta < 1.0:
             raise ValidationError("kernel threshold must lie in (0, 1)")
-
-    def goes_left(self, column: np.ndarray) -> np.ndarray:
-        return self.kernel.axis_similarity(self.axis, column, self.prototype[self.axis]) < self.theta
 
     def to_dict(self) -> dict:
         return {
@@ -343,18 +338,11 @@ class KernelCut:
             "anchor": int(self.anchor),
         }
 
-    def radius(self) -> float:
-        """Input-space radius r with: |x_axis - prototype_axis| > r goes left."""
-        return self.kernel.profile_inverse(self.axis, self.theta)
-
-    def label(self) -> str:
-        """The interval form ``|x_i - p| > r`` of the cut."""
-        return f"|x{self.axis + 1} - {self.prototype[self.axis]:.6g}| > {self.radius():.6g}"
-
 
 @dataclass(frozen=True, kw_only=True)
 class KernelTree(ThresholdTree):
-    """Tree of kernel-similarity cuts with K leaves."""
+    """Tree of kernel-similarity cuts with K leaves; its one kernel routes,
+    labels and measures every cut."""
 
     kernel: KernelSpec
     seed: int = 0
@@ -362,19 +350,6 @@ class KernelTree(ThresholdTree):
     kind = "kernel"
     dot_name = "kernel_tree"
     json_keys = ("format_version", "kind", "dim", "n_leaves", "kernel", "model_fingerprint", "seed", "root")
-
-    def __post_init__(self):
-        # Cuts route and label with their own kernel, the rest of the module
-        # reads the tree's: the two must be one spec.
-        nodes = [self.root]
-        while nodes:
-            node = nodes.pop()
-            if node.is_leaf:
-                continue
-            kernel = node.cut.kernel
-            if kernel is not self.kernel and kernel.fingerprint() != self.kernel.fingerprint():
-                raise ValidationError("a cut's kernel differs from the tree's kernel")
-            nodes += [node.left, node.right]
 
     def header(self) -> dict:
         return {"kernel": self.kernel.to_dict(), "seed": int(self.seed)}
@@ -384,17 +359,25 @@ class KernelTree(ThresholdTree):
         kernel = KernelSpec.from_dict(d["kernel"])
         if kernel.dim != dim:
             raise ValidationError(f"tree dim {dim} does not match kernel dimension {kernel.dim}")
-        return {"kernel": kernel, "seed": int(d.get("seed", 0))}
+        return {"kernel": kernel, "seed": json_int(d, "seed", 0)}
 
     @classmethod
-    def read_cut(cls, d: dict, axis: int, header: dict) -> KernelCut:
-        kernel = header["kernel"]
+    def read_cut(cls, d: dict, axis: int, dim: int) -> KernelCut:
         proto = np.asarray(d["prototype"], dtype=float)
-        if proto.shape != (kernel.dim,):
-            raise ValidationError(f"prototype shape {proto.shape}, expected ({kernel.dim},)")
-        return KernelCut(
-            axis=axis, prototype=proto, theta=float(d["theta"]), anchor=int(d["anchor"]), kernel=kernel
-        )
+        if proto.shape != (dim,):
+            raise ValidationError(f"prototype shape {proto.shape}, expected ({dim},)")
+        return KernelCut(axis=axis, prototype=proto, theta=float(d["theta"]), anchor=json_int(d, "anchor"))
+
+    def goes_left(self, cut: KernelCut, column: np.ndarray) -> np.ndarray:
+        return self.kernel.axis_similarity(cut.axis, column, cut.prototype[cut.axis]) < cut.theta
+
+    def radius(self, cut: KernelCut) -> float:
+        """Input-space radius r with: |x_axis - prototype_axis| > r goes left."""
+        return self.kernel.profile_inverse(cut.axis, cut.theta)
+
+    def label(self, cut: KernelCut) -> str:
+        """The interval form ``|x_i - p| > r`` of the cut."""
+        return f"|x{cut.axis + 1} - {cut.prototype[cut.axis]:.6g}| > {self.radius(cut):.6g}"
 
 
 def build_kernel_mmdt(
@@ -445,18 +428,11 @@ def build_kernel_mmdt(
         left = [m for m, v in zip(comps, values) if v < theta]
         right = [m for m, v in zip(comps, values) if v > theta]
         assert left and right, "kernel threshold failed to separate components"
-        cut = KernelCut(axis=axis, prototype=prototype, theta=theta, anchor=anchor, kernel=kernel)
+        cut = KernelCut(axis=axis, prototype=prototype, theta=theta, anchor=anchor)
         return TreeNode(cut=cut, left=grow(left), right=grow(right))
 
     root = grow(list(range(model.k)))
-    return KernelTree(
-        root=root,
-        dim=model.dim,
-        n_leaves=model.k,
-        kernel=kernel,
-        model_fingerprint=fingerprint,
-        seed=seed,
-    )
+    return KernelTree(root=root, dim=model.dim, kernel=kernel, model_fingerprint=fingerprint, seed=seed)
 
 
 def interval_predict(tree: KernelTree, x) -> int:
@@ -468,7 +444,7 @@ def interval_predict(tree: KernelTree, x) -> int:
     node = tree.root
     while not node.is_leaf:
         cut = node.cut
-        node = node.left if abs(x[cut.axis] - cut.prototype[cut.axis]) > cut.radius() else node.right
+        node = node.left if abs(x[cut.axis] - cut.prototype[cut.axis]) > tree.radius(cut) else node.right
     return int(node.leaf)
 
 

@@ -37,6 +37,16 @@ def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def json_int(d: dict, key: str, default: int | None = None) -> int:
+    """d[key], or default when given and the key is absent, if it is a JSON
+    integer; a float (even 2.0), a bool or any other value raises TypeError,
+    so that no integer field of an artifact is silently truncated."""
+    value = d[key] if default is None else d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 # Bump the tag whenever the hashed parts change, so that fingerprints of
 # different layouts never meet.
 _FINGERPRINT_TAG = b"mmdt-model-v2"
@@ -285,7 +295,7 @@ class MixtureModel:
         sigma = d.get("sigma")
         alpha = d.get("alpha")
         model = MixtureModel.create(comps, d["weights"], alpha=alpha, sigma=sigma)
-        if "dim" in d and int(d["dim"]) != model.dim:
+        if "dim" in d and json_int(d, "dim") != model.dim:
             raise ValidationError(f"declared dim {d['dim']} does not match components")
         return model
 

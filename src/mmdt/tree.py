@@ -45,7 +45,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
-from .mixture import DISCRETE, GAUSSIAN, MixtureModel
+from .mixture import DISCRETE, GAUSSIAN, MixtureModel, json_int
 
 # Each objective and the component kind it requires (None: any kind).
 OBJECTIVES = {"exact-discrete": DISCRETE, "chebyshev": None, "gaussian": GAUSSIAN}
@@ -82,23 +82,16 @@ class AxisCut:
         if not math.isfinite(self.theta):
             raise ValidationError("threshold must be finite")
 
-    def goes_left(self, column: np.ndarray) -> np.ndarray:
-        return column <= self.theta
-
     def to_dict(self) -> dict:
         return {"axis": int(self.axis), "theta": float(self.theta)}
-
-    def label(self) -> str:
-        return f"x{self.axis + 1} <= {self.theta:.6g}"
 
 
 @dataclass(frozen=True)
 class TreeNode:
     """Internal node (cut plus two children) or leaf (component index).
 
-    A cut is an ``AxisCut`` or a ``kernel.KernelCut``; both offer ``axis``,
-    ``goes_left(column)`` over the points' values on that axis, ``to_dict()``
-    and ``label()``.
+    A cut is an ``AxisCut`` or a ``kernel.KernelCut``: plain data with an
+    ``axis`` and ``to_dict()``.  The tree that holds it routes and labels it.
     """
 
     cut: AxisCut | None = None
@@ -117,15 +110,15 @@ class TreeNode:
 
     @staticmethod
     def from_dict(d: dict, dim: int, read_cut) -> "TreeNode":
-        """Parse a node; read_cut(d, axis) makes the cut once its axis is
-        known to lie in 0..dim-1."""
+        """Parse a node; read_cut(d, axis, dim) makes the cut once its axis
+        is known to lie in 0..dim-1."""
         if "leaf" in d:
-            return TreeNode(leaf=int(d["leaf"]))
-        axis = int(d["axis"])
+            return TreeNode(leaf=json_int(d, "leaf"))
+        axis = json_int(d, "axis")
         if not 0 <= axis < dim:
             raise ValidationError(f"cut axis {axis} outside 0..{dim - 1}")
         return TreeNode(
-            cut=read_cut(d, axis),
+            cut=read_cut(d, axis, dim),
             left=TreeNode.from_dict(d["left"], dim, read_cut),
             right=TreeNode.from_dict(d["right"], dim, read_cut),
         )
@@ -137,13 +130,14 @@ class ThresholdTree:
 
     A subclass sets ``kind``, ``dot_name`` and the JSON key order
     ``json_keys``, and defines ``header()`` (its JSON header fields),
-    ``header_from_dict(d, dim)`` (its constructor arguments) and
-    ``read_cut(d, axis, header)`` (a cut from its JSON node).
+    ``header_from_dict(d, dim)`` (its constructor arguments),
+    ``read_cut(d, axis, dim)`` (a cut from its JSON node), and
+    ``goes_left(cut, column)`` and ``label(cut)`` (how its cuts route the
+    points' values on the cut's axis, and how they read).
     """
 
     root: TreeNode
     dim: int
-    n_leaves: int
     model_fingerprint: str = ""
 
     kind: ClassVar[str]
@@ -156,12 +150,16 @@ class ThresholdTree:
 
         return walk(self.root)
 
+    @property
+    def n_leaves(self) -> int:
+        return len(self.leaves())
+
     def to_dict(self) -> dict:
         fields = {
             "format_version": 1,
             "kind": self.kind,
             "dim": int(self.dim),
-            "n_leaves": int(self.n_leaves),
+            "n_leaves": self.n_leaves,
             "model_fingerprint": self.model_fingerprint,
             "root": self.root.to_dict(),
             **self.header(),
@@ -172,18 +170,18 @@ class ThresholdTree:
     def from_dict(cls, d: dict) -> "ThresholdTree":
         """Parse a tree, raising ValidationError unless every cut axis lies
         in 0..dim-1 and the leaves are a bijection onto 0..n_leaves-1."""
-        dim = int(d["dim"])
+        dim = json_int(d, "dim")
         header = cls.header_from_dict(d, dim)
         tree = cls(
-            root=TreeNode.from_dict(d["root"], dim, lambda node, axis: cls.read_cut(node, axis, header)),
+            root=TreeNode.from_dict(d["root"], dim, cls.read_cut),
             dim=dim,
-            n_leaves=int(d["n_leaves"]),
             model_fingerprint=d.get("model_fingerprint", ""),
             **header,
         )
+        n_leaves = json_int(d, "n_leaves")
         leaves = sorted(tree.leaves())
-        if leaves != list(range(tree.n_leaves)):
-            raise ValidationError(f"leaves {leaves} are not a bijection onto 0..{tree.n_leaves - 1}")
+        if leaves != list(range(n_leaves)):
+            raise ValidationError(f"leaves {leaves} are not a bijection onto 0..{n_leaves - 1}")
         return tree
 
 
@@ -212,8 +210,14 @@ class AxisTree(ThresholdTree):
         return {"objective": d["options"]["objective"] if "options" in d else None}
 
     @classmethod
-    def read_cut(cls, d: dict, axis: int, header: dict) -> AxisCut:
+    def read_cut(cls, d: dict, axis: int, dim: int) -> AxisCut:
         return AxisCut(axis=axis, theta=float(d["theta"]))
+
+    def goes_left(self, cut: AxisCut, column: np.ndarray) -> np.ndarray:
+        return column <= cut.theta
+
+    def label(self, cut: AxisCut) -> str:
+        return f"x{cut.axis + 1} <= {cut.theta:.6g}"
 
 
 def predict(tree: ThresholdTree, x) -> int:
@@ -233,8 +237,9 @@ def check_fits(tree: ThresholdTree, dim: int, k: int) -> None:
 
 
 def assign_components(tree: ThresholdTree, points: np.ndarray) -> np.ndarray:
-    """Leaf of every row of an (n, d) array: at each node the rows whose
-    cut ``goes_left`` move to the left child, the rest to the right."""
+    """Leaf of every row of an (n, d) array: at each node the rows that the
+    tree's ``goes_left`` sends left move to the left child, the rest to the
+    right."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != tree.dim:
         raise IncompatibilityError(f"points have shape {points.shape}, tree expects (*, {tree.dim})")
@@ -247,7 +252,7 @@ def assign_components(tree: ThresholdTree, points: np.ndarray) -> np.ndarray:
         if node.is_leaf:
             out[idx] = node.leaf
             continue
-        go_left = node.cut.goes_left(points[idx, node.cut.axis])
+        go_left = tree.goes_left(node.cut, points[idx, node.cut.axis])
         stack.append((node.left, idx[go_left]))
         stack.append((node.right, idx[~go_left]))
     return out
@@ -682,7 +687,6 @@ def build_mmdt(model: MixtureModel, objective: str = "chebyshev") -> AxisTree:
     return AxisTree(
         root=grow(list(range(model.k))),
         dim=model.dim,
-        n_leaves=model.k,
         model_fingerprint=model.fingerprint(),
         objective=objective,
     )
@@ -741,7 +745,7 @@ def export_dot(tree: ThresholdTree) -> str:
         if node.is_leaf:
             lines.append(f'  n{idx} [label="component {node.leaf}", shape=ellipse];')
             return idx
-        lines.append(f'  n{idx} [label="{node.cut.label()}"];')
+        lines.append(f'  n{idx} [label="{tree.label(node.cut)}"];')
         l = walk(node.left)
         r = walk(node.right)
         lines.append(f'  n{idx} -> n{l} [label="yes"];')

@@ -61,7 +61,7 @@ def thm4_canonical_tree(instance: AdversarialInstance) -> AxisTree:
             return TreeNode(leaf=c)
         return TreeNode(cut=AxisCut(axis=c, theta=0.5), left=grow(c + 1), right=TreeNode(leaf=c))
 
-    return AxisTree(root=grow(0), dim=k, n_leaves=k, model_fingerprint=instance.model.fingerprint())
+    return AxisTree(root=grow(0), dim=k, model_fingerprint=instance.model.fingerprint())
 
 
 def b3_canonical_tree(instance: AdversarialInstance) -> AxisTree:
@@ -70,7 +70,7 @@ def b3_canonical_tree(instance: AdversarialInstance) -> AxisTree:
         raise ValidationError("canonical tree is defined for b3-constprice instances")
     d = instance.params["d"]
     root = TreeNode(cut=AxisCut(axis=0, theta=0.0), left=TreeNode(leaf=1), right=TreeNode(leaf=0))
-    return AxisTree(root=root, dim=d, n_leaves=2, model_fingerprint=instance.model.fingerprint())
+    return AxisTree(root=root, dim=d, model_fingerprint=instance.model.fingerprint())
 
 
 def enumerate_valid_trees(model: MixtureModel, max_support: int = 200, max_k: int = 3) -> Iterator[AxisTree]:
@@ -105,7 +105,7 @@ def enumerate_valid_trees(model: MixtureModel, max_support: int = 200, max_k: in
                         yield TreeNode(cut=AxisCut(axis=axis, theta=theta), left=left_node, right=right_node)
 
     for root in grow(list(range(model.k))):
-        yield AxisTree(root=root, dim=model.dim, n_leaves=model.k, model_fingerprint=fingerprint)
+        yield AxisTree(root=root, dim=model.dim, model_fingerprint=fingerprint)
 
 
 def bisect_roots(slope, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:

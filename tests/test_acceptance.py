@@ -217,7 +217,7 @@ def _wine_pipeline():
         if best is None or ll > best[0]:
             best = (ll, model)
     model = best[1]
-    cdata = CenteredDataset.create(pts, model.means())
+    cdata = CenteredDataset(pts, model.means())
     tree = build_mmdt(model, "gaussian")
     mmdt_price = empirical_price(cdata, tree, "l2sq")
     imm_price = empirical_price(cdata, build_imm(cdata), "l2sq")
@@ -258,7 +258,7 @@ def test_criterion_08c_gaussians_row():
         if best is None or ll > best[0]:
             best = (ll, model)
     model = best[1]
-    cdata = CenteredDataset.create(data.points, model.means())
+    cdata = CenteredDataset(data.points, model.means())
     tree = build_mmdt(model, "gaussian")
     price = empirical_price(cdata, tree, "l2sq")
     ok = price <= 1.05

@@ -14,7 +14,7 @@ def make_blobs(seed=0, n=400, centers=((0.0, 0.0), (6.0, 0.0), (0.0, 6.0)), scal
     centers = np.asarray(centers, dtype=float)
     k = centers.shape[0]
     pts = np.vstack([rng.normal(c, scale, size=(n // k, 2)) for c in centers])
-    return CenteredDataset.create(pts, centers)
+    return CenteredDataset(pts, centers)
 
 
 def test_nearest_center_ties_to_lower_index():
@@ -25,11 +25,10 @@ def test_nearest_center_ties_to_lower_index():
 
 def test_centered_dataset_validation():
     with pytest.raises(ValidationError, match="duplicates"):
-        CenteredDataset.create(np.zeros((3, 2)), np.zeros((2, 2)))
-    pts = np.array([[0.0], [5.0]])
-    centers = np.array([[0.0], [5.0]])
-    with pytest.raises(ValidationError, match="nearest-center"):
-        CenteredDataset(points=pts, centers=centers, assignment=np.array([1, 1]))
+        CenteredDataset(np.zeros((3, 2)), np.zeros((2, 2)))
+    # the assignment is computed, never given
+    with pytest.raises(TypeError, match="assignment"):
+        CenteredDataset(np.array([[0.0], [5.0]]), np.array([[0.0], [5.0]]), assignment=np.array([1, 1]))
 
 
 @pytest.mark.parametrize(
@@ -42,7 +41,7 @@ def test_centered_dataset_validation():
 )
 def test_centered_dataset_names_lowest_duplicate_pair(centers, pair):
     with pytest.raises(ValidationError, match=f"{pair} are duplicates"):
-        CenteredDataset.create(np.zeros((3, 2)), np.array(centers))
+        CenteredDataset(np.zeros((3, 2)), np.array(centers))
 
 
 def test_centered_dataset_assigns_once(monkeypatch):
@@ -53,10 +52,8 @@ def test_centered_dataset_assigns_once(monkeypatch):
         return nearest_center(points, centers)
 
     monkeypatch.setattr("mmdt.baseline.nearest_center", counting)
-    data = CenteredDataset.create(np.array([[0.0], [4.0], [1.0]]), np.array([[0.0], [5.0]]))
+    data = CenteredDataset(np.array([[0.0], [4.0], [1.0]]), np.array([[0.0], [5.0]]))
     assert len(calls) == 1 and data.assignment.tolist() == [0, 1, 0]
-    given = CenteredDataset(points=data.points, centers=data.centers, assignment=[0, 1, 0])
-    assert given.assignment.tolist() == [0, 1, 0]
 
 
 def test_build_imm_separable_zero_mistakes():
@@ -70,7 +67,7 @@ def test_build_imm_separable_zero_mistakes():
 def test_build_imm_on_b3_sample():
     inst = gen_b3(4)
     d = sample(inst.model, 10_000, seed=2)
-    data = CenteredDataset.create(d.points, inst.model.means())
+    data = CenteredDataset(d.points, inst.model.means())
     tree = build_imm(data)
     assert abs(tree.root.cut.theta) < 0.3
     err = float(np.mean(assign_components(tree, d.points) != d.labels))
@@ -80,7 +77,7 @@ def test_build_imm_on_b3_sample():
 def test_build_imm_rejects_single_center():
     pts = np.zeros((5, 2))
     with pytest.raises(ValidationError):
-        build_imm(CenteredDataset.create(pts, np.zeros((1, 2))))
+        build_imm(CenteredDataset(pts, np.zeros((1, 2))))
 
 
 def test_cut_mistake_subset_monotonicity():
@@ -103,7 +100,7 @@ def test_cut_mistakes_match_the_whole_row_count(seed):
     # count must be the one taken from whole rows.
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-4.0, 4.0, (4, 3))
-    data = CenteredDataset.create(centers[rng.integers(4, size=400)] + rng.normal(0.0, 2.5, (400, 3)), centers)
+    data = CenteredDataset(centers[rng.integers(4, size=400)] + rng.normal(0.0, 2.5, (400, 3)), centers)
     for _ in range(20):
         idx = np.flatnonzero(rng.random(data.points.shape[0]) < 0.6)
         reached = sorted(rng.choice(4, int(rng.integers(1, 5)), replace=False).tolist())
@@ -130,11 +127,10 @@ def test_empirical_price_below_one_is_legal():
 
     rng = np.random.default_rng(12)
     pts = np.vstack([rng.normal(0.0, 1.0, size=(200, 1)), rng.normal(4.0, 1.0, size=(200, 1))])
-    data = CenteredDataset.create(pts, np.array([[-1.0], [2.0]]))
+    data = CenteredDataset(pts, np.array([[-1.0], [2.0]]))
     tree = AxisTree(
         root=TreeNode(cut=AxisCut(0, 2.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
         dim=1,
-        n_leaves=2,
     )
     assert empirical_price(data, tree, "l1") < 1.0
     assert empirical_price(data, tree, "l2sq") < 1.0
@@ -152,12 +148,11 @@ def test_empirical_price_zero_baseline():
     # the assignment prices at 1, and one that misroutes a point at inf.
     from mmdt.tree import AxisCut, AxisTree, TreeNode
 
-    data = CenteredDataset.create(np.array([[0.0], [0.0], [5.0], [5.0]]), np.array([[0.0], [5.0]]))
+    data = CenteredDataset(np.array([[0.0], [0.0], [5.0], [5.0]]), np.array([[0.0], [5.0]]))
     for theta, price in ((2.5, 1.0), (-1.0, np.inf)):
         tree = AxisTree(
             root=TreeNode(cut=AxisCut(0, theta), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
             dim=1,
-            n_leaves=2,
         )
         assert empirical_price(data, tree, "l1") == price
         assert empirical_price(data, tree, "l2sq") == price
@@ -259,7 +254,7 @@ def test_build_imm_matches_dense_cut_tree(seed, monkeypatch):
     k, d = int(rng.integers(2, 6)), int(rng.integers(1, 4))
     centers = np.round(rng.uniform(-5.0, 5.0, size=(k, d)), 1)
     points = np.round(centers[rng.integers(0, k, 500)] + rng.normal(size=(500, d)) * 1.5, 1)
-    data = CenteredDataset.create(points, centers)
+    data = CenteredDataset(points, centers)
     tree = build_imm(data).to_dict()
     monkeypatch.setattr("mmdt.baseline._best_cut", _dense_best_cut)
     assert build_imm(data).to_dict() == tree

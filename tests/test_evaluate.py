@@ -71,7 +71,6 @@ def test_exact_eval_point_masses():
     tree = AxisTree(
         root=TreeNode(cut=AxisCut(0, 2.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
         dim=2,
-        n_leaves=2,
     )
     rep = exact_eval_discrete(m, tree)
     assert rep.price_l1 == 1.0
@@ -118,7 +117,7 @@ def test_mc_eval_vacuous_cut_no_errors():
         left=TreeNode(leaf=0),
         right=TreeNode(cut=AxisCut(0, 15.0), left=TreeNode(leaf=1), right=TreeNode(leaf=2)),
     )
-    tree = AxisTree(root=root, dim=1, n_leaves=3)
+    tree = AxisTree(root=root, dim=1)
     rep = mc_eval(m, tree, 5000, seed=0)
     assert rep.error_rate == 0.0
     assert rep.price_l1 == pytest.approx(1.0)
@@ -137,7 +136,7 @@ def test_mc_eval_empty_leaf_fallback():
         left=TreeNode(cut=AxisCut(0, -90.0), left=TreeNode(leaf=1), right=TreeNode(leaf=0)),
         right=TreeNode(leaf=2),
     )
-    tree = AxisTree(root=root, dim=1, n_leaves=3)
+    tree = AxisTree(root=root, dim=1)
     rep = mc_eval(m, tree, 2000, seed=3)
     assert 1 in rep.fallback_leaves
 
@@ -181,7 +180,6 @@ def test_price_l2sq_examples():
     tree = AxisTree(
         root=TreeNode(cut=AxisCut(0, 2.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
         dim=2,
-        n_leaves=2,
     )
     assert exact_eval_discrete(point, tree).price_l2sq == 1.0
 
@@ -224,7 +222,6 @@ def test_mc_price_l2sq_baseline_comes_from_the_components():
     tree = AxisTree(
         root=TreeNode(cut=AxisCut(0, 3.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
         dim=2,
-        n_leaves=2,
     )
     pooled = mc_eval(MixtureModel.create(comps, [0.5, 0.5]), tree, 20_000, seed=1)
     given = mc_eval(MixtureModel.create(comps, [0.5, 0.5], sigma=[3.0, 3.0]), tree, 20_000, seed=1)
@@ -331,7 +328,6 @@ def test_exact_error_rate_gaussian_resolves_tiny_rates():
     tree = AxisTree(
         root=TreeNode(cut=AxisCut(0, theta), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
         dim=1,
-        n_leaves=2,
     )
     expected = 0.3 * tail(theta / 1.0) + 0.7 * tail((23.3 - theta) / 1.5)
     assert 1e-21 < expected < 1e-19
@@ -340,7 +336,6 @@ def test_exact_error_rate_gaussian_resolves_tiny_rates():
     far = AxisTree(
         root=TreeNode(cut=AxisCut(0, -50.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
         dim=1,
-        n_leaves=2,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -380,7 +375,7 @@ def test_every_pricer_shares_one_tree_fit_check():
     axis_tree = build_mmdt(thm4, "exact-discrete")
     ker = KernelSpec.uniform("gaussian", 1.0, 3)
     kernel_tree = build_kernel_mmdt(thm4, ker, kernel_stats(thm4, ker))
-    data = CenteredDataset.create(sample(b3, 50, seed=0).points, b3.means())
+    data = CenteredDataset(sample(b3, 50, seed=0).points, b3.means())
     calls = [
         lambda: exact_eval_discrete(b3, axis_tree),
         lambda: mc_eval(b3, axis_tree, 1000, 0),

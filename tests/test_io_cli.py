@@ -389,6 +389,16 @@ def _caterpillar_text(tree: dict, leaves: int = 1100) -> str:
     return json.dumps({**header, "n_leaves": leaves})[:-1] + f', "root": {node}}}'
 
 
+def _leaves_plus(tree: dict, offset: float) -> dict:
+    # int() truncates every shifted leaf back to itself, so only a type check sees the edit
+    def shift(node: dict) -> dict:
+        if "leaf" in node:
+            return {"leaf": node["leaf"] + offset}
+        return {**node, "left": shift(node["left"]), "right": shift(node["right"])}
+
+    return {**tree, "root": shift(tree["root"])}
+
+
 # artifact, edit of its JSON payload, allowed exit codes
 _MALFORMED = [
     pytest.param("axis", lambda t: {**t, "root": 5}, {2, 3, 4}, id="tree-root-int"),
@@ -403,8 +413,19 @@ _MALFORMED = [
     ),
     pytest.param("axis", lambda t: {**t, "dim": "a"}, {2, 3, 4}, id="tree-dim-str"),
     pytest.param("axis", lambda t: [t], {2, 3, 4}, id="tree-toplevel-list"),
-    # JSON 1e400 reads as inf, which int() cannot convert
+    # JSON 1e400 reads as the float inf
     pytest.param("axis", lambda t: {**t, "n_leaves": 1e400}, {2, 3, 4}, id="tree-n-leaves-overflow"),
+    # integer fields take JSON integers only: no float is truncated, and no
+    # bool read as 0 or 1
+    pytest.param("axis", lambda t: _leaves_plus(t, 0.4), {2}, id="tree-leaf-float"),
+    pytest.param("axis", lambda t: {**t, "root": {**t["root"], "axis": t["root"]["axis"] + 0.9}}, {2}, id="tree-axis-float"),
+    pytest.param("axis", lambda t: {**t, "n_leaves": t["n_leaves"] + 0.7}, {2}, id="tree-n-leaves-float"),
+    pytest.param("axis", lambda t: {**t, "n_leaves": float(t["n_leaves"])}, {2}, id="tree-n-leaves-integral-float"),
+    pytest.param("axis", lambda t: {**t, "dim": t["dim"] + 0.2}, {2}, id="tree-dim-float"),
+    pytest.param("axis", lambda t: {**t, "dim": True}, {2}, id="tree-dim-bool"),
+    pytest.param("axis", lambda t: {**t, "n_leaves": t["n_leaves"] + 1}, {3}, id="tree-n-leaves-count"),
+    pytest.param("kernel", lambda t: {**t, "root": {**t["root"], "anchor": 0.5}}, {2}, id="kernel-anchor-float"),
+    pytest.param("kernel", lambda t: {**t, "seed": 1.5}, {2}, id="kernel-seed-float"),
     pytest.param("axis", _caterpillar_text, {2}, id="tree-nested-too-deeply"),
     pytest.param("kernel", _string_gamma, {2, 3, 4}, id="kernel-gamma-str"),
     pytest.param("kernel", lambda t: {**t, "dim": 5}, {3}, id="kernel-dim-mismatch"),
@@ -413,6 +434,7 @@ _MALFORMED = [
     pytest.param("mixture", _component_as_list, {2, 3, 4}, id="mixture-component-list"),
     pytest.param("mixture", lambda m: {**m, "alpha": "z"}, {2, 3, 4}, id="mixture-alpha-str"),
     pytest.param("mixture", lambda m: {**m, "dim": "z"}, {2, 3, 4}, id="mixture-dim-str"),
+    pytest.param("mixture", lambda m: {**m, "dim": m["dim"] + 0.2}, {2}, id="mixture-dim-float"),
     pytest.param("mixture", lambda m: [m], {2, 3, 4}, id="mixture-toplevel-list"),
     pytest.param("mixture", _ragged_support, {2, 3, 4}, id="mixture-ragged-support"),
 ]

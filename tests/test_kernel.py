@@ -185,20 +185,26 @@ def test_build_kernel_tree_two_point():
     # equality goes right in both forms: a point at exactly the cut radius,
     # and a cut whose theta is exactly a point's axis similarity
     cut = tree.root.cut
-    assert interval_predict(tree, [cut.radius(), 0.0]) == 0
+    assert interval_predict(tree, [tree.radius(cut), 0.0]) == 0
     on_theta = dataclasses.replace(cut, theta=float(ker.axis_similarity(0, 1.0, 0.0)))
     edited = dataclasses.replace(tree, root=dataclasses.replace(tree.root, cut=on_theta))
     assert predict(edited, [1.0, 0.0]) == 0
-    assert interval_predict(edited, [on_theta.radius(), 0.0]) == 0
+    assert interval_predict(edited, [edited.radius(on_theta), 0.0]) == 0
 
 
-def test_kernel_tree_rejects_a_second_kernel():
-    model, ker = point_pair()
+def test_kernel_tree_routes_with_its_one_kernel():
+    # The cuts hold no kernel: a tree given a laplace kernel routes, in both
+    # forms, by that kernel alone.
+    model, ker = translate_battery(7000)
     tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
-    same = KernelSpec.uniform("gaussian", 0.5, 2)
-    assert dataclasses.replace(tree, kernel=same).kernel is same
-    with pytest.raises(ValidationError, match="cut's kernel"):
-        dataclasses.replace(tree, kernel=KernelSpec.uniform("laplace", 0.5, 2))
+    laplace = KernelSpec.uniform("laplace", float(ker.gamma[0]), model.dim)
+    edited = dataclasses.replace(tree, kernel=laplace)
+    cut = edited.root.cut
+    assert edited.radius(cut) == laplace.profile_inverse(cut.axis, cut.theta) != tree.radius(cut)
+    pts = np.random.default_rng(1).normal(scale=4.0, size=(200, model.dim))
+    routed = [predict(edited, p) for p in pts]
+    assert [interval_predict(edited, p) for p in pts] == routed
+    assert routed != [predict(tree, p) for p in pts]
 
 
 def test_build_kernel_cuts_on_separating_axis():
@@ -329,7 +335,7 @@ def test_interval_form_matches_kernel_predict():
             assert interval_predict(tree, p) == predict(tree, p)
         # interval radius inverts the profile exactly
         cut = tree.root.cut
-        r = cut.radius()
+        r = tree.radius(cut)
         assert ker.profile_value(cut.axis, r) == pytest.approx(cut.theta, rel=1e-12)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -423,9 +424,9 @@ def test_minimize_threshold_rejects_unknown_or_incompatible_objective():
 def test_axis_tree_rejects_unknown_objective():
     root = TreeNode(cut=AxisCut(0, 1.5), left=TreeNode(leaf=0), right=TreeNode(leaf=1))
     with pytest.raises(ValidationError, match="objective must be one of"):
-        AxisTree(root=root, dim=1, n_leaves=2, objective="nope")
+        AxisTree(root=root, dim=1, objective="nope")
     with pytest.raises(ValidationError, match="objective must be one of"):
-        AxisTree.from_dict({**AxisTree(root=root, dim=1, n_leaves=2).to_dict(), "options": {"objective": "nope"}})
+        AxisTree.from_dict({**AxisTree(root=root, dim=1).to_dict(), "options": {"objective": "nope"}})
 
 
 def test_predict_examples():
@@ -445,7 +446,6 @@ def test_predict_boundary_goes_left():
     tree = AxisTree(
         root=TreeNode(cut=AxisCut(0, 1.5), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
         dim=1,
-        n_leaves=2,
     )
     assert predict(tree, [1.5]) == 0
     assert predict(tree, [1.5000001]) == 1
@@ -496,13 +496,19 @@ _BAD_TREES = [
 
 
 def test_check_structure_accepts_the_valid_tree():
-    check_structure(AxisTree(root=_VALID, dim=2, n_leaves=3), _MEANS)
+    check_structure(AxisTree(root=_VALID, dim=2), _MEANS)
 
 
 @pytest.mark.parametrize("k, root", _BAD_TREES)
 def test_check_structure_rejects_bad_trees(k, root):
     with pytest.raises(ValidationError):
-        check_structure(AxisTree(root=root, dim=2, n_leaves=k), _MEANS[:k])
+        check_structure(AxisTree(root=root, dim=2), _MEANS[:k])
+
+
+def test_leaf_count_is_read_from_the_leaves():
+    tree = AxisTree(root=_VALID, dim=2)
+    pruned = dataclasses.replace(tree, root=tree.root.right)
+    assert (tree.n_leaves, pruned.n_leaves, pruned.to_dict()["n_leaves"]) == (3, 2, 2)
 
 
 def wide_build_pool(seed: int = 0) -> list[MixtureModel]:
@@ -788,7 +794,7 @@ def test_root_near_zero_closes_within_the_cap(monkeypatch, objective, eps):
 
 def test_check_structure_rejects_means_of_another_dimension():
     with pytest.raises(IncompatibilityError):
-        check_structure(AxisTree(root=_VALID, dim=2, n_leaves=3), np.zeros((3, 3)))
+        check_structure(AxisTree(root=_VALID, dim=2), np.zeros((3, 3)))
 
 
 def test_build_determinism():
