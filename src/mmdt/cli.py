@@ -101,43 +101,44 @@ def cmd_build_kernel(args) -> int:
     return 0
 
 
+def _print_table(payload: dict, as_json: bool, fmt=str) -> None:
+    """payload as JSON under ``format_version``, or as ``key  value`` lines
+    with the keys padded to one width and every value written by fmt."""
+    if as_json:
+        print(io.dumps_json({"format_version": 1, **payload}), end="")
+        return
+    width = max(map(len, payload))
+    for key, value in payload.items():
+        print(f"{key:<{width}}  {fmt(value)}")
+
+
 def _print_report(report: evaluate.EvalReport, as_json: bool) -> None:
     if as_json:
-        print(io.dumps_json(report.to_dict()), end="")
+        _print_table(report.to_dict(), as_json)
         return
-    rows = [
-        ("price (leaf medians)", f"{report.price_l1:.6f}"),
-        ("price (assigned means)", f"{report.price_l1_hat:.6f}"),
-        ("price (squared l2)", f"{report.price_l2sq:.6f}"),
-        ("error rate", f"{report.error_rate:.6f}"),
-        ("baseline cost", f"{report.baseline_cost:.6f}"),
-        ("tree cost", f"{report.tree_cost:.6f}"),
-        ("mc samples", str(report.mc_samples)),
-        ("mc seed", str(report.mc_seed)),
-        ("confidence radius", f"{report.confidence_radius:.6g}"),
-    ]
-    if report.bounds:
-        for key in sorted(report.bounds):
-            rows.append((f"bound {key}", f"{report.bounds[key]:.6f}"))
+    rows = {
+        "price (leaf medians)": f"{report.price_l1:.6f}",
+        "price (assigned means)": f"{report.price_l1_hat:.6f}",
+        "price (squared l2)": f"{report.price_l2sq:.6f}",
+        "error rate": f"{report.error_rate:.6f}",
+        "baseline cost": f"{report.baseline_cost:.6f}",
+        "tree cost": f"{report.tree_cost:.6f}",
+        "mc samples": str(report.mc_samples),
+        "mc seed": str(report.mc_seed),
+        "confidence radius": f"{report.confidence_radius:.6g}",
+    }
+    for key in sorted(report.bounds or ()):
+        rows[f"bound {key}"] = f"{report.bounds[key]:.6f}"
     if report.fallback_leaves:
-        rows.append(("fallback leaves", ",".join(map(str, report.fallback_leaves))))
-    width = max(len(r[0]) for r in rows)
-    for name, value in rows:
-        print(f"{name:<{width}}  {value}")
+        rows["fallback leaves"] = ",".join(map(str, report.fallback_leaves))
+    _print_table(rows, as_json)
 
 
 def cmd_eval(args) -> int:
     model = io.load_mixture(args.mixture)
     loaded = io.load_tree(args.tree)
     if isinstance(loaded, kernel.KernelTree):
-        report = kernel.kernel_price(model, loaded, n=args.samples, seed=args.seed)
-        payload = report.to_dict()
-        if args.json:
-            print(io.dumps_json(payload), end="")
-        else:
-            width = max(len(k) for k in payload)
-            for key, value in payload.items():
-                print(f"{key:<{width}}  {value}")
+        _print_table(kernel.kernel_price(model, loaded, n=args.samples, seed=args.seed).to_dict(), args.json)
         return 0
     if model.all_discrete():
         report = evaluate.exact_eval_discrete(model, loaded)
@@ -169,12 +170,7 @@ def cmd_eval_data(args) -> int:
     out["error_vs_assignment"] = float(np.mean(leaf_of != cdata.assignment))
     if data.labels is not None:
         out["error_vs_labels"] = float(np.mean(leaf_of != data.labels))
-    if args.json:
-        print(io.dumps_json({"format_version": 1, **out}), end="")
-    else:
-        width = max(len(k) for k in out)
-        for key, value in out.items():
-            print(f"{key:<{width}}  {value:.6f}")
+    _print_table(out, args.json, "{:.6f}".format)
     return 0
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
 from .evaluate import BOUND_CONSTANT, _ratio, _report_dict, _support_enumeration
-from .mixture import GAUSSIAN, MixtureModel, array_fingerprint, json_int, sample
+from .mixture import GAUSSIAN, MixtureModel, array_fingerprint, json_float, json_int, sample
 from .tree import ThresholdTree, TreeNode, assign_components, check_fits
 
 PROFILES = ("gaussian", "laplace")
@@ -82,18 +82,22 @@ class KernelSpec:
             return math.sqrt(u / self.gamma[axis])
         return u / self.gamma[axis]
 
-    def axis_similarity(self, axis: int, x_axis, y_axis):
-        return self.profile_value(axis, np.subtract(x_axis, y_axis))
-
     def to_dict(self) -> dict:
         return {"profiles": list(self.profiles), "gamma": self.gamma.tolist()}
 
     @staticmethod
     def from_dict(d: dict) -> "KernelSpec":
-        return KernelSpec(profiles=tuple(d["profiles"]), gamma=d["gamma"])
+        return KernelSpec(profiles=tuple(d["profiles"]), gamma=_json_floats(d, "gamma"))
 
     def fingerprint(self) -> str:
         return array_fingerprint(*self.profiles, self.gamma)
+
+
+def _json_floats(d: dict, key: str) -> np.ndarray:
+    """d[key] as a float array if it is a list of JSON numbers (``json_float``)."""
+    if not isinstance(d[key], list):
+        raise TypeError(f"{key} must be a list of numbers, got {d[key]!r}")
+    return np.array([json_float({key: v}, key) for v in d[key]])
 
 
 def _check_kernel_dim(model: MixtureModel, kernel: KernelSpec) -> None:
@@ -351,25 +355,26 @@ class KernelTree(ThresholdTree):
     dot_name = "kernel_tree"
     json_keys = ("format_version", "kind", "dim", "n_leaves", "kernel", "model_fingerprint", "seed", "root")
 
+    def __post_init__(self):
+        if self.kernel.dim != self.dim:
+            raise ValidationError(f"tree dim {self.dim} does not match kernel dimension {self.kernel.dim}")
+
     def header(self) -> dict:
         return {"kernel": self.kernel.to_dict(), "seed": int(self.seed)}
 
     @classmethod
     def header_from_dict(cls, d: dict, dim: int) -> dict:
-        kernel = KernelSpec.from_dict(d["kernel"])
-        if kernel.dim != dim:
-            raise ValidationError(f"tree dim {dim} does not match kernel dimension {kernel.dim}")
-        return {"kernel": kernel, "seed": json_int(d, "seed", 0)}
+        return {"kernel": KernelSpec.from_dict(d["kernel"]), "seed": json_int(d, "seed", 0)}
 
     @classmethod
     def read_cut(cls, d: dict, axis: int, dim: int) -> KernelCut:
-        proto = np.asarray(d["prototype"], dtype=float)
+        proto = _json_floats(d, "prototype")
         if proto.shape != (dim,):
             raise ValidationError(f"prototype shape {proto.shape}, expected ({dim},)")
-        return KernelCut(axis=axis, prototype=proto, theta=float(d["theta"]), anchor=json_int(d, "anchor"))
+        return KernelCut(axis=axis, prototype=proto, theta=json_float(d, "theta"), anchor=json_int(d, "anchor"))
 
     def goes_left(self, cut: KernelCut, column: np.ndarray) -> np.ndarray:
-        return self.kernel.axis_similarity(cut.axis, column, cut.prototype[cut.axis]) < cut.theta
+        return self.kernel.profile_value(cut.axis, column - cut.prototype[cut.axis]) < cut.theta
 
     def radius(self, cut: KernelCut) -> float:
         """Input-space radius r with: |x_axis - prototype_axis| > r goes left."""
@@ -476,7 +481,6 @@ def kernel_price(model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 
     the draws are i.i.d., so such a prefix is a uniform random subset.
     """
     kernel = tree.kernel
-    _check_kernel_dim(model, kernel)
     check_fits(tree, model.dim, model.k)
     exact = model.all_discrete()
     if exact:

@@ -47,6 +47,16 @@ def json_int(d: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def json_float(d: dict, key: str) -> float:
+    """d[key] as a float if it is a JSON number, an integer or a float; a
+    bool, a string or any other value raises TypeError, so that no number
+    field of an artifact is read from text or from true and false."""
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 # Bump the tag whenever the hashed parts change, so that fingerprints of
 # different layouts never meet.
 _FINGERPRINT_TAG = b"mmdt-model-v2"
@@ -145,11 +155,7 @@ class Component:
 
     def variances(self) -> np.ndarray:
         """Per-axis variance of the component (floored)."""
-        if self.kind == GAUSSIAN:
-            var = self.stddev**2
-        else:
-            var = self.mass @ (self.support - self.mean) ** 2
-        return np.maximum(var, VARIANCE_FLOOR)
+        return np.maximum(self.abs_moments()[1], VARIANCE_FLOOR)
 
     def abs_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-axis (E|x - mean|, E|x - mean|^2), exact for both kinds."""
@@ -455,18 +461,16 @@ def fit_gmm(
     weights = np.full(k, 1.0 / k)
 
     history: list[float] = []
-    prev_ll = -np.inf
-    check_monotone = False
+    prev_ll = -np.inf  # also after a reseed: nothing to compare with
     for _ in range(max_iters):
         log_norm, resp = _e_step(X, means, variances, weights)
         ll = float(log_norm.sum())
-        if check_monotone:
+        if np.isfinite(prev_ll):
             assert ll >= prev_ll - 1e-7 * max(1.0, abs(prev_ll)), "EM log-likelihood decreased"
         history.append(ll)
         if ll - prev_ll < tol and np.isfinite(prev_ll):
             break
         prev_ll = ll
-        check_monotone = True
 
         nk = resp.sum(axis=1)
         dead = np.flatnonzero(nk < 1e-10)
@@ -476,15 +480,13 @@ def fit_gmm(
             variances[dead] = np.maximum(X.var(axis=0), VARIANCE_FLOOR)
             weights[dead] = 1.0 / n
             weights = weights / weights.sum()
-            check_monotone = False
             prev_ll = -np.inf
             continue
 
         weights, means, variances = _m_step(X, resp, nk)
 
     comps = tuple(Component.gaussian(means[j], np.sqrt(variances[j])) for j in range(k))
-    alpha = max(1.0, k * float(weights.max()))
-    model = MixtureModel.create(comps, weights, alpha=alpha)
+    model = MixtureModel.create(comps, weights)
     if return_history:
         return model, history
     return model

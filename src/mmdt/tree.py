@@ -45,7 +45,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
-from .mixture import DISCRETE, GAUSSIAN, MixtureModel, json_int
+from .mixture import DISCRETE, GAUSSIAN, MixtureModel, json_float, json_int
 
 # Each objective and the component kind it requires (None: any kind).
 OBJECTIVES = {"exact-discrete": DISCRETE, "chebyshev": None, "gaussian": GAUSSIAN}
@@ -56,7 +56,7 @@ OBJECTIVES = {"exact-discrete": DISCRETE, "chebyshev": None, "gaussian": GAUSSIA
 # around a root at or next to zero can hold more floats than that many
 # probes can exhaust; there the cap returns an end with slope <= 0 whose
 # bracket is not closed.
-_BISECT_MAX_ITERS = 64
+_MAX_PROBES = 64
 
 # Mathematically tied scores and objective values (symmetric configurations)
 # differ by rounding noise that need not survive affine rescaling; candidates
@@ -211,7 +211,7 @@ class AxisTree(ThresholdTree):
 
     @classmethod
     def read_cut(cls, d: dict, axis: int, dim: int) -> AxisCut:
-        return AxisCut(axis=axis, theta=float(d["theta"]))
+        return AxisCut(axis=axis, theta=json_float(d, "theta"))
 
     def goes_left(self, cut: AxisCut, column: np.ndarray) -> np.ndarray:
         return column <= cut.theta
@@ -364,12 +364,12 @@ def _lowest_tied(starts: np.ndarray, thetas: np.ndarray, vals: np.ndarray) -> li
 class _Slope(NamedTuple):
     """Slope f' of a continuous objective at one threshold per piece, as
     f' = factor * mantissa * exp(shift) per piece, (``values``) the
-    objective there, and (``newton``) the slope's sign with a Newton point.  The terms are listed piece by piece, each piece's in
-    its node's component order; ``piece`` holds every term's piece and
-    ``sizes`` every piece's number of terms.  ``np.bincount`` adds each
-    piece's terms in list order, starting from 0.0, so a piece's slope and
-    value do not depend on the pieces listed beside it, whichever node they
-    belong to.
+    objective there, and (``newton``) the slope's sign with a Newton point.
+    The terms are listed piece by piece, each piece's in its node's
+    component order; ``piece`` holds every term's piece and ``sizes`` every
+    piece's number of terms.  ``np.bincount`` adds each piece's terms in
+    list order, starting from 0.0, so a piece's slope and value do not
+    depend on the pieces listed beside it, whichever node they belong to.
 
     chebyshev (``sign`` None): f' = -(2 / sigma) sum_j coef_j / u_j^3 with
     u_j = (t - mu_j) / sigma, cubed as u_j * (u_j * u_j), and coef_j the
@@ -490,7 +490,7 @@ def _slope_roots(slope: _Slope, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     work = slope.workspace()
     probe, run, was_up = 0.5 * (a + b), np.zeros(a.size, dtype=int), np.zeros(a.size, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(_BISECT_MAX_ITERS):
+        for _ in range(_MAX_PROBES):
             if not np.count_nonzero((probe > a) & (probe < b)):
                 break
             value, newton = slope.newton(probe, work)
@@ -618,35 +618,10 @@ def minimize_threshold(
     axis: int,
     objective: str,
 ) -> tuple[float, float]:
-    """Minimize the chosen objective over the open interval between the
-    smallest and largest projected mean.
-
-    The exact-discrete objective is piecewise constant, so candidate
-    thresholds are midpoints between consecutive distinct support (and mean)
-    projections, all scored in one sweep (per component: one sort, then
-    prefix sums), O(S log S) per node.
-
-    The continuous objectives are convex on every piece of the interval
-    between consecutive distinct projected means, further split (chebyshev)
-    at the clamp breakpoints ``mu_j +- sigma``.  A piece end on a mean is
-    pulled into the open gap by ``1e-12`` of the gap (at least one ulp).  Each
-    piece contributes its two ends and, when its one-sided slopes change sign
-    and its tangent-line lower bound does not already exceed the best end
-    value, the root of its slope.  The root is found on the slope's sign:
-    each probe moves one end of the piece's bracket, until no float lies
-    between the ends, so the slope is <= 0 at the root and > 0 one float
-    above it.  The first probe is the midpoint, the next ones Newton points
-    pushed an ulp or more toward the far end, or the midpoint where Newton
-    leaves the bracket: about 10 probes per level, at most
-    ``_BISECT_MAX_ITERS``.  ``build_mmdt`` runs this search for all nodes of
-    a tree level at once: one construction of the pieces and brackets on
-    flat arrays with a node id per term, one root search, one tie pick.
-    Each piece's terms are added in component order from 0.0, so a node's
-    result does not depend on the others.
-
-    For every objective, candidates within ``_TIE_REL`` of the best value are
-    tied and the lowest theta wins.
-    """
+    """(theta, value): the threshold minimizing the objective over the open
+    interval between the node components' smallest and largest projected
+    mean on the axis, and the objective there.  Candidates within
+    ``_TIE_REL`` of the best value are tied and the lowest theta wins."""
     comps = list(node_components)
     _check_objective(objective, (model.components[k] for k in comps))
     if len(comps) < 2:
@@ -716,21 +691,17 @@ def leaf_cells(tree: AxisTree) -> list[tuple[int, np.ndarray, np.ndarray]]:
 
 def check_structure(tree: AxisTree, means: np.ndarray) -> None:
     """Assert the structural invariants against component means (K x d):
-    every leaf cell contains its component's mean, and the leaves map
-    bijectively onto the components.  A cut outside its node's cell fails
-    the first check, since the cell it leaves below it is empty."""
-    k, d = means.shape
-    if tree.dim != d:
-        raise IncompatibilityError("tree dimension does not match means")
-    seen: list[int] = []
-    for leaf, lo, hi in leaf_cells(tree):
-        if not k > leaf >= 0:
-            raise ValidationError(f"leaf index {leaf} out of range")
-        if not (np.all(means[leaf] > lo) and np.all(means[leaf] <= hi)):
-            raise ValidationError(f"leaf cell does not contain mean of component {leaf}")
-        seen.append(leaf)
-    if sorted(seen) != list(range(k)):
-        raise ValidationError(f"leaves {sorted(seen)} are not a bijection onto components")
+    the leaves map bijectively onto the components, and the router sends
+    every mean to its own leaf.  Each cut on a leaf's path reads
+    ``x <= theta`` or its negation, so that is the mean lying in its leaf's
+    cell; a cut outside its node's cell leaves an empty cell below it."""
+    routed = assign_components(tree, means)
+    leaves = sorted(tree.leaves())
+    if leaves != list(range(len(means))):
+        raise ValidationError(f"leaves {leaves} are not a bijection onto components")
+    stray = np.flatnonzero(routed != np.arange(len(means)))
+    if stray.size:
+        raise ValidationError(f"leaf cell does not contain mean of component {stray[0]}")
 
 
 def export_dot(tree: ThresholdTree) -> str:

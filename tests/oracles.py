@@ -13,7 +13,7 @@ import numpy as np
 from mmdt import AdversarialInstance, LabeledDataset, MixtureModel, ValidationError
 from mmdt.io import save_json, write_text
 from mmdt.mixture import _e_step, _pair_gaps
-from mmdt.tree import _BISECT_MAX_ITERS, AxisCut, AxisTree, TreeNode, _midpoint_candidates
+from mmdt.tree import _MAX_PROBES, AxisCut, AxisTree, TreeNode, _midpoint_candidates
 
 
 def snr(model: MixtureModel) -> float:
@@ -110,11 +110,11 @@ def enumerate_valid_trees(model: MixtureModel, max_support: int = 200, max_k: in
 
 def bisect_roots(slope, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Plain bisection on the sign of ``slope(t)[0]``: halve every bracket
-    [a, b] at its midpoint, at most ``_BISECT_MAX_ITERS`` times, until no
+    [a, b] at its midpoint, at most ``_MAX_PROBES`` times, until no
     float lies strictly inside any of them.  Returns the lower ends and the
     number of slope passes made."""
     passes = 0
-    for _ in range(_BISECT_MAX_ITERS):
+    for _ in range(_MAX_PROBES):
         probe = 0.5 * (a + b)
         inside = (probe > a) & (probe < b)
         if not inside.any():

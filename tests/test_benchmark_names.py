@@ -5,6 +5,7 @@ dropped flag would fail every op, so all three are pinned here.
 ``perfbench/spans.py`` and ``perfbench/workloads.py`` are only read, never
 imported as modules."""
 
+import dataclasses
 import importlib
 import runpy
 from pathlib import Path
@@ -12,6 +13,11 @@ from pathlib import Path
 import pytest
 
 import mmdt.cli  # imports every traced module
+from mmdt import ValidationError, build_kernel_mmdt, build_mmdt, kernel_stats, predict
+from mmdt.io import save_mixture, save_tree
+from mmdt.tree import TreeNode
+
+from conftest import gaussian_battery, translate_battery
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -49,6 +55,30 @@ def test_traced_layers_resolve():
 
 def test_oracle_entry_points_exist():
     assert [name for name in ORACLES if not callable(resolve(name))] == []
+
+
+def test_oracles_take_the_benchmark_arguments(tmp_path):
+    # Loaded from files and called with positional arguments, as the
+    # workloads' checks call them.
+    load_mixture, load_tree = resolve("io.load_mixture"), resolve("io.load_tree")
+    check_structure = resolve("tree.check_structure")
+    save_mixture(tmp_path / "gauss.json", gaussian_battery(3))
+    save_tree(tmp_path / "tree.json", build_mmdt(gaussian_battery(3), "chebyshev"))
+    model, built = load_mixture(tmp_path / "gauss.json"), load_tree(tmp_path / "tree.json")
+    assert check_structure(built, model.means()) is None
+    root = built.root
+    swapped = dataclasses.replace(built, root=TreeNode(cut=root.cut, left=root.right, right=root.left))
+    with pytest.raises(ValidationError):
+        check_structure(swapped, model.means())
+    rate = resolve("evaluate.exact_error_rate_gaussian")(model, built)
+    assert isinstance(rate, float) and 0.0 <= rate <= 1.0
+
+    discrete, ker = translate_battery(5)
+    save_tree(tmp_path / "ktree.json", build_kernel_mmdt(discrete, ker, kernel_stats(discrete, ker), seed=0))
+    ktree = load_tree(tmp_path / "ktree.json")
+    points = [x for comp in discrete.components for x in comp.support]
+    interval_predict = resolve("kernel.interval_predict")
+    assert [interval_predict(ktree, x) for x in points] == [predict(ktree, x) for x in points]
 
 
 def test_workload_argv_parses(tmp_path):

@@ -379,6 +379,14 @@ def _string_gamma(tree: dict) -> dict:
     return tree
 
 
+def _root_with(tree: dict, **fields) -> dict:
+    return {**tree, "root": {**tree["root"], **fields}}
+
+
+def _kernel_with(tree: dict, **fields) -> dict:
+    return {**tree, "kernel": {**tree["kernel"], **fields}}
+
+
 def _caterpillar_text(tree: dict, leaves: int = 1100) -> str:
     # Leaf c hangs right of the c-th cut, so the JSON nests about `leaves`
     # levels deep; built as text, since json.dumps cannot nest that deep.
@@ -428,6 +436,15 @@ _MALFORMED = [
     pytest.param("kernel", lambda t: {**t, "seed": 1.5}, {2}, id="kernel-seed-float"),
     pytest.param("axis", _caterpillar_text, {2}, id="tree-nested-too-deeply"),
     pytest.param("kernel", _string_gamma, {2, 3, 4}, id="kernel-gamma-str"),
+    # number fields take JSON numbers only: no numeric string, and no bool read as 0 or 1
+    pytest.param("axis", lambda t: _root_with(t, theta=str(t["root"]["theta"])), {2}, id="tree-theta-numeric-str"),
+    pytest.param("axis", lambda t: _root_with(t, theta=True), {2}, id="tree-theta-bool"),
+    pytest.param("kernel", lambda t: _root_with(t, theta=str(t["root"]["theta"])), {2}, id="kernel-theta-numeric-str"),
+    pytest.param(
+        "kernel", lambda t: _root_with(t, prototype=list(map(str, t["root"]["prototype"]))), {2}, id="kernel-prototype-str"
+    ),
+    pytest.param("kernel", lambda t: _kernel_with(t, gamma=list(map(str, t["kernel"]["gamma"]))), {2}, id="kernel-gamma-numeric-str"),
+    pytest.param("kernel", lambda t: _kernel_with(t, gamma=[True] * len(t["kernel"]["gamma"])), {2}, id="kernel-gamma-bool"),
     pytest.param("kernel", lambda t: {**t, "dim": 5}, {3}, id="kernel-dim-mismatch"),
     pytest.param("mixture", lambda m: {**m, "weights": "ab"}, {2, 3, 4}, id="mixture-weights-str"),
     pytest.param("mixture", lambda m: {**m, "components": 5}, {2, 3, 4}, id="mixture-components-int"),
@@ -461,6 +478,53 @@ def test_cli_malformed_artifacts_exit_cleanly(tmp_path, capsys, artifact, edit, 
         assert run_cli(*argv) in codes
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Every header key and every key of the root cut of each tree kind, as a
+# path into its JSON; the number lists gamma and prototype also by entry.
+_FUZZ_FIELDS = [("axis", (key,)) for key in ("format_version", "kind", "dim", "n_leaves", "model_fingerprint", "options", "root")]
+_FUZZ_FIELDS += [("axis", ("options", "objective"))]
+_FUZZ_FIELDS += [("axis", ("root", key)) for key in ("axis", "theta", "left", "right")]
+_FUZZ_FIELDS += [
+    ("kernel", (key,)) for key in ("format_version", "kind", "dim", "n_leaves", "kernel", "model_fingerprint", "seed", "root")
+]
+_FUZZ_FIELDS += [("kernel", ("kernel", "profiles")), ("kernel", ("kernel", "gamma")), ("kernel", ("kernel", "gamma", 0))]
+_FUZZ_FIELDS += [("kernel", ("root", key)) for key in ("axis", "prototype", "theta", "anchor", "left", "right")]
+_FUZZ_FIELDS += [("kernel", ("root", "prototype", 0))]
+# a string, a numeric string, a bool, null, an int, a float, a list, a dict
+_FUZZ_VALUES = ["abc", "0.5", True, None, 3, 0.5, [0.5], {"a": 0.5}]
+
+
+def test_cli_fuzzed_tree_fields_exit_cleanly(tmp_path, capsys):
+    mix = tmp_path / "m.json"
+    run_cli("gen", "b3", "--d", 3, "--out", mix)
+    trees = {"axis": tmp_path / "t.json", "kernel": tmp_path / "kt.json"}
+    assert run_cli("build", "--mixture", mix, "--objective", "exact-discrete", "--out", trees["axis"]) == 0
+    assert run_cli("build-kernel", "--mixture", mix, "--out", trees["kernel"]) == 0
+    texts = {kind: path.read_text() for kind, path in trees.items()}
+    edited = tmp_path / "edited.json"
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(_FUZZ_FIELDS), st.sampled_from(_FUZZ_VALUES))
+    def check(field, value):
+        kind, path = field
+        doc = json.loads(texts[kind])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        edited.write_text(json.dumps(doc))
+        number = any(key in ("theta", "prototype", "gamma") for key in path)
+        for argv in (("eval", "--mixture", mix, "--tree", edited), ("export-dot", "--tree", edited)):
+            capsys.readouterr()
+            code = run_cli(*argv)
+            err = capsys.readouterr().err
+            assert code in {0, 2, 3, 4} and "Traceback" not in err
+            assert code == 0 or err.startswith("error: ")
+            if number and isinstance(value, (str, bool)):
+                assert code == 2, (path, value, err)
+
+    check()
 
 
 # argv ("{bad}" is a path in a missing directory), environment, exit code
@@ -599,6 +663,62 @@ def test_cli_eval_data_and_moments(tmp_path, capsys):
     out = capsys.readouterr().out
     payload = json.loads(out[out.index("{") :])
     assert payload["error_vs_labels"] == pytest.approx(1.0 / 8.0, abs=0.03)
+
+
+_KERNEL_EVAL_TEXT = """\
+format_version   1
+price            1.003510568336508
+price_hat        1.109519536957166
+error_rate       0.25
+baseline_cost    0.7400572046941359
+tree_cost        0.7426552260841398
+mc_samples       0
+mc_seed          0
+fallback_leaves  []
+"""
+
+_EVAL_DATA_TEXT = """\
+price_l1             1.200000
+price_l2sq           1.110895
+error_vs_assignment  0.200000
+error_vs_labels      0.200000
+"""
+
+_AXIS_EVAL_TEXT = """\
+price (leaf medians)    1.166667
+price (assigned means)  1.166667
+price (squared l2)      1.083333
+error rate              0.166667
+baseline cost           1.000000
+tree cost               1.166667
+mc samples              0
+mc seed                 0
+confidence radius       0
+bound beta              1.732051
+bound enr               3.000000
+bound thm1              22.159473
+bound thm3              1.000000
+"""
+
+
+def test_cli_text_reports(tmp_path, capsys):
+    # One "key  value" line per field in report order, keys padded to the
+    # longest: kernel values as Python writes them, eval-data values .6f,
+    # the axis report under its labels.
+    mix, ktree, tree, data = (tmp_path / name for name in ("m.json", "kt.json", "t.json", "d.csv"))
+    run_cli("gen", "b3", "--d", 3, "--out", mix)
+    assert run_cli("build-kernel", "--mixture", mix, "--out", ktree) == 0
+    assert run_cli("build", "--mixture", mix, "--objective", "exact-discrete", "--out", tree) == 0
+    save_dataset(data, sample(load_mixture(mix), 200, seed=2))
+    runs = [
+        (("eval", "--mixture", mix, "--tree", ktree), _KERNEL_EVAL_TEXT),
+        (("eval-data", "--data", data, "--tree", tree, "--mixture", mix), _EVAL_DATA_TEXT),
+        (("eval", "--mixture", mix, "--tree", tree), _AXIS_EVAL_TEXT),
+    ]
+    for argv, text in runs:
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_cli_baseline_imm_and_export_dot(tmp_path, capsys):

@@ -31,7 +31,7 @@ from mmdt.kernel import (
     check_structure,
     interval_predict,
 )
-from mmdt.tree import assign_components, export_dot
+from mmdt.tree import TreeNode, assign_components, export_dot
 
 from conftest import translate_battery
 
@@ -108,7 +108,7 @@ def test_xi_examples():
 def test_xi_mc_agrees_with_exact():
     model, ker = translate_battery(77)
     x, y = reference_pairs(model, 0, 1, 200_000, 5)
-    approx = float(np.mean(ker.axis_similarity(0, x[:, 0], y[:, 0])))
+    approx = float(np.mean(ker.profile_value(0, x[:, 0] - y[:, 0])))
     assert approx == pytest.approx(xi(model, ker, 0, 0, 1), abs=5e-3)
 
 
@@ -186,7 +186,7 @@ def test_build_kernel_tree_two_point():
     # and a cut whose theta is exactly a point's axis similarity
     cut = tree.root.cut
     assert interval_predict(tree, [tree.radius(cut), 0.0]) == 0
-    on_theta = dataclasses.replace(cut, theta=float(ker.axis_similarity(0, 1.0, 0.0)))
+    on_theta = dataclasses.replace(cut, theta=float(ker.profile_value(0, 1.0)))
     edited = dataclasses.replace(tree, root=dataclasses.replace(tree.root, cut=on_theta))
     assert predict(edited, [1.0, 0.0]) == 0
     assert interval_predict(edited, [edited.radius(on_theta), 0.0]) == 0
@@ -205,6 +205,17 @@ def test_kernel_tree_routes_with_its_one_kernel():
     routed = [predict(edited, p) for p in pts]
     assert [interval_predict(edited, p) for p in pts] == routed
     assert routed != [predict(tree, p) for p in pts]
+
+
+def test_kernel_tree_checks_its_kernel_dimension():
+    # built in code or loaded from JSON, a tree's one kernel has one axis per tree axis
+    three_axes = KernelSpec.uniform("gaussian", 1.0, 3)
+    with pytest.raises(ValidationError, match="does not match kernel dimension 3"):
+        KernelTree(root=TreeNode(leaf=0), dim=2, kernel=three_axes)
+    model, ker = translate_battery(7000)
+    tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
+    with pytest.raises(ValidationError, match="does not match kernel dimension"):
+        dataclasses.replace(tree, kernel=KernelSpec.uniform("gaussian", 1.0, model.dim + 1))
 
 
 def test_build_kernel_cuts_on_separating_axis():

@@ -789,7 +789,7 @@ def test_root_near_zero_closes_within_the_cap(monkeypatch, objective, eps):
     [(slope, a, b, roots)] = _captured_searches(monkeypatch, [(model, objective)])
     assert roots.size == 1 and abs(roots[0]) < 1e-3
     assert np.all(_certified(slope, roots))
-    assert len(probes) < tree_module._BISECT_MAX_ITERS
+    assert len(probes) < tree_module._MAX_PROBES
 
 
 def test_check_structure_rejects_means_of_another_dimension():
