@@ -6,8 +6,12 @@ laplace ``exp(-gamma t)`` profiles).  The tree cuts on per-axis kernel
 similarity to a sampled prototype point: ``kappa_i(x, prototype) < theta``
 goes left, so a cut is equivalently a two-sided input-space interval.
 One atom law, ``_atom_expectation`` of a ``_distance``, gives every kernel
-value: the profile itself, the Gram blocks of ``kernel_price`` and the pair
-law behind the statistics.
+value: the profile itself, the Gram blocks of ``kernel_price`` and of the
+statistics.  No Gram between two components is held whole: both walk rows
+in blocks of at most ``_GRAM_BLOCK`` entries, and the statistics reduce each
+block to row sums against the column masses, then take one dot with the
+row masses.  Pairs of Gaussian components, one atom each, take the same
+formula on arrays over all such pairs at once.
 """
 
 from __future__ import annotations
@@ -20,14 +24,16 @@ import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
 from .evaluate import BOUND_CONSTANT, _ratio, _report_dict, _support_enumeration
-from .mixture import GAUSSIAN, MixtureModel, array_fingerprint, json_float, json_int, sample
+from .mixture import GAUSSIAN, MixtureModel, array_fingerprint, json_float, json_floats, json_int, sample
 from .tree import ThresholdTree, TreeNode, assign_components, check_fits
 
 PROFILES = ("gaussian", "laplace")
 
-# Entries per Gram block in kernel_price, which bounds its memory in the
-# number of rows and in the support size.
-_GRAM_BLOCK = 2**18
+# Entries per Gram block.  kernel_price and the statistics walk their rows
+# in blocks of at most this many entries (one row, if a row holds more),
+# which bounds their memory in the number of rows and in the support size;
+# three blocks of 512 KB fit a 2 MB L2 cache.
+_GRAM_BLOCK = 2**16
 
 # In mc mode kernel_price embeds each component and each leaf by at most this
 # many of its draws.
@@ -87,17 +93,10 @@ class KernelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "KernelSpec":
-        return KernelSpec(profiles=tuple(d["profiles"]), gamma=_json_floats(d, "gamma"))
+        return KernelSpec(profiles=tuple(d["profiles"]), gamma=json_floats(d, "gamma"))
 
     def fingerprint(self) -> str:
         return array_fingerprint(*self.profiles, self.gamma)
-
-
-def _json_floats(d: dict, key: str) -> np.ndarray:
-    """d[key] as a float array if it is a list of JSON numbers (``json_float``)."""
-    if not isinstance(d[key], list):
-        raise TypeError(f"{key} must be a list of numbers, got {d[key]!r}")
-    return np.array([json_float({key: v}, key) for v in d[key]])
 
 
 def _check_kernel_dim(model: MixtureModel, kernel: KernelSpec) -> None:
@@ -137,29 +136,31 @@ def _laplace_mean(diff: float, var: float, gamma: float) -> float:
 _LAPLACE_MEAN = np.vectorize(_laplace_mean, otypes=[float])
 
 
-def _distance(profile: str, diff: np.ndarray, var: float) -> np.ndarray:
+def _distance(profile: str, diff: np.ndarray, var) -> np.ndarray:
     """diff turned in place into what the atom law reads: its square for the
-    gaussian profile, its absolute value for a laplace point pair (var 0),
-    and the signed difference itself for the laplace mean."""
+    gaussian profile, its absolute value for laplace point pairs (every var
+    0), and the signed difference itself for the laplace mean.  var is a
+    scalar, or an array matching diff whose entries are all 0 or all not."""
     if profile == "gaussian":
         return np.square(diff, out=diff)
-    if var == 0.0:
+    if not np.any(var):
         return np.abs(diff, out=diff)
     return diff
 
 
-def _atom_expectation(profile: str, gamma: float, t: np.ndarray, var: float, out: np.ndarray) -> np.ndarray:
+def _atom_expectation(profile: str, gamma: float, t: np.ndarray, var, out: np.ndarray) -> np.ndarray:
     """E g(|z|) for z ~ N(diff, var) per entry of t = _distance(profile, diff,
     var) (z = diff when var = 0), with g the gaussian or laplace profile of
-    scale gamma, written to out; out may be t itself."""
+    scale gamma, written to out; out may be t itself.  var is a scalar or an
+    array matching t, as for ``_distance``."""
     if profile == "gaussian":
         c = 1.0 + 2.0 * gamma * var
         np.multiply(t, -gamma / c, out=out)
         np.exp(out, out=out)
-        if c != 1.0:  # x / 1.0 == x
-            out /= math.sqrt(c)
+        if np.any(c != 1.0):  # x / 1.0 == x
+            out /= np.sqrt(c)
         return out
-    if var == 0.0:
+    if not np.any(var):
         np.multiply(t, -gamma, out=out)
         return np.exp(out, out=out)
     out[...] = _LAPLACE_MEAN(t, var, gamma)
@@ -202,27 +203,71 @@ def _product(gram, d: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_law(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> tuple:
-    """Law of the pair x ~ component k, y ~ component l over the two
-    components' atoms: ``gram`` of ``_atom_grams``, ``mean(g)``, which
-    weighs such a matrix by the atom masses, and the matrix shape."""
+def _workspaces(model: MixtureModel, n: int) -> list:
+    """n buffers, each large enough for any row block of ``_pair_means``."""
+    s = max(_atoms(c)[2].size for c in model.components)
+    return [np.empty(min(max(_GRAM_BLOCK, s), s * s)) for _ in range(n)]
+
+
+def _pair_means(model: MixtureModel, kernel: KernelSpec, k: int, l: int, grams, count: int, buffers) -> list:
+    """Means over the pair x ~ component k, y ~ component l of ``count``
+    matrices between the two components' atoms, without holding any of them
+    whole.  k's atoms are walked in row blocks of at most ``_GRAM_BLOCK``
+    entries (one row, if a row holds more).  Per block, ``grams(gram,
+    views)`` yields the matrices in turn, with gram the block's
+    ``_atom_grams`` and views the buffers shaped to the block; each is
+    reduced to its row sums against l's masses before the next is made.
+    Each mean is then one dot of k's masses with its row sums."""
     if not (0 <= k < model.k and 0 <= l < model.k):
         raise ValidationError(f"component index out of range: ({k}, {l}) with K={model.k}")
     a, var_a, mass_a = _atoms(model.components[k])
     b, var_b, mass_b = _atoms(model.components[l])
-    gram = _atom_grams(kernel, a, b, var_a + var_b)
-    return gram, lambda g: float(mass_a @ g @ mass_b), (mass_a.size, mass_b.size)
+    sums = np.empty((count, mass_a.size))
+    step = max(1, _GRAM_BLOCK // mass_b.size)
+    for start in range(0, mass_a.size, step):
+        rows = a[start : start + step]
+        views = [buf[: rows.shape[0] * mass_b.size].reshape(rows.shape[0], mass_b.size) for buf in buffers]
+        blocks = grams(_atom_grams(kernel, rows, b, var_a + var_b), views)
+        for row_sums, g in zip(sums[:, start : start + step], blocks, strict=True):
+            row_sums[...] = g @ mass_b
+    return [float(mass_a @ s) for s in sums]
 
 
 def xi(model: MixtureModel, kernel: KernelSpec, i: int, k: int, l: int) -> float:
     """Expected per-axis similarity E[kappa_i(x, y)] for x ~ component k and
-    y ~ component l.  The pair is read in (min, max) order, as
-    ``kernel_stats`` fills its table, so both agree bit for bit."""
+    y ~ component l.  The pair is read in (min, max) order and reduced as
+    ``kernel_stats`` reduces it, so both agree bit for bit."""
     _check_kernel_dim(model, kernel)
     if not 0 <= i < model.dim:
         raise ValidationError(f"axis index {i} out of range with d={model.dim}")
-    gram, mean, shape = _pair_law(model, kernel, min(k, l), max(k, l))
-    return mean(gram(i, (1,), (np.empty(shape),))[0])
+    return _pair_means(
+        model, kernel, min(k, l), max(k, l), lambda gram, views: gram(i, (1,), views), 1, _workspaces(model, 1)
+    )[0]
+
+
+def _gaussian_pairs(model: MixtureModel, kernel: KernelSpec, xi_table: np.ndarray, sigma2_per: np.ndarray) -> float:
+    """Fill the xi table and sigma2_k for every pair of Gaussian components
+    at once: per axis and power, one array formula over all pairs k <= l,
+    each one atom pair whose variances add, with the bits of a one-row
+    block.  Variances that underflow to 0 keep the point-pair formula.
+    Returns the pairs' largest E kappa_i^2 - xi_i^2 (0 if there are none)."""
+    gauss = np.flatnonzero([c.kind == GAUSSIAN for c in model.components])
+    k, l = (gauss[side] for side in np.triu_indices(gauss.size))
+    mean, var = model.means(), model.stddevs() ** 2
+    g, g2 = np.empty(k.size), np.empty(k.size)
+    sigma2 = np.ones(gauss.size)
+    eps2 = 0.0
+    for i, profile in enumerate(kernel.profiles):
+        v = var[k, i] + var[l, i]
+        for part in (v == 0.0, v != 0.0):
+            t = _distance(profile, mean[k[part], i] - mean[l[part], i], v[part])
+            g[part] = _atom_expectation(profile, kernel.gamma[i], t, v[part], np.empty_like(t))
+            g2[part] = _atom_expectation(profile, 2 * kernel.gamma[i], t, v[part], t)
+        xi_table[i, k, l] = xi_table[i, l, k] = g
+        eps2 = max(eps2, float(np.max(g2 - g**2, initial=0.0)))
+        sigma2 *= g[k == l]
+    sigma2_per[gauss] = sigma2
+    return eps2
 
 
 @dataclass(frozen=True)
@@ -256,32 +301,45 @@ class KernelStats:
 
 
 def kernel_stats(model: MixtureModel, kernel: KernelSpec) -> KernelStats:
-    """Fill sigma2, eps2, tau, and the full xi table (axes x K x K), all exact."""
+    """Fill sigma2, eps2, tau, and the full xi table (axes x K x K), all exact.
+
+    Pairs of Gaussian components take one array formula per axis and power
+    (``_gaussian_pairs``).  Every other pair is reduced in row blocks
+    (``_pair_means``): per axis, the Gram at powers 1 and 2, whose means are
+    xi_i and E kappa_i^2, and on the self pair their product over the axes,
+    the full kernel's Gram, whose mean is sigma2_k.  Memory is three blocks
+    of ``_GRAM_BLOCK`` floats and O(S d) besides, whatever the support size S.
+    """
     _check_kernel_dim(model, kernel)
     d, K = model.dim, model.k
 
     xi_table = np.empty((d, K, K))
     sigma2_per = np.empty(K)
-    eps2 = 0.0
-    # Three workspaces serve every pair: the axis Gram at powers 1 and 2 (the
-    # second also holds the difference matrix) and, on the self pair, their
-    # product over the axes, the full kernel's Gram, whose mean is sigma2_k.
-    size = max(_atoms(c)[2].size for c in model.components) ** 2
-    buffers = [np.empty(size) for _ in range(3)]
+    eps2 = _gaussian_pairs(model, kernel, xi_table, sigma2_per)
+    buffers = _workspaces(model, 3)
     for k in range(K):
         for l in range(k, K):
-            gram, mean, (rows, cols) = _pair_law(model, kernel, k, l)
-            g, g2, full = (buf[: rows * cols].reshape(rows, cols) for buf in buffers)
-            if k == l:
-                full.fill(1.0)
-            for i in range(d):
-                gram(i, (1, 2), (g, g2))
-                m = xi_table[i, k, l] = xi_table[i, l, k] = mean(g)
-                eps2 = max(eps2, mean(g2) - m**2)
+            if model.components[k].kind == model.components[l].kind == GAUSSIAN:
+                continue
+
+            def grams(gram, views):
+                # The second view also holds the difference block.
+                g, g2, full = views
                 if k == l:
-                    full *= g
+                    full.fill(1.0)
+                for i in range(d):
+                    yield from gram(i, (1, 2), (g, g2))
+                    if k == l:
+                        full *= g
+                if k == l:
+                    yield full
+
+            means = _pair_means(model, kernel, k, l, grams, 2 * d + (k == l), buffers)
+            for i in range(d):
+                m = xi_table[i, k, l] = xi_table[i, l, k] = means[2 * i]
+                eps2 = max(eps2, means[2 * i + 1] - m**2)
             if k == l:
-                sigma2_per[k] = mean(full)
+                sigma2_per[k] = means[-1]
 
     spread = float(sigma2_per.max() - sigma2_per.min())
     if spread > 1e-6:
@@ -309,10 +367,10 @@ def mmd(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> float:
     before the square root to absorb rounding).  For k == l the three
     expectations are one and the same, so the result is exactly 0."""
     _check_kernel_dim(model, kernel)
+    buffers = _workspaces(model, 2)
 
     def cross(a: int, b: int) -> float:
-        gram, mean, shape = _pair_law(model, kernel, a, b)
-        return mean(_product(gram, model.dim, np.empty(shape), np.empty(shape)))
+        return _pair_means(model, kernel, a, b, lambda gram, views: [_product(gram, model.dim, *views)], 1, buffers)[0]
 
     return math.sqrt(max(0.0, cross(k, k) + cross(l, l) - 2.0 * cross(k, l)))
 
@@ -368,7 +426,7 @@ class KernelTree(ThresholdTree):
 
     @classmethod
     def read_cut(cls, d: dict, axis: int, dim: int) -> KernelCut:
-        proto = _json_floats(d, "prototype")
+        proto = json_floats(d, "prototype")
         if proto.shape != (dim,):
             raise ValidationError(f"prototype shape {proto.shape}, expected ({dim},)")
         return KernelCut(axis=axis, prototype=proto, theta=json_float(d, "theta"), anchor=json_int(d, "anchor"))

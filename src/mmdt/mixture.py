@@ -10,6 +10,7 @@ weight-cap parameter alpha with p_k <= alpha / K.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,28 @@ def json_float(d: dict, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def json_floats(d: dict, key: str, ndim: int = 1) -> np.ndarray:
+    """d[key] as a float array if it is a list of JSON numbers (ndim 1) or a
+    list of such lists (ndim 2); an entry that ``json_float`` would reject
+    raises TypeError.  One type scan at C speed checks every entry."""
+    value = d[key]
+    rows = value if ndim == 2 else [value]
+    if not (
+        isinstance(value, list)
+        and set(map(type, rows)) <= {list}
+        and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
+    ):
+        raise TypeError(f"{key} must be a {'list of lists' if ndim == 2 else 'list'} of numbers")
+    return np.array(value, dtype=float)
+
+
+def check_format_version(d: dict) -> None:
+    """Raise ValueError unless d's format_version, where present, is the
+    JSON integer 1."""
+    if "format_version" in d and json_int(d, "format_version") != 1:
+        raise ValueError(f"unsupported format_version {d['format_version']}")
 
 
 # Bump the tag whenever the hashed parts change, so that fingerprints of
@@ -187,9 +210,14 @@ class Component:
     def from_dict(d: dict) -> "Component":
         kind = d.get("kind")
         if kind == GAUSSIAN:
-            return Component(kind=GAUSSIAN, mean=d["mean"], stddev=d["stddev"])
+            return Component(kind=GAUSSIAN, mean=json_floats(d, "mean"), stddev=json_floats(d, "stddev"))
         if kind == DISCRETE:
-            return Component(kind=DISCRETE, mean=d["mean"], support=d["support"], mass=d["mass"])
+            return Component(
+                kind=DISCRETE,
+                mean=json_floats(d, "mean"),
+                support=json_floats(d, "support", ndim=2),
+                mass=json_floats(d, "mass"),
+            )
         raise ValidationError(f"unknown component kind {kind!r}")
 
 
@@ -297,10 +325,11 @@ class MixtureModel:
 
     @staticmethod
     def from_dict(d: dict) -> "MixtureModel":
+        check_format_version(d)
         comps = tuple(Component.from_dict(c) for c in d["components"])
-        sigma = d.get("sigma")
-        alpha = d.get("alpha")
-        model = MixtureModel.create(comps, d["weights"], alpha=alpha, sigma=sigma)
+        sigma = json_floats(d, "sigma") if "sigma" in d else None
+        alpha = json_float(d, "alpha") if "alpha" in d else None
+        model = MixtureModel.create(comps, json_floats(d, "weights"), alpha=alpha, sigma=sigma)
         if "dim" in d and json_int(d, "dim") != model.dim:
             raise ValidationError(f"declared dim {d['dim']} does not match components")
         return model

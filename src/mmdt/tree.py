@@ -45,7 +45,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
-from .mixture import DISCRETE, GAUSSIAN, MixtureModel, json_float, json_int
+from .mixture import DISCRETE, GAUSSIAN, MixtureModel, check_format_version, json_float, json_int
 
 # Each objective and the component kind it requires (None: any kind).
 OBJECTIVES = {"exact-discrete": DISCRETE, "chebyshev": None, "gaussian": GAUSSIAN}
@@ -169,13 +169,19 @@ class ThresholdTree:
     @classmethod
     def from_dict(cls, d: dict) -> "ThresholdTree":
         """Parse a tree, raising ValidationError unless every cut axis lies
-        in 0..dim-1 and the leaves are a bijection onto 0..n_leaves-1."""
+        in 0..dim-1 and the leaves are a bijection onto 0..n_leaves-1, and
+        TypeError or ValueError unless model_fingerprint is a string and
+        format_version, where present, is 1."""
+        check_format_version(d)
+        fingerprint = d.get("model_fingerprint", "")
+        if not isinstance(fingerprint, str):
+            raise TypeError(f"model_fingerprint must be a string, got {fingerprint!r}")
         dim = json_int(d, "dim")
         header = cls.header_from_dict(d, dim)
         tree = cls(
             root=TreeNode.from_dict(d["root"], dim, cls.read_cut),
             dim=dim,
-            model_fingerprint=d.get("model_fingerprint", ""),
+            model_fingerprint=fingerprint,
             **header,
         )
         n_leaves = json_int(d, "n_leaves")

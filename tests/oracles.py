@@ -1,8 +1,8 @@
 """Oracles and writers that only the tests use: two mixture statistics, the
 dataset and centers writers, the canonical trees and exhaustive tree
 enumerator of the hard instances, the bisection that the threshold search's
-roots are checked against, and the list of thresholds that moved between
-two trees."""
+roots are checked against, the list of thresholds that moved between two
+trees, and the per-pair loop of the kernel statistics."""
 
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ from typing import Iterator
 
 import numpy as np
 
-from mmdt import AdversarialInstance, LabeledDataset, MixtureModel, ValidationError
+from mmdt import AdversarialInstance, KernelSpec, LabeledDataset, MixtureModel, ValidationError
 from mmdt.io import save_json, write_text
+from mmdt.kernel import _atom_grams, _atoms
 from mmdt.mixture import _e_step, _pair_gaps
 from mmdt.tree import _MAX_PROBES, AxisCut, AxisTree, TreeNode, _midpoint_candidates
 
@@ -158,3 +159,27 @@ def moved_thresholds(old: dict, new: dict) -> list[tuple]:
 
     walk(old.get("root", old), new.get("root", new), "")
     return moved
+
+
+def pairwise_kernel_stats(model: MixtureModel, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """(xi table, sigma2 per component, eps2) by one pass per component pair
+    over whole Grams: every pair, Gaussian ones included, as a matrix
+    between the two components' atoms, and every mean as mass_a @ G @ mass_b."""
+    d, K = model.dim, model.k
+    xi_table, sigma2_per, eps2 = np.empty((d, K, K)), np.empty(K), 0.0
+    for k in range(K):
+        for l in range(k, K):
+            a, var_a, mass_a = _atoms(model.components[k])
+            b, var_b, mass_b = _atoms(model.components[l])
+            gram = _atom_grams(kernel, a, b, var_a + var_b)
+            g, g2 = np.empty((2, mass_a.size, mass_b.size))
+            full = np.ones_like(g)
+            for i in range(d):
+                gram(i, (1, 2), (g, g2))
+                m = xi_table[i, k, l] = xi_table[i, l, k] = float(mass_a @ g @ mass_b)
+                eps2 = max(eps2, float(mass_a @ g2 @ mass_b) - m**2)
+                if k == l:
+                    full *= g
+            if k == l:
+                sigma2_per[k] = float(mass_a @ full @ mass_b)
+    return xi_table, sigma2_per, min(1.0, eps2)

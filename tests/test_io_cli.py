@@ -397,6 +397,14 @@ def _caterpillar_text(tree: dict, leaves: int = 1100) -> str:
     return json.dumps({**header, "n_leaves": leaves})[:-1] + f', "root": {node}}}'
 
 
+def _first_component_with(mix: dict, **fields) -> dict:
+    return {**mix, "components": [{**mix["components"][0], **fields}, *mix["components"][1:]]}
+
+
+def _strings(values: list) -> list:
+    return [_strings(v) if isinstance(v, list) else str(v) for v in values]
+
+
 def _leaves_plus(tree: dict, offset: float) -> dict:
     # int() truncates every shifted leaf back to itself, so only a type check sees the edit
     def shift(node: dict) -> dict:
@@ -446,6 +454,36 @@ _MALFORMED = [
     pytest.param("kernel", lambda t: _kernel_with(t, gamma=list(map(str, t["kernel"]["gamma"]))), {2}, id="kernel-gamma-numeric-str"),
     pytest.param("kernel", lambda t: _kernel_with(t, gamma=[True] * len(t["kernel"]["gamma"])), {2}, id="kernel-gamma-bool"),
     pytest.param("kernel", lambda t: {**t, "dim": 5}, {3}, id="kernel-dim-mismatch"),
+    # a tree's model_fingerprint is a JSON string, and format_version, where
+    # present, the JSON integer 1, in tree and mixture JSON alike
+    pytest.param("axis", lambda t: {**t, "model_fingerprint": [0.5]}, {2}, id="tree-fingerprint-list"),
+    pytest.param("axis", lambda t: {**t, "model_fingerprint": 3}, {2}, id="tree-fingerprint-int"),
+    pytest.param("kernel", lambda t: {**t, "model_fingerprint": {"a": 0.5}}, {2}, id="kernel-fingerprint-dict"),
+    pytest.param("axis", lambda t: {**t, "format_version": "abc"}, {2}, id="tree-format-version-str"),
+    pytest.param("axis", lambda t: {**t, "format_version": 2}, {2}, id="tree-format-version-2"),
+    pytest.param("kernel", lambda t: {**t, "format_version": True}, {2}, id="kernel-format-version-bool"),
+    pytest.param("mixture", lambda m: {**m, "format_version": "1"}, {2}, id="mixture-format-version-str"),
+    pytest.param("mixture", lambda m: {**m, "format_version": 1.0}, {2}, id="mixture-format-version-float"),
+    # every number list of a mixture takes JSON numbers only, and alpha too
+    pytest.param("mixture", lambda m: {**m, "weights": _strings(m["weights"])}, {2}, id="mixture-weights-numeric-str"),
+    pytest.param("mixture", lambda m: {**m, "sigma": _strings(m["sigma"])}, {2}, id="mixture-sigma-numeric-str"),
+    pytest.param("mixture", lambda m: {**m, "alpha": True}, {2}, id="mixture-alpha-bool"),
+    pytest.param(
+        "mixture", lambda m: _first_component_with(m, mean=_strings(m["components"][0]["mean"])), {2}, id="mixture-mean-numeric-str"
+    ),
+    pytest.param(
+        "mixture", lambda m: _first_component_with(m, mass=_strings(m["components"][0]["mass"])), {2}, id="mixture-mass-numeric-str"
+    ),
+    pytest.param(
+        "mixture",
+        lambda m: _first_component_with(m, support=_strings(m["components"][0]["support"])),
+        {2},
+        id="mixture-support-numeric-str",
+    ),
+    pytest.param(
+        "mixture", lambda m: _first_component_with(m, mass=[True] * len(m["components"][0]["mass"])), {2}, id="mixture-mass-bool"
+    ),
+    pytest.param("mixture", lambda m: _first_component_with(m, support=[0.5]), {2}, id="mixture-support-flat"),
     pytest.param("mixture", lambda m: {**m, "weights": "ab"}, {2, 3, 4}, id="mixture-weights-str"),
     pytest.param("mixture", lambda m: {**m, "components": 5}, {2, 3, 4}, id="mixture-components-int"),
     pytest.param("mixture", _component_as_list, {2, 3, 4}, id="mixture-component-list"),

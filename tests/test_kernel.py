@@ -34,6 +34,7 @@ from mmdt.kernel import (
 from mmdt.tree import TreeNode, assign_components, export_dot
 
 from conftest import translate_battery
+from oracles import pairwise_kernel_stats
 
 
 def profile(ker, i, t):
@@ -415,17 +416,25 @@ def reference_pairs(model, k, l, n_pairs, seed):
     return model.components[k].sample(rng, n_pairs), model.components[l].sample(rng, n_pairs)
 
 
+def block_mean(ma, gram, mb):
+    # ma @ gram @ mb in the order the library reduces it: the rows of a whole
+    # Gram in blocks by the module's block rule, each block's row sums
+    # against mb, then one dot with ma.
+    step = max(1, kernel_module._GRAM_BLOCK // mb.size)
+    return float(ma @ np.concatenate([gram[s : s + step] @ mb for s in range(0, gram.shape[0], step)]))
+
+
 def reference_xi(model, ker, i, k, l):
     # Reference: the separate exact branches of xi, mmd and kernel_stats
     # that the one pair law replaced.
     ck, cl = model.components[k], model.components[l]
-    return float(ck.mass @ axis_gram(ker, i, ck.support[:, i], cl.support[:, i]) @ cl.mass)
+    return block_mean(ck.mass, axis_gram(ker, i, ck.support[:, i], cl.support[:, i]), cl.mass)
 
 
 def reference_mmd(model, ker, k, l):
     def cross(a, b):
         ca, cb = model.components[a], model.components[b]
-        return float(ca.mass @ full_gram(ker, ca.support, cb.support) @ cb.mass)
+        return block_mean(ca.mass, full_gram(ker, ca.support, cb.support), cb.mass)
 
     if k == l:
         return 0.0
@@ -441,14 +450,14 @@ def reference_kernel_stats(model, ker):
             ck, cl = model.components[k], model.components[l]
             for i in range(d):
                 gram = axis_gram(ker, i, ck.support[:, i], cl.support[:, i])
-                mean = float(ck.mass @ gram @ cl.mass)
-                mean_sq = float(ck.mass @ gram**2 @ cl.mass)
+                mean = block_mean(ck.mass, gram, cl.mass)
+                mean_sq = block_mean(ck.mass, gram**2, cl.mass)
                 xi_table[i, k, l] = xi_table[i, l, k] = mean
                 eps2 = max(eps2, mean_sq - mean**2)
                 if k == l:
                     full = full * gram
             if k == l:
-                sigma2_per[k] = float(ck.mass @ full @ cl.mass)
+                sigma2_per[k] = block_mean(ck.mass, full, cl.mass)
     tau = max(float(xi_table[:, k, l].min()) for k in range(K) for l in range(K) if k != l)
     return xi_table, sigma2_per, min(1.0, eps2), tau
 
@@ -512,12 +521,12 @@ def reference_atom_stats(model, ker):
             full = 1.0
             for i in range(d):
                 gram = reference_atom_gram(ker, i, a, b, va[i] + vb[i])
-                mean = xi_table[i, k, l] = xi_table[i, l, k] = float(ma @ gram @ mb)
-                mean_sq = float(ma @ reference_atom_gram(ker, i, a, b, va[i] + vb[i], power=2) @ mb)
+                mean = xi_table[i, k, l] = xi_table[i, l, k] = block_mean(ma, gram, mb)
+                mean_sq = block_mean(ma, reference_atom_gram(ker, i, a, b, va[i] + vb[i], power=2), mb)
                 eps2 = max(eps2, mean_sq - mean**2)
                 full = full * gram
             if k == l:
-                sigma2_per[k] = float(ma @ full @ mb)
+                sigma2_per[k] = block_mean(ma, full, mb)
     return xi_table, sigma2_per, min(1.0, eps2)
 
 
@@ -530,9 +539,56 @@ def test_statistics_match_the_atom_reference_bit_for_bit():
     cases += [(model, KernelSpec.uniform("laplace", ker.gamma, model.dim)) for model, ker in cases]
     model, ker = mixed_model()
     cases += [(model, ker)] + [(model, KernelSpec.uniform(name, 1.1, model.dim)) for name in PROFILES]
+    # 700 atoms a side span several row blocks
+    model = translated_supports(700)
+    cases += [(model, KernelSpec.uniform(name, 1.0, model.dim)) for name in PROFILES]
     for model, ker in cases:
         st = kernel_stats(model, ker)
         xi_table, sigma2_per, eps2 = reference_atom_stats(model, ker)
+        assert np.array_equal(st.xi_table, xi_table)
+        assert np.array_equal(st.sigma2_per_component, sigma2_per)
+        assert st.eps2 == eps2
+
+
+@pytest.mark.filterwarnings("ignore:component self-similarities differ")
+def test_blocked_statistics_stay_near_the_whole_pair_sums():
+    # Row blocks add in another order than mass_a @ G @ mass_b, so the
+    # statistics may move in the last bits only.
+    cases = [translate_battery(9000 + i) for i in range(12)] + [mixed_model()]
+    model = translated_supports(700)
+    cases += [(model, KernelSpec.uniform(name, 1.0, model.dim)) for name in PROFILES]
+    for model, ker in cases:
+        st = kernel_stats(model, ker)
+        xi_table, sigma2_per, eps2 = pairwise_kernel_stats(model, ker)
+        np.testing.assert_allclose(st.xi_table, xi_table, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(st.sigma2_per_component, sigma2_per, rtol=1e-13, atol=0.0)
+        # eps2 is a difference of means at most 1, so it is held to 1e-13 of those.
+        assert st.eps2 == pytest.approx(eps2, rel=0.0, abs=1e-13)
+
+
+@pytest.mark.filterwarnings("ignore:component self-similarities differ")
+def test_gaussian_pairs_match_the_per_pair_loop_bit_for_bit():
+    # One array formula per axis and power over all Gaussian pairs gives the
+    # bits of one pair at a time, for both profiles; on the first axis of
+    # the tiny-stddev model, variances that underflow to 0 sit beside
+    # positive ones and keep the point-pair formula.  The per-pair loop
+    # takes about 7 s on the K=100, d=50 model.
+    cases = [mixed_profile_gaussians(seed) for seed in range(9200, 9216)]
+    tiny = MixtureModel.create(
+        (
+            Component.gaussian([0.0, 0.0], [1e-200, 0.5]),
+            Component.gaussian([1.0, 0.3], [1e-200, 0.7]),
+            Component.gaussian([2.0, -1.0], [0.4, 0.2]),
+        ),
+        np.full(3, 1.0 / 3.0),
+    )
+    cases += [(tiny, KernelSpec.uniform(name, 0.7, 2)) for name in PROFILES]
+    rng = np.random.default_rng(0)
+    wide = tuple(Component.gaussian(rng.uniform(-30.0, 30.0, 50), rng.uniform(0.5, 2.0, 50)) for _ in range(100))
+    cases += [(MixtureModel.create(wide, np.full(100, 0.01)), KernelSpec.uniform("gaussian", 0.5, 50))]
+    for model, ker in cases:
+        st = kernel_stats(model, ker)
+        xi_table, sigma2_per, eps2 = pairwise_kernel_stats(model, ker)
         assert np.array_equal(st.xi_table, xi_table)
         assert np.array_equal(st.sigma2_per_component, sigma2_per)
         assert st.eps2 == eps2
@@ -938,14 +994,14 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("S", [1000, 2000])
-def test_kernel_stats_memory_is_three_gram_workspaces(S):
-    # One difference matrix per (pair, axis) serves both powers: the axis
-    # Grams at powers 1 and 2 and the self pair's product are all that is
-    # S x S, 3.0 S^2 floats against 4.0 with a fresh array per Gram.
+@pytest.mark.parametrize("S", [500, 2000])
+def test_statistics_memory_is_bounded_in_the_support_size(S):
+    # Three Gram blocks of 512 KB and O(S d) besides: no S x S array, so the
+    # peak stays flat in S.
     model = translated_supports(S)
     ker = KernelSpec.uniform("gaussian", 1.0, model.dim)
-    assert traced_peak(kernel_stats, model, ker) <= 3.1 * S * S * 8
+    assert traced_peak(kernel_stats, model, ker) < 4 * 2**20
+    assert traced_peak(mmd, model, ker, 0, 1) < 4 * 2**20
 
 
 @pytest.mark.parametrize("S", [1000, 2000])
