@@ -10,8 +10,7 @@ value: the profile itself, the Gram blocks of ``kernel_price`` and of the
 statistics.  No Gram between two components is held whole: both walk rows
 in blocks of at most ``_GRAM_BLOCK`` entries, and the statistics reduce each
 block to row sums against the column masses, then take one dot with the
-row masses.  Pairs of Gaussian components, one atom each, take the same
-formula on arrays over all such pairs at once.
+row masses.
 """
 
 from __future__ import annotations
@@ -31,8 +30,9 @@ PROFILES = ("gaussian", "laplace")
 
 # Entries per Gram block.  kernel_price and the statistics walk their rows
 # in blocks of at most this many entries (one row, if a row holds more),
-# which bounds their memory in the number of rows and in the support size;
-# three blocks of 512 KB fit a 2 MB L2 cache.
+# which bounds their memory in the number of rows and in the support size.
+# Three blocks of 512 KB fit a 2 MB L2 cache: on the kernel-price benchmark
+# 2^16 ran faster and peaked lower than 2^18 (BENCH_kernel_blocks.json).
 _GRAM_BLOCK = 2**16
 
 # In mc mode kernel_price embeds each component and each leaf by at most this
@@ -136,31 +136,29 @@ def _laplace_mean(diff: float, var: float, gamma: float) -> float:
 _LAPLACE_MEAN = np.vectorize(_laplace_mean, otypes=[float])
 
 
-def _distance(profile: str, diff: np.ndarray, var) -> np.ndarray:
+def _distance(profile: str, diff: np.ndarray, var: float) -> np.ndarray:
     """diff turned in place into what the atom law reads: its square for the
-    gaussian profile, its absolute value for laplace point pairs (every var
-    0), and the signed difference itself for the laplace mean.  var is a
-    scalar, or an array matching diff whose entries are all 0 or all not."""
+    gaussian profile, its absolute value for a laplace point pair (var 0),
+    and the signed difference itself for the laplace mean."""
     if profile == "gaussian":
         return np.square(diff, out=diff)
-    if not np.any(var):
+    if var == 0.0:
         return np.abs(diff, out=diff)
     return diff
 
 
-def _atom_expectation(profile: str, gamma: float, t: np.ndarray, var, out: np.ndarray) -> np.ndarray:
+def _atom_expectation(profile: str, gamma: float, t: np.ndarray, var: float, out: np.ndarray) -> np.ndarray:
     """E g(|z|) for z ~ N(diff, var) per entry of t = _distance(profile, diff,
     var) (z = diff when var = 0), with g the gaussian or laplace profile of
-    scale gamma, written to out; out may be t itself.  var is a scalar or an
-    array matching t, as for ``_distance``."""
+    scale gamma, written to out; out may be t itself."""
     if profile == "gaussian":
         c = 1.0 + 2.0 * gamma * var
         np.multiply(t, -gamma / c, out=out)
         np.exp(out, out=out)
-        if np.any(c != 1.0):  # x / 1.0 == x
-            out /= np.sqrt(c)
+        if c != 1.0:  # x / 1.0 == x
+            out /= math.sqrt(c)
         return out
-    if not np.any(var):
+    if var == 0.0:
         np.multiply(t, -gamma, out=out)
         return np.exp(out, out=out)
     out[...] = _LAPLACE_MEAN(t, var, gamma)
@@ -245,31 +243,6 @@ def xi(model: MixtureModel, kernel: KernelSpec, i: int, k: int, l: int) -> float
     )[0]
 
 
-def _gaussian_pairs(model: MixtureModel, kernel: KernelSpec, xi_table: np.ndarray, sigma2_per: np.ndarray) -> float:
-    """Fill the xi table and sigma2_k for every pair of Gaussian components
-    at once: per axis and power, one array formula over all pairs k <= l,
-    each one atom pair whose variances add, with the bits of a one-row
-    block.  Variances that underflow to 0 keep the point-pair formula.
-    Returns the pairs' largest E kappa_i^2 - xi_i^2 (0 if there are none)."""
-    gauss = np.flatnonzero([c.kind == GAUSSIAN for c in model.components])
-    k, l = (gauss[side] for side in np.triu_indices(gauss.size))
-    mean, var = model.means(), model.stddevs() ** 2
-    g, g2 = np.empty(k.size), np.empty(k.size)
-    sigma2 = np.ones(gauss.size)
-    eps2 = 0.0
-    for i, profile in enumerate(kernel.profiles):
-        v = var[k, i] + var[l, i]
-        for part in (v == 0.0, v != 0.0):
-            t = _distance(profile, mean[k[part], i] - mean[l[part], i], v[part])
-            g[part] = _atom_expectation(profile, kernel.gamma[i], t, v[part], np.empty_like(t))
-            g2[part] = _atom_expectation(profile, 2 * kernel.gamma[i], t, v[part], t)
-        xi_table[i, k, l] = xi_table[i, l, k] = g
-        eps2 = max(eps2, float(np.max(g2 - g**2, initial=0.0)))
-        sigma2 *= g[k == l]
-    sigma2_per[gauss] = sigma2
-    return eps2
-
-
 @dataclass(frozen=True)
 class KernelStats:
     """Embedding statistics of a (model, kernel) pair.
@@ -303,24 +276,21 @@ class KernelStats:
 def kernel_stats(model: MixtureModel, kernel: KernelSpec) -> KernelStats:
     """Fill sigma2, eps2, tau, and the full xi table (axes x K x K), all exact.
 
-    Pairs of Gaussian components take one array formula per axis and power
-    (``_gaussian_pairs``).  Every other pair is reduced in row blocks
-    (``_pair_means``): per axis, the Gram at powers 1 and 2, whose means are
-    xi_i and E kappa_i^2, and on the self pair their product over the axes,
-    the full kernel's Gram, whose mean is sigma2_k.  Memory is three blocks
-    of ``_GRAM_BLOCK`` floats and O(S d) besides, whatever the support size S.
+    Every pair of components is reduced in row blocks (``_pair_means``):
+    per axis, the Gram at powers 1 and 2, whose means are xi_i and
+    E kappa_i^2, and on the self pair their product over the axes, the full
+    kernel's Gram, whose mean is sigma2_k.  Memory is three blocks of
+    ``_GRAM_BLOCK`` floats and O(S d) besides, whatever the support size S.
     """
     _check_kernel_dim(model, kernel)
     d, K = model.dim, model.k
 
     xi_table = np.empty((d, K, K))
     sigma2_per = np.empty(K)
-    eps2 = _gaussian_pairs(model, kernel, xi_table, sigma2_per)
+    eps2 = 0.0
     buffers = _workspaces(model, 3)
     for k in range(K):
         for l in range(k, K):
-            if model.components[k].kind == model.components[l].kind == GAUSSIAN:
-                continue
 
             def grams(gram, views):
                 # The second view also holds the difference block.

@@ -484,6 +484,12 @@ _MALFORMED = [
         "mixture", lambda m: _first_component_with(m, mass=[True] * len(m["components"][0]["mass"])), {2}, id="mixture-mass-bool"
     ),
     pytest.param("mixture", lambda m: _first_component_with(m, support=[0.5]), {2}, id="mixture-support-flat"),
+    pytest.param(
+        "mixture",
+        lambda m: _first_component_with(m, support=[[True, *row[1:]] for row in m["components"][0]["support"]]),
+        {2},
+        id="mixture-support-bool-among-numbers",
+    ),
     pytest.param("mixture", lambda m: {**m, "weights": "ab"}, {2, 3, 4}, id="mixture-weights-str"),
     pytest.param("mixture", lambda m: {**m, "components": 5}, {2, 3, 4}, id="mixture-components-int"),
     pytest.param("mixture", _component_as_list, {2, 3, 4}, id="mixture-component-list"),

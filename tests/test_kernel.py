@@ -542,6 +542,19 @@ def test_statistics_match_the_atom_reference_bit_for_bit():
     # 700 atoms a side span several row blocks
     model = translated_supports(700)
     cases += [(model, KernelSpec.uniform(name, 1.0, model.dim)) for name in PROFILES]
+    # Gaussian pairs, one-entry blocks, with the profile drawn per axis; on
+    # the first axis of the tiny-stddev model, variances that underflow to 0
+    # sit beside positive ones and take the point-pair formula.
+    cases += [mixed_profile_gaussians(seed) for seed in range(9200, 9216)]
+    tiny = MixtureModel.create(
+        (
+            Component.gaussian([0.0, 0.0], [1e-200, 0.5]),
+            Component.gaussian([1.0, 0.3], [1e-200, 0.7]),
+            Component.gaussian([2.0, -1.0], [0.4, 0.2]),
+        ),
+        np.full(3, 1.0 / 3.0),
+    )
+    cases += [(tiny, KernelSpec.uniform(name, 0.7, 2)) for name in PROFILES]
     for model, ker in cases:
         st = kernel_stats(model, ker)
         xi_table, sigma2_per, eps2 = reference_atom_stats(model, ker)
@@ -564,34 +577,6 @@ def test_blocked_statistics_stay_near_the_whole_pair_sums():
         np.testing.assert_allclose(st.sigma2_per_component, sigma2_per, rtol=1e-13, atol=0.0)
         # eps2 is a difference of means at most 1, so it is held to 1e-13 of those.
         assert st.eps2 == pytest.approx(eps2, rel=0.0, abs=1e-13)
-
-
-@pytest.mark.filterwarnings("ignore:component self-similarities differ")
-def test_gaussian_pairs_match_the_per_pair_loop_bit_for_bit():
-    # One array formula per axis and power over all Gaussian pairs gives the
-    # bits of one pair at a time, for both profiles; on the first axis of
-    # the tiny-stddev model, variances that underflow to 0 sit beside
-    # positive ones and keep the point-pair formula.  The per-pair loop
-    # takes about 7 s on the K=100, d=50 model.
-    cases = [mixed_profile_gaussians(seed) for seed in range(9200, 9216)]
-    tiny = MixtureModel.create(
-        (
-            Component.gaussian([0.0, 0.0], [1e-200, 0.5]),
-            Component.gaussian([1.0, 0.3], [1e-200, 0.7]),
-            Component.gaussian([2.0, -1.0], [0.4, 0.2]),
-        ),
-        np.full(3, 1.0 / 3.0),
-    )
-    cases += [(tiny, KernelSpec.uniform(name, 0.7, 2)) for name in PROFILES]
-    rng = np.random.default_rng(0)
-    wide = tuple(Component.gaussian(rng.uniform(-30.0, 30.0, 50), rng.uniform(0.5, 2.0, 50)) for _ in range(100))
-    cases += [(MixtureModel.create(wide, np.full(100, 0.01)), KernelSpec.uniform("gaussian", 0.5, 50))]
-    for model, ker in cases:
-        st = kernel_stats(model, ker)
-        xi_table, sigma2_per, eps2 = pairwise_kernel_stats(model, ker)
-        assert np.array_equal(st.xi_table, xi_table)
-        assert np.array_equal(st.sigma2_per_component, sigma2_per)
-        assert st.eps2 == eps2
 
 
 @pytest.mark.filterwarnings("ignore:component self-similarities differ")
