@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .evaluate import _ratio
-from .mixture import array_fingerprint, lowest_duplicate_pair, squared_offsets
+from .mixture import array_fingerprint, lowest_duplicate_pair, squared_distances
 from .tree import AxisCut, AxisTree, TreeNode, assign_components, check_fits
 
 
@@ -34,6 +34,8 @@ class CenteredDataset:
         ctr = np.asarray(self.centers, dtype=float)
         if pts.ndim != 2 or ctr.ndim != 2 or pts.shape[1] != ctr.shape[1]:
             raise ValidationError("points and centers must be 2-D with matching dimension")
+        if ctr.shape[0] == 0:
+            raise ValidationError("need at least one center")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(ctr))):
             raise ValidationError("points and centers must be finite")
         dup = lowest_duplicate_pair(ctr)
@@ -56,11 +58,21 @@ class CenteredDataset:
 
 
 def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the closest center in l2; argmin takes the lower index."""
-    d2 = np.empty((centers.shape[0], points.shape[0]))
-    for k, sq in enumerate(squared_offsets(points, centers)):
-        sq.sum(axis=1, out=d2[k])
-    return np.argmin(d2, axis=0)
+    """Index of the closest center in l2, ties to the lower index.  Each
+    center's squared distances are summed axis by axis from the first
+    (``squared_distances``), and a point moves to a later center only when
+    that one is strictly closer."""
+    n = points.shape[0]
+    columns = np.ascontiguousarray(points.T)
+    dist, work = np.empty(n), np.empty(n)
+    best = squared_distances(columns, centers[0], np.empty(n), work)
+    assign = np.zeros(n, dtype=np.intp)
+    closer = np.empty(n, dtype=bool)
+    for k in range(1, centers.shape[0]):
+        np.less(squared_distances(columns, centers[k], dist, work), best, out=closer)
+        np.copyto(best, dist, where=closer)
+        np.copyto(assign, k, where=closer)
+    return assign
 
 
 def centers_fingerprint(centers: np.ndarray) -> str:

@@ -35,6 +35,15 @@ PROFILES = ("gaussian", "laplace")
 # 2^16 ran faster and peaked lower than 2^18 (BENCH_kernel_blocks.json).
 _GRAM_BLOCK = 2**16
 
+# numpy's ufunc buffer size, in elements, while a difference block of more
+# than one row is formed.  numpy copies a broadcast block through its buffer
+# when the buffer holds three or more of the block's rows: at the default of
+# 8192, rows shorter than 2,731 entries, such as the (65, 1000) and (81, 800)
+# blocks of the kernel-price benchmark, cost 1.2-1.8 ns per entry, against
+# 0.26-0.31 ns at this size, where rows of 342 entries and more go uncopied
+# (numpy 2.4).
+_DIFF_BUFSIZE = 1024
+
 # In mc mode kernel_price embeds each component and each leaf by at most this
 # many of its draws.
 _MC_EMBED_ROWS = 2048
@@ -176,14 +185,23 @@ def _atoms(component) -> tuple:
 
 def _atom_grams(kernel: KernelSpec, a: np.ndarray, b: np.ndarray, var: np.ndarray):
     """``gram(i, powers, out)``: writes to out[j] the matrix of exact
-    expectations E kappa_i^powers[j] between every row of a and every row of
-    b, for atoms whose axis variances add to var (kappa_i^power is the same
-    profile at power * gamma_i), and returns out.  One difference matrix
-    serves every power: it is formed in out[-1], which takes the last power."""
+    expectations E kappa_i^powers[j] between every atom of a and every atom
+    of b, for atoms whose axis variances add to var (kappa_i^power is the
+    same profile at power * gamma_i), and returns out.  a and b hold the
+    atoms' positions axis by axis, as (d, rows) and (d, cols) arrays whose
+    rows are contiguous.  One difference matrix serves every power: it is
+    formed in out[-1], which takes the last power."""
 
     def gram(i: int, powers: tuple, out: tuple) -> tuple:
         profile = kernel.profiles[i]
-        t = _distance(profile, np.subtract(a[:, i, None], b[None, :, i], out=out[-1]), var[i])
+        diff = out[-1]
+        if diff.shape[0] == 1:  # never copied; spares one-entry blocks the scope's 4 us
+            np.subtract(a[i, :, None], b[i], out=diff)
+        else:
+            with np.errstate():  # restores the buffer size on leaving
+                np.setbufsize(_DIFF_BUFSIZE)
+                np.subtract(a[i, :, None], b[i], out=diff)
+        t = _distance(profile, diff, var[i])
         for power, o in zip(powers, out):
             _atom_expectation(profile, power * kernel.gamma[i], t, var[i], o)
         return out
@@ -220,11 +238,12 @@ def _pair_means(model: MixtureModel, kernel: KernelSpec, k: int, l: int, grams, 
         raise ValidationError(f"component index out of range: ({k}, {l}) with K={model.k}")
     a, var_a, mass_a = _atoms(model.components[k])
     b, var_b, mass_b = _atoms(model.components[l])
+    a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     sums = np.empty((count, mass_a.size))
     step = max(1, _GRAM_BLOCK // mass_b.size)
     for start in range(0, mass_a.size, step):
-        rows = a[start : start + step]
-        views = [buf[: rows.shape[0] * mass_b.size].reshape(rows.shape[0], mass_b.size) for buf in buffers]
+        rows = a[:, start : start + step]
+        views = [buf[: rows.shape[1] * mass_b.size].reshape(rows.shape[1], mass_b.size) for buf in buffers]
         blocks = grams(_atom_grams(kernel, rows, b, var_a + var_b), views)
         for row_sums, g in zip(sums[:, start : start + step], blocks, strict=True):
             row_sums[...] = g @ mass_b
@@ -567,12 +586,12 @@ def kernel_price(model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 
         mass[np.searchsorted(cols, c_idx), 0] = c_mass
         mass[np.searchsorted(cols, q_idx), 1] = q
         rows = np.union1d(np.union1d(own, leaf), c_idx)
-        ref_pts = pool[cols]
+        row_pts, ref_pts = np.ascontiguousarray(pool[rows].T), np.ascontiguousarray(pool[cols].T)
         step = max(1, _GRAM_BLOCK // cols.size)
         for start in range(0, rows.size, step):
             block = rows[start : start + step]
             g, work = (buf[: block.size * cols.size].reshape(block.size, cols.size) for buf in buffers)
-            gram = _atom_grams(kernel, pool[block], ref_pts, zero_var)
+            gram = _atom_grams(kernel, row_pts[:, start : start + step], ref_pts, zero_var)
             cross[block] = _product(gram, model.dim, g, work) @ mass
         self_sim = float(c_mass @ cross[c_idx, 0])
         cost_own[own] = 1.0 + self_sim - 2.0 * cross[own, 0]

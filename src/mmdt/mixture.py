@@ -421,6 +421,18 @@ def squared_offsets(points: np.ndarray, centers: np.ndarray):
         yield np.square(np.subtract(points, c, out=diff), out=diff)
 
 
+def squared_distances(columns: np.ndarray, center: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Squared l2 distance from center of every point whose coordinates are
+    the rows of columns (d, n), into out, with work as a spare buffer.  The
+    squares are added axis by axis from the first, one contiguous column at
+    a time.  numpy's row sum over (n, d) adds them in this order for d < 8
+    and pairwise from d = 8, where the two may differ in the last bits."""
+    np.square(np.subtract(columns[0], center[0], out=out), out=out)
+    for column, c in zip(columns[1:], center[1:]):
+        out += np.square(np.subtract(column, c, out=work), out=work)
+    return out
+
+
 def _e_step(
     points: np.ndarray, means: np.ndarray, variances: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -456,16 +468,14 @@ def _m_step(
 
 def _farthest_point_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
+    columns = np.ascontiguousarray(points.T)
+    dist, work = np.empty(n), np.empty(n)
     chosen = [int(rng.integers(n))]
-    diff = points - points[chosen[0]]
-    d2 = np.square(diff, out=diff).sum(axis=1)
+    d2 = squared_distances(columns, points[chosen[0]], np.empty(n), work)
     for _ in range(1, k):
         nxt = int(np.argmax(d2))
         chosen.append(nxt)
-        # Squared in place and summed by rows: an einsum norm sums in another
-        # order, and on a rounding tie that picks another seed.
-        np.subtract(points, points[nxt], out=diff)
-        d2 = np.minimum(d2, np.square(diff, out=diff).sum(axis=1))
+        np.minimum(d2, squared_distances(columns, points[nxt], dist, work), out=d2)
     return points[chosen].copy()
 
 

@@ -1,4 +1,4 @@
-"""Shared generators for seeded model batteries."""
+"""Shared generators for seeded model batteries, and a guard on numpy's settings."""
 
 from __future__ import annotations
 
@@ -7,12 +7,23 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mmdt import CenteredDataset, Component, KernelSpec, LabeledDataset, MixtureModel, enr
 from mmdt.baseline import _cut_mistakes
 from mmdt.mixture import GAUSSIAN
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def numpy_settings_unchanged():
+    """Fails every test after which numpy's ufunc buffer size or its
+    floating-point error handling differs from before it, so that a numpy
+    setting meant for one scope cannot leak into later tests."""
+    before = (np.getbufsize(), np.geterr())
+    yield
+    assert (np.getbufsize(), np.geterr()) == before, "a numpy setting leaked out of the test"
 
 
 def gaussian_battery(i: int) -> MixtureModel:

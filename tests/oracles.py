@@ -171,7 +171,7 @@ def pairwise_kernel_stats(model: MixtureModel, kernel: KernelSpec) -> tuple[np.n
         for l in range(k, K):
             a, var_a, mass_a = _atoms(model.components[k])
             b, var_b, mass_b = _atoms(model.components[l])
-            gram = _atom_grams(kernel, a, b, var_a + var_b)
+            gram = _atom_grams(kernel, a.T, b.T, var_a + var_b)
             g, g2 = np.empty((2, mass_a.size, mass_b.size))
             full = np.ones_like(g)
             for i in range(d):

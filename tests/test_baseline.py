@@ -26,6 +26,8 @@ def test_nearest_center_ties_to_lower_index():
 def test_centered_dataset_validation():
     with pytest.raises(ValidationError, match="duplicates"):
         CenteredDataset(np.zeros((3, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="at least one center"):
+        CenteredDataset(np.zeros((3, 2)), np.zeros((0, 2)))
     # the assignment is computed, never given
     with pytest.raises(TypeError, match="assignment"):
         CenteredDataset(np.array([[0.0], [5.0]]), np.array([[0.0], [5.0]]), assignment=np.array([1, 1]))
@@ -165,8 +167,13 @@ def test_imm_mistakes_bounded_by_n():
 
 
 def _dense_nearest_center(points, centers):
-    # Reference on the (n, K, d) difference tensor.
-    return np.argmin(((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
+    # Reference on the (n, K, d) difference tensor, its squares added axis by
+    # axis from the first, as nearest_center adds them.
+    sq = (points[:, None, :] - centers[None, :, :]) ** 2
+    d2 = sq[:, :, 0]
+    for j in range(1, points.shape[1]):
+        d2 = d2 + sq[:, :, j]
+    return np.argmin(d2, axis=1)
 
 
 def _dense_best_cut(points, assign, centers, center_idx):
@@ -246,6 +253,17 @@ def test_nearest_center_matches_dense_reference(seed):
         points, centers = points * 0.1 + 1e3, centers * 0.1 + 1e3
     want = _dense_nearest_center(points, centers)
     assert np.array_equal(nearest_center(points, centers), want)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_nearest_center_adds_squares_in_axis_order(seed):
+    # d = 9..12 on a 0.1 grid, where numpy's row sum adds pairwise: on a tie
+    # in exact arithmetic the rounded sums pick a center by their order.
+    rng = np.random.default_rng(500 + seed)
+    k, d = int(rng.integers(2, 7)), int(rng.integers(9, 13))
+    points = rng.integers(-4, 5, size=(300, d)) * 0.1
+    centers = rng.integers(-4, 5, size=(k, d)) * 0.1
+    assert np.array_equal(nearest_center(points, centers), _dense_nearest_center(points, centers))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -571,6 +571,64 @@ def test_cli_fuzzed_tree_fields_exit_cleanly(tmp_path, capsys):
     check()
 
 
+# Every header key of a discrete (b3) and of a Gaussian mixture and every key
+# of its first component, as a path into its JSON; every list also by entry 0.
+_MIXTURE_HEADER = ("format_version", "dim", "alpha", "weights", "sigma", "components")
+_MIXTURE_COMPONENT = {"discrete": ("kind", "mean", "support", "mass"), "gaussian": ("kind", "mean", "stddev")}
+_MIXTURE_FIELDS = [
+    (kind, path)
+    for kind in _MIXTURE_COMPONENT
+    for key in _MIXTURE_HEADER
+    for path in ((key,), (key, 0))
+    if key in ("weights", "sigma", "components") or len(path) == 1
+]
+_MIXTURE_FIELDS += [
+    (kind, ("components", 0) + path)
+    for kind, keys in _MIXTURE_COMPONENT.items()
+    for key in keys
+    for path in ((key,), (key, 0))
+    if key != "kind" or len(path) == 1
+]
+_MIXTURE_NUMBERS = ("format_version", "dim", "alpha", "weights", "sigma", "mean", "stddev", "support", "mass")
+
+
+def test_cli_fuzzed_mixture_fields_exit_cleanly(tmp_path, capsys):
+    mixtures = {"discrete": tmp_path / "b3.json", "gaussian": tmp_path / "g.json"}
+    run_cli("gen", "b3", "--d", 3, "--out", mixtures["discrete"])
+    save_mixture(mixtures["gaussian"], gaussian_battery(0))
+    trees = {kind: tmp_path / f"t-{kind}.json" for kind in mixtures}
+    for kind, path in mixtures.items():
+        assert run_cli("build", "--mixture", path, "--out", trees[kind]) == 0
+    texts = {kind: path.read_text() for kind, path in mixtures.items()}
+    edited = tmp_path / "edited.json"
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.sampled_from(_MIXTURE_FIELDS), st.sampled_from(_FUZZ_VALUES))
+    def check(field, value):
+        kind, path = field
+        doc = json.loads(texts[kind])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        edited.write_text(json.dumps(doc))
+        number = any(key in _MIXTURE_NUMBERS for key in path[-2:])
+        runs = (
+            ("build", "--mixture", edited, "--out", tmp_path / "o.json"),
+            ("eval", "--mixture", edited, "--tree", trees[kind]),
+        )
+        for argv in runs:
+            capsys.readouterr()
+            code = run_cli(*argv)
+            err = capsys.readouterr().err
+            assert code in {0, 2, 3, 4} and "Traceback" not in err, (path, value, err)
+            assert code == 0 or err.startswith("error: "), (path, value, err)
+            if number and isinstance(value, (str, bool)):
+                assert code == 2, (path, value, err)
+
+    check()
+
+
 # argv ("{bad}" is a path in a missing directory), environment, exit code
 _BAD_INPUTS = [
     pytest.param(("gen", "b3", "--d", 3, "--out", "{bad}"), {}, 2, id="gen-out"),

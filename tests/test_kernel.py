@@ -564,6 +564,39 @@ def test_statistics_match_the_atom_reference_bit_for_bit():
 
 
 @pytest.mark.filterwarnings("ignore:component self-similarities differ")
+@pytest.mark.parametrize("name", PROFILES)
+def test_difference_blocks_match_the_broadcast_formula_bit_for_bit(name):
+    # Blocks whose rows hold 1,000 and 5,000 atoms, shorter and longer than
+    # the buffer numpy is given while a difference block is formed, against
+    # the plain broadcast difference of reference_atom_gram.  The Gaussian
+    # atom's pairs (var > 0, with the laplace profile its scalar mean) are
+    # blocks of 200 one-entry rows and of one row of 1,000 or 5,000.
+    rng = np.random.default_rng(7)
+    sizes = (200, 1000, 5000)
+    discrete = [Component.discrete(rng.normal(size=(s, 2)) + [3.0 * j, 0.0], np.full(s, 1.0 / s)) for j, s in enumerate(sizes)]
+    model = MixtureModel.create((discrete[0], Component.gaussian([1.5, 0.2], [0.4, 0.6]), *discrete[1:]), np.full(4, 0.25))
+    ker = KernelSpec(profiles=(name, name), gamma=[0.9, 1.4])
+    bufsize = np.getbufsize()
+    st = kernel_stats(model, ker)
+    assert np.getbufsize() == bufsize
+    atoms = [kernel_module._atoms(c) for c in model.components]
+    for k, l in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 2)]:
+        (a, va, ma), (b, vb, mb) = atoms[k], atoms[l]
+        for i in range(2):
+            want = block_mean(ma, reference_atom_gram(ker, i, a, b, va[i] + vb[i]), mb)
+            assert st.xi_table[i, k, l] == want, (k, l, i)
+
+
+def test_difference_block_restores_the_buffer_size_after_an_error():
+    ker = KernelSpec.uniform("gaussian", 1.0, 1)
+    gram = kernel_module._atom_grams(ker, np.zeros((1, 3)), np.zeros((1, 4)), np.zeros(1))
+    bufsize = np.getbufsize()
+    with pytest.raises(ValueError):
+        gram(0, (1,), (np.empty((3, 5)),))  # out has the wrong shape
+    assert np.getbufsize() == bufsize
+
+
+@pytest.mark.filterwarnings("ignore:component self-similarities differ")
 def test_blocked_statistics_stay_near_the_whole_pair_sums():
     # Row blocks add in another order than mass_a @ G @ mass_b, so the
     # statistics may move in the last bits only.
