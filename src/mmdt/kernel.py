@@ -35,13 +35,12 @@ PROFILES = ("gaussian", "laplace")
 # 2^16 ran faster and peaked lower than 2^18 (BENCH_kernel_blocks.json).
 _GRAM_BLOCK = 2**16
 
-# numpy's ufunc buffer size, in elements, while a difference block of more
-# than one row is formed.  numpy copies a broadcast block through its buffer
-# when the buffer holds three or more of the block's rows: at the default of
-# 8192, rows shorter than 2,731 entries, such as the (65, 1000) and (81, 800)
-# blocks of the kernel-price benchmark, cost 1.2-1.8 ns per entry, against
-# 0.26-0.31 ns at this size, where rows of 342 entries and more go uncopied
-# (numpy 2.4).
+# numpy's ufunc buffer size, in elements, while a difference block is
+# formed.  numpy copies a broadcast block through its buffer when the buffer
+# holds three or more of the block's rows: at the default of 8192, rows
+# shorter than 2,731 entries, such as the (65, 1000) and (81, 800) blocks of
+# the kernel-price benchmark, cost 1.2-1.8 ns per entry, against 0.26-0.31 ns
+# at this size, where rows of 342 entries and more go uncopied (numpy 2.4).
 _DIFF_BUFSIZE = 1024
 
 # In mc mode kernel_price embeds each component and each leaf by at most this
@@ -195,12 +194,11 @@ def _atom_grams(kernel: KernelSpec, a: np.ndarray, b: np.ndarray, var: np.ndarra
     def gram(i: int, powers: tuple, out: tuple) -> tuple:
         profile = kernel.profiles[i]
         diff = out[-1]
-        if diff.shape[0] == 1:  # never copied; spares one-entry blocks the scope's 4 us
+        bufsize = np.setbufsize(_DIFF_BUFSIZE)
+        try:
             np.subtract(a[i, :, None], b[i], out=diff)
-        else:
-            with np.errstate():  # restores the buffer size on leaving
-                np.setbufsize(_DIFF_BUFSIZE)
-                np.subtract(a[i, :, None], b[i], out=diff)
+        finally:
+            np.setbufsize(bufsize)
         t = _distance(profile, diff, var[i])
         for power, o in zip(powers, out):
             _atom_expectation(profile, power * kernel.gamma[i], t, var[i], o)

@@ -319,13 +319,22 @@ def _dense_m_step(points, resp):
 
 
 def _dense_farthest_point_seeds(points, k, rng):
+    # Squared distances with the squares added axis by axis from the first,
+    # as _farthest_point_seeds adds them.
+    def sq_dist(center):
+        sq = (points - center) ** 2
+        d2 = sq[:, 0]
+        for j in range(1, points.shape[1]):
+            d2 = d2 + sq[:, j]
+        return d2
+
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    d2 = sq_dist(points[chosen[0]])
     for _ in range(1, k):
         nxt = int(np.argmax(d2))
         chosen.append(nxt)
-        d2 = np.minimum(d2, np.sum((points - points[nxt]) ** 2, axis=1))
+        d2 = np.minimum(d2, sq_dist(points[nxt]))
     return points[chosen].copy()
 
 
@@ -400,6 +409,19 @@ _SEED_TIE = np.array([[0.0, 0.0, 0.0, 0.0], [0.1, -2.1, 2.7, 2.7], [-2.1, 2.7, 2
     "points, k, seed", _EM_CASES + [(_SEED_TIE, 2, 11), (_SEED_TIE, 3, 14), (_SEED_TIE, 3, 0)]
 )
 def test_farthest_point_seeds_match_dense_reference(points, k, seed):
+    got = _farthest_point_seeds(points, k, np.random.default_rng(seed))
+    want = _dense_farthest_point_seeds(points, k, np.random.default_rng(seed))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(160))
+def test_farthest_point_seeds_add_squares_in_axis_order(seed):
+    # d = 9..12 on a 0.1 grid, where numpy's row sum adds pairwise: distances
+    # equal in exact arithmetic round by their order of addition, and seeds
+    # 136 and 151 pick another point if the squares are summed by rows.
+    rng = np.random.default_rng(900 + seed)
+    k, d = int(rng.integers(2, 6)), int(rng.integers(9, 13))
+    points = rng.integers(-4, 5, size=(int(rng.integers(20, 200)), d)) * 0.1
     got = _farthest_point_seeds(points, k, np.random.default_rng(seed))
     want = _dense_farthest_point_seeds(points, k, np.random.default_rng(seed))
     assert got.tobytes() == want.tobytes()
