@@ -280,7 +280,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mixture", required=True)
     p.add_argument("--kernel", choices=list(kernel.PROFILES), default="gaussian")
     p.add_argument("--gamma", type=_list_of(float), default="1.0", help="comma list, one value or one per axis")
-    # Ignored (every statistic is exact); kept for the kernel-price benchmark until ROADMAP item 6.
+    # Ignored (every statistic is exact); the kernel-price benchmark still passes it, until the
+    # benchmark change of ROADMAP item 5 (which item 3 needs) moves that workload off it.
     p.add_argument("--mode", choices=["exact", "mc"], default="exact", help=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     _add_seed(p)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .kernel import KernelTree
-from .mixture import LabeledDataset, MixtureModel
+from .mixture import LabeledDataset, MixtureModel, check_format_version, json_floats
 from .tree import AxisTree
 
 _TREE_KINDS = {tree.kind: tree for tree in (AxisTree, KernelTree)}
@@ -130,10 +130,11 @@ def save_tree(path, tree: AxisTree | KernelTree) -> None:
 
 
 def load_centers(path) -> np.ndarray:
-    centers = _load_json(path, lambda data: np.asarray(data["centers"], dtype=float))
-    if centers.ndim != 2:
-        raise FormatError(f"{path}: centers must be a 2-D array")
-    return centers
+    def parse(data: dict) -> np.ndarray:
+        check_format_version(data)
+        return json_floats(data, "centers", ndim=2)
+
+    return _load_json(path, parse)
 
 
 def load_dataset(path) -> LabeledDataset:
@@ -163,9 +164,14 @@ def load_dataset(path) -> LabeledDataset:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+_INT64 = range(-(2**63), 2**63)
+
+
 def _first_bad_row(path, width: int, dim: int) -> str | None:
     """The first data row with a wrong field count or a field that does not
-    convert, by file line (blank lines counted), or None; builds no arrays."""
+    convert, by file line (blank lines counted), or None; builds no arrays.
+    A field converts as np.loadtxt converts it: float() and int() also take
+    digit separators and non-ASCII digits, and int() any size."""
     with open(path, encoding="utf-8") as fh:
         rows = csv.reader(fh)
         next(rows)
@@ -178,4 +184,8 @@ def _first_bad_row(path, width: int, dim: int) -> str | None:
                 list(map(float, row[:dim])), list(map(int, row[dim:]))
             except ValueError as exc:
                 return f"line {lineno}: {exc}"
+            for j, field in enumerate(row):
+                kind = "int64" if j >= dim else "float64"
+                if "_" in field or not field.strip().isascii() or (kind == "int64" and int(field) not in _INT64):
+                    return f"line {lineno}: could not convert string {field!r} to {kind}"
     return None

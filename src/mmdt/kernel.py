@@ -459,6 +459,9 @@ def build_kernel_mmdt(
         # first minimum in C order over (axis, k, l) breaks ties that way.
         block = np.where(np.tri(len(comps), dtype=bool), np.inf, stats.xi_table[:, comps][:, :, comps])
         axis, a, _ = map(int, np.unravel_index(np.argmin(block), block.shape))
+        # Dropped before recursing: a chain of live ancestors' blocks would
+        # hold about d·K³/3 floats on a tree of depth near K.
+        del block
         anchor = comps[a]
 
         values = stats.xi_table[axis, anchor, comps]

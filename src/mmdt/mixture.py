@@ -413,70 +413,70 @@ def sample(model: MixtureModel, n: int, seed: int) -> LabeledDataset:
     return LabeledDataset(points=points, labels=labels)
 
 
-def squared_offsets(points: np.ndarray, centers: np.ndarray):
-    """Yield ``(points - c)**2`` for each center c in turn, all in one reused
-    (n, d) buffer: each yielded array is overwritten by the next."""
-    diff = np.empty(points.shape)
-    for c in centers:
-        yield np.square(np.subtract(points, c, out=diff), out=diff)
-
-
-def squared_distances(columns: np.ndarray, center: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+def squared_distances(
+    columns: np.ndarray, center: np.ndarray, out: np.ndarray, work: np.ndarray, scale: np.ndarray | None = None
+) -> np.ndarray:
     """Squared l2 distance from center of every point whose coordinates are
-    the rows of columns (d, n), into out, with work as a spare buffer.  The
+    the rows of columns (d, n), into out, with work as a spare buffer; with
+    scale, each axis's squares are first multiplied by its factor.  The
     squares are added axis by axis from the first, one contiguous column at
     a time.  numpy's row sum over (n, d) adds them in this order for d < 8
     and pairwise from d = 8, where the two may differ in the last bits."""
-    np.square(np.subtract(columns[0], center[0], out=out), out=out)
-    for column, c in zip(columns[1:], center[1:]):
-        out += np.square(np.subtract(column, c, out=work), out=work)
+    for j, (column, c) in enumerate(zip(columns, center)):
+        sq = np.square(np.subtract(column, c, out=work), out=work if j else out)
+        if scale is not None:
+            sq *= scale[j]
+        if j:
+            out += sq
     return out
 
 
 def _e_step(
-    points: np.ndarray, means: np.ndarray, variances: np.ndarray, weights: np.ndarray
+    columns: np.ndarray, means: np.ndarray, variances: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point log mixture density (n,) and responsibilities (K, n), both
-    from one max-shifted exp.  Each diagonal-Gaussian log density row is one
-    BLAS product of the squared offsets with the inverse variances."""
-    resp = np.empty((means.shape[0], points.shape[0]))
-    for k, sq in enumerate(squared_offsets(points, means)):
-        np.matmul(sq, 1.0 / variances[k], out=resp[k])
-    resp += points.shape[1] * np.log(2.0 * np.pi) + np.log(variances).sum(axis=1)[:, None]
+    """Per-point log mixture density (n,) and responsibilities (K, n) of the
+    points in columns (d, n), both from one max-shifted exp.  Each component's
+    log density row starts as its squared distances scaled by 1 / variance."""
+    d, n = columns.shape
+    resp, work = np.empty((means.shape[0], n)), np.empty(n)
+    for row, mean, variance in zip(resp, means, variances):
+        squared_distances(columns, mean, row, work, scale=1.0 / variance)
+    resp += d * np.log(2.0 * np.pi) + np.log(variances).sum(axis=1)[:, None]
     resp *= -0.5
     resp += np.log(weights)[:, None]
-    shift = resp.max(axis=0)
+    shift = resp.max(axis=0, out=work)
     resp -= shift
     np.exp(resp, out=resp)
     total = resp.sum(axis=0)
     resp /= total
-    return shift + np.log(total), resp
+    return np.add(shift, np.log(total, out=total), out=total), resp
 
 
 def _m_step(
-    points: np.ndarray, resp: np.ndarray, nk: np.ndarray
+    columns: np.ndarray, resp: np.ndarray, nk: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights, means and floored variances from responsibilities (K, n) with
     row sums nk.  Variances use centered squares: the raw second moment
-    minus the squared mean loses precision to cancellation far from 0."""
-    means = (resp @ points) / nk[:, None]
-    variances = np.empty_like(means)
-    for k, sq in enumerate(squared_offsets(points, means)):
-        variances[k] = (resp[k] @ sq) / nk[k]
-    return nk / points.shape[0], means, np.maximum(variances, VARIANCE_FLOOR)
+    minus the squared mean loses precision to cancellation far from 0.  Each
+    is a numpy multiply and sum: K d threaded BLAS dots stalled on a busy core."""
+    means = (resp @ columns.T) / nk[:, None]
+    variances, work = np.empty_like(means), np.empty(columns.shape[1])
+    for k, j in np.ndindex(variances.shape):
+        sq = np.square(np.subtract(columns[j], means[k, j], out=work), out=work)
+        variances[k, j] = np.multiply(sq, resp[k], out=sq).sum()
+    return nk / columns.shape[1], means, np.maximum(variances / nk[:, None], VARIANCE_FLOOR)
 
 
-def _farthest_point_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    columns = np.ascontiguousarray(points.T)
-    dist, work = np.empty(n), np.empty(n)
+def _farthest_point_seeds(columns: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k seed points (k, d) of columns (d, n): a random first one, then each
+    time the first point farthest from all seeds so far."""
+    n = columns.shape[1]
+    d2, dist, work = np.full(n, np.inf), np.empty(n), np.empty(n)
     chosen = [int(rng.integers(n))]
-    d2 = squared_distances(columns, points[chosen[0]], np.empty(n), work)
     for _ in range(1, k):
-        nxt = int(np.argmax(d2))
-        chosen.append(nxt)
-        np.minimum(d2, squared_distances(columns, points[nxt], dist, work), out=d2)
-    return points[chosen].copy()
+        np.minimum(d2, squared_distances(columns, columns[:, chosen[-1]], dist, work), out=d2)
+        chosen.append(int(np.argmax(d2)))
+    return np.ascontiguousarray(columns[:, chosen].T)
 
 
 def fit_gmm(
@@ -487,7 +487,7 @@ def fit_gmm(
     tol: float = 1e-6,
     return_history: bool = False,
 ):
-    """Diagonal-covariance EM.
+    """Diagonal-covariance EM on the data's (d, n) columns, transposed once.
 
     Means start from farthest-point seeding (first seed drawn from ``seed``),
     variances at unit scale.  Iterates until the total log-likelihood improves
@@ -496,21 +496,20 @@ def fit_gmm(
     log-likelihood trace is asserted non-decreasing except immediately after
     a reseed.
     """
-    X = data.points
-    n, d = X.shape
+    n, d = data.points.shape
     if k < 1:
         raise ValidationError("k must be >= 1")
     if n < k:
         raise ValidationError(f"need at least k={k} points, got {n}")
-    rng = np.random.default_rng(seed)
-    means = _farthest_point_seeds(X, k, rng)
+    columns = np.ascontiguousarray(data.points.T)
+    means = _farthest_point_seeds(columns, k, np.random.default_rng(seed))
     variances = np.ones((k, d))
     weights = np.full(k, 1.0 / k)
 
     history: list[float] = []
     prev_ll = -np.inf  # also after a reseed: nothing to compare with
     for _ in range(max_iters):
-        log_norm, resp = _e_step(X, means, variances, weights)
+        log_norm, resp = _e_step(columns, means, variances, weights)
         ll = float(log_norm.sum())
         if np.isfinite(prev_ll):
             assert ll >= prev_ll - 1e-7 * max(1.0, abs(prev_ll)), "EM log-likelihood decreased"
@@ -523,14 +522,14 @@ def fit_gmm(
         dead = np.flatnonzero(nk < 1e-10)
         if dead.size:
             # Reseed the j-th dead component at the j-th worst-explained point.
-            means[dead] = X[np.argsort(log_norm, kind="stable")[: dead.size]]
-            variances[dead] = np.maximum(X.var(axis=0), VARIANCE_FLOOR)
+            means[dead] = columns[:, np.argsort(log_norm, kind="stable")[: dead.size]].T
+            variances[dead] = np.maximum(columns.var(axis=1), VARIANCE_FLOOR)
             weights[dead] = 1.0 / n
             weights = weights / weights.sum()
             prev_ll = -np.inf
             continue
 
-        weights, means, variances = _m_step(X, resp, nk)
+        weights, means, variances = _m_step(columns, resp, nk)
 
     comps = tuple(Component.gaussian(means[j], np.sqrt(variances[j])) for j in range(k))
     model = MixtureModel.create(comps, weights)

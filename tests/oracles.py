@@ -28,7 +28,7 @@ def log_likelihood(model: MixtureModel, data: LabeledDataset) -> float:
     if not model.all_gaussian():
         raise ValidationError("log_likelihood requires gaussian components")
     variances = model.stddevs() ** 2
-    log_norm, _ = _e_step(data.points, model.means(), variances, model.weights)
+    log_norm, _ = _e_step(np.ascontiguousarray(data.points.T), model.means(), variances, model.weights)
     return float(log_norm.sum())
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmdt import FormatError, LabeledDataset, MixtureModel, sample
+from mmdt import Component, FormatError, LabeledDataset, MixtureModel, sample
 from mmdt.adversarial import gen_b3, gen_thm4
 from mmdt import cli as cli_module
 from mmdt import mixture as mixture_module
@@ -627,6 +627,77 @@ def test_cli_fuzzed_mixture_fields_exit_cleanly(tmp_path, capsys):
                 assert code == 2, (path, value, err)
 
     check()
+
+
+# Dataset field values that fail in their column, by column kind.  float()
+# and int() take "1_000" and "١", and int() an integer of any size, where
+# np.loadtxt rejects them; the error must name the file line all the same.
+# The values in _CSV_CHECKED convert, and the dataset's checks reject them.
+_CSV_FUZZ = {
+    "float": ["abc", "", "1_000", "١", "0x10", "1d5", "nan", "inf"],
+    "label": ["abc", "", "1_000", "١", "1.5", "1e3", "99999999999999999999", "-1"],
+}
+_CSV_CHECKED = {"nan", "inf", "-1"}
+# Every key of a centers file, as a path into its JSON, and what each gets;
+# a number in place of a center's coordinate is valid, so that case is left out.
+_CENTERS_PATHS = [("format_version",), ("centers",), ("centers", 0), ("centers", 0, 0)]
+_CENTERS_FUZZ = [
+    (path, value)
+    for path in _CENTERS_PATHS
+    for value in _FUZZ_VALUES + ["1", 7]
+    if len(path) < 3 or isinstance(value, bool) or not isinstance(value, (int, float))
+]
+
+
+def test_cli_fuzzed_dataset_and_centers_exit_cleanly(tmp_path, capsys):
+    truth = MixtureModel.create(
+        (Component.gaussian([-5.0, 0.0], [1.0, 1.0]), Component.gaussian([5.0, 1.0], [1.0, 1.0])), [0.5, 0.5]
+    )
+    mix, tree, data, centers = (tmp_path / name for name in ("m.json", "t.json", "d.csv", "c.json"))
+    save_mixture(mix, truth)
+    save_dataset(data, sample(truth, 12, seed=0))
+    save_centers(centers, truth.means())
+    assert run_cli("build", "--mixture", mix, "--out", tree) == 0
+    edited, out = tmp_path / "edited", tmp_path / "o.json"
+
+    def fails_cleanly(argv, code):
+        capsys.readouterr()
+        got = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert got in {2, 3, 4} and err.startswith("error: ") and err.count("\n") == 1, (argv, got, err)
+        assert code is None or got == code, (argv, got, err)
+        return err
+
+    lines = data.read_text().splitlines()
+    rng = np.random.default_rng(0)
+    for kind, values in _CSV_FUZZ.items():
+        for value in values:
+            for row in rng.integers(1, len(lines), size=2):
+                fields = lines[row].split(",")
+                fields[-1 if kind == "label" else int(rng.integers(0, 2))] = value
+                edited.write_text("\n".join(lines[:row] + [",".join(fields)] + lines[row + 1 :]) + "\n")
+                for argv in (
+                    ("fit-gmm", "--data", edited, "--k", 2, "--out", out),
+                    ("eval-data", "--data", edited, "--tree", tree, "--mixture", mix),
+                    ("baseline-imm", "--data", edited, "--centers", centers, "--out", out),
+                ):
+                    err = fails_cleanly(argv, 2)
+                    assert value in _CSV_CHECKED or f": line {row + 1}: " in err, (value, err)
+
+    text = centers.read_text()
+    for path, value in _CENTERS_FUZZ:
+        doc = json.loads(text)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        edited.write_text(json.dumps(doc))
+        number = len(path) == 3 or path == ("format_version",)
+        for argv in (
+            ("baseline-imm", "--data", data, "--centers", edited, "--out", out),
+            ("eval-data", "--data", data, "--tree", tree, "--centers", edited),
+        ):
+            fails_cleanly(argv, 2 if number and isinstance(value, (str, bool)) else None)
 
 
 # argv ("{bad}" is a path in a missing directory), environment, exit code

@@ -1032,6 +1032,42 @@ def test_kernel_price_exact_memory_is_two_gram_blocks(S):
     assert traced_peak(kernel_price, model, tree) <= 2 * kernel_module._GRAM_BLOCK * 8 + 48 * rows * 8
 
 
+def test_kernel_build_memory_stays_flat_on_a_deep_tree():
+    # A caterpillar xi table: the lowest remaining component anchors every
+    # node, and its row splits off only itself.  With every ancestor's
+    # (d, |C|, |C|) block alive, K=100 and d=20 held 54.7 MB at the peak.
+    K, d = 100, 20
+    rng = np.random.default_rng(0)
+    comps = tuple(Component.gaussian(m, np.ones(d)) for m in rng.normal(size=(K, d)))
+    model = MixtureModel.create(comps, np.full(K, 1.0 / K))
+    ker = KernelSpec.uniform("gaussian", 1.0, d)
+    index = np.arange(K)
+    table = 0.1 + 1e-3 * np.minimum.outer(index, index) + 1e-6 * np.maximum.outer(index, index)
+    table = table + 1e-8 * np.arange(d)[:, None, None]
+    table[:, index, index] = 1.0
+    stats = kernel_module.KernelStats(
+        sigma2=1.0,
+        sigma2_per_component=np.ones(K),
+        eps2=0.0,
+        tau=float(np.where(np.eye(K, dtype=bool), 0.0, table.min(axis=0)).max()),
+        xi_table=table,
+        model_fingerprint=model.fingerprint(),
+        kernel_fingerprint=ker.fingerprint(),
+    )
+    tracemalloc.start()
+    try:
+        tree = build_kernel_mmdt(model, ker, stats, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    def depth(node):
+        return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+
+    assert depth(tree.root) >= K // 2
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 @pytest.mark.filterwarnings("ignore:component self-similarities differ")
 def test_kernel_price_exact_uses_every_row_of_large_leaves():
     # Both leaves hold more support rows than the mc prefix length.

@@ -409,7 +409,7 @@ _SEED_TIE = np.array([[0.0, 0.0, 0.0, 0.0], [0.1, -2.1, 2.7, 2.7], [-2.1, 2.7, 2
     "points, k, seed", _EM_CASES + [(_SEED_TIE, 2, 11), (_SEED_TIE, 3, 14), (_SEED_TIE, 3, 0)]
 )
 def test_farthest_point_seeds_match_dense_reference(points, k, seed):
-    got = _farthest_point_seeds(points, k, np.random.default_rng(seed))
+    got = _farthest_point_seeds(np.ascontiguousarray(points.T), k, np.random.default_rng(seed))
     want = _dense_farthest_point_seeds(points, k, np.random.default_rng(seed))
     assert got.tobytes() == want.tobytes()
 
@@ -422,20 +422,22 @@ def test_farthest_point_seeds_add_squares_in_axis_order(seed):
     rng = np.random.default_rng(900 + seed)
     k, d = int(rng.integers(2, 6)), int(rng.integers(9, 13))
     points = rng.integers(-4, 5, size=(int(rng.integers(20, 200)), d)) * 0.1
-    got = _farthest_point_seeds(points, k, np.random.default_rng(seed))
+    got = _farthest_point_seeds(np.ascontiguousarray(points.T), k, np.random.default_rng(seed))
     want = _dense_farthest_point_seeds(points, k, np.random.default_rng(seed))
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("points, k, seed", _EM_CASES)
 def test_em_steps_match_dense_reference(points, k, seed):
-    # Every step along the reference trajectory, from the same state: the
-    # per-component BLAS products reorder sums, so agreement is to rounding.
+    # Every step along the reference trajectory, from the same state: sums
+    # taken axis by axis over columns reorder the reference's sums, so
+    # agreement is to rounding.
+    columns = np.ascontiguousarray(points.T)
     _, _, states, reseeds = _dense_fit_gmm(points, k, seed)
     assert (reseeds > 0) == (seed >= 8760)
     for means, variances, weights in states:
         ref_norm, ref_resp = _dense_e_step(points, means, variances, weights)
-        log_norm, resp = _e_step(points, means, variances, weights)
+        log_norm, resp = _e_step(columns, means, variances, weights)
         assert log_norm.sum() == pytest.approx(ref_norm.sum(), rel=1e-12)
         np.testing.assert_allclose(log_norm, ref_norm, rtol=1e-12, atol=1e-12 * np.abs(ref_norm).max())
         np.testing.assert_allclose(resp, ref_resp.T, rtol=0, atol=1e-12)
@@ -443,7 +445,7 @@ def test_em_steps_match_dense_reference(points, k, seed):
         nk = ref_resp.sum(axis=1)
         if np.any(nk < 1e-10):
             continue
-        for got, want in zip(_m_step(points, ref_resp, nk), _dense_m_step(points, ref_resp.T)):
+        for got, want in zip(_m_step(columns, ref_resp, nk), _dense_m_step(points, ref_resp.T)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
