@@ -11,7 +11,6 @@ from .evaluate import (
     mc_eval,
     thm1_bound,
     thm3_bound,
-    thm4_floor,
     with_bounds,
 )
 from .kernel import (
@@ -23,7 +22,6 @@ from .kernel import (
     kernel_stats,
     mmd,
     thm5_bound,
-    xi,
 )
 from .mixture import (
     Component,

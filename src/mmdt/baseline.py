@@ -75,10 +75,6 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return assign
 
 
-def centers_fingerprint(centers: np.ndarray) -> str:
-    return array_fingerprint(centers)
-
-
 def _best_cut(
     points: np.ndarray, assign: np.ndarray, centers: np.ndarray, center_idx: list[int]
 ) -> tuple[int, float, int]:
@@ -142,7 +138,7 @@ def build_imm(data: CenteredDataset) -> AxisTree:
         )
 
     root = grow(np.arange(data.points.shape[0]), list(range(data.k)), None)
-    return AxisTree(root=root, dim=data.dim, model_fingerprint=centers_fingerprint(data.centers))
+    return AxisTree(root=root, dim=data.dim, model_fingerprint=array_fingerprint(data.centers))
 
 
 def _cut_mistakes(

@@ -182,10 +182,7 @@ def cmd_baseline_imm(args) -> int:
     built = baseline.build_imm(cdata)
     elapsed = time.perf_counter() - start
     io.save_tree(args.out, built)
-    if args.timing:
-        print(f"imm-build,{data.n},{elapsed:.6f}")
-    else:
-        print(f"built IMM tree ({cdata.k} leaves) in {elapsed:.3f}s -> {args.out}")
+    print(f"built IMM tree ({cdata.k} leaves) in {elapsed:.3f}s -> {args.out}")
     return 0
 
 
@@ -313,7 +310,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--centers", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--timing", action="store_true", help="emit method,n,seconds")
     p.set_defaults(fn=cmd_baseline_imm)
 
     p = sub.add_parser("bench", help="timing sweep over dataset sizes")

@@ -229,13 +229,6 @@ def thm3_bound(alpha: float, k: int, q: float) -> float:
     return min(1.0, BOUND_CONSTANT * alpha * k * (k - 1) / q)
 
 
-def thm4_floor(k: int, q: float) -> float:
-    """Error-rate lower bound (K-1) / (4q) of the basis-vector construction."""
-    if q < k:
-        raise ValidationError("construction requires q >= K")
-    return (k - 1) / (4.0 * q)
-
-
 def _pooled_abs_moments(model: MixtureModel) -> tuple[np.ndarray, np.ndarray]:
     """Per axis, sum_k p_k E|x_i - mu_ki| and sum_k p_k E|x_i - mu_ki|^2."""
     first = np.zeros(model.dim)

@@ -7,10 +7,10 @@ similarity to a sampled prototype point: ``kappa_i(x, prototype) < theta``
 goes left, so a cut is equivalently a two-sided input-space interval.
 One atom law, ``_atom_expectation`` of a ``_distance``, gives every kernel
 value: the profile itself, the Gram blocks of ``kernel_price`` and of the
-statistics.  No Gram between two components is held whole: both walk rows
-in blocks of at most ``_GRAM_BLOCK`` entries, and the statistics reduce each
-block to row sums against the column masses, then take one dot with the
-row masses.
+statistics.  No Gram matrix is held whole: ``kernel_stats``, ``mmd`` and
+``kernel_price`` take one Gram walk, ``_row_blocks``, over row blocks of at
+most ``_GRAM_BLOCK`` entries, and each reduces every block to row sums
+against its column masses.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .tree import ThresholdTree, TreeNode, assign_components, check_fits
 
 PROFILES = ("gaussian", "laplace")
 
-# Entries per Gram block.  kernel_price and the statistics walk their rows
-# in blocks of at most this many entries (one row, if a row holds more),
-# which bounds their memory in the number of rows and in the support size.
+# Entries per Gram block.  ``_row_blocks`` walks rows in blocks of at most
+# this many entries (one row, if a row holds more), which bounds the memory
+# of the kernel layer in the number of rows and in the support size.
 # Three blocks of 512 KB fit a 2 MB L2 cache: on the kernel-price benchmark
 # 2^16 ran faster and peaked lower than 2^18 (BENCH_kernel_blocks.json).
 _GRAM_BLOCK = 2**16
@@ -217,47 +217,34 @@ def _product(gram, d: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     return out
 
 
-def _workspaces(model: MixtureModel, n: int) -> list:
-    """n buffers, each large enough for any row block of ``_pair_means``."""
-    s = max(_atoms(c)[2].size for c in model.components)
-    return [np.empty(min(max(_GRAM_BLOCK, s), s * s)) for _ in range(n)]
+def _workspaces(size: int, n: int) -> list:
+    """n buffers, each large enough for any row block between two sets of at
+    most size atoms."""
+    return [np.empty(min(max(_GRAM_BLOCK, size), size * size)) for _ in range(n)]
 
 
-def _pair_means(model: MixtureModel, kernel: KernelSpec, k: int, l: int, grams, count: int, buffers) -> list:
-    """Means over the pair x ~ component k, y ~ component l of ``count``
-    matrices between the two components' atoms, without holding any of them
-    whole.  k's atoms are walked in row blocks of at most ``_GRAM_BLOCK``
-    entries (one row, if a row holds more).  Per block, ``grams(gram,
-    views)`` yields the matrices in turn, with gram the block's
-    ``_atom_grams`` and views the buffers shaped to the block; each is
-    reduced to its row sums against l's masses before the next is made.
-    Each mean is then one dot of k's masses with its row sums."""
+def _row_blocks(kernel: KernelSpec, a: np.ndarray, b: np.ndarray, var: np.ndarray, buffers: list):
+    """The Gram walk between atoms a (d, rows) and b (d, cols) whose axis
+    variances add to var, in row blocks of at most ``_GRAM_BLOCK`` entries
+    (one row, if a row holds more): yields per block its row slice, its
+    ``_atom_grams`` and the buffers shaped to the block."""
+    cols = b.shape[1]
+    step = max(1, _GRAM_BLOCK // cols)
+    for start in range(0, a.shape[1], step):
+        rows = slice(start, start + step)
+        block = a[:, rows]
+        views = [buf[: block.shape[1] * cols].reshape(block.shape[1], cols) for buf in buffers]
+        yield rows, _atom_grams(kernel, block, b, var), views
+
+
+def _pair_atoms(model: MixtureModel, k: int, l: int) -> tuple:
+    """(a, b, var, mass_a, mass_b): the atoms of components k and l axis by
+    axis, their summed axis variances and their masses."""
     if not (0 <= k < model.k and 0 <= l < model.k):
         raise ValidationError(f"component index out of range: ({k}, {l}) with K={model.k}")
     a, var_a, mass_a = _atoms(model.components[k])
     b, var_b, mass_b = _atoms(model.components[l])
-    a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    sums = np.empty((count, mass_a.size))
-    step = max(1, _GRAM_BLOCK // mass_b.size)
-    for start in range(0, mass_a.size, step):
-        rows = a[:, start : start + step]
-        views = [buf[: rows.shape[1] * mass_b.size].reshape(rows.shape[1], mass_b.size) for buf in buffers]
-        blocks = grams(_atom_grams(kernel, rows, b, var_a + var_b), views)
-        for row_sums, g in zip(sums[:, start : start + step], blocks, strict=True):
-            row_sums[...] = g @ mass_b
-    return [float(mass_a @ s) for s in sums]
-
-
-def xi(model: MixtureModel, kernel: KernelSpec, i: int, k: int, l: int) -> float:
-    """Expected per-axis similarity E[kappa_i(x, y)] for x ~ component k and
-    y ~ component l.  The pair is read in (min, max) order and reduced as
-    ``kernel_stats`` reduces it, so both agree bit for bit."""
-    _check_kernel_dim(model, kernel)
-    if not 0 <= i < model.dim:
-        raise ValidationError(f"axis index {i} out of range with d={model.dim}")
-    return _pair_means(
-        model, kernel, min(k, l), max(k, l), lambda gram, views: gram(i, (1,), views), 1, _workspaces(model, 1)
-    )[0]
+    return np.ascontiguousarray(a.T), np.ascontiguousarray(b.T), var_a + var_b, mass_a, mass_b
 
 
 @dataclass(frozen=True)
@@ -293,11 +280,13 @@ class KernelStats:
 def kernel_stats(model: MixtureModel, kernel: KernelSpec) -> KernelStats:
     """Fill sigma2, eps2, tau, and the full xi table (axes x K x K), all exact.
 
-    Every pair of components is reduced in row blocks (``_pair_means``):
-    per axis, the Gram at powers 1 and 2, whose means are xi_i and
+    Every pair of components takes one Gram walk (``_row_blocks``).  Per
+    block and axis, the Gram at powers 1 and 2, whose means are xi_i and
     E kappa_i^2, and on the self pair their product over the axes, the full
-    kernel's Gram, whose mean is sigma2_k.  Memory is three blocks of
-    ``_GRAM_BLOCK`` floats and O(S d) besides, whatever the support size S.
+    kernel's Gram, whose mean is sigma2_k, are each reduced to row sums
+    against the column masses; each mean is then one dot of the row masses
+    with its row sums.  Memory is three blocks of ``_GRAM_BLOCK`` floats and
+    O(S d) besides, whatever the support size S.
     """
     _check_kernel_dim(model, kernel)
     d, K = model.dim, model.k
@@ -305,28 +294,29 @@ def kernel_stats(model: MixtureModel, kernel: KernelSpec) -> KernelStats:
     xi_table = np.empty((d, K, K))
     sigma2_per = np.empty(K)
     eps2 = 0.0
-    buffers = _workspaces(model, 3)
+    buffers = _workspaces(max(_atoms(c)[2].size for c in model.components), 3)
     for k in range(K):
         for l in range(k, K):
-
-            def grams(gram, views):
-                # The second view also holds the difference block.
-                g, g2, full = views
+            a, b, var, mass_a, mass_b = _pair_atoms(model, k, l)
+            sums = np.empty((2 * d + 1, mass_a.size))
+            # The second buffer also holds the difference block.
+            for rows, gram, (g, g2, full) in _row_blocks(kernel, a, b, var, buffers):
                 if k == l:
                     full.fill(1.0)
                 for i in range(d):
-                    yield from gram(i, (1, 2), (g, g2))
+                    gram(i, (1, 2), (g, g2))
+                    sums[2 * i, rows] = g @ mass_b
+                    sums[2 * i + 1, rows] = g2 @ mass_b
                     if k == l:
                         full *= g
                 if k == l:
-                    yield full
-
-            means = _pair_means(model, kernel, k, l, grams, 2 * d + (k == l), buffers)
+                    sums[2 * d, rows] = full @ mass_b
             for i in range(d):
-                m = xi_table[i, k, l] = xi_table[i, l, k] = means[2 * i]
-                eps2 = max(eps2, means[2 * i + 1] - m**2)
+                m = xi_table[i, k, l] = xi_table[i, l, k] = float(mass_a @ sums[2 * i])
+                eps2 = max(eps2, float(mass_a @ sums[2 * i + 1]) - m**2)
             if k == l:
-                sigma2_per[k] = means[-1]
+                sigma2_per[k] = float(mass_a @ sums[2 * d])
+            del a, b, gram, sums  # gram holds views of a and b: one pair's arrays at a time
 
     spread = float(sigma2_per.max() - sigma2_per.min())
     if spread > 1e-6:
@@ -354,10 +344,14 @@ def mmd(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> float:
     before the square root to absorb rounding).  For k == l the three
     expectations are one and the same, so the result is exactly 0."""
     _check_kernel_dim(model, kernel)
-    buffers = _workspaces(model, 2)
+    buffers = _workspaces(max(_atoms(c)[2].size for c in model.components), 2)
 
-    def cross(a: int, b: int) -> float:
-        return _pair_means(model, kernel, a, b, lambda gram, views: [_product(gram, model.dim, *views)], 1, buffers)[0]
+    def cross(i: int, j: int) -> float:
+        a, b, var, mass_a, mass_b = _pair_atoms(model, i, j)
+        sums = np.empty(mass_a.size)
+        for rows, gram, views in _row_blocks(kernel, a, b, var, buffers):
+            sums[rows] = _product(gram, model.dim, *views) @ mass_b
+        return float(mass_a @ sums)
 
     return math.sqrt(max(0.0, cross(k, k) + cross(l, l) - 2.0 * cross(k, l)))
 
@@ -564,16 +558,15 @@ def kernel_price(model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 
 
     # ||phi(x) - phi_k||^2 = 1 + ||phi_k||^2 - 2 E_y kappa(x, y), with phi_k
     # the component embedding (column 0) or the leaf embedding (column 1).
-    # One pass per k over the rows that need either cross term evaluates
-    # each Gram entry once, in blocks of _GRAM_BLOCK entries (or one row, if
-    # a row holds more) that reuse two buffers.
+    # One Gram walk per k over the rows that need either cross term
+    # evaluates each Gram entry once.
     cost_own = np.empty(pts.shape[0])
     cost_hat = np.empty(pts.shape[0])
     cost_tilde = np.empty(pts.shape[0])
     cross = np.empty((size, 2))
     zero_var = np.zeros(model.dim)
     fallbacks: list[int] = []
-    buffers = [np.empty(max(_GRAM_BLOCK, size)) for _ in range(2)]
+    buffers = _workspaces(size, 2)
     for k in range(model.k):
         c_idx, c_mass = refs[k]
         own = np.flatnonzero(comp == k)
@@ -588,12 +581,8 @@ def kernel_price(model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 
         mass[np.searchsorted(cols, q_idx), 1] = q
         rows = np.union1d(np.union1d(own, leaf), c_idx)
         row_pts, ref_pts = np.ascontiguousarray(pool[rows].T), np.ascontiguousarray(pool[cols].T)
-        step = max(1, _GRAM_BLOCK // cols.size)
-        for start in range(0, rows.size, step):
-            block = rows[start : start + step]
-            g, work = (buf[: block.size * cols.size].reshape(block.size, cols.size) for buf in buffers)
-            gram = _atom_grams(kernel, row_pts[:, start : start + step], ref_pts, zero_var)
-            cross[block] = _product(gram, model.dim, g, work) @ mass
+        for block, gram, views in _row_blocks(kernel, row_pts, ref_pts, zero_var, buffers):
+            cross[rows[block]] = _product(gram, model.dim, *views) @ mass
         self_sim = float(c_mass @ cross[c_idx, 0])
         cost_own[own] = 1.0 + self_sim - 2.0 * cross[own, 0]
         cost_hat[leaf] = 1.0 + self_sim - 2.0 * cross[leaf, 0]

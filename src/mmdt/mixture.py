@@ -63,17 +63,21 @@ def json_floats(d: dict, key: str, ndim: int = 1) -> np.ndarray:
     list of such lists (ndim 2); an entry that ``json_float`` would reject
     raises TypeError.  A list's entry types are read in one scan at C speed.
     A list of lists, such as a support of many rows, is read by numpy first:
-    its dtype and shape reject strings, nulls, objects and rows nested too
-    deep or not deep enough, and a bool among numbers turns into 0 or 1, so
-    the entry types are read only when some entry equals 0 or 1."""
+    it refuses ragged rows, its dtype and shape reject strings, nulls,
+    objects and rows nested too deep or not deep enough, and a bool among
+    numbers turns into 0 or 1, so the entry types are read only when some
+    entry equals 0 or 1."""
     value = d[key]
     ok = isinstance(value, list)
     if ok and ndim == 1:
         ok = set(map(type, value)) <= {int, float}
         array = np.array(value, dtype=float) if ok else None
     elif ok:
-        array = np.array(value)
-        ok = array.ndim == 2 and array.dtype.kind in "if"
+        try:
+            array = np.array(value)
+        except ValueError:
+            array = None
+        ok = array is not None and array.ndim == 2 and array.dtype.kind in "if"
         if ok and np.any((array == 0) | (array == 1)):
             ok = set(map(type, itertools.chain.from_iterable(value))) <= {int, float}
     if not ok:

@@ -33,7 +33,6 @@ from mmdt import (
     mmd,
     thm1_bound,
     thm3_bound,
-    thm4_floor,
     thm5_bound,
 )
 from mmdt.adversarial import gen_b3, gen_thm4
@@ -95,7 +94,7 @@ def test_criterion_02_error_floor_enumeration():
             for t in enumerate_valid_trees(inst.model)
         ]
         canon = exact_eval_discrete(inst.model, thm4_canonical_tree(inst)).error_rate
-        floor = thm4_floor(k, q)
+        floor = inst.targets["floor"]
         ok = ok and min(errors) >= floor - 1e-12
         ok = ok and abs(canon - min(errors)) <= 1e-12
         details.append(f"K={k},q={q}: min={min(errors):.6f} floor={floor:.6f}")

@@ -6,7 +6,6 @@ from mmdt import (
     beta_estimate,
     enr,
     exact_eval_discrete,
-    thm4_floor,
 )
 from mmdt.adversarial import gen_b3, gen_thm2, gen_thm4
 from mmdt.evaluate import _support_enumeration
@@ -77,7 +76,7 @@ def test_thm4_k2_q2_values():
         np.testing.assert_allclose(c.variances(), 0.5, rtol=1e-9)
     rep = exact_eval_discrete(inst.model, thm4_canonical_tree(inst))
     assert rep.error_rate == pytest.approx(inst.targets["canonical_error"], abs=1e-12)
-    assert rep.error_rate >= thm4_floor(2, 2) - 1e-12
+    assert rep.error_rate >= inst.targets["floor"] - 1e-12
 
 
 def test_thm4_rejects_small_q():
@@ -138,7 +137,7 @@ def test_enumerate_thm4_min_is_canonical():
             for t in enumerate_valid_trees(inst.model)
         ]
         assert min(errors) == pytest.approx(inst.targets["canonical_error"], abs=1e-12)
-        assert min(errors) >= thm4_floor(k, q) - 1e-12
+        assert min(errors) >= inst.targets["floor"] - 1e-12
 
 
 def test_enumerate_guards():

@@ -22,7 +22,6 @@ from mmdt import (
     sample,
     thm1_bound,
     thm3_bound,
-    thm4_floor,
     with_bounds,
 )
 from mmdt.adversarial import gen_b3, gen_thm4
@@ -59,7 +58,7 @@ def test_exact_eval_thm4_canonical():
     assert rep.error_rate == pytest.approx(inst.targets["canonical_error"], abs=1e-12)
     errors = [exact_eval_discrete(inst.model, t).error_rate for t in enumerate_valid_trees(inst.model)]
     assert min(errors) == pytest.approx(rep.error_rate, abs=1e-12)
-    assert min(errors) >= thm4_floor(2, 2) - 1e-12
+    assert min(errors) >= inst.targets["floor"] - 1e-12
 
 
 def test_exact_eval_point_masses():
@@ -256,11 +255,12 @@ def test_thm3_bound_examples():
 
 
 def test_thm4_floor_examples():
-    assert thm4_floor(2, 2) == pytest.approx(0.125)
-    assert thm4_floor(5, 5) == pytest.approx(0.2)
-    assert thm4_floor(2, 1e9) == pytest.approx(0.0, abs=1e-9)
+    # The error floor (K-1)/(4q) that gen_thm4 states with its instance.
+    assert gen_thm4(2, 2).targets["floor"] == pytest.approx(0.125)
+    assert gen_thm4(5, 5).targets["floor"] == pytest.approx(0.2)
+    assert gen_thm4(2, 10**9).targets["floor"] == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValidationError, match="q >= K"):
-        thm4_floor(5, 4)
+        gen_thm4(5, 4)
 
 
 def test_beta_estimate_examples():

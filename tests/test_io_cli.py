@@ -22,7 +22,6 @@ from mmdt import cli as cli_module
 from mmdt import mixture as mixture_module
 from mmdt import tree as tree_module
 from mmdt.cli import main
-from mmdt.baseline import centers_fingerprint
 from mmdt.io import (
     dumps_json,
     load_centers,
@@ -31,6 +30,7 @@ from mmdt.io import (
     load_tree,
     save_mixture,
 )
+from mmdt.mixture import array_fingerprint
 
 from conftest import DATA_DIR, gaussian_battery, translate_battery
 from oracles import moved_thresholds, save_centers, save_dataset
@@ -58,10 +58,15 @@ def test_dataset_csv_errors(tmp_path):
         load_dataset(p)
 
 
+_INT64 = range(-(2**63), 2**63)
+
+
 def reference_load(text: str):
     """Row-by-row CSV reader with the loader's rules: (points, labels) on
     success, else ValueError carrying the message the loader gives after
-    the path."""
+    the path.  A row's fields that float() or int() reject are named first;
+    then a field that they take and numpy does not, with a digit separator,
+    a non-ASCII character or, as a label, a value outside int64."""
     rows = csv.reader(io.StringIO(text))
     header = [h.strip() for h in next(rows, [])]
     has_label = bool(header) and header[-1] == "label"
@@ -80,6 +85,10 @@ def reference_load(text: str):
                 labels.append(int(row[dim]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        for j, field in enumerate(row):
+            kind = "int64" if has_label and j == dim else "float64"
+            if "_" in field or not field.strip().isascii() or (kind == "int64" and labels[-1] not in _INT64):
+                raise ValueError(f"line {lineno}: could not convert string {field!r} to {kind}")
     data = LabeledDataset(  # raises ValidationError, a ValueError, on bad values
         points=np.array(points, dtype=float).reshape(-1, dim),
         labels=np.array(labels, dtype=int) if has_label else None,
@@ -87,7 +96,7 @@ def reference_load(text: str):
     return data.points, data.labels
 
 
-MUTATIONS = ("blank", "quote", "space", "short", "long", "oops", "half")
+MUTATIONS = ("blank", "quote", "space", "short", "long", "oops", "half", "separator", "arabic", "huge")
 
 
 @st.composite
@@ -116,6 +125,9 @@ def csv_texts(draw):
                 row.append("0")
             elif mutation in ("oops", "half") and row:
                 row[-1] = "oops" if mutation == "oops" else "1.5"
+            elif mutation in ("separator", "arabic", "huge") and row:
+                # float() and int() take these; numpy takes only the huge value, as a float
+                row[j] = {"separator": "1_000", "arabic": "\u0661", "huge": "99999999999999999999"}[mutation]
         lines.append(",".join(row))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     return eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
@@ -269,7 +281,7 @@ def test_written_trees_carry_the_fingerprint_of_their_input(tmp_path):
         assert load_tree(out).model_fingerprint == load_mixture(mix).fingerprint(), name
     imm = tmp_path / "imm.json"
     assert run_cli("baseline-imm", "--data", data, "--centers", centers, "--out", imm) == 0
-    assert load_tree(imm).model_fingerprint == centers_fingerprint(load_centers(centers))
+    assert load_tree(imm).model_fingerprint == array_fingerprint(load_centers(centers))
 
 
 def test_cli_build_determinism(tmp_path):
@@ -567,6 +579,8 @@ def test_cli_fuzzed_tree_fields_exit_cleanly(tmp_path, capsys):
             assert code == 0 or err.startswith("error: ")
             if number and isinstance(value, (str, bool)):
                 assert code == 2, (path, value, err)
+            if value in _RAGGED_ROWS:
+                assert code == 2 and "support must be a list of lists of numbers" in err, (path, value, err)
 
     check()
 
@@ -590,6 +604,9 @@ _MIXTURE_FIELDS += [
     if key != "kind" or len(path) == 1
 ]
 _MIXTURE_NUMBERS = ("format_version", "dim", "alpha", "weights", "sigma", "mean", "stddev", "support", "mass")
+# Ragged rows, where a support or the centers belong: each must be named as
+# not a list of lists of numbers.
+_RAGGED_ROWS = [[[1.0, 2.0], [3.0]], [1.0, [2.0]]]
 
 
 def test_cli_fuzzed_mixture_fields_exit_cleanly(tmp_path, capsys):
@@ -604,6 +621,8 @@ def test_cli_fuzzed_mixture_fields_exit_cleanly(tmp_path, capsys):
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(st.sampled_from(_MIXTURE_FIELDS), st.sampled_from(_FUZZ_VALUES))
+    @example(("discrete", ("components", 0, "support")), _RAGGED_ROWS[0])
+    @example(("discrete", ("components", 0, "support")), _RAGGED_ROWS[1])
     def check(field, value):
         kind, path = field
         doc = json.loads(texts[kind])
@@ -625,6 +644,8 @@ def test_cli_fuzzed_mixture_fields_exit_cleanly(tmp_path, capsys):
             assert code == 0 or err.startswith("error: "), (path, value, err)
             if number and isinstance(value, (str, bool)):
                 assert code == 2, (path, value, err)
+            if value in _RAGGED_ROWS:
+                assert code == 2 and "support must be a list of lists of numbers" in err, (path, value, err)
 
     check()
 
@@ -647,6 +668,7 @@ _CENTERS_FUZZ = [
     for value in _FUZZ_VALUES + ["1", 7]
     if len(path) < 3 or isinstance(value, bool) or not isinstance(value, (int, float))
 ]
+_CENTERS_FUZZ += [(("centers",), rows) for rows in _RAGGED_ROWS]
 
 
 def test_cli_fuzzed_dataset_and_centers_exit_cleanly(tmp_path, capsys):
@@ -697,7 +719,8 @@ def test_cli_fuzzed_dataset_and_centers_exit_cleanly(tmp_path, capsys):
             ("baseline-imm", "--data", data, "--centers", edited, "--out", out),
             ("eval-data", "--data", data, "--tree", tree, "--centers", edited),
         ):
-            fails_cleanly(argv, 2 if number and isinstance(value, (str, bool)) else None)
+            err = fails_cleanly(argv, 2 if number and isinstance(value, (str, bool)) or value in _RAGGED_ROWS else None)
+            assert value not in _RAGGED_ROWS or "centers must be a list of lists of numbers" in err, err
 
 
 # argv ("{bad}" is a path in a missing directory), environment, exit code

@@ -20,7 +20,6 @@ from mmdt import (
     mmd,
     predict,
     thm5_bound,
-    xi,
 )
 from mmdt import kernel as kernel_module
 from mmdt.errors import IncompatibilityError
@@ -90,13 +89,14 @@ def test_profiles():
 
 def test_xi_examples():
     model, ker = point_pair(dist=2.0, gamma=0.5)
-    assert xi(model, ker, 0, 0, 0) == 1.0  # point mass, g(0) = 1
-    assert xi(model, ker, 0, 0, 1) == pytest.approx(math.exp(-0.5 * 4.0))
-    assert xi(model, ker, 0, 0, 1) == xi(model, ker, 0, 1, 0)
+    table = kernel_stats(model, ker).xi_table
+    assert table[0, 0, 0] == 1.0  # point mass, g(0) = 1
+    assert table[0, 0, 1] == pytest.approx(math.exp(-0.5 * 4.0))
+    assert table[0, 0, 1] == table[0, 1, 0]
     # brute-force double sum on a random discrete pair
     model2, ker2 = translate_battery(123)
     i, k, l = 0, 0, 1
-    got = xi(model2, ker2, i, k, l)
+    got = kernel_stats(model2, ker2).xi_table[i, k, l]
     ck, cl = model2.components[k], model2.components[l]
     want = sum(
         mk * ml * float(profile(ker2, i, abs(pk[i] - pl[i])))
@@ -110,7 +110,7 @@ def test_xi_mc_agrees_with_exact():
     model, ker = translate_battery(77)
     x, y = reference_pairs(model, 0, 1, 200_000, 5)
     approx = float(np.mean(ker.profile_value(0, x[:, 0] - y[:, 0])))
-    assert approx == pytest.approx(xi(model, ker, 0, 0, 1), abs=5e-3)
+    assert approx == pytest.approx(kernel_stats(model, ker).xi_table[0, 0, 1], abs=5e-3)
 
 
 def test_kernel_stats_point_masses():
@@ -357,7 +357,6 @@ def test_mc_statistics_reject_pairs_below_one(n_pairs):
     model, ker = translate_battery(3)
     calls = [
         lambda **kw: kernel_stats(model, ker, **kw),
-        lambda **kw: xi(model, ker, 0, 0, 1, **kw),
         lambda **kw: mmd(model, ker, 0, 1, **kw),
         lambda **kw: mmd(model, ker, 0, 0, **kw),
     ]
@@ -372,7 +371,6 @@ def test_mc_statistics_reject_pairs_below_one(n_pairs):
     "call",
     [
         pytest.param(lambda model, ker, mode: kernel_stats(model, ker, mode=mode), id="kernel_stats"),
-        pytest.param(lambda model, ker, mode: xi(model, ker, 0, 0, 1, mode=mode), id="xi"),
         pytest.param(lambda model, ker, mode: mmd(model, ker, 0, 1, mode=mode), id="mmd"),
         pytest.param(lambda model, ker, mode: mmd(model, ker, 0, 0, mode=mode), id="mmd-self"),
     ],
@@ -390,25 +388,6 @@ def test_statistics_reject_component_index_out_of_range(kind):
     for k, l in ((-1, 0), (0, -1), (model.k, 0), (0, model.k), (-1, -1)):
         with pytest.raises(ValidationError, match="component index out of range"):
             mmd(model, ker, k, l)
-        with pytest.raises(ValidationError, match="component index out of range"):
-            xi(model, ker, 0, k, l)
-    for i in (-1, model.dim):
-        with pytest.raises(ValidationError, match="axis index"):
-            xi(model, ker, i, 0, 1)
-
-
-def test_xi_equals_its_table_entry():
-    # xi reads a pair in (min, max) order, as kernel_stats fills its table,
-    # so both agree bit for bit in either order.
-    cases = [translate_battery(seed) for seed in range(40)] + [mixed_model()]
-    for model, ker in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            table = kernel_stats(model, ker).xi_table
-        for i in range(model.dim):
-            for k in range(model.k):
-                for l in range(model.k):
-                    assert xi(model, ker, i, k, l) == table[i, k, l]
 
 
 def reference_pairs(model, k, l, n_pairs, seed):
@@ -475,8 +454,8 @@ def mixed_profile_gaussians(seed):
 def test_statistics_match_the_per_function_branches():
     # On all-discrete models every statistic is bit-identical to the sums it
     # replaced, except eps2, which squares the profile at 2 gamma instead of
-    # squaring its values: the two differ by rounding only.  xi reads the
-    # pair in (min, max) order, as the table does.
+    # squaring its values: the two differ by rounding only.  The table
+    # holds each pair as reduced in (min, max) order.
     for i in range(12):
         model, ker = translate_battery(9000 + i)
         st = kernel_stats(model, ker)
@@ -489,7 +468,7 @@ def test_statistics_match_the_per_function_branches():
             for l in range(model.k):
                 assert mmd(model, ker, k, l) == reference_mmd(model, ker, k, l)
                 for i in range(model.dim):
-                    assert xi(model, ker, i, k, l) == reference_xi(model, ker, i, min(k, l), max(k, l))
+                    assert st.xi_table[i, k, l] == reference_xi(model, ker, i, min(k, l), max(k, l))
 
 
 def reference_atom_gram(ker, i, a, b, var, power=1):
@@ -722,7 +701,6 @@ def test_mixed_model_statistics_match_quadrature():
             for i in axes:
                 want = expect(k, l, [i])
                 assert st.xi_table[i, k, l] == pytest.approx(want, rel=1e-9)
-                assert xi(model, ker, i, k, l) == pytest.approx(want, rel=1e-9)
                 eps2 = max(eps2, expect(k, l, [i], power=2) - want**2)
             if k != l:
                 want = math.sqrt(expect(k, k, axes) + expect(l, l, axes) - 2.0 * expect(k, l, axes))
@@ -745,7 +723,7 @@ def test_mc_paths_with_gaussian_components(monkeypatch):
     # E exp(-g (x - y)^2) = exp(-g D^2 / (1 + 2 g s^2)) / sqrt(1 + 2 g s^2)
     g, s2, dist = 0.4, 0.3**2 + 0.3**2, 4.0
     want = math.exp(-g * dist**2 / (1 + 2 * g * s2)) / math.sqrt(1 + 2 * g * s2)
-    assert xi(model, ker, 0, 0, 1) == pytest.approx(want, rel=1e-12)
+    assert st.xi_table[0, 0, 1] == pytest.approx(want, rel=1e-12)
     assert mmd(model, ker, 0, 1) > 0.5
     tree = build_kernel_mmdt(model, ker, st, seed=0)
     monkeypatch.setattr(kernel_module, "_MC_EMBED_ROWS", 512)
