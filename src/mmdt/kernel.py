@@ -5,12 +5,15 @@ The kernel is a product over axes of monotone decreasing profiles
 laplace ``exp(-gamma t)`` profiles).  The tree cuts on per-axis kernel
 similarity to a sampled prototype point: ``kappa_i(x, prototype) < theta``
 goes left, so a cut is equivalently a two-sided input-space interval.
-One atom law, ``_atom_expectation`` of a ``_distance``, gives every kernel
-value: the profile itself, the Gram blocks of ``kernel_price`` and of the
-statistics.  No Gram matrix is held whole: ``kernel_stats``, ``mmd`` and
-``kernel_price`` take one Gram walk, ``_row_blocks``, over row blocks of at
-most ``_GRAM_BLOCK`` entries, and each reduces every block to row sums
-against its column masses.
+One atom law, ``_atom_expectation`` of a ``_distance`` with the
+coefficients of ``_exp_form``, gives every kernel value: the profile itself,
+the Gram blocks of ``kernel_price`` and of the statistics.  The full
+kernel's Gram, in ``_product``, takes one exponential per entry: every axis
+with an exponential form adds its exponent to one sum.  On point pairs
+``kernel_stats`` takes E kappa_i^2 as the square of kappa_i.  No Gram matrix
+is held whole: ``kernel_stats``, ``mmd`` and ``kernel_price`` take one Gram
+walk, ``_row_blocks``, over row blocks of at most ``_GRAM_BLOCK`` entries,
+and each reduces every block to row sums against its column masses.
 """
 
 from __future__ import annotations
@@ -155,21 +158,32 @@ def _distance(profile: str, diff: np.ndarray, var: float) -> np.ndarray:
     return diff
 
 
+def _exp_form(profile: str, gamma: float, var: float):
+    """(coef, c) with E g(|z|) = exp(coef * t) / sqrt(c) for z ~ N(diff, var)
+    and t = _distance(profile, diff, var): the gaussian profile at any
+    variance and the laplace profile at variance 0.  None for the laplace
+    mean at var > 0, which has no such form."""
+    if profile == "gaussian":
+        c = 1.0 + 2.0 * gamma * var
+        return -gamma / c, c
+    if var == 0.0:
+        return -gamma, 1.0
+    return None
+
+
 def _atom_expectation(profile: str, gamma: float, t: np.ndarray, var: float, out: np.ndarray) -> np.ndarray:
     """E g(|z|) for z ~ N(diff, var) per entry of t = _distance(profile, diff,
     var) (z = diff when var = 0), with g the gaussian or laplace profile of
     scale gamma, written to out; out may be t itself."""
-    if profile == "gaussian":
-        c = 1.0 + 2.0 * gamma * var
-        np.multiply(t, -gamma / c, out=out)
-        np.exp(out, out=out)
-        if c != 1.0:  # x / 1.0 == x
-            out /= math.sqrt(c)
+    form = _exp_form(profile, gamma, var)
+    if form is None:
+        out[...] = _LAPLACE_MEAN(t, var, gamma)
         return out
-    if var == 0.0:
-        np.multiply(t, -gamma, out=out)
-        return np.exp(out, out=out)
-    out[...] = _LAPLACE_MEAN(t, var, gamma)
+    coef, c = form
+    np.multiply(t, coef, out=out)
+    np.exp(out, out=out)
+    if c != 1.0:  # x / 1.0 == x
+        out /= math.sqrt(c)
     return out
 
 
@@ -182,38 +196,62 @@ def _atoms(component) -> tuple:
     return component.support, np.zeros(component.dim), component.mass
 
 
-def _atom_grams(kernel: KernelSpec, a: np.ndarray, b: np.ndarray, var: np.ndarray):
-    """``gram(i, powers, out)``: writes to out[j] the matrix of exact
-    expectations E kappa_i^powers[j] between every atom of a and every atom
-    of b, for atoms whose axis variances add to var (kappa_i^power is the
-    same profile at power * gamma_i), and returns out.  a and b hold the
-    atoms' positions axis by axis, as (d, rows) and (d, cols) arrays whose
-    rows are contiguous.  One difference matrix serves every power: it is
-    formed in out[-1], which takes the last power."""
-
-    def gram(i: int, powers: tuple, out: tuple) -> tuple:
-        profile = kernel.profiles[i]
-        diff = out[-1]
-        bufsize = np.setbufsize(_DIFF_BUFSIZE)
-        try:
-            np.subtract(a[i, :, None], b[i], out=diff)
-        finally:
-            np.setbufsize(bufsize)
-        t = _distance(profile, diff, var[i])
-        for power, o in zip(powers, out):
-            _atom_expectation(profile, power * kernel.gamma[i], t, var[i], o)
-        return out
-
-    return gram
+def _atom_grams(
+    kernel: KernelSpec, a: np.ndarray, b: np.ndarray, var: np.ndarray, i: int, powers: tuple, out: tuple
+) -> tuple:
+    """Writes to out[j] the matrix of exact expectations E kappa_i^powers[j]
+    between every atom of a and every atom of b, for atoms whose axis
+    variances add to var (kappa_i^power is the same profile at
+    power * gamma_i), and returns out.  a and b hold the atoms' positions
+    axis by axis, as (d, rows) and (d, cols) arrays whose rows are
+    contiguous.  One difference matrix serves every power: it is formed in
+    out[-1], which takes the last power."""
+    profile = kernel.profiles[i]
+    bufsize = np.setbufsize(_DIFF_BUFSIZE)
+    try:
+        np.subtract(a[i, :, None], b[i], out=out[-1])
+    finally:
+        np.setbufsize(bufsize)
+    t = _distance(profile, out[-1], var[i])
+    for power, o in zip(powers, out):
+        _atom_expectation(profile, power * kernel.gamma[i], t, var[i], o)
+    return out
 
 
-def _product(gram, d: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """gram(0) * ... * gram(d - 1) in out, with work holding each later axis.
-    Within an atom the axes are independent, so the product of the axis
-    Grams is the full kernel's Gram."""
-    gram(0, (1,), (out,))
-    for i in range(1, d):
-        out *= gram(i, (1,), (work,))[0]
+def _product(
+    kernel: KernelSpec, a: np.ndarray, b: np.ndarray, var: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """The full kernel's Gram between atoms a (d, rows) and b (d, cols) whose
+    axis variances add to var, in out, with work holding each later axis.
+    Within an atom the axes are independent, so the Gram is the product of
+    the axis Grams: every axis with an ``_exp_form`` adds coef_i * t_i to one
+    exponent sum, which takes one exponential per entry and one division by
+    the product of the sqrt(c_i); laplace axes at var > 0 then multiply in
+    their means.  All d difference blocks are formed in one buffer scope."""
+    forms = [_exp_form(*axis) for axis in zip(kernel.profiles, kernel.gamma, var)]
+    bufsize = np.setbufsize(_DIFF_BUFSIZE)
+    try:
+        root, term = 1.0, out
+        for i, form in enumerate(forms):
+            if form is not None:
+                coef, c = form
+                np.subtract(a[i, :, None], b[i], out=term)
+                np.multiply(_distance(kernel.profiles[i], term, var[i]), coef, out=term)
+                if term is work:
+                    out += work
+                root *= math.sqrt(c)
+                term = work
+        if term is out:  # no axis has an exponential form
+            out.fill(1.0)
+        else:
+            np.exp(out, out=out)
+            if root != 1.0:  # x / 1.0 == x
+                out /= root
+        for i, form in enumerate(forms):
+            if form is None:
+                out *= _atom_grams(kernel, a, b, var, i, (1,), (work,))[0]
+    finally:
+        np.setbufsize(bufsize)
     return out
 
 
@@ -223,18 +261,18 @@ def _workspaces(size: int, n: int) -> list:
     return [np.empty(min(max(_GRAM_BLOCK, size), size * size)) for _ in range(n)]
 
 
-def _row_blocks(kernel: KernelSpec, a: np.ndarray, b: np.ndarray, var: np.ndarray, buffers: list):
-    """The Gram walk between atoms a (d, rows) and b (d, cols) whose axis
-    variances add to var, in row blocks of at most ``_GRAM_BLOCK`` entries
-    (one row, if a row holds more): yields per block its row slice, its
-    ``_atom_grams`` and the buffers shaped to the block."""
+def _row_blocks(a: np.ndarray, b: np.ndarray, buffers: list):
+    """The Gram walk between atoms a (d, rows) and b (d, cols), in row blocks
+    of at most ``_GRAM_BLOCK`` entries (one row, if a row holds more): yields
+    per block its row slice, its atoms a[:, rows] and the buffers shaped to
+    the block."""
     cols = b.shape[1]
     step = max(1, _GRAM_BLOCK // cols)
     for start in range(0, a.shape[1], step):
         rows = slice(start, start + step)
         block = a[:, rows]
         views = [buf[: block.shape[1] * cols].reshape(block.shape[1], cols) for buf in buffers]
-        yield rows, _atom_grams(kernel, block, b, var), views
+        yield rows, block, views
 
 
 def _pair_atoms(model: MixtureModel, k: int, l: int) -> tuple:
@@ -282,11 +320,14 @@ def kernel_stats(model: MixtureModel, kernel: KernelSpec) -> KernelStats:
 
     Every pair of components takes one Gram walk (``_row_blocks``).  Per
     block and axis, the Gram at powers 1 and 2, whose means are xi_i and
-    E kappa_i^2, and on the self pair their product over the axes, the full
-    kernel's Gram, whose mean is sigma2_k, are each reduced to row sums
-    against the column masses; each mean is then one dot of the row masses
-    with its row sums.  Memory is three blocks of ``_GRAM_BLOCK`` floats and
-    O(S d) besides, whatever the support size S.
+    E kappa_i^2, and on the self pair the product of the power-1 Grams over
+    the axes, the full kernel's Gram, whose mean is sigma2_k, are each
+    reduced to row sums against the column masses; each mean is then one dot
+    of the row masses with its row sums.  On point pairs (var_i = 0)
+    kappa_i^2 is a value, not an expectation, so the power-2 Gram is the
+    square of the power-1 Gram; other pairs take the closed form at
+    2 gamma_i.  Memory is three blocks of ``_GRAM_BLOCK`` floats and O(S d)
+    besides, whatever the support size S.
     """
     _check_kernel_dim(model, kernel)
     d, K = model.dim, model.k
@@ -299,12 +340,16 @@ def kernel_stats(model: MixtureModel, kernel: KernelSpec) -> KernelStats:
         for l in range(k, K):
             a, b, var, mass_a, mass_b = _pair_atoms(model, k, l)
             sums = np.empty((2 * d + 1, mass_a.size))
-            # The second buffer also holds the difference block.
-            for rows, gram, (g, g2, full) in _row_blocks(kernel, a, b, var, buffers):
+            # The last Gram asked for also holds the difference block.
+            for rows, block, (g, g2, full) in _row_blocks(a, b, buffers):
                 if k == l:
                     full.fill(1.0)
                 for i in range(d):
-                    gram(i, (1, 2), (g, g2))
+                    if var[i] == 0.0:
+                        _atom_grams(kernel, block, b, var, i, (1,), (g,))
+                        np.square(g, out=g2)
+                    else:
+                        _atom_grams(kernel, block, b, var, i, (1, 2), (g, g2))
                     sums[2 * i, rows] = g @ mass_b
                     sums[2 * i + 1, rows] = g2 @ mass_b
                     if k == l:
@@ -316,7 +361,7 @@ def kernel_stats(model: MixtureModel, kernel: KernelSpec) -> KernelStats:
                 eps2 = max(eps2, float(mass_a @ sums[2 * i + 1]) - m**2)
             if k == l:
                 sigma2_per[k] = float(mass_a @ sums[2 * d])
-            del a, b, gram, sums  # gram holds views of a and b: one pair's arrays at a time
+            del a, b, block, sums  # block is a view of a: one pair's arrays at a time
 
     spread = float(sigma2_per.max() - sigma2_per.min())
     if spread > 1e-6:
@@ -349,8 +394,8 @@ def mmd(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> float:
     def cross(i: int, j: int) -> float:
         a, b, var, mass_a, mass_b = _pair_atoms(model, i, j)
         sums = np.empty(mass_a.size)
-        for rows, gram, views in _row_blocks(kernel, a, b, var, buffers):
-            sums[rows] = _product(gram, model.dim, *views) @ mass_b
+        for rows, block, views in _row_blocks(a, b, buffers):
+            sums[rows] = _product(kernel, block, b, var, *views) @ mass_b
         return float(mass_a @ sums)
 
     return math.sqrt(max(0.0, cross(k, k) + cross(l, l) - 2.0 * cross(k, l)))
@@ -581,8 +626,8 @@ def kernel_price(model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 
         mass[np.searchsorted(cols, q_idx), 1] = q
         rows = np.union1d(np.union1d(own, leaf), c_idx)
         row_pts, ref_pts = np.ascontiguousarray(pool[rows].T), np.ascontiguousarray(pool[cols].T)
-        for block, gram, views in _row_blocks(kernel, row_pts, ref_pts, zero_var, buffers):
-            cross[rows[block]] = _product(gram, model.dim, *views) @ mass
+        for block, block_pts, views in _row_blocks(row_pts, ref_pts, buffers):
+            cross[rows[block]] = _product(kernel, block_pts, ref_pts, zero_var, *views) @ mass
         self_sim = float(c_mass @ cross[c_idx, 0])
         cost_own[own] = 1.0 + self_sim - 2.0 * cross[own, 0]
         cost_hat[leaf] = 1.0 + self_sim - 2.0 * cross[leaf, 0]

@@ -1,4 +1,5 @@
-"""Shared generators for seeded model batteries, and a guard on numpy's settings."""
+"""Shared generators for seeded model batteries, a guard on numpy's settings,
+and a report header naming the source under test."""
 
 from __future__ import annotations
 
@@ -9,11 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mmdt
 from mmdt import CenteredDataset, Component, KernelSpec, LabeledDataset, MixtureModel, enr
 from mmdt.baseline import _cut_mistakes
 from mmdt.mixture import GAUSSIAN
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def pytest_report_header(config):
+    """The source under test: pyproject's ``pythonpath`` puts this
+    checkout's ``src`` first, whatever PYTHONPATH names."""
+    return f"mmdt: {Path(mmdt.__file__).parent}, numpy {np.__version__}"
 
 
 @pytest.fixture(autouse=True)

@@ -171,11 +171,10 @@ def pairwise_kernel_stats(model: MixtureModel, kernel: KernelSpec) -> tuple[np.n
         for l in range(k, K):
             a, var_a, mass_a = _atoms(model.components[k])
             b, var_b, mass_b = _atoms(model.components[l])
-            gram = _atom_grams(kernel, a.T, b.T, var_a + var_b)
             g, g2 = np.empty((2, mass_a.size, mass_b.size))
             full = np.ones_like(g)
             for i in range(d):
-                gram(i, (1, 2), (g, g2))
+                _atom_grams(kernel, a.T, b.T, var_a + var_b, i, (1, 2), (g, g2))
                 m = xi_table[i, k, l] = xi_table[i, l, k] = float(mass_a @ g @ mass_b)
                 eps2 = max(eps2, float(mass_a @ g2 @ mass_b) - m**2)
                 if k == l:

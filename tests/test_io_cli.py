@@ -1044,7 +1044,7 @@ _ARTIFACT_SHA256 = {
     "exact-discrete.eval": "08efd63cf8407b8ac77b87cdc5ddcce4a29764a4822a7ef195953522c77df36a",
     "gaussian.eval": "725ae07958cc90cabc353317de7c975901fdf80c9db707e452bd7b6025bb6d3f",
     "kernel-exact.eval": "2a628625ae32147ffb745dafc7fde2bc90410c70af0305e540b0d4274ff90264",
-    "kernel-mc.eval": "406b72a0deb534e301ec84eca2919b72fd238a15b48ad6927fe7d0f0cbafd1be",
+    "kernel-mc.eval": "82c33f184ef1ed64d2fd834904ca4496dc2f3ff280052a1d14741093c8af383b",
     "gen-thm2": "53f362397101337770557078de1544e08692fc31b7d4d35591a32f185ed81ea4",
     "gen-thm2.meta": "7affa294da870271236dd14dc638212e1c5b10172b532d38bc77c8d791f686cf",
     "gen-thm4": "abe6be2933b690f9480f01bf8244bb2cf05d77c5ae26961973befe924980931f",

@@ -55,6 +55,16 @@ def full_gram(ker, a, b):
     return out
 
 
+def exponent_gram(ker, a, b):
+    # The full kernel between point sets as one exponential of the summed
+    # per-axis exponents -gamma_i t_i, added in axis order.
+    total = 0.0
+    for i in range(ker.dim):
+        t = np.abs(a[:, i, None] - b[None, :, i])
+        total = total + (t**2 if ker.profiles[i] == "gaussian" else t) * -ker.gamma[i]
+    return np.exp(total)
+
+
 def similarity(ker, x, y):
     """Full product kernel kappa(x, y) of two points."""
     return math.prod(float(profile(ker, i, abs(x[i] - y[i]))) for i in range(ker.dim))
@@ -413,7 +423,7 @@ def reference_xi(model, ker, i, k, l):
 def reference_mmd(model, ker, k, l):
     def cross(a, b):
         ca, cb = model.components[a], model.components[b]
-        return block_mean(ca.mass, full_gram(ker, ca.support, cb.support), cb.mass)
+        return block_mean(ca.mass, exponent_gram(ker, ca.support, cb.support), cb.mass)
 
     if k == l:
         return 0.0
@@ -453,9 +463,9 @@ def mixed_profile_gaussians(seed):
 
 def test_statistics_match_the_per_function_branches():
     # On all-discrete models every statistic is bit-identical to the sums it
-    # replaced, except eps2, which squares the profile at 2 gamma instead of
-    # squaring its values: the two differ by rounding only.  The table
-    # holds each pair as reduced in (min, max) order.
+    # replaced, eps2 included: on point pairs both square the profile's
+    # values.  mmd takes one exponential per entry.  The table holds each
+    # pair as reduced in (min, max) order.
     for i in range(12):
         model, ker = translate_battery(9000 + i)
         st = kernel_stats(model, ker)
@@ -463,7 +473,7 @@ def test_statistics_match_the_per_function_branches():
         assert np.array_equal(st.xi_table, xi_table)
         assert np.array_equal(st.sigma2_per_component, sigma2_per)
         assert st.sigma2 == float(sigma2_per.min()) and st.tau == tau
-        assert st.eps2 == pytest.approx(eps2, rel=1e-12, abs=1e-15)
+        assert st.eps2 == eps2
         for k in range(model.k):
             for l in range(model.k):
                 assert mmd(model, ker, k, l) == reference_mmd(model, ker, k, l)
@@ -485,9 +495,11 @@ def reference_atom_gram(ker, i, a, b, var, power=1):
     return np.vectorize(kernel_module._laplace_mean)(diff, var, gamma)
 
 
-def reference_atom_stats(model, ker):
-    # xi table, sigma2_k and eps2 with E kappa_i^2 taken as the profile at
-    # 2 gamma_i, as kernel_stats takes it, so that all three match bit for bit.
+def reference_atom_stats(model, ker, square_points=True):
+    # xi table, sigma2_k and eps2 with E kappa_i^2 taken as kernel_stats
+    # takes it, so that all three match bit for bit: on point pairs the
+    # square of the power-1 Gram, else the profile's closed form at
+    # 2 gamma_i.  With square_points=False every pair takes the closed form.
     atoms = [
         (c.mean[None, :], c.stddev**2, np.ones(1)) if c.support is None else (c.support, np.zeros(model.dim), c.mass)
         for c in model.components
@@ -499,9 +511,14 @@ def reference_atom_stats(model, ker):
             (a, va, ma), (b, vb, mb) = atoms[k], atoms[l]
             full = 1.0
             for i in range(d):
-                gram = reference_atom_gram(ker, i, a, b, va[i] + vb[i])
+                var = va[i] + vb[i]
+                gram = reference_atom_gram(ker, i, a, b, var)
                 mean = xi_table[i, k, l] = xi_table[i, l, k] = block_mean(ma, gram, mb)
-                mean_sq = block_mean(ma, reference_atom_gram(ker, i, a, b, va[i] + vb[i], power=2), mb)
+                if square_points and var == 0.0:
+                    gram_sq = gram**2
+                else:
+                    gram_sq = reference_atom_gram(ker, i, a, b, var, power=2)
+                mean_sq = block_mean(ma, gram_sq, mb)
                 eps2 = max(eps2, mean_sq - mean**2)
                 full = full * gram
             if k == l:
@@ -566,12 +583,68 @@ def test_difference_blocks_match_the_broadcast_formula_bit_for_bit(name):
             assert st.xi_table[i, k, l] == want, (k, l, i)
 
 
+def test_eps2_from_squares_stays_near_the_closed_form():
+    # On point pairs E kappa_i^2 is the square of the power-1 Gram; the
+    # profile's closed form at 2 gamma_i gives the same value up to rounding.
+    for i in range(12):
+        model, ker = translate_battery(9000 + i)
+        eps2 = reference_atom_stats(model, ker, square_points=False)[2]
+        assert kernel_stats(model, ker).eps2 == pytest.approx(eps2, rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", PROFILES)
+@pytest.mark.parametrize("d", range(1, 9))
+def test_product_stays_within_rounding_of_the_per_axis_product(name, d):
+    # _product's one exponential of the summed exponents against the product
+    # of the per-axis Grams.  The exponent sum adds d roundings of terms of
+    # one sign, and exp turns an absolute error in its argument into a
+    # relative one; each factor and the sqrt(c) add a few more.  Atom sets:
+    # point pairs (var 0), a Gaussian component's atom against points
+    # (var > 0 on every axis, laplace axes take their scalar mean), and
+    # variances that underflow to 0 on some axes beside positive ones.  The
+    # far atoms' exponents underflow, where both sides give 0.
+    rng = np.random.default_rng([d, PROFILES.index(name)])
+    # odd d: one profile on every axis; even d: the profile on axis 0, then drawn
+    profiles = (name,) * d if d % 2 else (name, *rng.choice(PROFILES, d - 1))
+    ker = KernelSpec(profiles=profiles, gamma=rng.uniform(0.2, 3.0, d))
+    a = rng.normal(scale=1.5, size=(40, d))
+    b = np.vstack([rng.normal(scale=1.5, size=(30, d)), rng.normal(scale=1.5, size=(6, d)) + 5000.0])
+    variances = [np.zeros(d), rng.uniform(0.05, 1.0, d), np.where(rng.uniform(size=d) < 0.5, 0.0, rng.uniform(0.05, 1.0, d))]
+    eps = np.finfo(float).eps
+    counts = np.zeros(2, dtype=int)
+    for var in variances:
+        want = np.ones((a.shape[0], b.shape[0]))
+        exponent = np.zeros_like(want)
+        for i in range(d):
+            want *= reference_atom_gram(ker, i, a, b, var[i])
+            diff = a[:, i, None] - b[None, :, i]
+            if ker.profiles[i] == "gaussian":
+                exponent -= ker.gamma[i] / (1.0 + 2.0 * ker.gamma[i] * var[i]) * diff**2
+            elif var[i] == 0.0:
+                exponent -= ker.gamma[i] * np.abs(diff)
+        shape = (a.shape[0], b.shape[0])
+        got = kernel_module._product(ker, np.ascontiguousarray(a.T), np.ascontiguousarray(b.T), var, np.empty(shape), np.empty(shape))
+        normal = want >= 1e-300
+        under = exponent < -760.0
+        bound = (2 * d + 4) * eps * (1.0 + np.abs(exponent[normal]))
+        assert np.all(np.abs(got[normal] - want[normal]) <= bound * want[normal])
+        assert np.all(got[under] == 0.0) and np.all(want[under] == 0.0)
+        between = ~normal & ~under
+        assert np.all(np.abs(got[between] - want[between]) <= 1e-300)
+        counts += normal.sum(), under.sum()
+    assert counts.min() > 0
+
+
 def test_difference_block_restores_the_buffer_size_after_an_error():
-    ker = KernelSpec.uniform("gaussian", 1.0, 1)
-    gram = kernel_module._atom_grams(ker, np.zeros((1, 3)), np.zeros((1, 4)), np.zeros(1))
+    # out has the wrong shape, on the per-axis path and on the product path
+    ker = KernelSpec.uniform("gaussian", 1.0, 2)
+    a, b, var = np.zeros((2, 3)), np.zeros((2, 4)), np.zeros(2)
     bufsize = np.getbufsize()
     with pytest.raises(ValueError):
-        gram(0, (1,), (np.empty((3, 5)),))  # out has the wrong shape
+        kernel_module._atom_grams(ker, a, b, var, 0, (1,), (np.empty((3, 5)),))
+    assert np.getbufsize() == bufsize
+    with pytest.raises(ValueError):
+        kernel_module._product(ker, a, b, var, np.empty((3, 5)), np.empty((3, 5)))
     assert np.getbufsize() == bufsize
 
 
