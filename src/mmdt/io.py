@@ -9,6 +9,7 @@ decimals; labels are 0-based component indices.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -42,9 +43,9 @@ def _indented(obj, pad: str, out: list[str]) -> None:
     if isinstance(obj, dict):
         opening, closing, items = "{", "}", [(json.dumps(key) + ": ", value) for key, value in obj.items()]
     elif isinstance(obj, (list, tuple)):
-        # json spells nan and inf its own way, so only finite floats join at once
-        if obj and all(isinstance(v, float) for v in obj) and all(map(math.isfinite, obj)):
-            out.append("[" + inner + ("," + inner).join(map(float.__repr__, obj)) + pad + "]")
+        matrix = _float_matrix(obj, pad)
+        if matrix:
+            out.append(matrix)
             return
         opening, closing, items = "[", "]", [("", value) for value in obj]
     else:
@@ -55,6 +56,32 @@ def _indented(obj, pad: str, out: list[str]) -> None:
         out.append(("," if i else "") + inner + head)
         _indented(value, inner, out)
     out.append((pad if items else "") + closing)
+
+
+def _float_matrix(obj, pad: str) -> str | None:
+    """The JSON of obj at indentation pad, written by one %-format of all its
+    numbers, when obj is a non-empty list of finite floats or of equally long
+    such lists, such as a support; otherwise None.  json spells nan and inf
+    its own way, so only finite floats take this path."""
+    if all(issubclass(t, (list, tuple)) for t in set(map(type, obj))):
+        width = len(obj[0]) if obj else 0
+        if not width or set(map(len, obj)) != {width}:
+            return None
+        floats = tuple(itertools.chain.from_iterable(obj))
+        item = _list_template(width, pad + "  ", "%r")
+    else:
+        floats, item = tuple(obj), "%r"
+    types = set(map(type, floats))
+    if not all(issubclass(t, float) for t in types) or not all(map(math.isfinite, floats)):
+        return None
+    if types != {float}:  # %r of a float subclass such as np.float64 is not its float repr
+        floats = tuple(map(float, floats))
+    return _list_template(len(obj), pad, item) % floats
+
+
+def _list_template(n: int, pad: str, item: str) -> str:
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join([item] * n) + pad + "]"
 
 
 def _read_text(path) -> str:

@@ -85,6 +85,12 @@ def json_floats(d: dict, key: str, ndim: int = 1) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
+def uniform_mass(n: int) -> np.ndarray:
+    """n masses of 1/n, the law a discrete component's JSON implies when it
+    has no mass field."""
+    return np.full(n, 1.0 / n)
+
+
 def check_format_version(d: dict) -> None:
     """Raise ValueError unless d's format_version, where present, is the
     JSON integer 1."""
@@ -210,12 +216,15 @@ class Component:
         return self.support[idx]
 
     def to_dict(self) -> dict:
+        """The component's JSON fields; a mass of exactly 1/n on each of n
+        support points is left out, and ``from_dict`` restores it."""
         out: dict = {"kind": self.kind, "mean": self.mean.tolist()}
         if self.kind == GAUSSIAN:
             out["stddev"] = self.stddev.tolist()
         else:
             out["support"] = self.support.tolist()
-            out["mass"] = self.mass.tolist()
+            if not np.all(self.mass == uniform_mass(len(self.mass))):
+                out["mass"] = self.mass.tolist()
         return out
 
     @staticmethod
@@ -224,12 +233,10 @@ class Component:
         if kind == GAUSSIAN:
             return Component(kind=GAUSSIAN, mean=json_floats(d, "mean"), stddev=json_floats(d, "stddev"))
         if kind == DISCRETE:
-            return Component(
-                kind=DISCRETE,
-                mean=json_floats(d, "mean"),
-                support=json_floats(d, "support", ndim=2),
-                mass=json_floats(d, "mass"),
-            )
+            mean, support = json_floats(d, "mean"), json_floats(d, "support", ndim=2)
+            # only an absent mass is uniform: a present one, even null, is read and checked
+            mass = json_floats(d, "mass") if "mass" in d else uniform_mass(support.shape[0])
+            return Component(kind=DISCRETE, mean=mean, support=support, mass=mass)
         raise ValidationError(f"unknown component kind {kind!r}")
 
 
@@ -563,7 +570,6 @@ def empirical_moments(data: LabeledDataset, k: int) -> MixtureModel:
         # Shuffle-invariant support order.
         order = np.lexsort(rows.T[::-1])
         rows = rows[order]
-        mass = np.full(rows.shape[0], 1.0 / rows.shape[0])
-        comps.append(Component.discrete(rows, mass))
+        comps.append(Component.discrete(rows, uniform_mass(rows.shape[0])))
         weights.append(rows.shape[0] / n)
     return MixtureModel.create(tuple(comps), np.array(weights))

@@ -222,6 +222,43 @@ def test_mixture_json_errors(tmp_path):
         load_mixture(p)
 
 
+def test_absent_mass_loads_as_the_explicit_uniform_mass(tmp_path):
+    # 1/3 and 1/7 are inexact, so any other rounding of the implied mass would show
+    rng = np.random.default_rng(3)
+    model = MixtureModel.create(
+        tuple(Component.discrete(rng.standard_normal((n, 2)), np.full(n, 1.0 / n)) for n in (3, 7)), [0.5, 0.5]
+    )
+    implied, explicit = tmp_path / "implied.json", tmp_path / "explicit.json"
+    save_mixture(implied, model)
+    doc = json.loads(implied.read_text())
+    assert all("mass" not in c for c in doc["components"])
+    for c in doc["components"]:
+        c["mass"] = [1.0 / len(c["support"])] * len(c["support"])
+    explicit.write_text(json.dumps(doc, indent=2) + "\n")
+    for path in (implied, explicit):
+        back = load_mixture(path)
+        assert back.fingerprint() == model.fingerprint()
+        for got, want in zip(back.components, model.components):
+            assert got.mass.tobytes() == want.mass.tobytes()
+            assert got.support.tobytes() == want.support.tobytes()
+            assert got.mean.tobytes() == want.mean.tobytes()
+
+
+def test_non_uniform_mass_is_written_and_read_bit_for_bit(tmp_path):
+    third = 1.0 / 3
+    # one ulp from uniform is not uniform
+    masses = ([0.1, 0.2, 0.7], [third, third, float(np.nextafter(third, 1.0))])
+    comps = tuple(Component.discrete(np.arange(6.0).reshape(3, 2) + k, mass) for k, mass in enumerate(masses))
+    model = MixtureModel.create(comps, [0.5, 0.5])
+    path = tmp_path / "m.json"
+    save_mixture(path, model)
+    assert [c["mass"] for c in json.loads(path.read_text())["components"]] == list(masses)
+    back = load_mixture(path)
+    for got, want in zip(back.components, model.components):
+        assert got.mass.tobytes() == want.mass.tobytes()
+    assert back.fingerprint() == model.fingerprint()
+
+
 def test_centers_round_trip(tmp_path):
     p = tmp_path / "c.json"
     save_centers(p, np.array([[0.0, 1.0], [2.0, 3.0]]))
@@ -247,9 +284,11 @@ def test_cli_pipeline(tmp_path, capsys):
 
 _FLOATS = st.floats() | st.floats().map(np.float64)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# rows of one width, such as a support, at any depth
+_MATRICES = st.integers(1, 3).flatmap(lambda width: st.lists(st.lists(_FINITE, min_size=width, max_size=width), min_size=1))
 _PAYLOADS = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text() | _FLOATS
-    | st.lists(_FLOATS) | st.lists(_FINITE | _FINITE.map(np.float64)),
+    | st.lists(_FLOATS) | st.lists(_FINITE | _FINITE.map(np.float64)) | _MATRICES,
     lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(st.text(), children),
     max_leaves=20,
 )
@@ -260,6 +299,11 @@ _PAYLOADS = st.recursive(
 @example({"a": [-0.0, 0.0, math.nan, math.inf, -math.inf], "b": [], "c": {}, "d": ((), [[]], {"e": {}})})
 @example([np.float64(-0.0), 1e-300, np.float64(math.inf), 2.5, np.float64(1e22)])
 @example({"\"quote\"\n": "tab\t, back\\slash, \u00e9, \u2028", "": [None, True, False, 0, -7, 10**30]})
+@example({"ragged": [[1.0, 2.0], [3.0]], "empty rows": [[]], "two empty rows": [[], []]})
+@example({"int": [[1.0, 2], [3.0, 4.0]], "bool": [[0.5, 1.5], [True, 2.5]], "nan": [[1.0, 2.0], [math.nan, 0.5]]})
+@example({"np.float64 rows": [[np.float64(0.1), np.float64(-0.0)], [np.float64(1e22), 2.5]], "one row": [[1e-300]]})
+@example({"tuple of lists": ([1.0, 2.0], [3.0, 4.0]), "list of tuples": [(1.0, 2.0), (3.0, 4.0)]})
+@example({"three deep": [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]], "mixed": [[1.0], 2.0]})
 def test_dumps_json_writes_what_json_dumps_writes(payload):
     assert dumps_json(payload) == json.dumps(payload, indent=2) + "\n"
 
@@ -413,6 +457,12 @@ def _first_component_with(mix: dict, **fields) -> dict:
     return {**mix, "components": [{**mix["components"][0], **fields}, *mix["components"][1:]]}
 
 
+def _uniform_mass(mix: dict) -> list:
+    # a gen b3 file leaves its uniform masses implied; the edits write them out
+    n = len(mix["components"][0]["support"])
+    return [1.0 / n] * n
+
+
 def _strings(values: list) -> list:
     return [_strings(v) if isinstance(v, list) else str(v) for v in values]
 
@@ -484,7 +534,7 @@ _MALFORMED = [
         "mixture", lambda m: _first_component_with(m, mean=_strings(m["components"][0]["mean"])), {2}, id="mixture-mean-numeric-str"
     ),
     pytest.param(
-        "mixture", lambda m: _first_component_with(m, mass=_strings(m["components"][0]["mass"])), {2}, id="mixture-mass-numeric-str"
+        "mixture", lambda m: _first_component_with(m, mass=_strings(_uniform_mass(m))), {2}, id="mixture-mass-numeric-str"
     ),
     pytest.param(
         "mixture",
@@ -493,8 +543,12 @@ _MALFORMED = [
         id="mixture-support-numeric-str",
     ),
     pytest.param(
-        "mixture", lambda m: _first_component_with(m, mass=[True] * len(m["components"][0]["mass"])), {2}, id="mixture-mass-bool"
+        "mixture", lambda m: _first_component_with(m, mass=[True] * len(_uniform_mass(m))), {2}, id="mixture-mass-bool"
     ),
+    # a mass that is present but bad is rejected, never taken for the uniform mass an absent one implies
+    pytest.param("mixture", lambda m: _first_component_with(m, mass=None), {2}, id="mixture-mass-null"),
+    pytest.param("mixture", lambda m: _first_component_with(m, mass="abc"), {2}, id="mixture-mass-str"),
+    pytest.param("mixture", lambda m: _first_component_with(m, mass=[0.5, 0.5]), {3}, id="mixture-mass-wrong-length"),
     pytest.param("mixture", lambda m: _first_component_with(m, support=[0.5]), {2}, id="mixture-support-flat"),
     pytest.param(
         "mixture",
@@ -612,6 +666,11 @@ _RAGGED_ROWS = [[[1.0, 2.0], [3.0]], [1.0, [2.0]]]
 def test_cli_fuzzed_mixture_fields_exit_cleanly(tmp_path, capsys):
     mixtures = {"discrete": tmp_path / "b3.json", "gaussian": tmp_path / "g.json"}
     run_cli("gen", "b3", "--d", 3, "--out", mixtures["discrete"])
+    # every mass written out, so that the ("mass", 0) paths have an entry to edit
+    b3 = json.loads(mixtures["discrete"].read_text())
+    for component in b3["components"]:
+        component["mass"] = [1.0 / len(component["support"])] * len(component["support"])
+    mixtures["discrete"].write_text(json.dumps(b3))
     save_mixture(mixtures["gaussian"], gaussian_battery(0))
     trees = {kind: tmp_path / f"t-{kind}.json" for kind in mixtures}
     for kind, path in mixtures.items():
@@ -1028,6 +1087,9 @@ def test_wine_dataset_vendored():
 # JSON were recorded at commit a5a28be.  The six tree digests were
 # re-recorded when model_fingerprint moved from a hash of the model JSON to
 # array_fingerprint; with that field blanked, every tree is unchanged.
+# gen-b3, gen-thm4-no-center and moments were re-recorded when a uniform
+# mass became implied: with each component's 1/n masses written back, the
+# files are byte-identical to the ones before.
 _ARTIFACT_SHA256 = {
     "chebyshev": "9bb45561a0fe69517bf8223ecaa95a0ec2d1821d7eff6c90dd30bf20dd65ffc7",
     "chebyshev.dot": "3a3a2d033664335356562f19a2024466d6b0925e420918886669d5ef74a7a7ae",
@@ -1049,11 +1111,11 @@ _ARTIFACT_SHA256 = {
     "gen-thm2.meta": "7affa294da870271236dd14dc638212e1c5b10172b532d38bc77c8d791f686cf",
     "gen-thm4": "abe6be2933b690f9480f01bf8244bb2cf05d77c5ae26961973befe924980931f",
     "gen-thm4.meta": "2d44c20df0429d17aed902825439b62f4affbe3c278d79790adcde19def2df87",
-    "gen-thm4-no-center": "e49bf06be21aece6442da9dea65549c72a1f2541e8deae0dc3494c49ca54e973",
+    "gen-thm4-no-center": "29c1ec44ed500c523bde20c61149928999e2bb3d8cc38fa5749d6f926af0a541",
     "gen-thm4-no-center.meta": "a13ba1d614f8ac70dadfaa818893a05c17ee1625e080deb9d55c6f5ff01ed0f8",
-    "gen-b3": "abc4010dd1ba2c275b803e2addd288d319aae5985fd2a7bc46ec6d51e82ca460",
+    "gen-b3": "6ef1d519350294b426f3b4d64427a0018316c56bf37f1e2be0209a054106aafc",
     "gen-b3.meta": "f3f419fd02cf7ab643ed1fb476cce2464da86b94f46a78b1163cded4ce678ef3",
-    "moments": "ca47202b70265baede67713904e6a09ae96361ee185062c953b54ef28ff99ada",
+    "moments": "4db3c76c7b96eb1afd69e015c704cb88cbabb2978a7820997d8ae4b98a370b93",
 }
 
 
