@@ -6,9 +6,8 @@ from .errors import FormatError, IncompatibilityError, MMDTError, ValidationErro
 from .evaluate import (
     EvalReport,
     beta_estimate,
+    evaluate_tree,
     exact_error_rate_gaussian,
-    exact_eval_discrete,
-    mc_eval,
     thm1_bound,
     thm3_bound,
     with_bounds,

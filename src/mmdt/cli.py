@@ -140,10 +140,7 @@ def cmd_eval(args) -> int:
     if isinstance(loaded, kernel.KernelTree):
         _print_table(kernel.kernel_price(model, loaded, n=args.samples, seed=args.seed).to_dict(), args.json)
         return 0
-    if model.all_discrete():
-        report = evaluate.exact_eval_discrete(model, loaded)
-    else:
-        report = evaluate.mc_eval(model, loaded, args.samples, args.seed)
+    report = evaluate.evaluate_tree(model, loaded, args.samples, args.seed)
     if model.k >= 2:
         report = evaluate.with_bounds(report, model)
     _print_report(report, args.json)

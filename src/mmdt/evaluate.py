@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .mixture import DISCRETE, MixtureModel, enr, sample
+from .mixture import MixtureModel, enr, sample
 from .tree import AxisTree, assign_components, check_fits, leaf_cells, normal_upper_tail
 
 # Constant of the price / error-rate bounds: 4 + 2*pi^2/3.
@@ -74,16 +74,22 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[np.searchsorted(cum, half)])
 
 
-def _support_enumeration(model: MixtureModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All (support point, joint mass, component) triples of a discrete model."""
-    pts, mass, comp = [], [], []
-    for k, c in enumerate(model.components):
-        if c.kind != DISCRETE:
-            raise ValidationError("exact evaluation requires finite-discrete components")
-        pts.append(c.support)
-        mass.append(model.weights[k] * c.mass)
-        comp.append(np.full(c.support.shape[0], k, dtype=int))
-    return np.vstack(pts), np.concatenate(mass), np.concatenate(comp)
+def evaluation_law(
+    model: MixtureModel, n: int, seed: int
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, int]:
+    """The law a tree is priced against, as (points, weights, components,
+    mc_samples).  An all-discrete model gives every (component, support
+    point) pair with its joint mass and no samples; any other model gives
+    ``sample(model, n, seed)``, whose points weigh 1/n each (weights None)."""
+    if model.all_discrete():
+        pts = np.vstack([c.support for c in model.components])
+        mass = np.concatenate([p * c.mass for p, c in zip(model.weights, model.components)])
+        comp = np.concatenate([np.full(c.support.shape[0], k, dtype=int) for k, c in enumerate(model.components)])
+        return pts, mass, comp, 0
+    if n < 100:
+        raise ValidationError("Monte-Carlo evaluation needs n >= 100")
+    data = sample(model, n, seed)
+    return data.points, None, data.labels, n
 
 
 def _leaf_centers(
@@ -118,82 +124,52 @@ def _leaf_centers(
     return medians, means, fallbacks
 
 
-def exact_eval_discrete(model: MixtureModel, tree: AxisTree) -> EvalReport:
-    """Exact evaluation by enumerating every (component, support point) pair.
+def evaluate_tree(model: MixtureModel, tree: AxisTree, n: int = 0, seed: int = 0) -> EvalReport:
+    """Price ``tree`` against ``evaluation_law(model, n, seed)``.
 
-    Leaf medians are exact coordinate-wise weighted medians of the
-    leaf-conditional mass; all prices and the error rate are exact and the
-    confidence radius is zero.
+    On an all-discrete model the leaf medians are exact coordinate-wise
+    weighted medians of the leaf-conditional mass, every value is exact and
+    the confidence radius is zero.  On samples the leaf medians and means
+    are the samples' own, the squared-l2 baseline is the population one,
+    sum_k p_k E|x - mu_k|^2, and the confidence radius is
+    3 * std(t_i) / sqrt(n), with t_i the delta-method residuals of the
+    per-point cost ratio terms; acceptance tests use it as a tolerance.
     """
     check_fits(tree, model.dim, model.k)
-    pts, w, comp = _support_enumeration(model)
+    pts, w, comp, mc_samples = evaluation_law(model, n, seed)
     assigned = assign_components(tree, pts)
     comp_means = model.means()
-
     medians, leaf_means, fallbacks = _leaf_centers(pts, w, assigned, model)
 
-    base_l1 = float(w @ np.abs(pts - comp_means[comp]).sum(axis=1))
-    tree_l1 = float(w @ np.abs(pts - medians[assigned]).sum(axis=1))
-    hat_l1 = float(w @ np.abs(pts - comp_means[assigned]).sum(axis=1))
-    base_l2 = float(w @ ((pts - comp_means[comp]) ** 2).sum(axis=1))
-    tree_l2 = float(w @ ((pts - leaf_means[assigned]) ** 2).sum(axis=1))
-    err = float(w @ (assigned != comp))
+    # Totals over the law: joint masses, or plain sums over the samples,
+    # whose means are the sums over n.
+    def total(x: np.ndarray) -> float:
+        return float(x.sum()) if w is None else float(w @ x)
 
-    return EvalReport(
-        price_l1=_ratio(tree_l1, base_l1),
-        price_l1_hat=_ratio(hat_l1, base_l1),
-        price_l2sq=_ratio(tree_l2, base_l2),
-        error_rate=err,
-        baseline_cost=base_l1,
-        tree_cost=tree_l1,
-        mc_samples=0,
-        mc_seed=0,
-        confidence_radius=0.0,
-        fallback_leaves=tuple(fallbacks),
-    )
-
-
-def mc_eval(model: MixtureModel, tree: AxisTree, n: int, seed: int) -> EvalReport:
-    """Monte-Carlo evaluation on ``sample(model, n, seed)`` with sample leaf
-    medians and means.
-
-    The confidence radius is 3 * std(t_i) / sqrt(n) where t_i are the
-    delta-method residuals of the per-point cost ratio terms; acceptance
-    tests use it as a principled tolerance.  The squared-l2 baseline is the
-    population one, sum_k p_k E|x - mu_k|^2.
-    """
-    if n < 100:
-        raise ValidationError("mc_eval needs n >= 100")
-    check_fits(tree, model.dim, model.k)
-    data = sample(model, n, seed)
-    pts, labels = data.points, data.labels
-    assigned = assign_components(tree, pts)
-    comp_means = model.means()
-
-    medians, leaf_means, fallbacks = _leaf_centers(pts, None, assigned, model)
-
-    a = np.abs(pts - medians[assigned]).sum(axis=1)
-    b = np.abs(pts - comp_means[labels]).sum(axis=1)
+    scale = mc_samples or 1
+    own = np.abs(pts - comp_means[comp]).sum(axis=1)
+    cost = np.abs(pts - medians[assigned]).sum(axis=1)
     hat = np.abs(pts - comp_means[assigned]).sum(axis=1)
-    price = _ratio(float(a.sum()), float(b.sum()))
-    if b.sum() > 0 and math.isfinite(price):
-        resid = (a - price * b) / b.mean()
-        radius = 3.0 * float(resid.std()) / math.sqrt(n)
+    base_l1, tree_l1 = total(own), total(cost)
+    price = _ratio(tree_l1, base_l1)
+    radius = 0.0
+    if mc_samples:
+        base_l2 = float(_pooled_abs_moments(model)[1].sum())
+        if base_l1 > 0 and math.isfinite(price):
+            resid = (cost - price * own) / (base_l1 / n)
+            radius = 3.0 * float(resid.std()) / math.sqrt(n)
     else:
-        radius = 0.0
-
-    base_l2 = float(_pooled_abs_moments(model)[1].sum())
-    tree_l2 = float(np.mean(((pts - leaf_means[assigned]) ** 2).sum(axis=1)))
+        base_l2 = total(((pts - comp_means[comp]) ** 2).sum(axis=1))
 
     return EvalReport(
         price_l1=price,
-        price_l1_hat=_ratio(float(hat.sum()), float(b.sum())),
-        price_l2sq=_ratio(tree_l2, base_l2),
-        error_rate=float(np.mean(assigned != labels)),
-        baseline_cost=float(b.mean()),
-        tree_cost=float(a.mean()),
-        mc_samples=n,
-        mc_seed=seed,
+        price_l1_hat=_ratio(total(hat), base_l1),
+        price_l2sq=_ratio(total(((pts - leaf_means[assigned]) ** 2).sum(axis=1)) / scale, base_l2),
+        error_rate=total(assigned != comp) / scale,
+        baseline_cost=base_l1 / scale,
+        tree_cost=tree_l1 / scale,
+        mc_samples=mc_samples,
+        mc_seed=seed if mc_samples else 0,
         confidence_radius=radius,
         fallback_leaves=tuple(fallbacks),
     )

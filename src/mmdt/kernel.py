@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibilityError, ValidationError
-from .evaluate import BOUND_CONSTANT, _ratio, _report_dict, _support_enumeration
-from .mixture import GAUSSIAN, MixtureModel, array_fingerprint, json_float, json_floats, json_int, sample
+from .evaluate import BOUND_CONSTANT, _ratio, _report_dict, evaluation_law
+from .mixture import GAUSSIAN, MixtureModel, array_fingerprint, json_float, json_floats, json_int
 from .tree import ThresholdTree, TreeNode, assign_components, check_fits
 
 PROFILES = ("gaussian", "laplace")
@@ -562,23 +562,19 @@ def kernel_price(model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 
 
     Baseline: E||phi(x) - phi_{component(x)}||^2.  The tree cost is reported
     both with leaf-conditional mean embeddings (price) and with the assigned
-    component embedding (price_hat).  Exact for all-discrete models.  Any
-    other model takes the MC path: it draws ``sample(model, n, seed)`` and
-    embeds each component and each leaf by its first ``_MC_EMBED_ROWS`` rows;
-    the draws are i.i.d., so such a prefix is a uniform random subset.
+    component embedding (price_hat).  The model is priced on
+    ``evaluation_law(model, n, seed)``: exactly for all-discrete models.  On
+    samples each component and each leaf is embedded by its first
+    ``_MC_EMBED_ROWS`` rows; the draws are i.i.d., so such a prefix is a
+    uniform random subset.
     """
     kernel = tree.kernel
     check_fits(tree, model.dim, model.k)
-    exact = model.all_discrete()
-    if exact:
-        pts, w, comp = _support_enumeration(model)
-        cap = None
-    else:
-        if n < 100:
-            raise ValidationError("kernel_price in mc mode needs n >= 100")
-        data = sample(model, n, seed)
-        pts, w, comp = data.points, np.full(n, 1.0 / n), data.labels
-        cap = _MC_EMBED_ROWS
+    pts, w, comp, mc_samples = evaluation_law(model, n, seed)
+    exact = not mc_samples
+    if not exact:
+        w = np.full(n, 1.0 / n)
+    cap = None if exact else _MC_EMBED_ROWS
 
     assigned = assign_components(tree, pts)
 
@@ -642,8 +638,8 @@ def kernel_price(model: MixtureModel, tree: KernelTree, n: int = 0, seed: int = 
         error_rate=float(w @ (assigned != comp)),
         baseline_cost=baseline,
         tree_cost=tree_cost,
-        mc_samples=0 if exact else n,
-        mc_seed=seed,
+        mc_samples=mc_samples,
+        mc_seed=seed if mc_samples else 0,
         fallback_leaves=tuple(fallbacks),
     )
 
@@ -662,17 +658,17 @@ def thm5_bound(alpha: float, k: int, sigma2: float, eps2: float, tau: float) -> 
 
 
 def check_structure(tree: KernelTree, stats: KernelStats) -> None:
-    """Assert structural invariants: K leaves mapped bijectively onto
-    components and, at every internal node, the xi values of the two sides
-    strictly straddle the threshold (so each component's path is consistent
-    with its similarity to the anchor)."""
-    seen: list[int] = []
+    """Assert structural invariants: every node's anchor is one of its
+    components, the xi values of the two sides strictly straddle the node's
+    threshold (so each component's path is consistent with its similarity
+    to the anchor), and every leaf is the one component left at it.  The
+    splits partition the K components, so the leaves are a bijection onto
+    them."""
 
     def walk(node: TreeNode, comps: list[int]) -> None:
         if node.is_leaf:
             if comps != [node.leaf]:
                 raise ValidationError(f"leaf {node.leaf} does not match remaining set {comps}")
-            seen.append(node.leaf)
             return
         cut = node.cut
         if cut.anchor not in comps:
@@ -685,6 +681,4 @@ def check_structure(tree: KernelTree, stats: KernelStats) -> None:
         walk(node.right, right)
 
     walk(tree.root, list(range(tree.n_leaves)))
-    if sorted(seen) != list(range(tree.n_leaves)):
-        raise ValidationError("leaves are not a bijection onto components")
 

@@ -25,11 +25,10 @@ from mmdt import (
     build_kernel_mmdt,
     build_mmdt,
     enr,
+    evaluate_tree,
     exact_error_rate_gaussian,
-    exact_eval_discrete,
     kernel_price,
     kernel_stats,
-    mc_eval,
     mmd,
     thm1_bound,
     thm3_bound,
@@ -64,7 +63,7 @@ def bound_battery():
     for i in range(50):
         model = gaussian_battery(i)
         tree = build_mmdt(model, "gaussian")
-        rep = mc_eval(model, tree, MC_SAMPLES, seed=3000 + i)
+        rep = evaluate_tree(model, tree, MC_SAMPLES, seed=3000 + i)
         runs.append((model, tree, rep))
     return runs, time.perf_counter() - start
 
@@ -74,7 +73,7 @@ def test_criterion_01_constant_price_exactness():
     worst = 0.0
     for d in (2, 4, 8, 16, 64):
         inst = gen_b3(d)
-        rep = exact_eval_discrete(inst.model, b3_canonical_tree(inst))
+        rep = evaluate_tree(inst.model, b3_canonical_tree(inst))
         worst = max(worst, abs(rep.price_l1 - (1.5 - 1.0 / d)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -90,10 +89,10 @@ def test_criterion_02_error_floor_enumeration():
     for k, q in ((2, 2), (2, 8), (3, 3), (3, 12)):
         inst = gen_thm4(k, q)
         errors = [
-            exact_eval_discrete(inst.model, t).error_rate
+            evaluate_tree(inst.model, t).error_rate
             for t in enumerate_valid_trees(inst.model)
         ]
-        canon = exact_eval_discrete(inst.model, thm4_canonical_tree(inst)).error_rate
+        canon = evaluate_tree(inst.model, thm4_canonical_tree(inst)).error_rate
         floor = inst.targets["floor"]
         ok = ok and min(errors) >= floor - 1e-12
         ok = ok and abs(canon - min(errors)) <= 1e-12
@@ -322,8 +321,8 @@ def test_criterion_10_structure_and_determinism(tmp_path):
 
     model = gaussian_battery(1)
     tree = build_mmdt(model, "gaussian")
-    r1 = mc_eval(model, tree, 20_000, seed=5)
-    r2 = mc_eval(model, tree, 20_000, seed=5)
+    r1 = evaluate_tree(model, tree, 20_000, seed=5)
+    r2 = evaluate_tree(model, tree, 20_000, seed=5)
     ok = r1.to_dict() == r2.to_dict()
     report(10, "structure-and-determinism", ok, "1000 builds checked, artifacts byte-identical")
     assert ok

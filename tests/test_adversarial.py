@@ -5,10 +5,10 @@ from mmdt import (
     ValidationError,
     beta_estimate,
     enr,
-    exact_eval_discrete,
+    evaluate_tree,
 )
 from mmdt.adversarial import gen_b3, gen_thm2, gen_thm4
-from mmdt.evaluate import _support_enumeration
+from mmdt.evaluate import evaluation_law
 from mmdt.mixture import Component, MixtureModel
 
 from conftest import as_labeled_dataset
@@ -22,7 +22,7 @@ def test_thm2_targets_match_exact_computation():
         assert d == k**3
         assert enr(inst.model) == pytest.approx(inst.targets["enr"], rel=1e-9)
         assert beta_estimate(inst.model) == pytest.approx(inst.targets["beta"], rel=1e-9)
-        pts, w, comp = _support_enumeration(inst.model)
+        pts, w, comp, _ = evaluation_law(inst.model, 0, 0)
         means = inst.model.means()
         base = float(w @ np.abs(pts - means[comp]).sum(axis=1))
         assert base == pytest.approx(inst.targets["baseline_l1"], rel=1e-12)
@@ -74,7 +74,7 @@ def test_thm4_k2_q2_values():
     assert enr(inst.model) == pytest.approx(2.0, rel=1e-9)
     for c in inst.model.components:
         np.testing.assert_allclose(c.variances(), 0.5, rtol=1e-9)
-    rep = exact_eval_discrete(inst.model, thm4_canonical_tree(inst))
+    rep = evaluate_tree(inst.model, thm4_canonical_tree(inst))
     assert rep.error_rate == pytest.approx(inst.targets["canonical_error"], abs=1e-12)
     assert rep.error_rate >= inst.targets["floor"] - 1e-12
 
@@ -87,7 +87,7 @@ def test_thm4_rejects_small_q():
 def test_b3_exactness_battery():
     for d in (2, 4, 8, 16, 64):
         inst = gen_b3(d)
-        rep = exact_eval_discrete(inst.model, b3_canonical_tree(inst))
+        rep = evaluate_tree(inst.model, b3_canonical_tree(inst))
         assert rep.price_l1 == pytest.approx(1.5 - 1.0 / d, abs=1e-12)
         assert rep.baseline_cost == pytest.approx(1.0, abs=1e-12)
         assert rep.error_rate == pytest.approx(1.0 / (2 * d), abs=1e-12)
@@ -99,7 +99,7 @@ def test_b3_leaf_medians():
 
     inst = gen_b3(8)
     tree = b3_canonical_tree(inst)
-    pts, w, _ = _support_enumeration(inst.model)
+    pts, w, _, _ = evaluation_law(inst.model, 0, 0)
     assigned = assign_components(tree, pts)
     medians, _, fallbacks = _leaf_centers(pts, w, assigned, inst.model)
     assert not fallbacks
@@ -126,14 +126,14 @@ def test_enumerate_point_masses_zero_error():
     b = Component.discrete([[3.0, 1.0]], [1.0])
     model = MixtureModel.create((a, b), [0.5, 0.5])
     for t in enumerate_valid_trees(model):
-        assert exact_eval_discrete(model, t).error_rate == 0.0
+        assert evaluate_tree(model, t).error_rate == 0.0
 
 
 def test_enumerate_thm4_min_is_canonical():
     for k, q in ((2, 4), (3, 3)):
         inst = gen_thm4(k, q)
         errors = [
-            exact_eval_discrete(inst.model, t).error_rate
+            evaluate_tree(inst.model, t).error_rate
             for t in enumerate_valid_trees(inst.model)
         ]
         assert min(errors) == pytest.approx(inst.targets["canonical_error"], abs=1e-12)
@@ -156,7 +156,7 @@ def test_as_labeled_dataset_exact_masses():
     inst = gen_thm4(2, 8)
     data = as_labeled_dataset(inst.model)
     # empirical frequencies reproduce the joint law exactly
-    pts, w, comp = _support_enumeration(inst.model)
+    pts, w, comp, _ = evaluation_law(inst.model, 0, 0)
     for row, wi, c in zip(pts, w, comp):
         match = np.all(data.points == row, axis=1) & (data.labels == c)
         assert match.sum() / data.n == pytest.approx(wi, abs=1e-12)

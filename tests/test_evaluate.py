@@ -14,11 +14,10 @@ from mmdt import (
     build_kernel_mmdt,
     build_mmdt,
     empirical_price,
+    evaluate_tree,
     exact_error_rate_gaussian,
-    exact_eval_discrete,
     kernel_price,
     kernel_stats,
-    mc_eval,
     sample,
     thm1_bound,
     thm3_bound,
@@ -43,7 +42,7 @@ def test_weighted_median():
 
 def test_exact_eval_b3():
     inst = gen_b3(4)
-    rep = exact_eval_discrete(inst.model, b3_canonical_tree(inst))
+    rep = evaluate_tree(inst.model, b3_canonical_tree(inst))
     assert rep.price_l1 == pytest.approx(1.25, abs=1e-12)
     assert rep.error_rate == pytest.approx(1.0 / 8.0, abs=1e-12)
     assert rep.baseline_cost == pytest.approx(1.0, abs=1e-12)
@@ -54,9 +53,9 @@ def test_exact_eval_thm4_canonical():
     # the canonical ordered-separation tree attains the enumeration optimum,
     # which sits above the (K-1)/(4q) floor
     inst = gen_thm4(2, 2)
-    rep = exact_eval_discrete(inst.model, thm4_canonical_tree(inst))
+    rep = evaluate_tree(inst.model, thm4_canonical_tree(inst))
     assert rep.error_rate == pytest.approx(inst.targets["canonical_error"], abs=1e-12)
-    errors = [exact_eval_discrete(inst.model, t).error_rate for t in enumerate_valid_trees(inst.model)]
+    errors = [evaluate_tree(inst.model, t).error_rate for t in enumerate_valid_trees(inst.model)]
     assert min(errors) == pytest.approx(rep.error_rate, abs=1e-12)
     assert min(errors) >= inst.targets["floor"] - 1e-12
 
@@ -71,7 +70,7 @@ def test_exact_eval_point_masses():
         root=TreeNode(cut=AxisCut(0, 2.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
         dim=2,
     )
-    rep = exact_eval_discrete(m, tree)
+    rep = evaluate_tree(m, tree)
     assert rep.price_l1 == 1.0
     assert rep.error_rate == 0.0
     assert rep.price_l2sq == 1.0
@@ -81,7 +80,7 @@ def test_exact_eval_median_beats_assigned_means():
     for i in range(25):
         model = random_discrete_model(900 + i)
         tree = build_mmdt(model, "exact-discrete")
-        rep = exact_eval_discrete(model, tree)
+        rep = evaluate_tree(model, tree)
         # leaf medians are coordinate-wise optimal for the l1 cost
         assert rep.price_l1 <= rep.price_l1_hat + 1e-12
         assert rep.tree_cost <= rep.price_l1_hat * rep.baseline_cost + 1e-12
@@ -92,9 +91,9 @@ def test_mc_eval_well_separated():
         (Component.gaussian([-10.0], [1.0]), Component.gaussian([10.0], [1.0])), [0.5, 0.5]
     )
     tree = build_mmdt(m, "gaussian")
-    rep = mc_eval(m, tree, 100_000, seed=17)
+    rep = evaluate_tree(m, tree, 100_000, seed=17)
     assert 1.0 - 3 * rep.confidence_radius <= rep.price_l1 <= 1.01
-    rep2 = mc_eval(m, tree, 100_000, seed=17)
+    rep2 = evaluate_tree(m, tree, 100_000, seed=17)
     assert rep.to_dict() == rep2.to_dict()
 
 
@@ -104,7 +103,31 @@ def test_mc_eval_requires_min_samples():
     )
     tree = build_mmdt(m, "gaussian")
     with pytest.raises(ValidationError):
-        mc_eval(m, tree, 50, seed=0)
+        evaluate_tree(m, tree, 50, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:component self-similarities differ")
+def test_evaluate_tree_model_decides_the_path():
+    # Exact when every component is discrete, at any n and seed; MC as soon
+    # as one is not, with the one sample-size check of both tree kinds.
+    model = random_discrete_model(905)
+    tree = build_mmdt(model, "exact-discrete")
+    exact = evaluate_tree(model, tree).to_dict()
+    assert exact["mc_samples"] == 0 and exact["mc_seed"] == 0
+    for n, seed in ((50, 7), (5000, 4)):
+        assert evaluate_tree(model, tree, n, seed).to_dict() == exact
+    comps = (Component.gaussian(model.components[0].mean, np.full(model.dim, 0.5)),) + model.components[1:]
+    mixed = MixtureModel.create(comps, model.weights)
+    rep = evaluate_tree(mixed, tree, 1000, seed=4)
+    assert (rep.mc_samples, rep.mc_seed) == (1000, 4)
+    ker = KernelSpec.uniform("gaussian", 0.5, model.dim)
+    kernel_tree = build_kernel_mmdt(mixed, ker, kernel_stats(mixed, ker))
+    messages = set()
+    for call in (lambda: evaluate_tree(mixed, tree, 99, 0), lambda: kernel_price(mixed, kernel_tree, 99, 0)):
+        with pytest.raises(ValidationError, match="n >= 100") as caught:
+            call()
+        messages.add(str(caught.value))
+    assert len(messages) == 1
 
 
 def test_mc_eval_vacuous_cut_no_errors():
@@ -117,7 +140,7 @@ def test_mc_eval_vacuous_cut_no_errors():
         right=TreeNode(cut=AxisCut(0, 15.0), left=TreeNode(leaf=1), right=TreeNode(leaf=2)),
     )
     tree = AxisTree(root=root, dim=1)
-    rep = mc_eval(m, tree, 5000, seed=0)
+    rep = evaluate_tree(m, tree, 5000, seed=0)
     assert rep.error_rate == 0.0
     assert rep.price_l1 == pytest.approx(1.0)
 
@@ -136,7 +159,7 @@ def test_mc_eval_empty_leaf_fallback():
         right=TreeNode(leaf=2),
     )
     tree = AxisTree(root=root, dim=1)
-    rep = mc_eval(m, tree, 2000, seed=3)
+    rep = evaluate_tree(m, tree, 2000, seed=3)
     assert 1 in rep.fallback_leaves
 
 
@@ -150,7 +173,7 @@ def test_mc_eval_leaf_medians_are_lower_rank_medians(n):
         [0.5, 0.5],
     )
     tree = build_mmdt(m, "gaussian")
-    rep = mc_eval(m, tree, n, seed=8)
+    rep = evaluate_tree(m, tree, n, seed=8)
     pts = sample(m, n, 8).points
     leaf = assign_components(tree, pts)
     medians = np.array([
@@ -165,8 +188,8 @@ def test_mc_convergence_doubling():
         [0.5, 0.5],
     )
     tree = build_mmdt(m, "gaussian")
-    r1 = mc_eval(m, tree, 50_000, seed=21)
-    r2 = mc_eval(m, tree, 100_000, seed=22)
+    r1 = evaluate_tree(m, tree, 50_000, seed=21)
+    r2 = evaluate_tree(m, tree, 100_000, seed=22)
     assert abs(r1.price_l1 - r2.price_l1) < r1.confidence_radius + r2.confidence_radius
 
 
@@ -180,20 +203,20 @@ def test_price_l2sq_examples():
         root=TreeNode(cut=AxisCut(0, 2.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
         dim=2,
     )
-    assert exact_eval_discrete(point, tree).price_l2sq == 1.0
+    assert evaluate_tree(point, tree).price_l2sq == 1.0
 
     far = MixtureModel.create(
         (Component.gaussian([-20.0, 0.0], [1.0, 1.0]), Component.gaussian([20.0, 0.0], [1.0, 1.0])),
         [0.5, 0.5],
     )
     ftree = build_mmdt(far, "gaussian")
-    val = mc_eval(far, ftree, 50_000, seed=2).price_l2sq
-    ref = mc_eval(far, ftree, 200_000, seed=3).price_l2sq
+    val = evaluate_tree(far, ftree, 50_000, seed=2).price_l2sq
+    ref = evaluate_tree(far, ftree, 200_000, seed=3).price_l2sq
     assert val == pytest.approx(ref, abs=0.02)
     assert val == pytest.approx(1.0, abs=0.02)
 
     inst = gen_b3(4)
-    rep = exact_eval_discrete(inst.model, b3_canonical_tree(inst))
+    rep = evaluate_tree(inst.model, b3_canonical_tree(inst))
     # brute-force the exact squared-l2 ratio over the 16-point support
     pts, w, comp = [], [], []
     for k, c in enumerate(inst.model.components):
@@ -222,15 +245,15 @@ def test_mc_price_l2sq_baseline_comes_from_the_components():
         root=TreeNode(cut=AxisCut(0, 3.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
         dim=2,
     )
-    pooled = mc_eval(MixtureModel.create(comps, [0.5, 0.5]), tree, 20_000, seed=1)
-    given = mc_eval(MixtureModel.create(comps, [0.5, 0.5], sigma=[3.0, 3.0]), tree, 20_000, seed=1)
+    pooled = evaluate_tree(MixtureModel.create(comps, [0.5, 0.5]), tree, 20_000, seed=1)
+    given = evaluate_tree(MixtureModel.create(comps, [0.5, 0.5], sigma=[3.0, 3.0]), tree, 20_000, seed=1)
     assert given.price_l2sq == pooled.price_l2sq
     assert given.price_l1 == pooled.price_l1
     assert pooled.price_l2sq == pytest.approx(1.0, abs=0.05)
-    # a zero-noise model puts every draw on its mean: a zero-cost tree prices at 1
+    # a zero-noise model has no cost on either side: a zero-cost tree prices at 1
     atoms = (Component.discrete([[0.0, 0.0]], [1.0]), Component.discrete([[6.0, 1.0]], [1.0]))
     points = MixtureModel.create(atoms, [0.5, 0.5])
-    assert mc_eval(points, tree, 1000, seed=1).price_l2sq == 1.0
+    assert evaluate_tree(points, tree, 1000, seed=1).price_l2sq == 1.0
 
 
 def test_thm1_bound_examples():
@@ -286,7 +309,7 @@ def test_with_bounds_attaches_values():
         (Component.gaussian([-5.0], [1.0]), Component.gaussian([5.0], [1.0])), [0.5, 0.5]
     )
     tree = build_mmdt(m, "gaussian")
-    rep = with_bounds(mc_eval(m, tree, 1000, seed=0), m)
+    rep = with_bounds(evaluate_tree(m, tree, 1000, seed=0), m)
     assert set(rep.bounds) == {"thm1", "thm3", "enr", "beta"}
     assert rep.bounds["enr"] == pytest.approx(100.0)
 
@@ -298,7 +321,7 @@ def test_exact_error_rate_gaussian_matches_mc():
     )
     tree = build_mmdt(m, "gaussian")
     exact = exact_error_rate_gaussian(m, tree)
-    rep = mc_eval(m, tree, 200_000, seed=33)
+    rep = evaluate_tree(m, tree, 200_000, seed=33)
     assert exact == pytest.approx(rep.error_rate, abs=0.01)
     assert 0.0 < exact < 1.0
 
@@ -362,7 +385,7 @@ def test_exact_error_rate_gaussian_matches_cancelling_form():
 
 def test_report_json_round_trip():
     inst = gen_b3(2)
-    rep = exact_eval_discrete(inst.model, b3_canonical_tree(inst))
+    rep = evaluate_tree(inst.model, b3_canonical_tree(inst))
     d = rep.to_dict()
     assert d["format_version"] == 1
     assert d["price_l1"] == rep.price_l1
@@ -375,10 +398,11 @@ def test_every_pricer_shares_one_tree_fit_check():
     axis_tree = build_mmdt(thm4, "exact-discrete")
     ker = KernelSpec.uniform("gaussian", 1.0, 3)
     kernel_tree = build_kernel_mmdt(thm4, ker, kernel_stats(thm4, ker))
+    gauss = MixtureModel.create(tuple(Component.gaussian(m, np.ones(3)) for m in b3.means()), [0.5, 0.5])
     data = CenteredDataset(sample(b3, 50, seed=0).points, b3.means())
     calls = [
-        lambda: exact_eval_discrete(b3, axis_tree),
-        lambda: mc_eval(b3, axis_tree, 1000, 0),
+        lambda: evaluate_tree(b3, axis_tree),
+        lambda: evaluate_tree(gauss, axis_tree, 1000, 0),
         lambda: exact_error_rate_gaussian(b3, axis_tree),
         lambda: kernel_price(b3, kernel_tree),
         lambda: empirical_price(data, axis_tree),

@@ -807,20 +807,31 @@ _BAD_INPUTS = [
     pytest.param(("moments", "--data", "{data}", "--k", 0, "--out", "{tmp}/mm.json"), {}, 3, id="moments-k-zero"),
     pytest.param(("moments", "--data", "{data}", "--k", 1, "--out", "{tmp}/mm.json"), {}, 3, id="moments-label-above-k"),
     pytest.param(("gen", "b3", "--d", 2, "--out", "{tmp}/x.json"), {"MMDT_SEED": "abc"}, 2, id="seed-env"),
+    pytest.param(("eval-data", "--data", "{data}", "--tree", "{ktree}", "--mixture", "{mix}"), {}, 4, id="eval-data-kernel-tree"),
+    pytest.param(("eval-data", "--data", "{data}", "--tree", "{tree}"), {}, 3, id="eval-data-no-centers"),
+    pytest.param(("moments", "--data", "{unlabeled}", "--k", 2, "--out", "{tmp}/mm.json"), {}, 3, id="moments-unlabeled"),
+    pytest.param(("build-kernel", "--mixture", "{mix}", "--gamma", "1,2", "--out", "{tmp}/k.json"), {}, 3, id="gamma-count"),
 ]
 
 
 @pytest.mark.parametrize("argv, env, code", _BAD_INPUTS)
 def test_cli_bad_inputs_exit_cleanly(tmp_path, capsys, monkeypatch, argv, env, code):
-    mix, tree, data, centers = (tmp_path / name for name in ("m.json", "t.json", "d.csv", "c.json"))
+    names = ("m.json", "t.json", "kt.json", "d.csv", "u.csv", "c.json")
+    mix, tree, ktree, data, unlabeled, centers = (tmp_path / name for name in names)
     run_cli("gen", "b3", "--d", 3, "--out", mix)
     run_cli("build", "--mixture", mix, "--objective", "exact-discrete", "--out", tree)
-    save_dataset(data, sample(load_mixture(mix), 200, seed=2))
+    run_cli("build-kernel", "--mixture", mix, "--out", ktree)
+    drawn = sample(load_mixture(mix), 200, seed=2)
+    save_dataset(data, drawn)
+    save_dataset(unlabeled, LabeledDataset(drawn.points))
     save_centers(centers, load_mixture(mix).means())
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     bad = tmp_path / "missing" / "out.json"
-    paths = {"bad": bad, "tmp": tmp_path, "mix": mix, "tree": tree, "data": data, "centers": centers}
+    paths = {
+        "bad": bad, "tmp": tmp_path, "mix": mix, "tree": tree, "ktree": ktree,
+        "data": data, "unlabeled": unlabeled, "centers": centers,
+    }
     capsys.readouterr()
     try:
         got = run_cli(*(str(a).format(**paths) for a in argv))
@@ -828,7 +839,7 @@ def test_cli_bad_inputs_exit_cleanly(tmp_path, capsys, monkeypatch, argv, env, c
         got = exc.code
     err = capsys.readouterr().err
     assert got == code
-    assert "error: " in err and "Traceback" not in err
+    assert err.count("error: ") == 1 and "Traceback" not in err
     if "{bad}" in argv:
         assert err.startswith(f"error: cannot write {bad}")
 

@@ -326,6 +326,46 @@ def test_kernel_tree_partition_matches_xi_sides():
             assert cut.anchor in collect_leaves(tree.root.right)
 
 
+def anchor_outside_its_node(root, xi):
+    # an internal child of the root, anchored at a component of the other side
+    side, other = ("left", root.right) if not root.left.is_leaf else ("right", root.left)
+    inner = getattr(root, side)
+    cut = dataclasses.replace(inner.cut, anchor=collect_leaves(other)[0])
+    return dataclasses.replace(root, **{side: dataclasses.replace(inner, cut=cut)})
+
+
+def threshold_below_every_xi(root, xi):
+    theta = float(xi[root.cut.axis, root.cut.anchor].min()) / 2.0
+    assert theta > 0.0
+    return dataclasses.replace(root, cut=dataclasses.replace(root.cut, theta=theta))
+
+
+def leaves_0_and_1_swapped(node, xi):
+    if node.is_leaf:
+        return dataclasses.replace(node, leaf={0: 1, 1: 0}.get(node.leaf, node.leaf))
+    left, right = (leaves_0_and_1_swapped(child, xi) for child in (node.left, node.right))
+    return dataclasses.replace(node, left=left, right=right)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(anchor_outside_its_node, "cut anchor is not among the node's components", id="anchor"),
+        pytest.param(threshold_below_every_xi, "threshold does not split", id="threshold"),
+        pytest.param(leaves_0_and_1_swapped, "does not match remaining set", id="leaf"),
+    ],
+)
+def test_kernel_check_structure_rejects_bad_trees(edit, message):
+    model, ker = translate_battery(6000)
+    st = kernel_stats(model, ker)
+    tree = build_kernel_mmdt(model, ker, st, seed=0)
+    assert model.k == 4
+    check_structure(tree, st)
+    bad = dataclasses.replace(tree, root=edit(tree.root, st.xi_table))
+    with pytest.raises(ValidationError, match=message):
+        check_structure(bad, st)
+
+
 def test_kernel_predict_support_enumeration():
     model, ker = translate_battery(81)
     st = kernel_stats(model, ker)
