@@ -19,7 +19,6 @@ from .kernel import (
     build_kernel_mmdt,
     kernel_price,
     kernel_stats,
-    mmd,
     thm5_bound,
 )
 from .mixture import (

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import IncompatibilityError, ValidationError
 from .evaluate import _ratio
 from .mixture import array_fingerprint, lowest_duplicate_pair, squared_distances
-from .tree import AxisCut, AxisTree, TreeNode, assign_components, check_fits
+from .tree import AxisCut, AxisTree, grow
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,15 @@ def build_imm(data: CenteredDataset) -> AxisTree:
     if data.k < 2:
         raise ValidationError("need at least two centers")
 
-    def grow(point_idx: np.ndarray, center_idx: list[int], parent) -> TreeNode:
+    def split(state, _):
+        point_idx, center_idx, parent = state
         if parent is not None:
             # A cut's mistake count is monotone non-increasing when
             # restricted to the points reaching a descendant node.
             p_axis, p_theta, p_centers, p_count = parent
             assert _cut_mistakes(data, point_idx, p_centers, p_axis, p_theta) <= p_count
         if len(center_idx) == 1:
-            return TreeNode(leaf=center_idx[0])
+            return center_idx[0]
         pts = data.points[point_idx]
         assign = data.assignment[point_idx]
         axis, theta, mistakes = _best_cut(pts, assign, data.centers, center_idx)
@@ -131,14 +132,10 @@ def build_imm(data: CenteredDataset) -> AxisTree:
         right_centers = [k for k in center_idx if data.centers[k, axis] > theta]
         assert left_centers and right_centers
         here = (axis, theta, center_idx, mistakes)
-        return TreeNode(
-            cut=AxisCut(axis=axis, theta=theta),
-            left=grow(left_pts, left_centers, here),
-            right=grow(right_pts, right_centers, here),
-        )
+        return AxisCut(axis=axis, theta=theta), (left_pts, left_centers, here), (right_pts, right_centers, here)
 
-    root = grow(np.arange(data.points.shape[0]), list(range(data.k)), None)
-    return AxisTree(root=root, dim=data.dim, model_fingerprint=array_fingerprint(data.centers))
+    nodes = grow((np.arange(data.points.shape[0]), list(range(data.k)), None), split)
+    return AxisTree(nodes=nodes, dim=data.dim, model_fingerprint=array_fingerprint(data.centers))
 
 
 def _cut_mistakes(
@@ -152,8 +149,10 @@ def _cut_mistakes(
     return int(np.count_nonzero(left != (data.centers[:, axis] <= theta)[assign[alive]]))
 
 
-def empirical_price(data: CenteredDataset, tree: AxisTree, norm: str = "l1") -> float:
-    """Ratio of tree cost to baseline cost on the dataset.
+def empirical_price(data: CenteredDataset, leaf_of: np.ndarray, norm: str = "l1") -> float:
+    """Ratio of tree cost to baseline cost on the dataset, given the leaf of
+    every point (``tree.assign_components`` of a tree that fits the data);
+    IncompatibilityError unless those are one int in 0..k-1 per point.
 
     l1 uses coordinate-wise medians of leaf groups against medians of the
     assignment groups; l2sq uses means against means.  Empty groups cost
@@ -162,8 +161,9 @@ def empirical_price(data: CenteredDataset, tree: AxisTree, norm: str = "l1") -> 
     """
     if norm not in ("l1", "l2sq"):
         raise ValidationError(f"norm must be 'l1' or 'l2sq', got {norm!r}")
-    check_fits(tree, data.dim, data.k)
-    leaf_of = assign_components(tree, data.points)
+    leaf_of, n = np.asarray(leaf_of), data.points.shape[0]
+    if leaf_of.shape != (n,) or leaf_of.dtype.kind not in "iu" or not np.all((leaf_of >= 0) & (leaf_of < data.k)):
+        raise IncompatibilityError(f"leaf ids must be {n} ints in 0..{data.k - 1}")
     stat = np.median if norm == "l1" else np.mean
 
     def group_cost(groups: np.ndarray) -> float:

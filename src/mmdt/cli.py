@@ -159,11 +159,10 @@ def cmd_eval_data(args) -> int:
     else:
         raise ValidationError("eval-data needs --centers or --mixture")
     cdata = baseline.CenteredDataset(data.points, centers)
-    norms = ["l1", "l2sq"] if args.norm == "both" else [args.norm]
-    out = {}
-    for norm in norms:
-        out[f"price_{norm}"] = baseline.empirical_price(cdata, loaded, norm=norm)
+    tree.check_fits(loaded, cdata.dim, cdata.k)
     leaf_of = tree.assign_components(loaded, data.points)
+    norms = ["l1", "l2sq"] if args.norm == "both" else [args.norm]
+    out = {f"price_{norm}": baseline.empirical_price(cdata, leaf_of, norm=norm) for norm in norms}
     out["error_vs_assignment"] = float(np.mean(leaf_of != cdata.assignment))
     if data.labels is not None:
         out["error_vs_labels"] = float(np.mean(leaf_of != data.labels))

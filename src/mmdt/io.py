@@ -1,9 +1,10 @@
 """File formats: mixture/tree/centers JSON, dataset CSV, report JSON.
 
-All JSON artifacts carry ``format_version: 1`` and are written with a fixed
-key order and two-space indentation, so identical inputs produce
-byte-identical files.  Dataset CSV uses a ``x1..xd[,label]`` header with '.'
-decimals; labels are 0-based component indices.
+All JSON artifacts carry ``format_version`` (2 for trees, whose nodes are
+one list in pre-order; 1 otherwise) and are written with a fixed key order
+and two-space indentation, so identical inputs produce byte-identical files.
+Dataset CSV uses a ``x1..xd[,label]`` header with '.' decimals; labels are
+0-based component indices.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ def save_json(path, payload: dict) -> None:
 
 def _load_json(path, parse):
     """parse(JSON of path); malformed JSON, nesting too deep for the parser
-    or the tree builder, and a missing, wrong-typed or out-of-range field
-    raise FormatError naming the path, while a ValidationError passes
-    through."""
+    (a format-1 caterpillar tree of about 990 leaves), and a missing,
+    wrong-typed or out-of-range field raise FormatError naming the path,
+    while a ValidationError passes through."""
     text = _read_text(path)
     try:
         return parse(json.loads(text))

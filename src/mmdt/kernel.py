@@ -11,7 +11,7 @@ the Gram blocks of ``kernel_price`` and of the statistics.  The full
 kernel's Gram, in ``_product``, takes one exponential per entry: every axis
 with an exponential form adds its exponent to one sum.  On point pairs
 ``kernel_stats`` takes E kappa_i^2 as the square of kappa_i.  No Gram matrix
-is held whole: ``kernel_stats``, ``mmd`` and ``kernel_price`` take one Gram
+is held whole: ``kernel_stats`` and ``kernel_price`` take one Gram
 walk, ``_row_blocks``, over row blocks of at most ``_GRAM_BLOCK`` entries,
 and each reduces every block to row sums against its column masses.
 """
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import IncompatibilityError, ValidationError
 from .evaluate import BOUND_CONSTANT, _ratio, _report_dict, evaluation_law
 from .mixture import GAUSSIAN, MixtureModel, array_fingerprint, json_float, json_floats, json_int
-from .tree import ThresholdTree, TreeNode, assign_components, check_fits
+from .tree import ThresholdTree, assign_components, check_fits, grow
 
 PROFILES = ("gaussian", "laplace")
 
@@ -384,23 +384,6 @@ def kernel_stats(model: MixtureModel, kernel: KernelSpec) -> KernelStats:
     )
 
 
-def mmd(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> float:
-    """Maximum mean discrepancy between two components (clamped at zero
-    before the square root to absorb rounding).  For k == l the three
-    expectations are one and the same, so the result is exactly 0."""
-    _check_kernel_dim(model, kernel)
-    buffers = _workspaces(max(_atoms(c)[2].size for c in model.components), 2)
-
-    def cross(i: int, j: int) -> float:
-        a, b, var, mass_a, mass_b = _pair_atoms(model, i, j)
-        sums = np.empty(mass_a.size)
-        for rows, block, views in _row_blocks(a, b, buffers):
-            sums[rows] = _product(kernel, block, b, var, *views) @ mass_b
-        return float(mass_a @ sums)
-
-    return math.sqrt(max(0.0, cross(k, k) + cross(l, l) - 2.0 * cross(k, l)))
-
-
 @dataclass(frozen=True)
 class KernelCut:
     """Similarity cut: kappa_axis(x, prototype) < theta goes left, equality
@@ -437,9 +420,10 @@ class KernelTree(ThresholdTree):
 
     kind = "kernel"
     dot_name = "kernel_tree"
-    json_keys = ("format_version", "kind", "dim", "n_leaves", "kernel", "model_fingerprint", "seed", "root")
+    json_keys = ("format_version", "kind", "dim", "n_leaves", "kernel", "model_fingerprint", "seed", "nodes")
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kernel.dim != self.dim:
             raise ValidationError(f"tree dim {self.dim} does not match kernel dimension {self.kernel.dim}")
 
@@ -486,21 +470,15 @@ def build_kernel_mmdt(
     fingerprint = model.fingerprint()
     if stats.model_fingerprint != fingerprint or stats.kernel_fingerprint != kernel.fingerprint():
         raise IncompatibilityError("stats were computed for a different model or kernel")
-    node_counter = [0]
 
-    def grow(comps: list[int]) -> TreeNode:
-        node_index = node_counter[0]
-        node_counter[0] += 1
+    def split(comps: list[int], node_index: int):
         if len(comps) == 1:
-            return TreeNode(leaf=comps[0])
+            return comps[0]
 
         # The smallest (xi, axis, k, l) with k < l: comps ascend, so the
         # first minimum in C order over (axis, k, l) breaks ties that way.
         block = np.where(np.tri(len(comps), dtype=bool), np.inf, stats.xi_table[:, comps][:, :, comps])
         axis, a, _ = map(int, np.unravel_index(np.argmin(block), block.shape))
-        # Dropped before recursing: a chain of live ancestors' blocks would
-        # hold about d·K³/3 floats on a tree of depth near K.
-        del block
         anchor = comps[a]
 
         values = stats.xi_table[axis, anchor, comps]
@@ -520,11 +498,10 @@ def build_kernel_mmdt(
         left = [m for m, v in zip(comps, values) if v < theta]
         right = [m for m, v in zip(comps, values) if v > theta]
         assert left and right, "kernel threshold failed to separate components"
-        cut = KernelCut(axis=axis, prototype=prototype, theta=theta, anchor=anchor)
-        return TreeNode(cut=cut, left=grow(left), right=grow(right))
+        return KernelCut(axis=axis, prototype=prototype, theta=theta, anchor=anchor), left, right
 
-    root = grow(list(range(model.k)))
-    return KernelTree(root=root, dim=model.dim, kernel=kernel, model_fingerprint=fingerprint, seed=seed)
+    nodes = grow(list(range(model.k)), split)
+    return KernelTree(nodes=nodes, dim=model.dim, kernel=kernel, model_fingerprint=fingerprint, seed=seed)
 
 
 def interval_predict(tree: KernelTree, x) -> int:
@@ -533,11 +510,10 @@ def interval_predict(tree: KernelTree, x) -> int:
     x = np.asarray(x, dtype=float)
     if x.shape != (tree.dim,):
         raise IncompatibilityError(f"point has shape {x.shape}, tree expects ({tree.dim},)")
-    node = tree.root
-    while not node.is_leaf:
-        cut = node.cut
-        node = node.left if abs(x[cut.axis] - cut.prototype[cut.axis]) > tree.radius(cut) else node.right
-    return int(node.leaf)
+    i = 0
+    while not isinstance(cut := tree.nodes[i], int):
+        i = i + 1 if abs(x[cut.axis] - cut.prototype[cut.axis]) > tree.radius(cut) else tree.right[i]
+    return cut
 
 
 @dataclass(frozen=True)
@@ -664,21 +640,19 @@ def check_structure(tree: KernelTree, stats: KernelStats) -> None:
     to the anchor), and every leaf is the one component left at it.  The
     splits partition the K components, so the leaves are a bijection onto
     them."""
-
-    def walk(node: TreeNode, comps: list[int]) -> None:
-        if node.is_leaf:
-            if comps != [node.leaf]:
-                raise ValidationError(f"leaf {node.leaf} does not match remaining set {comps}")
-            return
-        cut = node.cut
+    stack = [(0, list(range(tree.n_leaves)))]
+    while stack:
+        i, comps = stack.pop()
+        cut = tree.nodes[i]
+        if isinstance(cut, int):
+            if comps != [cut]:
+                raise ValidationError(f"leaf {cut} does not match remaining set {comps}")
+            continue
         if cut.anchor not in comps:
             raise ValidationError("cut anchor is not among the node's components")
         left = [m for m in comps if stats.xi_table[cut.axis, cut.anchor, m] < cut.theta]
         right = [m for m in comps if stats.xi_table[cut.axis, cut.anchor, m] > cut.theta]
         if sorted(left + right) != sorted(comps) or not left or not right:
             raise ValidationError("threshold does not split the node's components")
-        walk(node.left, left)
-        walk(node.right, right)
-
-    walk(tree.root, list(range(tree.n_leaves)))
+        stack += [(tree.right[i], right), (i + 1, left)]
 

@@ -91,11 +91,13 @@ def uniform_mass(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def check_format_version(d: dict) -> None:
-    """Raise ValueError unless d's format_version, where present, is the
-    JSON integer 1."""
-    if "format_version" in d and json_int(d, "format_version") != 1:
-        raise ValueError(f"unsupported format_version {d['format_version']}")
+def check_format_version(d: dict, versions: tuple[int, ...] = (1,)) -> int:
+    """d's format_version, 1 where absent; raise ValueError unless it is a
+    JSON integer among versions."""
+    version = json_int(d, "format_version") if "format_version" in d else 1
+    if version not in versions:
+        raise ValueError(f"unsupported format_version {version}")
+    return version
 
 
 # Bump the tag whenever the hashed parts change, so that fingerprints of

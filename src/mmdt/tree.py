@@ -1,7 +1,9 @@
 """Threshold trees over mixture components, and the axis-aligned builder.
 
-Axis and kernel trees share the node type, the tree base, the router and
-the DOT export defined here; they differ only in their cuts.
+Axis and kernel trees share the pre-order node list, the tree base, the
+pre-order emitter ``grow`` of every builder, the router and the DOT export
+defined here; they differ only in their cuts.  Every walk over a tree is a
+loop, so a tree may be of any depth.
 
 The builder repeatedly picks the axis with the largest noise-normalized mean
 spread among the components remaining at a node, then places a one-sided cut
@@ -39,7 +41,8 @@ the lowest threshold wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -87,46 +90,13 @@ class AxisCut:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """Internal node (cut plus two children) or leaf (component index).
-
-    A cut is an ``AxisCut`` or a ``kernel.KernelCut``: plain data with an
-    ``axis`` and ``to_dict()``.  The tree that holds it routes and labels it.
-    """
-
-    cut: AxisCut | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    leaf: int | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf is not None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"leaf": int(self.leaf)}
-        return {**self.cut.to_dict(), "left": self.left.to_dict(), "right": self.right.to_dict()}
-
-    @staticmethod
-    def from_dict(d: dict, dim: int, read_cut) -> "TreeNode":
-        """Parse a node; read_cut(d, axis, dim) makes the cut once its axis
-        is known to lie in 0..dim-1."""
-        if "leaf" in d:
-            return TreeNode(leaf=json_int(d, "leaf"))
-        axis = json_int(d, "axis")
-        if not 0 <= axis < dim:
-            raise ValidationError(f"cut axis {axis} outside 0..{dim - 1}")
-        return TreeNode(
-            cut=read_cut(d, axis, dim),
-            left=TreeNode.from_dict(d["left"], dim, read_cut),
-            right=TreeNode.from_dict(d["right"], dim, read_cut),
-        )
-
-
-@dataclass(frozen=True)
 class ThresholdTree:
-    """Binary tree with K leaves, one per component index.
+    """Binary tree with K leaves, one per component index, held as its nodes
+    in pre-order: each entry is a cut (an ``AxisCut`` or a
+    ``kernel.KernelCut``: plain data with an ``axis`` and ``to_dict()``) or a
+    leaf's component index (an int).  The left child of cut i is i + 1, and
+    ``right[i]`` is its right child (0 at a leaf), computed once from the
+    nodes, which must be one full binary tree in pre-order.
 
     A subclass sets ``kind``, ``dot_name`` and the JSON key order
     ``json_keys``, and defines ``header()`` (its JSON header fields),
@@ -136,59 +106,107 @@ class ThresholdTree:
     points' values on the cut's axis, and how they read).
     """
 
-    root: TreeNode
+    nodes: tuple
     dim: int
     model_fingerprint: str = ""
+    right: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     kind: ClassVar[str]
     dot_name: ClassVar[str]
     json_keys: ClassVar[tuple[str, ...]]
 
-    def leaves(self) -> list[int]:
-        def walk(node: TreeNode) -> list[int]:
-            return [node.leaf] if node.is_leaf else walk(node.left) + walk(node.right)
+    def __post_init__(self):
+        # a leaf may be any integer (say a numpy one); anything else not a cut is a TypeError
+        nodes = tuple(node if hasattr(node, "to_dict") else operator.index(node) for node in self.nodes)
+        right = [0] * len(nodes)
+        waiting: list[int] = []  # cuts whose right child comes next after a leaf
+        for i, node in enumerate(nodes):
+            if i and isinstance(nodes[i - 1], int):
+                if not waiting:
+                    raise ValidationError(f"node {i} follows a complete tree")
+                right[waiting.pop()] = i
+            if not isinstance(node, int):
+                waiting.append(i)
+        if waiting or not nodes:
+            raise ValidationError("nodes end before the tree is complete")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "right", tuple(right))
 
-        return walk(self.root)
+    def leaves(self) -> list[int]:
+        return [node for node in self.nodes if isinstance(node, int)]
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaves())
+        return (len(self.nodes) + 1) // 2
 
     def to_dict(self) -> dict:
         fields = {
-            "format_version": 1,
+            "format_version": 2,
             "kind": self.kind,
             "dim": int(self.dim),
             "n_leaves": self.n_leaves,
             "model_fingerprint": self.model_fingerprint,
-            "root": self.root.to_dict(),
+            "nodes": [{"leaf": node} if isinstance(node, int) else node.to_dict() for node in self.nodes],
             **self.header(),
         }
         return {key: fields[key] for key in self.json_keys if key in fields}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ThresholdTree":
-        """Parse a tree, raising ValidationError unless every cut axis lies
-        in 0..dim-1 and the leaves are a bijection onto 0..n_leaves-1, and
-        TypeError or ValueError unless model_fingerprint is a string and
-        format_version, where present, is 1."""
-        check_format_version(d)
+        """Parse a tree of format 2 (``nodes``) or 1 (a nested ``root``),
+        raising ValidationError unless every cut axis lies in 0..dim-1, the
+        nodes are one tree and the leaves are a bijection onto
+        0..n_leaves-1, and TypeError or ValueError unless model_fingerprint
+        is a string and format_version, where present, is 1 or 2."""
+        version = check_format_version(d, (1, 2))
         fingerprint = d.get("model_fingerprint", "")
         if not isinstance(fingerprint, str):
             raise TypeError(f"model_fingerprint must be a string, got {fingerprint!r}")
         dim = json_int(d, "dim")
         header = cls.header_from_dict(d, dim)
-        tree = cls(
-            root=TreeNode.from_dict(d["root"], dim, cls.read_cut),
-            dim=dim,
-            model_fingerprint=fingerprint,
-            **header,
-        )
+        raw = d["nodes"] if version == 2 else nested_nodes(d["root"])
+        tree = cls(nodes=[cls._read_node(node, dim) for node in raw], dim=dim, model_fingerprint=fingerprint, **header)
         n_leaves = json_int(d, "n_leaves")
         leaves = sorted(tree.leaves())
         if leaves != list(range(n_leaves)):
             raise ValidationError(f"leaves {leaves} are not a bijection onto 0..{n_leaves - 1}")
         return tree
+
+    @classmethod
+    def _read_node(cls, d: dict, dim: int):
+        if "leaf" in d:
+            return json_int(d, "leaf")
+        axis = json_int(d, "axis")
+        if not 0 <= axis < dim:
+            raise ValidationError(f"cut axis {axis} outside 0..{dim - 1}")
+        return cls.read_cut(d, axis, dim)
+
+
+def nested_nodes(root: dict) -> list[dict]:
+    """The nodes of a format-1 tree, whose cuts hold their ``left`` and
+    ``right`` children, in pre-order and without their children."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if "leaf" not in node:
+            stack += [node["right"], node["left"]]
+            node = {key: value for key, value in node.items() if key not in ("left", "right")}
+        nodes.append(node)
+    return nodes
+
+
+def grow(root_state, split) -> list:
+    """A tree's nodes in pre-order, emitted from the root's state down:
+    ``split(state, index)`` gives the node at pre-order position index, a
+    leaf's component index or ``(cut, left_state, right_state)``."""
+    nodes, stack = [], [root_state]
+    while stack:
+        node = split(stack.pop(), len(nodes))
+        if not isinstance(node, int):
+            node, left, right = node
+            stack += [right, left]
+        nodes.append(node)
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -200,9 +218,10 @@ class AxisTree(ThresholdTree):
 
     kind = "axis"
     dot_name = "tree"
-    json_keys = ("format_version", "kind", "dim", "n_leaves", "model_fingerprint", "root", "options")
+    json_keys = ("format_version", "kind", "dim", "n_leaves", "model_fingerprint", "nodes", "options")
 
     def __post_init__(self):
+        super().__post_init__()
         if self.objective is not None:
             _check_objective(self.objective, ())
 
@@ -250,17 +269,18 @@ def assign_components(tree: ThresholdTree, points: np.ndarray) -> np.ndarray:
     if points.ndim != 2 or points.shape[1] != tree.dim:
         raise IncompatibilityError(f"points have shape {points.shape}, tree expects (*, {tree.dim})")
     out = np.empty(points.shape[0], dtype=int)
-    stack = [(tree.root, np.arange(points.shape[0]))]
+    stack = [(0, np.arange(points.shape[0]))]
     while stack:
-        node, idx = stack.pop()
+        i, idx = stack.pop()
+        node = tree.nodes[i]
         if idx.size == 0:
             continue
-        if node.is_leaf:
-            out[idx] = node.leaf
+        if isinstance(node, int):
+            out[idx] = node
             continue
-        go_left = tree.goes_left(node.cut, points[idx, node.cut.axis])
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
+        go_left = tree.goes_left(node, points[idx, node.axis])
+        stack.append((i + 1, idx[go_left]))
+        stack.append((tree.right[i], idx[~go_left]))
     return out
 
 
@@ -658,15 +678,8 @@ def build_mmdt(model: MixtureModel, objective: str = "chebyshev") -> AxisTree:
             splits[tuple(comps)] = (AxisCut(axis=axis, theta=theta), left, right)
             next_level += [side for side in (left, right) if len(side) > 1]
         level = next_level
-
-    def grow(comps: list[int]) -> TreeNode:
-        if len(comps) == 1:
-            return TreeNode(leaf=comps[0])
-        cut, left, right = splits[tuple(comps)]
-        return TreeNode(cut=cut, left=grow(left), right=grow(right))
-
     return AxisTree(
-        root=grow(list(range(model.k))),
+        nodes=grow(list(range(model.k)), lambda comps, _: comps[0] if len(comps) == 1 else splits[tuple(comps)]),
         dim=model.dim,
         model_fingerprint=model.fingerprint(),
         objective=objective,
@@ -678,20 +691,18 @@ def leaf_cells(tree: AxisTree) -> list[tuple[int, np.ndarray, np.ndarray]]:
     being the box lo < x <= hi.  A cut outside its node's cell leaves an
     empty box (lo >= hi on the cut's axis) on one side of it."""
     cells: list[tuple[int, np.ndarray, np.ndarray]] = []
-
-    def walk(node: TreeNode, lo: np.ndarray, hi: np.ndarray):
-        if node.is_leaf:
-            cells.append((node.leaf, lo.copy(), hi.copy()))
-            return
-        axis, theta = node.cut.axis, node.cut.theta
+    stack = [(0, np.full(tree.dim, -np.inf), np.full(tree.dim, np.inf))]
+    while stack:
+        i, lo, hi = stack.pop()
+        node = tree.nodes[i]
+        if isinstance(node, int):
+            cells.append((node, lo.copy(), hi.copy()))
+            continue
         hi_left = hi.copy()
-        hi_left[axis] = min(hi[axis], theta)
+        hi_left[node.axis] = min(hi[node.axis], node.theta)
         lo_right = lo.copy()
-        lo_right[axis] = max(lo[axis], theta)
-        walk(node.left, lo, hi_left)
-        walk(node.right, lo_right, hi)
-
-    walk(tree.root, np.full(tree.dim, -np.inf), np.full(tree.dim, np.inf))
+        lo_right[node.axis] = max(lo[node.axis], node.theta)
+        stack += [(tree.right[i], lo_right, hi), (i + 1, lo, hi_left)]
     return cells
 
 
@@ -714,21 +725,15 @@ def export_dot(tree: ThresholdTree) -> str:
     """Graphviz DOT text: an internal node is labelled by its cut, and its
     left child hangs on the yes edge."""
     lines = [f"digraph {tree.dot_name} {{", "  node [shape=box];"]
-    counter = [0]
-
-    def walk(node: TreeNode) -> int:
-        idx = counter[0]
-        counter[0] += 1
-        if node.is_leaf:
-            lines.append(f'  n{idx} [label="component {node.leaf}", shape=ellipse];')
-            return idx
-        lines.append(f'  n{idx} [label="{tree.label(node.cut)}"];')
-        l = walk(node.left)
-        r = walk(node.right)
-        lines.append(f'  n{idx} -> n{l} [label="yes"];')
-        lines.append(f'  n{idx} -> n{r} [label="no"];')
-        return idx
-
-    walk(tree.root)
+    open_cuts: list[int] = []  # a cut's edges follow the last line of its subtree
+    for i, node in enumerate(tree.nodes):
+        if not isinstance(node, int):
+            lines.append(f'  n{i} [label="{tree.label(node)}"];')
+            open_cuts.append(i)
+            continue
+        lines.append(f'  n{i} [label="component {node}", shape=ellipse];')
+        while open_cuts and tree.right[open_cuts[-1]] <= i:
+            c = open_cuts.pop()
+            lines += [f'  n{c} -> n{c + 1} [label="yes"];', f'  n{c} -> n{tree.right[c]} [label="no"];']
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,19 +2,21 @@
 dataset and centers writers, the canonical trees and exhaustive tree
 enumerator of the hard instances, the bisection that the threshold search's
 roots are checked against, the list of thresholds that moved between two
-trees, and the per-pair loop of the kernel statistics."""
+trees, the per-pair loop of the kernel statistics, and the maximum mean
+discrepancy between two components."""
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
 
-from mmdt import AdversarialInstance, KernelSpec, LabeledDataset, MixtureModel, ValidationError
+from mmdt import AdversarialInstance, Component, KernelSpec, LabeledDataset, MixtureModel, ValidationError
 from mmdt.io import save_json, write_text
-from mmdt.kernel import _atom_grams, _atoms
+from mmdt.kernel import KernelStats, _atom_grams, _atoms, _check_kernel_dim, _pair_atoms, _product, _row_blocks, _workspaces
 from mmdt.mixture import _e_step, _pair_gaps
-from mmdt.tree import _MAX_PROBES, AxisCut, AxisTree, TreeNode, _midpoint_candidates
+from mmdt.tree import _MAX_PROBES, AxisCut, AxisTree, _midpoint_candidates, nested_nodes
 
 
 def snr(model: MixtureModel) -> float:
@@ -56,13 +58,9 @@ def thm4_canonical_tree(instance: AdversarialInstance) -> AxisTree:
     if instance.construction != "thm4-basis":
         raise ValidationError("canonical tree is defined for thm4-basis instances")
     k = instance.params["K"]
-
-    def grow(c: int) -> TreeNode:
-        if c == k - 1:
-            return TreeNode(leaf=c)
-        return TreeNode(cut=AxisCut(axis=c, theta=0.5), left=grow(c + 1), right=TreeNode(leaf=c))
-
-    return AxisTree(root=grow(0), dim=k, model_fingerprint=instance.model.fingerprint())
+    # pre-order: every cut's left child is the next cut, or leaf K-1 under the last one
+    nodes = [AxisCut(axis=c, theta=0.5) for c in range(k - 1)] + [k - 1] + list(range(k - 2, -1, -1))
+    return AxisTree(nodes=nodes, dim=k, model_fingerprint=instance.model.fingerprint())
 
 
 def b3_canonical_tree(instance: AdversarialInstance) -> AxisTree:
@@ -70,8 +68,7 @@ def b3_canonical_tree(instance: AdversarialInstance) -> AxisTree:
     if instance.construction != "b3-constprice":
         raise ValidationError("canonical tree is defined for b3-constprice instances")
     d = instance.params["d"]
-    root = TreeNode(cut=AxisCut(axis=0, theta=0.0), left=TreeNode(leaf=1), right=TreeNode(leaf=0))
-    return AxisTree(root=root, dim=d, model_fingerprint=instance.model.fingerprint())
+    return AxisTree(nodes=[AxisCut(axis=0, theta=0.0), 1, 0], dim=d, model_fingerprint=instance.model.fingerprint())
 
 
 def enumerate_valid_trees(model: MixtureModel, max_support: int = 200, max_k: int = 3) -> Iterator[AxisTree]:
@@ -93,20 +90,20 @@ def enumerate_valid_trees(model: MixtureModel, max_support: int = 200, max_k: in
     means = model.means()
     fingerprint = model.fingerprint()
 
-    def grow(comps: list[int]) -> Iterator[TreeNode]:
+    def grow(comps: list[int]) -> Iterator[list]:
         if len(comps) == 1:
-            yield TreeNode(leaf=comps[0])
+            yield [comps[0]]
             return
         for axis in range(model.dim):
             for theta in _midpoint_candidates(model, comps, axis).tolist():
                 left = [k for k in comps if means[k, axis] <= theta]
                 right = [k for k in comps if means[k, axis] > theta]
-                for left_node in grow(left):
-                    for right_node in grow(right):
-                        yield TreeNode(cut=AxisCut(axis=axis, theta=theta), left=left_node, right=right_node)
+                for left_nodes in grow(left):
+                    for right_nodes in grow(right):
+                        yield [AxisCut(axis=axis, theta=theta), *left_nodes, *right_nodes]
 
-    for root in grow(list(range(model.k))):
-        yield AxisTree(root=root, dim=model.dim, model_fingerprint=fingerprint)
+    for nodes in grow(list(range(model.k))):
+        yield AxisTree(nodes=nodes, dim=model.dim, model_fingerprint=fingerprint)
 
 
 def bisect_roots(slope, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -134,30 +131,70 @@ def float_ordinal(x: float) -> int:
     return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
 
 
-def moved_thresholds(old: dict, new: dict) -> list[tuple]:
-    """(node path, axis, old theta, new theta, ulps) for every node where two
-    trees differ, top down.  Each tree is its JSON dict or its root node's;
-    a path spells the way from the root in L and R.  ulps counts the floats
-    between the two thetas.  Where the axis moved, axis is (old, new) and
-    ulps None; where a leaf or the shape moved, axis is "leaf", the thetas
-    are the two nodes' leaves (None for an internal node) and ulps None, and
-    the walk does not go below that node."""
-    moved: list[tuple] = []
+def node_depths(tree) -> list[int]:
+    """The depth of every node of a tree, in pre-order; the root's is 0."""
+    depths = [0] * len(tree.nodes)
+    for i, node in enumerate(tree.nodes):
+        if not isinstance(node, int):
+            depths[i + 1] = depths[tree.right[i]] = depths[i] + 1
+    return depths
 
-    def walk(a: dict, b: dict, path: str) -> None:
+
+def caterpillar_kernel_stats(k: int, d: int) -> tuple[MixtureModel, KernelSpec, KernelStats]:
+    """K unit Gaussians in d dimensions at seeded random means, a Gaussian
+    kernel and a made-up xi table under which the lowest remaining
+    component anchors every node of a kernel tree and splits off alone, so
+    the tree is a caterpillar of depth K - 1."""
+    rng = np.random.default_rng(0)
+    model = MixtureModel.create(tuple(Component.gaussian(m, np.ones(d)) for m in rng.normal(size=(k, d))), np.full(k, 1.0 / k))
+    kernel = KernelSpec.uniform("gaussian", 1.0, d)
+    index = np.arange(k)
+    table = 0.1 + 1e-3 * np.minimum.outer(index, index) + 1e-6 * np.maximum.outer(index, index)
+    table = table + 1e-8 * np.arange(d)[:, None, None]
+    table[:, index, index] = 1.0
+    stats = KernelStats(
+        sigma2=1.0,
+        sigma2_per_component=np.ones(k),
+        eps2=0.0,
+        tau=float(np.where(np.eye(k, dtype=bool), 0.0, table.min(axis=0)).max()),
+        xi_table=table,
+        model_fingerprint=model.fingerprint(),
+        kernel_fingerprint=kernel.fingerprint(),
+    )
+    return model, kernel, stats
+
+
+def json_nodes(tree: dict) -> list[dict]:
+    """The JSON nodes in pre-order of a tree's JSON dict, of format 2
+    (``nodes``) or 1 (``root``), or of a format-1 root node."""
+    return tree["nodes"] if "nodes" in tree else nested_nodes(tree.get("root", tree))
+
+
+def moved_thresholds(old: dict, new: dict) -> list[tuple]:
+    """(node index, axis, old theta, new theta, ulps) for every node where
+    two trees differ, in pre-order.  Each tree is read by ``json_nodes``.
+    ulps counts the floats between the two thetas.  Where the axis moved,
+    axis is (old, new) and ulps None; where a leaf moved, axis is "leaf",
+    the thetas are the two leaves and ulps None; where the shape moved (a
+    leaf against a cut), the thetas are the two leaves (None for the cut)
+    and the comparison ends there.  Where a kernel cut's prototype or
+    anchor moved, axis is "prototype" and the thetas are the two
+    (prototype, anchor) pairs."""
+    moved: list[tuple] = []
+    for i, (a, b) in enumerate(zip(json_nodes(old), json_nodes(new))):
         if "leaf" in a or "leaf" in b:
             if a.get("leaf") != b.get("leaf"):
-                moved.append((path, "leaf", a.get("leaf"), b.get("leaf"), None))
-            return
+                moved.append((i, "leaf", a.get("leaf"), b.get("leaf"), None))
+            if ("leaf" in a) != ("leaf" in b):
+                break
+            continue
         if a["axis"] != b["axis"]:
-            moved.append((path, (a["axis"], b["axis"]), a["theta"], b["theta"], None))
+            moved.append((i, (a["axis"], b["axis"]), a["theta"], b["theta"], None))
         elif a["theta"] != b["theta"]:
-            ulps = abs(float_ordinal(a["theta"]) - float_ordinal(b["theta"]))
-            moved.append((path, a["axis"], a["theta"], b["theta"], ulps))
-        walk(a["left"], b["left"], path + "L")
-        walk(a["right"], b["right"], path + "R")
-
-    walk(old.get("root", old), new.get("root", new), "")
+            moved.append((i, a["axis"], a["theta"], b["theta"], abs(float_ordinal(a["theta"]) - float_ordinal(b["theta"]))))
+        kernel_a, kernel_b = (a.get("prototype"), a.get("anchor")), (b.get("prototype"), b.get("anchor"))
+        if kernel_a != kernel_b:
+            moved.append((i, "prototype", kernel_a, kernel_b, None))
     return moved
 
 
@@ -182,3 +219,21 @@ def pairwise_kernel_stats(model: MixtureModel, kernel: KernelSpec) -> tuple[np.n
             if k == l:
                 sigma2_per[k] = float(mass_a @ full @ mass_b)
     return xi_table, sigma2_per, min(1.0, eps2)
+
+
+def mmd(model: MixtureModel, kernel: KernelSpec, k: int, l: int) -> float:
+    """Maximum mean discrepancy between two components (clamped at zero
+    before the square root to absorb rounding), over the Gram walk of
+    ``kernel_price``.  For k == l the three expectations are one and the
+    same, so the result is exactly 0."""
+    _check_kernel_dim(model, kernel)
+    buffers = _workspaces(max(_atoms(c)[2].size for c in model.components), 2)
+
+    def cross(i: int, j: int) -> float:
+        a, b, var, mass_a, mass_b = _pair_atoms(model, i, j)
+        sums = np.empty(mass_a.size)
+        for rows, block, views in _row_blocks(a, b, buffers):
+            sums[rows] = _product(kernel, block, b, var, *views) @ mass_b
+        return float(mass_a @ sums)
+
+    return math.sqrt(max(0.0, cross(k, k) + cross(l, l) - 2.0 * cross(k, l)))

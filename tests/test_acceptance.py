@@ -29,7 +29,6 @@ from mmdt import (
     exact_error_rate_gaussian,
     kernel_price,
     kernel_stats,
-    mmd,
     thm1_bound,
     thm3_bound,
     thm5_bound,
@@ -41,10 +40,11 @@ from mmdt.evaluate import BOUND_CONSTANT
 from mmdt.io import load_dataset
 from mmdt.kernel import check_structure as check_kernel_structure
 from mmdt.mixture import Component, LabeledDataset, MixtureModel, fit_gmm, sample
+from mmdt.tree import assign_components
 from mmdt.tree import check_structure as check_axis_structure
 
 from conftest import DATA_DIR, gaussian_battery, random_discrete_model, translate_battery
-from oracles import b3_canonical_tree, enumerate_valid_trees, log_likelihood, thm4_canonical_tree
+from oracles import b3_canonical_tree, enumerate_valid_trees, log_likelihood, mmd, thm4_canonical_tree
 
 MC_SAMPLES = 200_000
 BETA_GAUSSIAN = math.sqrt(math.pi / 2.0)
@@ -217,8 +217,8 @@ def _wine_pipeline():
     model = best[1]
     cdata = CenteredDataset(pts, model.means())
     tree = build_mmdt(model, "gaussian")
-    mmdt_price = empirical_price(cdata, tree, "l2sq")
-    imm_price = empirical_price(cdata, build_imm(cdata), "l2sq")
+    mmdt_price = empirical_price(cdata, assign_components(tree, pts), "l2sq")
+    imm_price = empirical_price(cdata, assign_components(build_imm(cdata), pts), "l2sq")
     return mmdt_price, imm_price
 
 
@@ -258,7 +258,7 @@ def test_criterion_08c_gaussians_row():
     model = best[1]
     cdata = CenteredDataset(data.points, model.means())
     tree = build_mmdt(model, "gaussian")
-    price = empirical_price(cdata, tree, "l2sq")
+    price = empirical_price(cdata, assign_components(tree, data.points), "l2sq")
     ok = price <= 1.05
     report(8, "gaussians-row", ok, f"l2sq price {price:.4f} at N={n}")
     assert ok

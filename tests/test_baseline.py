@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmdt import ValidationError, build_imm, empirical_price, sample
+from mmdt import IncompatibilityError, ValidationError, build_imm, empirical_price, sample
 from mmdt.adversarial import gen_b3
 from mmdt.baseline import CenteredDataset, _best_cut, nearest_center
 from mmdt.tree import assign_components, check_structure
@@ -71,7 +71,7 @@ def test_build_imm_on_b3_sample():
     d = sample(inst.model, 10_000, seed=2)
     data = CenteredDataset(d.points, inst.model.means())
     tree = build_imm(data)
-    assert abs(tree.root.cut.theta) < 0.3
+    assert abs(tree.nodes[0].theta) < 0.3
     err = float(np.mean(assign_components(tree, d.points) != d.labels))
     assert err == pytest.approx(1.0 / 8.0, abs=0.02)
 
@@ -87,7 +87,7 @@ def test_cut_mistake_subset_monotonicity():
     tree = build_imm(data)  # build asserts the subset property internally
     # and explicitly: restricting a fixed root cut to either side's points
     # cannot increase its mistake count
-    cut = tree.root.cut
+    cut = tree.nodes[0]
     all_idx = np.arange(data.points.shape[0])
     full = cut_mistakes_on_subset(data, all_idx, range(data.k), cut.axis, cut.theta)
     left = all_idx[data.points[:, cut.axis] <= cut.theta]
@@ -118,46 +118,64 @@ def test_empirical_price_identical_partition():
     tree = build_imm(data)
     # separable blobs: the tree reproduces the assignment exactly
     assert np.array_equal(assign_components(tree, data.points), data.assignment)
-    assert empirical_price(data, tree, "l1") == pytest.approx(1.0, abs=1e-12)
-    assert empirical_price(data, tree, "l2sq") == pytest.approx(1.0, abs=1e-12)
+    assert empirical_price(data, assign_components(tree, data.points), "l1") == pytest.approx(1.0, abs=1e-12)
+    assert empirical_price(data, assign_components(tree, data.points), "l2sq") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_empirical_price_below_one_is_legal():
     # a suboptimal reference partition (offset centers) can price a good
     # externally built tree below 1
-    from mmdt.tree import AxisCut, AxisTree, TreeNode
+    from mmdt.tree import AxisCut, AxisTree
 
     rng = np.random.default_rng(12)
     pts = np.vstack([rng.normal(0.0, 1.0, size=(200, 1)), rng.normal(4.0, 1.0, size=(200, 1))])
     data = CenteredDataset(pts, np.array([[-1.0], [2.0]]))
     tree = AxisTree(
-        root=TreeNode(cut=AxisCut(0, 2.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
+        nodes=[AxisCut(0, 2.0), 0, 1],
         dim=1,
     )
-    assert empirical_price(data, tree, "l1") < 1.0
-    assert empirical_price(data, tree, "l2sq") < 1.0
+    assert empirical_price(data, assign_components(tree, data.points), "l1") < 1.0
+    assert empirical_price(data, assign_components(tree, data.points), "l2sq") < 1.0
 
 
 def test_empirical_price_norm_guard():
     data = make_blobs(seed=5)
     tree = build_imm(data)
     with pytest.raises(ValidationError):
-        empirical_price(data, tree, "huber")
+        empirical_price(data, assign_components(tree, data.points), "huber")
+
+
+@pytest.mark.parametrize(
+    "leaf_of",
+    [
+        pytest.param(lambda ids: np.append(ids, 0), id="one-id-too-many"),
+        pytest.param(lambda ids: ids[:, None], id="2-d"),
+        pytest.param(lambda ids: ids.astype(float), id="float"),
+        pytest.param(lambda ids: np.where(ids == 0, 3, ids), id="leaf-above-k"),
+        pytest.param(lambda ids: ids - 1, id="negative"),
+    ],
+)
+def test_empirical_price_rejects_leaf_ids_that_do_not_fit(leaf_of):
+    # group_cost reads only leaves 0..k-1, so an id outside them would
+    # drop its point from the tree cost and price too low.
+    data = make_blobs(seed=5)
+    with pytest.raises(IncompatibilityError, match=f"leaf ids must be {len(data.points)} ints in 0..2"):
+        empirical_price(data, leaf_of(data.assignment), "l2sq")
 
 
 def test_empirical_price_zero_baseline():
     # Every point on its center: the baseline costs 0, so a tree that keeps
     # the assignment prices at 1, and one that misroutes a point at inf.
-    from mmdt.tree import AxisCut, AxisTree, TreeNode
+    from mmdt.tree import AxisCut, AxisTree
 
     data = CenteredDataset(np.array([[0.0], [0.0], [5.0], [5.0]]), np.array([[0.0], [5.0]]))
     for theta, price in ((2.5, 1.0), (-1.0, np.inf)):
         tree = AxisTree(
-            root=TreeNode(cut=AxisCut(0, theta), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
+            nodes=[AxisCut(0, theta), 0, 1],
             dim=1,
         )
-        assert empirical_price(data, tree, "l1") == price
-        assert empirical_price(data, tree, "l2sq") == price
+        assert empirical_price(data, assign_components(tree, data.points), "l1") == price
+        assert empirical_price(data, assign_components(tree, data.points), "l2sq") == price
 
 
 def test_imm_mistakes_bounded_by_n():

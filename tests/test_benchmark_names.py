@@ -15,7 +15,6 @@ import pytest
 import mmdt.cli  # imports every traced module
 from mmdt import ValidationError, build_kernel_mmdt, build_mmdt, kernel_stats, predict
 from mmdt.io import save_mixture, save_tree
-from mmdt.tree import TreeNode
 
 from conftest import gaussian_battery, translate_battery
 
@@ -68,8 +67,9 @@ def test_oracles_take_the_benchmark_arguments(tmp_path):
     save_tree(tmp_path / "tree.json", build_mmdt(gaussian_battery(3), "chebyshev"))
     model, built = load_mixture(tmp_path / "gauss.json"), load_tree(tmp_path / "tree.json")
     assert check_structure(built, model.means()) is None
-    root = built.root
-    swapped = dataclasses.replace(built, root=TreeNode(cut=root.cut, left=root.right, right=root.left))
+    # the root's two subtrees swapped: the root cut, its right subtree, its left subtree
+    root, left, right = built.nodes[0], built.nodes[1 : built.right[0]], built.nodes[built.right[0] :]
+    swapped = dataclasses.replace(built, nodes=(root, *right, *left))
     with pytest.raises(ValidationError):
         check_structure(swapped, model.means())
     rate = resolve("evaluate.exact_error_rate_gaussian")(model, built)

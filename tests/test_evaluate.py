@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mmdt import (
-    CenteredDataset,
     Component,
     KernelSpec,
     MixtureModel,
@@ -13,7 +12,6 @@ from mmdt import (
     beta_estimate,
     build_kernel_mmdt,
     build_mmdt,
-    empirical_price,
     evaluate_tree,
     exact_error_rate_gaussian,
     kernel_price,
@@ -27,7 +25,7 @@ from mmdt.adversarial import gen_b3, gen_thm4
 from mmdt.errors import IncompatibilityError
 from mmdt.evaluate import BOUND_CONSTANT, weighted_median
 from mmdt.tree import assign_components, check_fits, leaf_cells
-from mmdt.tree import AxisCut, AxisTree, TreeNode
+from mmdt.tree import AxisCut, AxisTree
 
 from conftest import gaussian_battery, random_discrete_model
 from oracles import b3_canonical_tree, enumerate_valid_trees, thm4_canonical_tree
@@ -67,7 +65,7 @@ def test_exact_eval_point_masses():
     )
     m = MixtureModel.create(comps, [0.4, 0.6], alpha=1.2)
     tree = AxisTree(
-        root=TreeNode(cut=AxisCut(0, 2.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
+        nodes=[AxisCut(0, 2.0), 0, 1],
         dim=2,
     )
     rep = evaluate_tree(m, tree)
@@ -134,12 +132,7 @@ def test_mc_eval_vacuous_cut_no_errors():
     # three point-mass components; every cut avoids all data mass
     comps = tuple(Component.discrete([[float(v)]], [1.0]) for v in (0.0, 10.0, 20.0))
     m = MixtureModel.create(comps, [1 / 3] * 3)
-    root = TreeNode(
-        cut=AxisCut(0, 9.0),
-        left=TreeNode(leaf=0),
-        right=TreeNode(cut=AxisCut(0, 15.0), left=TreeNode(leaf=1), right=TreeNode(leaf=2)),
-    )
-    tree = AxisTree(root=root, dim=1)
+    tree = AxisTree(nodes=[AxisCut(0, 9.0), 0, AxisCut(0, 15.0), 1, 2], dim=1)
     rep = evaluate_tree(m, tree, 5000, seed=0)
     assert rep.error_rate == 0.0
     assert rep.price_l1 == pytest.approx(1.0)
@@ -153,12 +146,7 @@ def test_mc_eval_empty_leaf_fallback():
         Component.gaussian([200.0], [0.01]),
     )
     m = MixtureModel.create(comps, [0.5, 0.25, 0.25], alpha=1.5)
-    root = TreeNode(
-        cut=AxisCut(0, 50.0),
-        left=TreeNode(cut=AxisCut(0, -90.0), left=TreeNode(leaf=1), right=TreeNode(leaf=0)),
-        right=TreeNode(leaf=2),
-    )
-    tree = AxisTree(root=root, dim=1)
+    tree = AxisTree(nodes=[AxisCut(0, 50.0), AxisCut(0, -90.0), 1, 0, 2], dim=1)
     rep = evaluate_tree(m, tree, 2000, seed=3)
     assert 1 in rep.fallback_leaves
 
@@ -200,7 +188,7 @@ def test_price_l2sq_examples():
     )
     point = MixtureModel.create(comps, [0.5, 0.5])
     tree = AxisTree(
-        root=TreeNode(cut=AxisCut(0, 2.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
+        nodes=[AxisCut(0, 2.0), 0, 1],
         dim=2,
     )
     assert evaluate_tree(point, tree).price_l2sq == 1.0
@@ -242,7 +230,7 @@ def test_mc_price_l2sq_baseline_comes_from_the_components():
     # not move the squared-l2 price.
     comps = (Component.gaussian([0.0, 0.0], [1.0, 2.0]), Component.gaussian([6.0, 1.0], [1.0, 2.0]))
     tree = AxisTree(
-        root=TreeNode(cut=AxisCut(0, 3.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
+        nodes=[AxisCut(0, 3.0), 0, 1],
         dim=2,
     )
     pooled = evaluate_tree(MixtureModel.create(comps, [0.5, 0.5]), tree, 20_000, seed=1)
@@ -349,7 +337,7 @@ def test_exact_error_rate_gaussian_resolves_tiny_rates():
     )
     theta = 9.2
     tree = AxisTree(
-        root=TreeNode(cut=AxisCut(0, theta), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
+        nodes=[AxisCut(0, theta), 0, 1],
         dim=1,
     )
     expected = 0.3 * tail(theta / 1.0) + 0.7 * tail((23.3 - theta) / 1.5)
@@ -357,7 +345,7 @@ def test_exact_error_rate_gaussian_resolves_tiny_rates():
     assert exact_error_rate_gaussian(m, tree) == pytest.approx(expected, rel=1e-12, abs=0.0)
     # a cut far left of component 0 leaves its cell without mass: log1p(-1)
     far = AxisTree(
-        root=TreeNode(cut=AxisCut(0, -50.0), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
+        nodes=[AxisCut(0, -50.0), 0, 1],
         dim=1,
     )
     with warnings.catch_warnings():
@@ -393,19 +381,18 @@ def test_report_json_round_trip():
 
 def test_every_pricer_shares_one_tree_fit_check():
     # tree.check_fits is the one check that a tree fits its model, for the
-    # axis and kernel evaluators and for the dataset price alike.
+    # axis and kernel evaluators.  `eval-data` makes it before it routes the
+    # rows once for the dataset price (test_io_cli's eval-data-leaf-count).
     b3, thm4 = gen_b3(3).model, gen_thm4(3, 3).model  # K = 2 and 3, both d = 3
     axis_tree = build_mmdt(thm4, "exact-discrete")
     ker = KernelSpec.uniform("gaussian", 1.0, 3)
     kernel_tree = build_kernel_mmdt(thm4, ker, kernel_stats(thm4, ker))
     gauss = MixtureModel.create(tuple(Component.gaussian(m, np.ones(3)) for m in b3.means()), [0.5, 0.5])
-    data = CenteredDataset(sample(b3, 50, seed=0).points, b3.means())
     calls = [
         lambda: evaluate_tree(b3, axis_tree),
         lambda: evaluate_tree(gauss, axis_tree, 1000, 0),
         lambda: exact_error_rate_gaussian(b3, axis_tree),
         lambda: kernel_price(b3, kernel_tree),
-        lambda: empirical_price(data, axis_tree),
     ]
     for call in calls:
         with pytest.raises(IncompatibilityError, match="tree has 3 leaves, expected 2"):

@@ -29,8 +29,10 @@ from mmdt.io import (
     load_mixture,
     load_tree,
     save_mixture,
+    save_tree,
 )
 from mmdt.mixture import array_fingerprint
+from mmdt.tree import AxisCut, AxisTree
 
 from conftest import DATA_DIR, gaussian_battery, translate_battery
 from oracles import moved_thresholds, save_centers, save_dataset
@@ -353,7 +355,7 @@ def test_tree_json_with_retired_options_loads(tmp_path):
     }))
     tree = load_tree(path)
     assert tree.objective == "gaussian"
-    assert tree.root.cut.theta == 0.5 and tree.leaves() == [0, 1]
+    assert tree.nodes[0].theta == 0.5 and tree.leaves() == [0, 1]
     assert tree.to_dict()["options"] == {"objective": "gaussian"}
 
 
@@ -393,17 +395,17 @@ def test_cli_eval_rejects_unknown_tree_objective(tmp_path, capsys, objective):
     assert err.startswith("error: ") and "objective must be one of" in err and "Traceback" not in err
 
 
-def first_leaf(node: dict) -> dict:
-    return node if "leaf" in node else first_leaf(node["left"])
+def first_leaf(nodes: list) -> dict:
+    return next(node for node in nodes if "leaf" in node)
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda root: first_leaf(root).update(leaf=7), "bijection"),
-        (lambda root: root.update(axis=3), "cut axis 3"),
-        (lambda root: root.update(axis=-1), "cut axis -1"),
-        (lambda root: root.update(prototype=[]), "prototype shape (0,)"),
+        (lambda nodes: first_leaf(nodes).update(leaf=7), "bijection"),
+        (lambda nodes: nodes[0].update(axis=3), "cut axis 3"),
+        (lambda nodes: nodes[0].update(axis=-1), "cut axis -1"),
+        (lambda nodes: nodes[0].update(prototype=[]), "prototype shape (0,)"),
     ],
 )
 def test_cli_eval_rejects_invalid_kernel_tree(tmp_path, capsys, edit, message):
@@ -412,7 +414,7 @@ def test_cli_eval_rejects_invalid_kernel_tree(tmp_path, capsys, edit, message):
     run_cli("gen", "b3", "--d", 3, "--out", mix)
     assert run_cli("build-kernel", "--mixture", mix, "--kernel", "gaussian", "--out", tree) == 0
     payload = json.loads(tree.read_text())
-    edit(payload["root"])
+    edit(payload["nodes"])
     tree.write_text(json.dumps(payload))
     capsys.readouterr()
     assert run_cli("eval", "--mixture", mix, "--tree", tree) == 3
@@ -436,7 +438,7 @@ def _string_gamma(tree: dict) -> dict:
 
 
 def _root_with(tree: dict, **fields) -> dict:
-    return {**tree, "root": {**tree["root"], **fields}}
+    return {**tree, "nodes": [{**tree["nodes"][0], **fields}, *tree["nodes"][1:]]}
 
 
 def _kernel_with(tree: dict, **fields) -> dict:
@@ -444,13 +446,14 @@ def _kernel_with(tree: dict, **fields) -> dict:
 
 
 def _caterpillar_text(tree: dict, leaves: int = 1100) -> str:
-    # Leaf c hangs right of the c-th cut, so the JSON nests about `leaves`
-    # levels deep; built as text, since json.dumps cannot nest that deep.
+    # A format-1 tree: leaf c hangs right of the c-th cut, so the JSON nests
+    # about `leaves` levels deep; built as text, since json.dumps cannot nest
+    # that deep.
     node = f'{{"leaf": {leaves - 1}}}'
     for c in range(leaves - 2, -1, -1):
         node = f'{{"axis": 0, "theta": {float(c)}, "left": {node}, "right": {{"leaf": {c}}}}}'
-    header = {key: value for key, value in tree.items() if key != "root"}
-    return json.dumps({**header, "n_leaves": leaves})[:-1] + f', "root": {node}}}'
+    header = {key: value for key, value in tree.items() if key != "nodes"}
+    return json.dumps({**header, "format_version": 1, "n_leaves": leaves})[:-1] + f', "root": {node}}}'
 
 
 def _first_component_with(mix: dict, **fields) -> dict:
@@ -469,23 +472,19 @@ def _strings(values: list) -> list:
 
 def _leaves_plus(tree: dict, offset: float) -> dict:
     # int() truncates every shifted leaf back to itself, so only a type check sees the edit
-    def shift(node: dict) -> dict:
-        if "leaf" in node:
-            return {"leaf": node["leaf"] + offset}
-        return {**node, "left": shift(node["left"]), "right": shift(node["right"])}
-
-    return {**tree, "root": shift(tree["root"])}
+    return {**tree, "nodes": [{"leaf": node["leaf"] + offset} if "leaf" in node else node for node in tree["nodes"]]}
 
 
-# artifact, edit of its JSON payload, allowed exit codes
+# artifact, edit of its JSON payload, allowed exit codes; a tree's "root"
+# in an id is its node list, which format 2 writes in place of the root
 _MALFORMED = [
-    pytest.param("axis", lambda t: {**t, "root": 5}, {2, 3, 4}, id="tree-root-int"),
-    pytest.param("axis", lambda t: {**t, "root": []}, {2, 3, 4}, id="tree-root-list"),
-    pytest.param("axis", lambda t: {**t, "root": {**t["root"], "theta": "a"}}, {2, 3, 4}, id="tree-theta"),
-    pytest.param("axis", lambda t: {**t, "root": {**t["root"], "axis": None}}, {2, 3, 4}, id="tree-axis"),
+    pytest.param("axis", lambda t: {**t, "nodes": 5}, {2, 3, 4}, id="tree-root-int"),
+    pytest.param("axis", lambda t: {**t, "nodes": []}, {2, 3, 4}, id="tree-root-list"),
+    pytest.param("axis", lambda t: _root_with(t, theta="a"), {2, 3, 4}, id="tree-theta"),
+    pytest.param("axis", lambda t: _root_with(t, axis=None), {2, 3, 4}, id="tree-axis"),
     pytest.param(
         "axis",
-        lambda t: {**t, "root": {"axis": 0, "theta": 0.0, "left": {"leaf": "x"}, "right": {"leaf": 1}}},
+        lambda t: {**t, "nodes": [{"axis": 0, "theta": 0.0}, {"leaf": "x"}, {"leaf": 1}]},
         {2, 3, 4},
         id="tree-leaf-str",
     ),
@@ -496,33 +495,33 @@ _MALFORMED = [
     # integer fields take JSON integers only: no float is truncated, and no
     # bool read as 0 or 1
     pytest.param("axis", lambda t: _leaves_plus(t, 0.4), {2}, id="tree-leaf-float"),
-    pytest.param("axis", lambda t: {**t, "root": {**t["root"], "axis": t["root"]["axis"] + 0.9}}, {2}, id="tree-axis-float"),
+    pytest.param("axis", lambda t: _root_with(t, axis=t["nodes"][0]["axis"] + 0.9), {2}, id="tree-axis-float"),
     pytest.param("axis", lambda t: {**t, "n_leaves": t["n_leaves"] + 0.7}, {2}, id="tree-n-leaves-float"),
     pytest.param("axis", lambda t: {**t, "n_leaves": float(t["n_leaves"])}, {2}, id="tree-n-leaves-integral-float"),
     pytest.param("axis", lambda t: {**t, "dim": t["dim"] + 0.2}, {2}, id="tree-dim-float"),
     pytest.param("axis", lambda t: {**t, "dim": True}, {2}, id="tree-dim-bool"),
     pytest.param("axis", lambda t: {**t, "n_leaves": t["n_leaves"] + 1}, {3}, id="tree-n-leaves-count"),
-    pytest.param("kernel", lambda t: {**t, "root": {**t["root"], "anchor": 0.5}}, {2}, id="kernel-anchor-float"),
+    pytest.param("kernel", lambda t: _root_with(t, anchor=0.5), {2}, id="kernel-anchor-float"),
     pytest.param("kernel", lambda t: {**t, "seed": 1.5}, {2}, id="kernel-seed-float"),
     pytest.param("axis", _caterpillar_text, {2}, id="tree-nested-too-deeply"),
     pytest.param("kernel", _string_gamma, {2, 3, 4}, id="kernel-gamma-str"),
     # number fields take JSON numbers only: no numeric string, and no bool read as 0 or 1
-    pytest.param("axis", lambda t: _root_with(t, theta=str(t["root"]["theta"])), {2}, id="tree-theta-numeric-str"),
+    pytest.param("axis", lambda t: _root_with(t, theta=str(t["nodes"][0]["theta"])), {2}, id="tree-theta-numeric-str"),
     pytest.param("axis", lambda t: _root_with(t, theta=True), {2}, id="tree-theta-bool"),
-    pytest.param("kernel", lambda t: _root_with(t, theta=str(t["root"]["theta"])), {2}, id="kernel-theta-numeric-str"),
+    pytest.param("kernel", lambda t: _root_with(t, theta=str(t["nodes"][0]["theta"])), {2}, id="kernel-theta-numeric-str"),
     pytest.param(
-        "kernel", lambda t: _root_with(t, prototype=list(map(str, t["root"]["prototype"]))), {2}, id="kernel-prototype-str"
+        "kernel", lambda t: _root_with(t, prototype=list(map(str, t["nodes"][0]["prototype"]))), {2}, id="kernel-prototype-str"
     ),
     pytest.param("kernel", lambda t: _kernel_with(t, gamma=list(map(str, t["kernel"]["gamma"]))), {2}, id="kernel-gamma-numeric-str"),
     pytest.param("kernel", lambda t: _kernel_with(t, gamma=[True] * len(t["kernel"]["gamma"])), {2}, id="kernel-gamma-bool"),
     pytest.param("kernel", lambda t: {**t, "dim": 5}, {3}, id="kernel-dim-mismatch"),
     # a tree's model_fingerprint is a JSON string, and format_version, where
-    # present, the JSON integer 1, in tree and mixture JSON alike
+    # present, a JSON integer the reader knows: 1 or 2 for a tree, 1 for a mixture
     pytest.param("axis", lambda t: {**t, "model_fingerprint": [0.5]}, {2}, id="tree-fingerprint-list"),
     pytest.param("axis", lambda t: {**t, "model_fingerprint": 3}, {2}, id="tree-fingerprint-int"),
     pytest.param("kernel", lambda t: {**t, "model_fingerprint": {"a": 0.5}}, {2}, id="kernel-fingerprint-dict"),
     pytest.param("axis", lambda t: {**t, "format_version": "abc"}, {2}, id="tree-format-version-str"),
-    pytest.param("axis", lambda t: {**t, "format_version": 2}, {2}, id="tree-format-version-2"),
+    pytest.param("axis", lambda t: {**t, "format_version": 3}, {2}, id="tree-format-version-3"),
     pytest.param("kernel", lambda t: {**t, "format_version": True}, {2}, id="kernel-format-version-bool"),
     pytest.param("mixture", lambda m: {**m, "format_version": "1"}, {2}, id="mixture-format-version-str"),
     pytest.param("mixture", lambda m: {**m, "format_version": 1.0}, {2}, id="mixture-format-version-float"),
@@ -590,17 +589,25 @@ def test_cli_malformed_artifacts_exit_cleanly(tmp_path, capsys, artifact, edit, 
         assert err.startswith("error: ") and "Traceback" not in err
 
 
-# Every header key and every key of the root cut of each tree kind, as a
-# path into its JSON; the number lists gamma and prototype also by entry.
-_FUZZ_FIELDS = [("axis", (key,)) for key in ("format_version", "kind", "dim", "n_leaves", "model_fingerprint", "options", "root")]
+# Every header key of each tree kind, and every key of its root cut and of
+# its first leaf, and those two nodes themselves, as a path into its JSON;
+# the number lists gamma and prototype also by entry.
+_NODES = [("nodes", 0), ("nodes", 1), ("nodes", 1, "leaf")]
+_FUZZ_FIELDS = [("axis", (key,)) for key in ("format_version", "kind", "dim", "n_leaves", "model_fingerprint", "options", "nodes")]
 _FUZZ_FIELDS += [("axis", ("options", "objective"))]
-_FUZZ_FIELDS += [("axis", ("root", key)) for key in ("axis", "theta", "left", "right")]
+_FUZZ_FIELDS += [("axis", ("nodes", 0, key)) for key in ("axis", "theta")] + [("axis", path) for path in _NODES]
 _FUZZ_FIELDS += [
-    ("kernel", (key,)) for key in ("format_version", "kind", "dim", "n_leaves", "kernel", "model_fingerprint", "seed", "root")
+    ("kernel", (key,)) for key in ("format_version", "kind", "dim", "n_leaves", "kernel", "model_fingerprint", "seed", "nodes")
 ]
 _FUZZ_FIELDS += [("kernel", ("kernel", "profiles")), ("kernel", ("kernel", "gamma")), ("kernel", ("kernel", "gamma", 0))]
-_FUZZ_FIELDS += [("kernel", ("root", key)) for key in ("axis", "prototype", "theta", "anchor", "left", "right")]
-_FUZZ_FIELDS += [("kernel", ("root", "prototype", 0))]
+_FUZZ_FIELDS += [("kernel", ("nodes", 0, key)) for key in ("axis", "prototype", "theta", "anchor")]
+_FUZZ_FIELDS += [("kernel", ("nodes", 0, "prototype", 0))] + [("kernel", path) for path in _NODES]
+# The same trees written as format 1, with a nested root: its cut keys and
+# its two children.
+_FUZZ_FIELDS += [(kind + "1", ("root",)) for kind in ("axis", "kernel")]
+_FUZZ_FIELDS += [("axis1", ("root", key)) for key in ("axis", "theta", "left", "right")]
+_FUZZ_FIELDS += [("kernel1", ("root", key)) for key in ("axis", "prototype", "theta", "anchor", "left", "right")]
+_FUZZ_FIELDS += [(kind + "1", ("root", "left", "leaf")) for kind in ("axis", "kernel")]
 # a string, a numeric string, a bool, null, an int, a float, a list, a dict
 _FUZZ_VALUES = ["abc", "0.5", True, None, 3, 0.5, [0.5], {"a": 0.5}]
 
@@ -612,7 +619,19 @@ def test_cli_fuzzed_tree_fields_exit_cleanly(tmp_path, capsys):
     assert run_cli("build", "--mixture", mix, "--objective", "exact-discrete", "--out", trees["axis"]) == 0
     assert run_cli("build-kernel", "--mixture", mix, "--out", trees["kernel"]) == 0
     texts = {kind: path.read_text() for kind, path in trees.items()}
+    for kind in trees:
+        doc = json.loads(texts[kind])
+        nodes = iter(doc.pop("nodes"))
+
+        def nest():
+            node = next(nodes)
+            return node if "leaf" in node else {**node, "left": nest(), "right": nest()}
+
+        texts[kind + "1"] = json.dumps({**doc, "format_version": 1, "root": nest()})
     edited = tmp_path / "edited.json"
+    for kind, path in trees.items():
+        edited.write_text(texts[kind + "1"])
+        assert load_tree(edited).to_dict() == load_tree(path).to_dict()
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.sampled_from(_FUZZ_FIELDS), st.sampled_from(_FUZZ_VALUES))
@@ -809,6 +828,8 @@ _BAD_INPUTS = [
     pytest.param(("gen", "b3", "--d", 2, "--out", "{tmp}/x.json"), {"MMDT_SEED": "abc"}, 2, id="seed-env"),
     pytest.param(("eval-data", "--data", "{data}", "--tree", "{ktree}", "--mixture", "{mix}"), {}, 4, id="eval-data-kernel-tree"),
     pytest.param(("eval-data", "--data", "{data}", "--tree", "{tree}"), {}, 3, id="eval-data-no-centers"),
+    # three leaves against the mixture's two means
+    pytest.param(("eval-data", "--data", "{data}", "--tree", "{tree3}", "--mixture", "{mix}"), {}, 4, id="eval-data-leaf-count"),
     pytest.param(("moments", "--data", "{unlabeled}", "--k", 2, "--out", "{tmp}/mm.json"), {}, 3, id="moments-unlabeled"),
     pytest.param(("build-kernel", "--mixture", "{mix}", "--gamma", "1,2", "--out", "{tmp}/k.json"), {}, 3, id="gamma-count"),
 ]
@@ -816,10 +837,12 @@ _BAD_INPUTS = [
 
 @pytest.mark.parametrize("argv, env, code", _BAD_INPUTS)
 def test_cli_bad_inputs_exit_cleanly(tmp_path, capsys, monkeypatch, argv, env, code):
-    names = ("m.json", "t.json", "kt.json", "d.csv", "u.csv", "c.json")
-    mix, tree, ktree, data, unlabeled, centers = (tmp_path / name for name in names)
+    names = ("m.json", "t.json", "t3.json", "kt.json", "d.csv", "u.csv", "c.json")
+    mix, tree, tree3, ktree, data, unlabeled, centers = (tmp_path / name for name in names)
     run_cli("gen", "b3", "--d", 3, "--out", mix)
     run_cli("build", "--mixture", mix, "--objective", "exact-discrete", "--out", tree)
+    # every row reaches leaf 2, which has no center
+    save_tree(tree3, AxisTree(nodes=[AxisCut(0, 1e300), 2, AxisCut(0, 0.0), 0, 1], dim=3))
     run_cli("build-kernel", "--mixture", mix, "--out", ktree)
     drawn = sample(load_mixture(mix), 200, seed=2)
     save_dataset(data, drawn)
@@ -829,7 +852,7 @@ def test_cli_bad_inputs_exit_cleanly(tmp_path, capsys, monkeypatch, argv, env, c
         monkeypatch.setenv(key, value)
     bad = tmp_path / "missing" / "out.json"
     paths = {
-        "bad": bad, "tmp": tmp_path, "mix": mix, "tree": tree, "ktree": ktree,
+        "bad": bad, "tmp": tmp_path, "mix": mix, "tree": tree, "tree3": tree3, "ktree": ktree,
         "data": data, "unlabeled": unlabeled, "centers": centers,
     }
     capsys.readouterr()
@@ -929,6 +952,23 @@ def test_cli_eval_data_and_moments(tmp_path, capsys):
     out = capsys.readouterr().out
     payload = json.loads(out[out.index("{") :])
     assert payload["error_vs_labels"] == pytest.approx(1.0 / 8.0, abs=0.03)
+
+
+def test_eval_data_routes_once(tmp_path, capsys, monkeypatch):
+    # Both norms and both error rates read one routing of the rows.
+    mix, tree, data = tmp_path / "m.json", tmp_path / "t.json", tmp_path / "d.csv"
+    run_cli("gen", "b3", "--d", 3, "--out", mix)
+    assert run_cli("build", "--mixture", mix, "--objective", "exact-discrete", "--out", tree) == 0
+    save_dataset(data, sample(load_mixture(mix), 200, seed=2))
+    routed = []
+    route = tree_module.assign_components
+    for name, module in list(sys.modules.items()):  # wherever a module holds the router
+        if name.startswith("mmdt") and getattr(module, "assign_components", None) is route:
+            monkeypatch.setattr(module, "assign_components", lambda t, points: routed.append(len(points)) or route(t, points))
+    capsys.readouterr()
+    assert run_cli("eval-data", "--data", data, "--tree", tree, "--mixture", mix, "--norm", "both") == 0
+    assert routed == [200]
+    assert capsys.readouterr().out == _EVAL_DATA_TEXT
 
 
 _KERNEL_EVAL_TEXT = """\
@@ -1100,19 +1140,22 @@ def test_wine_dataset_vendored():
 # array_fingerprint; with that field blanked, every tree is unchanged.
 # gen-b3, gen-thm4-no-center and moments were re-recorded when a uniform
 # mass became implied: with each component's 1/n masses written back, the
-# files are byte-identical to the ones before.
+# files are byte-identical to the ones before.  The six tree digests were
+# re-recorded when tree JSON moved to format 2 (one pre-order node list);
+# no axis, threshold, leaf, prototype or anchor moved against the recorded
+# format-1 roots, and every DOT and eval digest stayed as it was.
 _ARTIFACT_SHA256 = {
-    "chebyshev": "9bb45561a0fe69517bf8223ecaa95a0ec2d1821d7eff6c90dd30bf20dd65ffc7",
+    "chebyshev": "bb4bcedd4eb7e9ad87cb0febad65ff75664fbf7771ef84a10a87f9fa6b48835e",
     "chebyshev.dot": "3a3a2d033664335356562f19a2024466d6b0925e420918886669d5ef74a7a7ae",
-    "gaussian": "cb7a4d1bd3ce77ced5342551b1d1054d087ff87886473736e8dfffbe141c7a46",
+    "gaussian": "a20c1f56765bef5fde24e8b765471dda52b5099a2a0aa3e37203ec6f828bf6d3",
     "gaussian.dot": "9acb17af4246b48d4593ec6e918ff3321f904a443b3336988c43c940498ed9c0",
-    "exact-discrete": "b452daf8fa2798c801e90abec22a647db9f9a6a78a9a26d1759fb3fb2cc79673",
+    "exact-discrete": "a50f19bf9edf87c4aa93d65004453715a23c265d3c2b22e59be2c701770dff1f",
     "exact-discrete.dot": "807ae624638dc3fbc87bf0aae146f7ee4251823401e3cfb37983731e3bae4fee",
-    "kernel-exact": "4d2017caa111aa0f8b8a66e7a97429de10b61f2e5633fbf47746a9f56fd3d48a",
+    "kernel-exact": "a5029464baae84081ad5bc0b0525c92468346108b330ca38f40ff77b836820ae",
     "kernel-exact.dot": "523ad9705eab3cef5c62a8475c7dc16a43761b346cba1ecfcf677ae051a0fb46",
-    "kernel-mc": "ae2481192a0400f357f4f907bd82a288e1ebd65b2a96b0f9e9a63b1e8d8ca7d3",
+    "kernel-mc": "8e73976d00923e76c5c61815a35cda9ddb7a0f76cfb15f84e625364a8d01a318",
     "kernel-mc.dot": "4907d35e04d134e38aa7bb290eeedd50332076a25b8974b5189b143908b78a13",
-    "imm": "18ef03b5ec6e76ccf568d75ac09119d32c77fce9a50a9000f19040bca21606c7",
+    "imm": "17a1709dc8309242ef3278ae84ca1b327a696a2fb4c9f9d7eda071cee41adfa2",
     "imm.dot": "a53dcfb7c5fa2b6a8805066bec7bad13ab166c6beebf304b42a6a774fa877351",
     "exact-discrete.eval": "08efd63cf8407b8ac77b87cdc5ddcce4a29764a4822a7ef195953522c77df36a",
     "gaussian.eval": "725ae07958cc90cabc353317de7c975901fdf80c9db707e452bd7b6025bb6d3f",
@@ -1187,15 +1230,15 @@ def _cli_artifact_digests(tmp_path, capsys) -> dict:
 
 def test_cli_artifacts_byte_identical(tmp_path, capsys):
     digests = _cli_artifact_digests(tmp_path, capsys)
-    # The root of every tree built above, as recorded with these digests:
-    # a moved tree digest lists the thresholds that moved.
+    # The format-1 root of every tree built above, as recorded with these
+    # digests: a moved tree digest lists the thresholds that moved.
     recorded = json.loads((DATA_DIR / "recorded_trees.json").read_text())["cli"]
     moved = {
         name: moved_thresholds(root, json.loads((tmp_path / f"{name}.json").read_text()))
         for name, root in recorded.items()
         if digests[name] != _ARTIFACT_SHA256[name]
     }
-    assert digests == _ARTIFACT_SHA256, f"(path, axis, old theta, new theta, ulps): {moved}"
+    assert digests == _ARTIFACT_SHA256, f"(node index, axis, old theta, new theta, ulps): {moved}"
 
 
 def test_build_kernel_mode_flag_is_hidden_and_ignored(tmp_path, capsys):

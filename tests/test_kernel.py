@@ -17,7 +17,6 @@ from mmdt import (
     empirical_moments,
     kernel_price,
     kernel_stats,
-    mmd,
     predict,
     thm5_bound,
 )
@@ -30,10 +29,10 @@ from mmdt.kernel import (
     check_structure,
     interval_predict,
 )
-from mmdt.tree import TreeNode, assign_components, export_dot
+from mmdt.tree import assign_components, export_dot
 
 from conftest import translate_battery
-from oracles import pairwise_kernel_stats
+from oracles import caterpillar_kernel_stats, mmd, node_depths, pairwise_kernel_stats
 
 
 def profile(ker, i, t):
@@ -186,19 +185,19 @@ def test_build_kernel_tree_two_point():
     st = kernel_stats(model, ker)
     tree = build_kernel_mmdt(model, ker, st, seed=3)
     kappa_ab = math.exp(-2.0)
-    assert tree.root.cut.theta == pytest.approx((1.0 + kappa_ab) / 2.0)
-    assert tree.root.cut.anchor == 0
+    assert tree.nodes[0].theta == pytest.approx((1.0 + kappa_ab) / 2.0)
+    assert tree.nodes[0].anchor == 0
     # prototype is the anchor's only support point
-    np.testing.assert_allclose(tree.root.cut.prototype, [0.0, 0.0])
+    np.testing.assert_allclose(tree.nodes[0].prototype, [0.0, 0.0])
     assert predict(tree, [0.0, 0.0]) == 0  # self-similarity 1 goes right
     assert predict(tree, [2.0, 0.0]) == 1
     assert predict(tree, [1e9, 0.0]) == 1  # similarity 0 goes left
     # equality goes right in both forms: a point at exactly the cut radius,
     # and a cut whose theta is exactly a point's axis similarity
-    cut = tree.root.cut
+    cut = tree.nodes[0]
     assert interval_predict(tree, [tree.radius(cut), 0.0]) == 0
     on_theta = dataclasses.replace(cut, theta=float(ker.profile_value(0, 1.0)))
-    edited = dataclasses.replace(tree, root=dataclasses.replace(tree.root, cut=on_theta))
+    edited = dataclasses.replace(tree, nodes=(on_theta, *tree.nodes[1:]))
     assert predict(edited, [1.0, 0.0]) == 0
     assert interval_predict(edited, [edited.radius(on_theta), 0.0]) == 0
 
@@ -210,7 +209,7 @@ def test_kernel_tree_routes_with_its_one_kernel():
     tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
     laplace = KernelSpec.uniform("laplace", float(ker.gamma[0]), model.dim)
     edited = dataclasses.replace(tree, kernel=laplace)
-    cut = edited.root.cut
+    cut = edited.nodes[0]
     assert edited.radius(cut) == laplace.profile_inverse(cut.axis, cut.theta) != tree.radius(cut)
     pts = np.random.default_rng(1).normal(scale=4.0, size=(200, model.dim))
     routed = [predict(edited, p) for p in pts]
@@ -222,7 +221,7 @@ def test_kernel_tree_checks_its_kernel_dimension():
     # built in code or loaded from JSON, a tree's one kernel has one axis per tree axis
     three_axes = KernelSpec.uniform("gaussian", 1.0, 3)
     with pytest.raises(ValidationError, match="does not match kernel dimension 3"):
-        KernelTree(root=TreeNode(leaf=0), dim=2, kernel=three_axes)
+        KernelTree(nodes=[0], dim=2, kernel=three_axes)
     model, ker = translate_battery(7000)
     tree = build_kernel_mmdt(model, ker, kernel_stats(model, ker), seed=0)
     with pytest.raises(ValidationError, match="does not match kernel dimension"):
@@ -240,7 +239,7 @@ def test_build_kernel_cuts_on_separating_axis():
     ker = KernelSpec.uniform("gaussian", 1.0, 2)
     st = kernel_stats(model, ker)
     tree = build_kernel_mmdt(model, ker, st, seed=4)
-    cut = tree.root.cut
+    cut = tree.nodes[0]
     assert cut.axis == 1
     assert cut.anchor == 0
     assert any(np.array_equal(cut.prototype, row) for row in a.support)
@@ -252,12 +251,6 @@ def test_build_kernel_requires_matching_stats():
     st = kernel_stats(other_model, KernelSpec.uniform("gaussian", 1.0, other_model.dim))
     with pytest.raises(IncompatibilityError):
         build_kernel_mmdt(model, ker, st, seed=0)
-
-
-def collect_leaves(node):
-    if node.is_leaf:
-        return [node.leaf]
-    return collect_leaves(node.left) + collect_leaves(node.right)
 
 
 def loop_choice(xi_table, comps):
@@ -301,15 +294,16 @@ def test_build_kernel_choice_matches_pair_loop():
         assert computed.tau == loop_tau(computed.xi_table)
     cases.append((model, ker, dataclasses.replace(st, xi_table=np.round(st.xi_table, 2))))
     for model, ker, st in cases:
-        stack = [(build_kernel_mmdt(model, ker, st, seed=1).root, list(range(model.k)))]
+        tree = build_kernel_mmdt(model, ker, st, seed=1)
+        stack = [(0, list(range(model.k)))]
         while stack:
-            node, comps = stack.pop()
-            if node.is_leaf:
+            i, comps = stack.pop()
+            cut = tree.nodes[i]
+            if isinstance(cut, int):
                 continue
-            cut = node.cut
             assert (cut.axis, cut.anchor) == loop_choice(st.xi_table, comps)
             left = [m for m in comps if st.xi_table[cut.axis, cut.anchor, m] < cut.theta]
-            stack += [(node.left, left), (node.right, [m for m in comps if m not in left])]
+            stack += [(i + 1, left), (tree.right[i], [m for m in comps if m not in left])]
 
 
 def test_kernel_tree_partition_matches_xi_sides():
@@ -321,30 +315,28 @@ def test_kernel_tree_partition_matches_xi_sides():
         assert sorted(tree.leaves()) == list(range(model.k))
         # own-axis similarity is at least sigma2, so whenever theta < sigma2
         # the anchor component belongs to the right subtree
-        cut = tree.root.cut
+        cut = tree.nodes[0]
         if cut.theta < st.sigma2:
-            assert cut.anchor in collect_leaves(tree.root.right)
+            assert cut.anchor in tree.nodes[tree.right[0]:]
 
 
-def anchor_outside_its_node(root, xi):
+def anchor_outside_its_node(tree, xi):
     # an internal child of the root, anchored at a component of the other side
-    side, other = ("left", root.right) if not root.left.is_leaf else ("right", root.left)
-    inner = getattr(root, side)
-    cut = dataclasses.replace(inner.cut, anchor=collect_leaves(other)[0])
-    return dataclasses.replace(root, **{side: dataclasses.replace(inner, cut=cut)})
+    nodes, r = list(tree.nodes), tree.right[0]
+    inner, other = (1, nodes[r:]) if not isinstance(nodes[1], int) else (r, nodes[1:r])
+    nodes[inner] = dataclasses.replace(nodes[inner], anchor=next(n for n in other if isinstance(n, int)))
+    return nodes
 
 
-def threshold_below_every_xi(root, xi):
-    theta = float(xi[root.cut.axis, root.cut.anchor].min()) / 2.0
+def threshold_below_every_xi(tree, xi):
+    root = tree.nodes[0]
+    theta = float(xi[root.axis, root.anchor].min()) / 2.0
     assert theta > 0.0
-    return dataclasses.replace(root, cut=dataclasses.replace(root.cut, theta=theta))
+    return [dataclasses.replace(root, theta=theta), *tree.nodes[1:]]
 
 
-def leaves_0_and_1_swapped(node, xi):
-    if node.is_leaf:
-        return dataclasses.replace(node, leaf={0: 1, 1: 0}.get(node.leaf, node.leaf))
-    left, right = (leaves_0_and_1_swapped(child, xi) for child in (node.left, node.right))
-    return dataclasses.replace(node, left=left, right=right)
+def leaves_0_and_1_swapped(tree, xi):
+    return [{0: 1, 1: 0}.get(n, n) if isinstance(n, int) else n for n in tree.nodes]
 
 
 @pytest.mark.parametrize(
@@ -361,7 +353,7 @@ def test_kernel_check_structure_rejects_bad_trees(edit, message):
     tree = build_kernel_mmdt(model, ker, st, seed=0)
     assert model.k == 4
     check_structure(tree, st)
-    bad = dataclasses.replace(tree, root=edit(tree.root, st.xi_table))
+    bad = dataclasses.replace(tree, nodes=edit(tree, st.xi_table))
     with pytest.raises(ValidationError, match=message):
         check_structure(bad, st)
 
@@ -396,7 +388,7 @@ def test_interval_form_matches_kernel_predict():
         for p in pts:
             assert interval_predict(tree, p) == predict(tree, p)
         # interval radius inverts the profile exactly
-        cut = tree.root.cut
+        cut = tree.nodes[0]
         r = tree.radius(cut)
         assert ker.profile_value(cut.axis, r) == pytest.approx(cut.theta, rel=1e-12)
 
@@ -1127,24 +1119,8 @@ def test_kernel_build_memory_stays_flat_on_a_deep_tree():
     # A caterpillar xi table: the lowest remaining component anchors every
     # node, and its row splits off only itself.  With every ancestor's
     # (d, |C|, |C|) block alive, K=100 and d=20 held 54.7 MB at the peak.
-    K, d = 100, 20
-    rng = np.random.default_rng(0)
-    comps = tuple(Component.gaussian(m, np.ones(d)) for m in rng.normal(size=(K, d)))
-    model = MixtureModel.create(comps, np.full(K, 1.0 / K))
-    ker = KernelSpec.uniform("gaussian", 1.0, d)
-    index = np.arange(K)
-    table = 0.1 + 1e-3 * np.minimum.outer(index, index) + 1e-6 * np.maximum.outer(index, index)
-    table = table + 1e-8 * np.arange(d)[:, None, None]
-    table[:, index, index] = 1.0
-    stats = kernel_module.KernelStats(
-        sigma2=1.0,
-        sigma2_per_component=np.ones(K),
-        eps2=0.0,
-        tau=float(np.where(np.eye(K, dtype=bool), 0.0, table.min(axis=0)).max()),
-        xi_table=table,
-        model_fingerprint=model.fingerprint(),
-        kernel_fingerprint=ker.fingerprint(),
-    )
+    K = 100
+    model, ker, stats = caterpillar_kernel_stats(K, 20)
     tracemalloc.start()
     try:
         tree = build_kernel_mmdt(model, ker, stats, seed=0)
@@ -1152,10 +1128,7 @@ def test_kernel_build_memory_stays_flat_on_a_deep_tree():
     finally:
         tracemalloc.stop()
 
-    def depth(node):
-        return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
-
-    assert depth(tree.root) >= K // 2
+    assert max(node_depths(tree)) >= K // 2
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 

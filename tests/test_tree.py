@@ -28,7 +28,6 @@ from mmdt.io import dumps_json
 from mmdt import tree as tree_module
 from mmdt.tree import (
     AxisCut,
-    TreeNode,
     _Slope,
     _midpoint_candidates,
     _search_level,
@@ -39,7 +38,7 @@ from mmdt.tree import (
 )
 
 from conftest import DATA_DIR, gaussian_battery, random_discrete_model, scale_shift
-from oracles import bisect_roots, moved_thresholds
+from oracles import bisect_roots, moved_thresholds, node_depths
 
 
 def gaussians(means, sigma, weights=None):
@@ -375,27 +374,23 @@ def test_minimize_threshold_value_is_objective_value(objective):
 def test_build_mmdt_minimal_tree():
     m = gaussians([[0.0], [10.0]], [1.0])
     tree = build_mmdt(m, "gaussian")
-    assert not tree.root.is_leaf
-    assert tree.root.left.is_leaf and tree.root.right.is_leaf
-    assert sorted(tree.leaves()) == [0, 1]
+    cut, left, right = tree.nodes
+    assert isinstance(cut, AxisCut) and tree.right == (2, 0, 0)
+    assert sorted((left, right)) == sorted(tree.leaves()) == [0, 1]
 
 
 def test_build_mmdt_b3_root():
     inst = gen_b3(4)
     tree = build_mmdt(inst.model, "exact-discrete")
-    assert tree.root.cut.axis == 0
-    assert tree.root.cut.theta == pytest.approx(0.0, abs=1e-12)
-    assert -0.5 < tree.root.cut.theta < 0.5
+    assert tree.nodes[0].axis == 0
+    assert tree.nodes[0].theta == pytest.approx(0.0, abs=1e-12)
+    assert -0.5 < tree.nodes[0].theta < 0.5
 
 
 def test_build_mmdt_collinear_gaussians():
     m = gaussians([[0.0], [5.0], [10.0]], [1.0])
     tree = build_mmdt(m, "gaussian")
-    thetas = sorted(
-        node.cut.theta
-        for node in (tree.root, tree.root.left, tree.root.right)
-        if node is not None and not node.is_leaf
-    )
+    thetas = sorted(node.theta for node in tree.nodes if not isinstance(node, int))
     assert len(thetas) == 2
     assert abs(thetas[0] - 2.5) < 0.1 and abs(thetas[1] - 7.5) < 0.1
 
@@ -422,11 +417,11 @@ def test_minimize_threshold_rejects_unknown_or_incompatible_objective():
 
 
 def test_axis_tree_rejects_unknown_objective():
-    root = TreeNode(cut=AxisCut(0, 1.5), left=TreeNode(leaf=0), right=TreeNode(leaf=1))
+    nodes = [AxisCut(0, 1.5), 0, 1]
     with pytest.raises(ValidationError, match="objective must be one of"):
-        AxisTree(root=root, dim=1, objective="nope")
+        AxisTree(nodes=nodes, dim=1, objective="nope")
     with pytest.raises(ValidationError, match="objective must be one of"):
-        AxisTree.from_dict({**AxisTree(root=root, dim=1).to_dict(), "options": {"objective": "nope"}})
+        AxisTree.from_dict({**AxisTree(nodes=nodes, dim=1).to_dict(), "options": {"objective": "nope"}})
 
 
 def test_predict_examples():
@@ -441,12 +436,7 @@ def test_predict_examples():
 
 
 def test_predict_boundary_goes_left():
-    from mmdt.tree import AxisCut, TreeNode
-
-    tree = AxisTree(
-        root=TreeNode(cut=AxisCut(0, 1.5), left=TreeNode(leaf=0), right=TreeNode(leaf=1)),
-        dim=1,
-    )
+    tree = AxisTree(nodes=[AxisCut(0, 1.5), 0, 1], dim=1)
     assert predict(tree, [1.5]) == 0
     assert predict(tree, [1.5000001]) == 1
 
@@ -458,7 +448,7 @@ def test_thm4_support_routing():
         routed = assign_components(tree, comp.support)
         # only the single-axis deviation against the cut leaves the component
         mism = np.flatnonzero(routed != k)
-        assert all(abs(comp.support[i][tree.root.cut.axis] - comp.mean[tree.root.cut.axis]) == 1.0 for i in mism)
+        assert all(abs(comp.support[i][tree.nodes[0].axis] - comp.mean[tree.nodes[0].axis]) == 1.0 for i in mism)
 
 
 def test_structural_invariants_battery():
@@ -473,11 +463,11 @@ def test_structural_invariants_battery():
 
 
 def _leaf(k):
-    return TreeNode(leaf=k)
+    return [k]
 
 
 def _cut(axis, theta, left, right):
-    return TreeNode(cut=AxisCut(axis=axis, theta=theta), left=left, right=right)
+    return [AxisCut(axis=axis, theta=theta), *left, *right]
 
 
 # Component means (0, 0), (4, 0) and (4, 4); the valid tree cuts x1 <= 2,
@@ -496,18 +486,18 @@ _BAD_TREES = [
 
 
 def test_check_structure_accepts_the_valid_tree():
-    check_structure(AxisTree(root=_VALID, dim=2), _MEANS)
+    check_structure(AxisTree(nodes=_VALID, dim=2), _MEANS)
 
 
-@pytest.mark.parametrize("k, root", _BAD_TREES)
-def test_check_structure_rejects_bad_trees(k, root):
+@pytest.mark.parametrize("k, nodes", _BAD_TREES)
+def test_check_structure_rejects_bad_trees(k, nodes):
     with pytest.raises(ValidationError):
-        check_structure(AxisTree(root=root, dim=2), _MEANS[:k])
+        check_structure(AxisTree(nodes=nodes, dim=2), _MEANS[:k])
 
 
 def test_leaf_count_is_read_from_the_leaves():
-    tree = AxisTree(root=_VALID, dim=2)
-    pruned = dataclasses.replace(tree, root=tree.root.right)
+    tree = AxisTree(nodes=_VALID, dim=2)
+    pruned = dataclasses.replace(tree, nodes=tree.nodes[tree.right[0]:])
     assert (tree.n_leaves, pruned.n_leaves, pruned.to_dict()["n_leaves"]) == (3, 2, 2)
 
 
@@ -531,14 +521,15 @@ def wide_build_mixture(seed: int = 0) -> MixtureModel:
 
 def internal_nodes(tree, means):
     """(components, cut) of every internal node, top down."""
-    stack = [(tree.root, list(range(tree.n_leaves)))]
+    stack = [(0, list(range(tree.n_leaves)))]
     while stack:
-        node, comps = stack.pop()
-        if node.is_leaf:
+        i, comps = stack.pop()
+        cut = tree.nodes[i]
+        if isinstance(cut, int):
             continue
-        yield comps, node.cut
-        left = [k for k in comps if means[k, node.cut.axis] <= node.cut.theta]
-        stack += [(node.left, left), (node.right, [k for k in comps if k not in left])]
+        yield comps, cut
+        left = [k for k in comps if means[k, cut.axis] <= cut.theta]
+        stack += [(i + 1, left), (tree.right[i], [k for k in comps if k not in left])]
 
 
 @pytest.mark.parametrize("objective", ["chebyshev", "gaussian"])
@@ -589,18 +580,20 @@ def test_level_search_raises_for_a_node_it_cannot_split(objective):
 # moved to array_fingerprint; no other byte of the trees moved.
 # mix1-gaussian was re-recorded when the root search moved from bisection to
 # Newton probes: one theta moved by 73 ulps, where bisection had run into its
-# 64-probe cap without closing the bracket.  tests/data/recorded_trees.json
-# holds the root node of every tree recorded here, so that a failure lists
-# the thresholds that moved.
+# 64-probe cap without closing the bracket.  All eight were re-recorded when
+# tree JSON moved to format 2 (one pre-order node list), with no axis,
+# threshold or leaf moved against tests/data/recorded_trees.json, which
+# holds the format-1 root node of every tree recorded here, so that a
+# failure lists the thresholds that moved.
 _WIDE_BUILD_TREE_SHA256 = {
-    "mix0-chebyshev": "70284f10db26283253dff5b05ead3f1241f4f6257dc7bf3dafc10223762b3bc2",
-    "mix0-gaussian": "0216799925a86e435092077fc6e29dd4d17ee380df6ef1dfa25a33187f673747",
-    "mix1-chebyshev": "a70a17cff04b833fad9fe8a84613a1894766d63033cea0c64ed0593474f4faa3",
-    "mix1-gaussian": "f2a86f9d319b80cb8857cc700beb39165283737bb7cafb4148a63598a729cddf",
-    "mix2-chebyshev": "7c27ee5afade01c143ce68e77f8b21aff60f7ca32af20a2c9d7af8118056cb93",
-    "mix2-gaussian": "9caf9afaeeebb481a3b0dbc5f6ebbfe7e8f6832765fba16cc579e4fb88963e65",
-    "mix3-chebyshev": "76daab51abba5d6477c9232445a45f3d03cbd732c365cb39d37cbffeca3a850b",
-    "mix3-gaussian": "d9c95038c75eaeb62b6c2839027c82f54cd267b11d7b20d40cb7b0c5c9801d91",
+    "mix0-chebyshev": "19ccdd9e3182b1e82ef978a038b1f9d7a1fd544458ae1afa43554e8b7aa4e45f",
+    "mix0-gaussian": "7f7a8c8fbb8d6c7c4214255a3012c4ca4feeec48b31226a6b080f1c7af807d94",
+    "mix1-chebyshev": "aae19efdbc30ccbef618b48755fbef8e208fafa11faec6613dae259a7a4d37a9",
+    "mix1-gaussian": "e5172876095e7dd850d2966f4913f6e88b93b5f4482819296863e60a29767086",
+    "mix2-chebyshev": "09035ef2e0adbf11dbbbbaa24a096b775c693d9425d210f79e99e5f450ab0799",
+    "mix2-gaussian": "f34d03d7e87bc48f1621d728f8bb1947a9dd53c3d9fc7d818dc09ae388e614ef",
+    "mix3-chebyshev": "eb92158fa46087d1e7506102e51d9b09fada9c1d495a93be866a0df2b5ecc926",
+    "mix3-gaussian": "473e789ef52d48217770de6e98039e551684d56ce0bc085ea81c80b9ec6e93c4",
 }
 
 
@@ -613,7 +606,7 @@ def test_wide_build_trees_are_byte_identical():
             digests[name] = hashlib.sha256(dumps_json(tree).encode("utf-8")).hexdigest()
             if digests[name] != _WIDE_BUILD_TREE_SHA256[name]:
                 moved[name] = moved_thresholds(recorded[name], tree)
-    assert digests == _WIDE_BUILD_TREE_SHA256, f"(path, axis, old theta, new theta, ulps): {moved}"
+    assert digests == _WIDE_BUILD_TREE_SHA256, f"(node index, axis, old theta, new theta, ulps): {moved}"
 
 
 def test_slope_adds_each_piece_in_list_order():
@@ -679,16 +672,7 @@ def test_build_runs_one_root_search_per_level(monkeypatch, objective):
     monkeypatch.setattr(tree_module._Slope, "newton", counting_newton)
     model = wide_build_mixture()
     tree = build_mmdt(model, objective)
-    depths = []
-
-    def walk(node, depth):
-        if not node.is_leaf:
-            depths.append(depth)
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-
-    walk(tree.root, 0)
-    levels = max(depths) + 1
+    levels = max(node_depths(tree))  # the deepest leaf's depth: one level per cut above it
     assert counts["brackets"] == levels
     assert counts["searches"] == levels
     assert counts["slopes"] <= levels * (2 + 15)
@@ -794,7 +778,7 @@ def test_root_near_zero_closes_within_the_cap(monkeypatch, objective, eps):
 
 def test_check_structure_rejects_means_of_another_dimension():
     with pytest.raises(IncompatibilityError):
-        check_structure(AxisTree(root=_VALID, dim=2), np.zeros((3, 3)))
+        check_structure(AxisTree(nodes=_VALID, dim=2), np.zeros((3, 3)))
 
 
 def test_build_determinism():
@@ -826,19 +810,16 @@ def test_affine_equivariance(seed):
         t1 = build_mmdt(m, objective)
         t2 = build_mmdt(mapped, objective)
 
-        def walk(n1, n2):
-            assert n1.is_leaf == n2.is_leaf
-            if n1.is_leaf:
-                assert n1.leaf == n2.leaf
-                return
-            assert n1.cut.axis == n2.cut.axis
-            expected = a[n1.cut.axis] * n1.cut.theta + b[n1.cut.axis]
+        assert len(t1.nodes) == len(t2.nodes)
+        for n1, n2 in zip(t1.nodes, t2.nodes):
+            assert isinstance(n1, int) == isinstance(n2, int)
+            if isinstance(n1, int):
+                assert n1 == n2
+                continue
+            assert n1.axis == n2.axis
+            expected = a[n1.axis] * n1.theta + b[n1.axis]
             scale = max(1.0, abs(expected))
-            assert abs(n2.cut.theta - expected) <= 1e-6 * scale
-            walk(n1.left, n2.left)
-            walk(n1.right, n2.right)
-
-        walk(t1.root, t2.root)
+            assert abs(n2.theta - expected) <= 1e-6 * scale
 
 
 def test_tree_json_round_trip_and_dot():
